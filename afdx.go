@@ -164,28 +164,20 @@ type (
 // DefaultNCOptions matches the paper's WCNC column (grouping enabled).
 func DefaultNCOptions() NCOptions { return netcalc.DefaultOptions() }
 
-// NCAnalysis selects one rung of the Network Calculus tightness/cost
-// ladder (set it on NCOptions.Analysis).
+// NCAnalysis selects the Network Calculus tier (set it on
+// NCOptions.Analysis): the paper's WCNC or the tighter, costlier FIFO.
 type NCAnalysis = netcalc.Analysis
 
-// The ladder, cheapest/loosest first.
+// The two tiers; FIFO is never looser than WCNC.
 const (
-	NCAnalysisTFA  = netcalc.AnalysisTFA
 	NCAnalysisWCNC = netcalc.AnalysisWCNC
 	NCAnalysisFIFO = netcalc.AnalysisFIFO
 )
 
-// NCAnalyses returns every tier in ladder order (loosest first).
-func NCAnalyses() []NCAnalysis { return netcalc.Analyses() }
-
-// ParseNCAnalysis parses a tier name ("TFA", "WCNC", "FIFO", any
-// case). Every CLI's -analysis flag goes through this one parser so an
+// ParseNCAnalysis parses a tier name ("WCNC" or "FIFO", any case).
+// Every CLI's -analysis flag goes through this one parser so an
 // unknown tier fails identically everywhere.
 func ParseNCAnalysis(s string) (NCAnalysis, error) { return netcalc.ParseAnalysis(s) }
-
-// ParseNCAnalysisList parses a comma-separated tier list, preserving
-// order and dropping duplicates.
-func ParseNCAnalysisList(s string) ([]NCAnalysis, error) { return netcalc.ParseAnalysisList(s) }
 
 // AnalyzeNC runs the Network Calculus analysis.
 func AnalyzeNC(pg *PortGraph, opts NCOptions) (*NCResult, error) {

@@ -214,11 +214,11 @@ func benchmarkTrajectoryIndustrial(b *testing.B, workers int) {
 func BenchmarkNetworkCalculusIndustrialSeq(b *testing.B) { benchmarkNCIndustrial(b, 1) }
 func BenchmarkNetworkCalculusIndustrialPar(b *testing.B) { benchmarkNCIndustrial(b, 0) }
 
-// The per-tier Cold benchmarks price the NC tightness/cost ladder:
-// each analysis tier run from scratch, sequentially, on the industrial
-// configuration (cmd/afdx-benchjson pairs them against the WCNC tier
+// The per-tier Cold benchmarks price the NC tightness/cost trade: each
+// analysis tier run from scratch, sequentially, on the industrial
+// configuration (cmd/afdx-benchjson pairs FIFO against the WCNC tier
 // into BENCH_PR10.json's tier_cold_pairs). The conformance oracle pins
-// the cross-tier ordering, so the recorded ratios are pure wall time.
+// the cross-tier ordering, so the recorded ratio is pure wall time.
 func benchmarkNCIndustrialTier(b *testing.B, tier afdx.NCAnalysis) {
 	pg := industrialGraph(b)
 	opts := afdx.DefaultNCOptions()
@@ -232,7 +232,6 @@ func benchmarkNCIndustrialTier(b *testing.B, tier afdx.NCAnalysis) {
 	}
 }
 
-func BenchmarkNCIndustrialTierTFACold(b *testing.B) { benchmarkNCIndustrialTier(b, afdx.NCAnalysisTFA) }
 func BenchmarkNCIndustrialTierWCNCCold(b *testing.B) {
 	benchmarkNCIndustrialTier(b, afdx.NCAnalysisWCNC)
 }

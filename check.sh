@@ -11,7 +11,9 @@
 #   5. go test ./...         (tier-1: the full test suite)
 #   6. go test -race ./...   (the suite again under the race detector)
 #   7. afdx-conformance      (short cross-engine differential campaign,
-#                             deterministic seed, wall-time budgeted)
+#                             deterministic seed, wall-time budgeted;
+#                             every campaign also holds the FIFO tier
+#                             to FIFO <= WCNC and to parallel parity)
 #   8. incremental parity    (a second campaign on a different seed:
 #                             every configuration replays a delta
 #                             sequence through a what-if session and
@@ -19,9 +21,6 @@
 #   9. flat hot-path smoke   (a third campaign on yet another seed,
 #                             cross-checking the flattened trajectory
 #                             hot path against the oracle's invariants)
-#   9b. cross-tier smoke     (a fourth campaign on a fresh seed with the
-#                             full NC analysis-tier ladder selected:
-#                             tier-ordering + per-tier parallel parity)
 #  10. served conformance    (afdx-serve -selfcheck: a seeded 20-delta
 #                             script replayed through a live daemon over
 #                             HTTP with the full observability stack on
@@ -90,15 +89,6 @@ echo "== flat hot-path smoke (30-config conformance slice)"
 # configuration, so an indexing or scratch-reuse bug in the flat engine
 # surfaces here even if the unit corpus misses it.
 go run ./cmd/afdx-conformance -n 30 -seed 11 -quiet
-
-echo "== cross-tier ordering smoke (30-config conformance slice, full ladder)"
-# Another fresh seed, aimed at the NC tightness/cost ladder: on every
-# configuration the oracle runs all three analysis tiers (TFA, WCNC,
-# FIFO) and enforces the tier-ordering invariant — a cheaper tier is
-# never tighter than a costlier one, simulation and the exact search
-# stay below even the tightest tier, and the non-default tiers keep
-# parallel parity at workers 1 and N.
-go run ./cmd/afdx-conformance -n 30 -seed 17 -analysis TFA,WCNC,FIFO -quiet
 
 echo "== served conformance (daemon vs cold bit-identity, observability on)"
 # The serving smoke: generate a mid-size configuration, start afdx-serve

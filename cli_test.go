@@ -282,8 +282,9 @@ func TestCLIConformanceExitCodes(t *testing.T) {
 }
 
 // TestCLIAnalysisTierFlag drives every CLI's -analysis flag: one
-// shared parser, so an unknown tier exits 2 with the same message
-// everywhere, and afdx-bounds labels its NC column after the tier(s).
+// shared parser, so an unknown tier — TFA and comma lists included —
+// exits 2 with the same message everywhere, and afdx-bounds labels its
+// NC column after the tier.
 func TestCLIAnalysisTierFlag(t *testing.T) {
 	dir := buildCLIs(t)
 	cfg := sampleConfig(t)
@@ -291,34 +292,32 @@ func TestCLIAnalysisTierFlag(t *testing.T) {
 	for _, tc := range [][]string{
 		{"afdx-bounds", "-config", cfg, "-analysis", "sfa"},
 		{"afdx-bounds", "-config", cfg, "-analysis", ""},
-		{"afdx-bounds", "-config", cfg, "-analysis", "TFA,FIFO", "-delta", "drop v1"},
+		{"afdx-bounds", "-config", cfg, "-analysis", "TFA"},
+		{"afdx-bounds", "-config", cfg, "-analysis", "WCNC,FIFO"},
 		{"afdx-experiments", "-list", "-analysis", "sfa"},
-		{"afdx-conformance", "-n", "1", "-analysis", "sfa"},
+		{"afdx-conformance", "-n", "1", "-analysis", "FIFO"},
 	} {
 		cmd := exec.Command(filepath.Join(dir, tc[0]), tc[1:]...)
 		out, _ := cmd.CombinedOutput()
 		if code := cmd.ProcessState.ExitCode(); code != 2 {
 			t.Errorf("%v: exit %d, want 2\n%s", tc, code, out)
 		}
-		if strings.Contains(tc[len(tc)-1], "sfa") && !strings.Contains(string(out), `unknown analysis tier "sfa"`) {
+		if tc[0] != "afdx-conformance" && tc[len(tc)-1] != "" &&
+			!strings.Contains(string(out), `unknown analysis tier "`+tc[len(tc)-1]+`"`) {
 			t.Errorf("%v: missing the shared parser's message:\n%s", tc, out)
 		}
 	}
 
 	// The NC column is named after the selected tier; on the Figure 2
-	// sample the TFA tier is strictly looser than the 293.06 us WCNC
-	// bound and the FIFO tier matches it.
-	tfa := runCLI(t, dir, "afdx-bounds", "-config", cfg, "-csv", "-method", "nc", "-analysis", "tfa")
-	if !strings.Contains(tfa, "path,TFA (us)") || !strings.Contains(tfa, "335.24") {
-		t.Errorf("TFA tier output missing header or the looser bound:\n%s", tfa)
-	}
+	// sample the FIFO tier matches the 293.06 us WCNC bound, and the
+	// strictly looser separated bound is -no-grouping.
 	fifo := runCLI(t, dir, "afdx-bounds", "-config", cfg, "-csv", "-method", "nc", "-analysis", "FIFO")
 	if !strings.Contains(fifo, "path,FIFO (us)") || !strings.Contains(fifo, "293.06") {
 		t.Errorf("FIFO tier output missing header or bound:\n%s", fifo)
 	}
-	multi := runCLI(t, dir, "afdx-bounds", "-config", cfg, "-csv", "-method", "nc", "-analysis", "TFA,WCNC,FIFO")
-	if !strings.Contains(multi, "path,min(TFA,WCNC,FIFO) (us)") || !strings.Contains(multi, "293.06") {
-		t.Errorf("multi-tier output missing min header or bound:\n%s", multi)
+	separated := runCLI(t, dir, "afdx-bounds", "-config", cfg, "-csv", "-method", "nc", "-no-grouping")
+	if !strings.Contains(separated, "path,WCNC (us)") || !strings.Contains(separated, "335.24") {
+		t.Errorf("-no-grouping output missing header or the separated bound:\n%s", separated)
 	}
 }
 

@@ -10,14 +10,11 @@
 //	afdx-bounds -config net.json -no-grouping    # disable serialization
 //	afdx-bounds -config net.json -csv > out.csv  # machine-readable
 //	afdx-bounds -config net.json -analysis FIFO  # tighter, costlier NC tier
-//	afdx-bounds -config net.json -analysis TFA,FIFO  # per-path min of tiers
 //
-// -analysis selects the Network Calculus tightness/cost tier: TFA
-// (cheapest, per-flow separated), WCNC (the paper's default), or FIFO
-// (tightest, per-aggregate residual service). A comma-separated list
-// runs every listed tier and keeps the per-path minimum — sound,
-// because each tier bounds the same worst case. What-if mode (-delta /
-// -whatif) accepts a single tier only.
+// -analysis selects the Network Calculus tightness/cost tier: WCNC (the
+// paper's default) or FIFO (per-flow FIFO residual service, never
+// looser than WCNC). The separated bound of a plain Total Flow Analysis
+// is -no-grouping.
 //
 // What-if mode re-analyses the configuration under deltas without
 // re-running the full analysis: after the base table, each -delta (or
@@ -98,7 +95,7 @@ func main() {
 		backlog    = flag.Bool("backlog", false, "also print per-port backlog bounds (NC)")
 		jitter     = flag.Bool("jitter", false, "also print per-path jitter (bound minus idle-network floor)")
 		esJitter   = flag.Bool("es-jitter", false, "also print the ARINC 664 end-system output jitter report")
-		analysis   = flag.String("analysis", "WCNC", "NC analysis tier(s), comma-separated: TFA | WCNC | FIFO; several tiers keep the per-path minimum (every tier is sound)")
+		analysis   = flag.String("analysis", "WCNC", "NC analysis tier: WCNC | FIFO (FIFO is tighter and costlier)")
 		explain    = flag.String("explain", "", "print the trajectory bound decomposition of one path (e.g. v1/0)")
 		whatif     = flag.String("whatif", "", "file of what-if delta commands, one per line ('-' = stdin; blank lines and # comments skipped)")
 	)
@@ -110,13 +107,9 @@ func main() {
 		flag.Usage()
 		os.Exit(exitUsage)
 	}
-	tiers, err := afdx.ParseNCAnalysisList(*analysis)
+	tier, err := afdx.ParseNCAnalysis(*analysis)
 	if err != nil {
 		log.Print(err)
-		os.Exit(exitUsage)
-	}
-	if len(tiers) > 1 && (len(deltaCmds) > 0 || *whatif != "") {
-		log.Printf("-delta/-whatif need a single -analysis tier, got %q", *analysis)
 		os.Exit(exitUsage)
 	}
 	if sess, err = obsFlags.Start(); err != nil {
@@ -145,40 +138,18 @@ func main() {
 	trOpts.Grouping = !*noGrouping
 	ncOpts.Parallel = *parallelN
 	trOpts.Parallel = *parallelN
-	ncOpts.Analysis = tiers[0]
+	ncOpts.Analysis = tier
 
 	var (
 		ncDelays, trDelays map[afdx.PathID]float64
 		ncRes              *afdx.NCResult
 	)
 	if *method == "nc" || *method == "both" {
-		// Each selected tier is a sound bound on the same worst case, so
-		// the per-path minimum across tiers is itself sound.
-		for i, tier := range tiers {
-			o := ncOpts
-			o.Analysis = tier
-			res, err := afdx.AnalyzeNCCtx(ctx, pg, o)
-			if err != nil {
-				fail(exitAnalysis, err)
-			}
-			if i == 0 {
-				ncRes = res
-				ncDelays = res.PathDelays
-				continue
-			}
-			if i == 1 { // stop aliasing the first tier's map before merging
-				merged := make(map[afdx.PathID]float64, len(ncDelays))
-				for pid, d := range ncDelays {
-					merged[pid] = d
-				}
-				ncDelays = merged
-			}
-			for pid, d := range res.PathDelays {
-				if d < ncDelays[pid] {
-					ncDelays[pid] = d
-				}
-			}
+		var err error
+		if ncRes, err = afdx.AnalyzeNCCtx(ctx, pg, ncOpts); err != nil {
+			fail(exitAnalysis, err)
 		}
+		ncDelays = ncRes.PathDelays
 	}
 	if *method == "trajectory" || *method == "both" {
 		tr, err := afdx.AnalyzeTrajectoryCtx(ctx, pg, trOpts)
@@ -194,15 +165,7 @@ func main() {
 
 	paths := sortedPaths(net)
 
-	ncLabel := tiers[0].String()
-	if len(tiers) > 1 {
-		names := make([]string, len(tiers))
-		for i, tier := range tiers {
-			names[i] = tier.String()
-		}
-		ncLabel = "min(" + strings.Join(names, ",") + ")"
-	}
-	headers, rows, err := boundsTable(pg, paths, ncLabel, ncDelays, trDelays, *jitter)
+	headers, rows, err := boundsTable(pg, paths, tier.String(), ncDelays, trDelays, *jitter)
 	if err != nil {
 		fail(exitAnalysis, err)
 	}
@@ -314,7 +277,7 @@ func sortedPaths(net *afdx.Network) []afdx.PathID {
 
 // boundsTable renders the per-path bounds table; either delay map may
 // be nil (single-method runs), dropping its columns. ncLabel names the
-// NC column after the selected analysis tier(s).
+// NC column after the selected analysis tier.
 func boundsTable(pg *afdx.PortGraph, paths []afdx.PathID, ncLabel string, ncDelays, trDelays map[afdx.PathID]float64, jitter bool) ([]string, [][]string, error) {
 	headers := []string{"path"}
 	if ncDelays != nil {

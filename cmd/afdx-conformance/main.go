@@ -1,8 +1,9 @@
 // Command afdx-conformance runs the cross-engine conformance oracle: it
 // generates a family of synthetic AFDX configurations, checks the full
 // invariant lattice on each (simulated ≤ achievable ≤ analytic bounds,
-// combined = per-path minimum, grouping never loosens, contract
-// tightening never loosens, parallel runs bit-identical to sequential),
+// combined = per-path minimum, grouping never loosens, the FIFO tier
+// never looser than WCNC, contract tightening never loosens, parallel
+// runs bit-identical to sequential),
 // and shrinks every violation to a minimal reproducing configuration.
 //
 // Usage:
@@ -35,7 +36,6 @@ import (
 	"os"
 	"time"
 
-	"afdx"
 	"afdx/internal/conformance"
 	"afdx/internal/obs/cliobs"
 )
@@ -60,8 +60,7 @@ func main() {
 		corpus    = flag.String("corpus", "", "directory receiving shrunk reproducing configurations (empty = don't write)")
 		jsonOut   = flag.Bool("json", false, "emit the full JSON report on stdout")
 		quiet     = flag.Bool("quiet", false, "suppress the per-violation lines (summary only)")
-		fault     = flag.String("fault", "", "inject an engine fault for oracle self-tests: nc-optimistic | traj-optimistic | tfa-optimistic")
-		analysis  = flag.String("analysis", "", "restrict the tier-ordering invariant to these NC analysis tiers (comma-separated: TFA,WCNC,FIFO; empty = full ladder)")
+		fault     = flag.String("fault", "", "inject an engine fault for oracle self-tests: nc-optimistic | traj-optimistic | fifo-optimistic")
 		incr      = flag.Bool("incremental", true, "route the oracle's reference runs through the incremental caches and check the incremental-parity tier")
 		served    = flag.Bool("served", false, "also check the served-parity tier: replay a seeded delta script through a live afdx-serve instance and compare against cold runs")
 	)
@@ -100,22 +99,11 @@ func main() {
 		opts.Oracle = conformance.FaultyOracle(conformance.FaultNCOptimistic)
 	case "traj-optimistic":
 		opts.Oracle = conformance.FaultyOracle(conformance.FaultTrajectoryOptimistic)
-	case "tfa-optimistic":
-		opts.Oracle = conformance.FaultyOracle(conformance.FaultTFAOptimistic)
+	case "fifo-optimistic":
+		opts.Oracle = conformance.FaultyOracle(conformance.FaultFIFOOptimistic)
 	default:
-		log.Printf("unknown -fault %q (want nc-optimistic, traj-optimistic or tfa-optimistic)", *fault)
+		log.Printf("unknown -fault %q (want nc-optimistic, traj-optimistic or fifo-optimistic)", *fault)
 		sess.Exit(exitUsage)
-	}
-	if *analysis != "" {
-		tiers, err := afdx.ParseNCAnalysisList(*analysis)
-		if err != nil {
-			log.Print(err)
-			sess.Exit(exitUsage)
-		}
-		if opts.Oracle == nil {
-			opts.Oracle = conformance.NewOracle()
-		}
-		opts.Oracle.Tiers = tiers
 	}
 
 	start := time.Now()

@@ -38,7 +38,7 @@ func main() {
 		parallelN = flag.Int("parallel", 0, "analysis worker count (0 = all CPUs, 1 = sequential; tables are identical either way)")
 		list      = flag.Bool("list", false, "list experiment IDs and exit")
 		noLint    = flag.Bool("no-lint", false, "skip the lint pre-flight gate")
-		analysis  = flag.String("analysis", "WCNC", "NC analysis tier for the experiments' NC runs: TFA | WCNC | FIFO (the 'tiers' experiment sweeps the full ladder regardless)")
+		analysis  = flag.String("analysis", "WCNC", "NC analysis tier for the experiments' NC runs: WCNC | FIFO (the 'tiers' experiment runs both regardless)")
 	)
 	obsFlags := cliobs.Register(flag.CommandLine)
 	flag.Parse()

@@ -20,11 +20,11 @@ const (
 	FaultNCOptimistic Fault = iota
 	// FaultTrajectoryOptimistic halves every Trajectory path bound.
 	FaultTrajectoryOptimistic
-	// FaultTFAOptimistic quarters every path bound of the TFA tier only
-	// — an unsoundly "tightened" cheap tier that inverts the ladder.
-	// The tier-ordering invariant must expose it (the default pipeline
-	// is untouched, so no other invariant will).
-	FaultTFAOptimistic
+	// FaultFIFOOptimistic quarters every path bound of the FIFO tier
+	// only — an unsoundly "tightened" refinement that simulation and the
+	// exact search beat. The tier-ordering invariant must expose it (the
+	// default pipeline is untouched, so no other invariant will).
+	FaultFIFOOptimistic
 )
 
 // FaultyOracle returns an oracle whose engines carry the given defect.
@@ -49,11 +49,11 @@ func FaultyOracle(f Fault) *Oracle {
 			}
 			return &halved, nil
 		}
-	case FaultTFAOptimistic:
+	case FaultFIFOOptimistic:
 		real := o.Engines.NC
 		o.Engines.NC = func(ctx context.Context, pg *afdx.PortGraph, opts netcalc.Options) (*netcalc.Result, error) {
 			r, err := real(ctx, pg, opts)
-			if err != nil || opts.Analysis != netcalc.AnalysisTFA {
+			if err != nil || opts.Analysis != netcalc.AnalysisFIFO {
 				return r, err
 			}
 			scaled := *r

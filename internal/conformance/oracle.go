@@ -89,9 +89,9 @@ const (
 	// 1 and ParityWorkers.
 	InvServedParity Invariant = "served-parity"
 	// InvTierOrdering: the NC analysis tiers order by tightness — the
-	// cheap TFA tier is never tighter than WCNC, the costly FIFO tier
-	// never looser — and simulation and the exact search stay below
-	// even the tightest tier; non-default tiers keep parallel parity.
+	// costly FIFO tier is never looser than WCNC — and simulation and
+	// the exact search stay below even the FIFO tier, which keeps
+	// parallel parity.
 	InvTierOrdering Invariant = "tier-ordering"
 )
 
@@ -162,11 +162,6 @@ type Oracle struct {
 	// cross-check and of the parity tier, and is reported as a
 	// violation.
 	Incremental bool
-	// Tiers restricts the tier-ordering leg to these NC analysis tiers
-	// (nil/empty = the full ladder). WCNC entries are ignored: it is
-	// the ordering's reference point and always runs. The campaign
-	// driver's -analysis flag sets this.
-	Tiers []netcalc.Analysis
 	// Served enables the served-parity tier: a seeded delta script is
 	// played against an in-process afdx-serve instance over real HTTP
 	// and the recorded answers are re-derived cold. Off by default —
@@ -249,7 +244,7 @@ func (o *Oracle) CheckCtx(ctx context.Context, net *afdx.Network) ([]Violation, 
 	doCombined := want(InvCombinedMin)
 	doDeterminism := want(InvParallelParity, InvRepeatability)
 	doTiers := want(InvTierOrdering)
-	// The tier ladder's behavioural leg (sim/exact vs the FIFO tier)
+	// The tier leg's behavioural half (sim/exact vs the FIFO tier)
 	// reports under InvTierOrdering, so a tier-ordering shrink re-runs
 	// the behavioural tier too.
 	doBehaviour := want(InvSimVsNC, InvSimVsTrajectory, InvSimVsExact, InvExactVsBounds, InvTierOrdering)
@@ -277,7 +272,7 @@ func (o *Oracle) CheckCtx(ctx context.Context, net *afdx.Network) ([]Violation, 
 			return trajectory.AnalyzeWithCacheCtx(ctx, pg, opts, pool.trCache(opts))
 		}
 	}
-	var ncG, ncU, ncT, ncF *netcalc.Result
+	var ncG, ncU, ncF *netcalc.Result
 	var trG, trU *trajectory.Result
 	if doGrouping || doCombined || doDeterminism || doBehaviour || doMeta || doTiers {
 		if ncG, err = runNC(ctx, pg, netcalc.Options{Grouping: true, Parallel: 1}); err != nil {
@@ -289,13 +284,8 @@ func (o *Oracle) CheckCtx(ctx context.Context, net *afdx.Network) ([]Violation, 
 			return nil, fmt.Errorf("conformance: netcalc (ungrouped): %w", err)
 		}
 	}
-	if doTiers && o.tierSelected(netcalc.AnalysisTFA) {
-		if ncT, err = runNC(ctx, pg, tierOptions(netcalc.AnalysisTFA, 1)); err != nil {
-			return nil, fmt.Errorf("conformance: netcalc (TFA tier): %w", err)
-		}
-	}
-	if doTiers && o.tierSelected(netcalc.AnalysisFIFO) {
-		if ncF, err = runNC(ctx, pg, tierOptions(netcalc.AnalysisFIFO, 1)); err != nil {
+	if doTiers {
+		if ncF, err = runNC(ctx, pg, fifoOptions(1)); err != nil {
 			return nil, fmt.Errorf("conformance: netcalc (FIFO tier): %w", err)
 		}
 	}
@@ -350,9 +340,9 @@ func (o *Oracle) CheckCtx(ctx context.Context, net *afdx.Network) ([]Violation, 
 		}
 	}
 
-	// Cross-tier ordering and non-default-tier parity.
+	// Cross-tier ordering and FIFO-tier parity.
 	if doTiers {
-		vs = append(vs, o.checkTiers(ctx, pg, ncT, ncG, ncF)...)
+		vs = append(vs, o.checkTiers(ctx, pg, ncG, ncF)...)
 	}
 
 	// Parallel parity and repeatability: bit-identical results across
@@ -364,7 +354,7 @@ func (o *Oracle) CheckCtx(ctx context.Context, net *afdx.Network) ([]Violation, 
 	// Behavioural tier: simulation (pinned and randomized offsets) and,
 	// on small configurations, the exact offset search. ncF (the FIFO
 	// tier, nil when the tier leg is off) tightens the chain: observed
-	// and achievable delays must stay below even the tightest tier.
+	// and achievable delays must stay below even the FIFO tier.
 	if doBehaviour {
 		vs = append(vs, o.checkBehaviour(ctx, pg, ncG, trU, ncF)...)
 	}
@@ -471,9 +461,9 @@ func diffPathDelays(inv Invariant, engine string, a, b map[afdx.PathID]float64) 
 // checkBehaviour runs the simulator (and on small configurations the
 // exact search) and asserts the observed ≤ achievable ≤ bound chain.
 // With ncF set (the FIFO tier's sequential run), observed and exact
-// delays are additionally held below the tightest tier — reported
-// under InvTierOrdering, since an unsound refinement is a ladder bug,
-// not a default-pipeline one.
+// delays are additionally held below the FIFO tier — reported under
+// InvTierOrdering, since an unsound refinement is a tier bug, not a
+// default-pipeline one.
 func (o *Oracle) checkBehaviour(ctx context.Context, pg *afdx.PortGraph, ncG *netcalc.Result, trU *trajectory.Result, ncF *netcalc.Result) []Violation {
 	var vs []Violation
 	maxBag := 0.0

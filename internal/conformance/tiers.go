@@ -7,89 +7,47 @@ import (
 	"afdx/internal/netcalc"
 )
 
-// This file is the tightness/cost-ladder tier of the oracle: the NC
-// engine's selectable analysis tiers (TFA, WCNC, FIFO) are all sound
-// bounds on the same worst case, so they must order — a cheaper tier is
-// never tighter than a costlier one, and the behavioural chain
-// (simulation, exact search) must stay below even the tightest tier.
-// Each non-default tier is also held to the determinism contract:
-// bit-identical bounds at every worker count.
+// This file is the tightness/cost tier of the oracle: the NC engine's
+// two analysis tiers (WCNC, FIFO) are both sound bounds on the same
+// worst case, so they must order — FIFO is never looser than WCNC —
+// and the behavioural chain (simulation, exact search) must stay below
+// even the FIFO tier. The FIFO tier is also held to the determinism
+// contract: bit-identical bounds at every worker count.
 
-// tierOptions returns the oracle's engine options for one NC analysis
-// tier: the grouped paper defaults with the tier selected.
-func tierOptions(a netcalc.Analysis, workers int) netcalc.Options {
-	return netcalc.Options{Grouping: true, Analysis: a, Parallel: workers}
+// fifoOptions returns the oracle's FIFO-tier engine options: the
+// grouped paper defaults with the FIFO tier selected.
+func fifoOptions(workers int) netcalc.Options {
+	return netcalc.Options{Grouping: true, Analysis: netcalc.AnalysisFIFO, Parallel: workers}
 }
 
-// tierSelected reports whether the tier-ordering leg covers the given
-// non-default tier (see Oracle.Tiers; WCNC always runs as the
-// reference, so selecting it adds nothing).
-func (o *Oracle) tierSelected(a netcalc.Analysis) bool {
-	if len(o.Tiers) == 0 {
-		return a != netcalc.AnalysisWCNC
-	}
-	for _, t := range o.Tiers {
-		if t == a {
-			return a != netcalc.AnalysisWCNC
-		}
-	}
-	return false
-}
-
-// checkTiers asserts the cross-tier ordering FIFO <= WCNC <= TFA on
-// every path (at the repository-wide relative tolerance) and the
-// parallel parity of the non-default tiers. ncT/ncG/ncF are the
-// sequential reference runs of the TFA, WCNC and FIFO tiers; ncT and
-// ncF are nil when Oracle.Tiers deselects them.
-func (o *Oracle) checkTiers(ctx context.Context, pg *afdx.PortGraph, ncT, ncG, ncF *netcalc.Result) []Violation {
+// checkTiers asserts the cross-tier ordering FIFO <= WCNC on every path
+// (at the repository-wide relative tolerance) and the parallel parity
+// of the FIFO tier. ncG/ncF are the sequential reference runs of the
+// WCNC and FIFO tiers.
+func (o *Oracle) checkTiers(ctx context.Context, pg *afdx.PortGraph, ncG, ncF *netcalc.Result) []Violation {
 	var vs []Violation
 	for _, pid := range sortedPathKeys(ncG.PathDelays) {
 		wcnc := ncG.PathDelays[pid]
-		if ncT != nil {
-			switch tfa, ok := ncT.PathDelays[pid]; {
-			case !ok:
-				vs = append(vs, Violation{InvTierOrdering, pid, 0, wcnc, "TFA tier lost the path"})
-			case !leq(wcnc, tfa):
-				vs = append(vs, Violation{InvTierOrdering, pid, wcnc, tfa,
-					"TFA tier tighter than WCNC (a cheaper tier must never be tighter)"})
-			}
-		}
-		if ncF != nil {
-			switch fifo, ok := ncF.PathDelays[pid]; {
-			case !ok:
-				vs = append(vs, Violation{InvTierOrdering, pid, 0, wcnc, "FIFO tier lost the path"})
-			case !leq(fifo, wcnc):
-				vs = append(vs, Violation{InvTierOrdering, pid, fifo, wcnc,
-					"FIFO tier looser than WCNC (a costlier tier must never be looser)"})
-			}
+		switch fifo, ok := ncF.PathDelays[pid]; {
+		case !ok:
+			vs = append(vs, Violation{InvTierOrdering, pid, 0, wcnc, "FIFO tier lost the path"})
+		case !leq(fifo, wcnc):
+			vs = append(vs, Violation{InvTierOrdering, pid, fifo, wcnc,
+				"FIFO tier looser than WCNC (a costlier tier must never be looser)"})
 		}
 	}
 
-	// Non-default tiers carry the same determinism contract as the
+	// The FIFO tier carries the same determinism contract as the
 	// default: a multi-worker run is bit-identical to the sequential
 	// reference (the WCNC tier's parity lives in checkDeterminism).
 	workers := o.ParityWorkers
 	if workers <= 0 {
 		workers = 4
 	}
-	for _, tc := range []struct {
-		tier netcalc.Analysis
-		ref  *netcalc.Result
-	}{
-		{netcalc.AnalysisTFA, ncT},
-		{netcalc.AnalysisFIFO, ncF},
-	} {
-		if tc.ref == nil {
-			continue
-		}
-		par, err := o.Engines.NC(ctx, pg, tierOptions(tc.tier, workers))
-		if err != nil {
-			vs = append(vs, Violation{InvParallelParity, afdx.PathID{}, 0, 0,
-				"netcalc " + tc.tier.String() + " tier parallel run failed: " + err.Error()})
-			continue
-		}
-		vs = append(vs, diffPathDelays(InvParallelParity, "netcalc "+tc.tier.String()+" tier",
-			tc.ref.PathDelays, par.PathDelays)...)
+	par, err := o.Engines.NC(ctx, pg, fifoOptions(workers))
+	if err != nil {
+		return append(vs, Violation{InvParallelParity, afdx.PathID{}, 0, 0,
+			"netcalc FIFO tier parallel run failed: " + err.Error()})
 	}
-	return vs
+	return append(vs, diffPathDelays(InvParallelParity, "netcalc FIFO tier", ncF.PathDelays, par.PathDelays)...)
 }

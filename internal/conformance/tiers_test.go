@@ -11,8 +11,16 @@ import (
 	"afdx/internal/netcalc"
 )
 
-// analyzeTiers runs one configuration through the whole ladder
-// sequentially and returns the three results keyed by tier.
+// tiers lists the two NC analysis tiers the ordering property compares.
+var tiers = []netcalc.Analysis{netcalc.AnalysisWCNC, netcalc.AnalysisFIFO}
+
+// tierOptions returns the oracle's grouped engine options at one tier.
+func tierOptions(a netcalc.Analysis) netcalc.Options {
+	return netcalc.Options{Grouping: true, Analysis: a, Parallel: 1}
+}
+
+// analyzeTiers runs one configuration through both tiers sequentially
+// and returns the results keyed by tier.
 func analyzeTiers(t *testing.T, net *afdx.Network) map[netcalc.Analysis]*netcalc.Result {
 	t.Helper()
 	pg, err := afdx.BuildPortGraph(net, afdx.Strict)
@@ -20,8 +28,8 @@ func analyzeTiers(t *testing.T, net *afdx.Network) map[netcalc.Analysis]*netcalc
 		t.Fatal(err)
 	}
 	out := map[netcalc.Analysis]*netcalc.Result{}
-	for _, tier := range netcalc.Analyses() {
-		res, err := netcalc.Analyze(pg, tierOptions(tier, 1))
+	for _, tier := range tiers {
+		res, err := netcalc.Analyze(pg, tierOptions(tier))
 		if err != nil {
 			t.Fatalf("%v tier: %v", tier, err)
 		}
@@ -30,25 +38,20 @@ func analyzeTiers(t *testing.T, net *afdx.Network) map[netcalc.Analysis]*netcalc
 	return out
 }
 
-// checkLadder asserts FIFO <= WCNC <= TFA on every path of one
-// configuration at the repository-wide relative tolerance.
+// checkLadder asserts FIFO <= WCNC on every path of one configuration
+// at the repository-wide relative tolerance.
 func checkLadder(t *testing.T, label string, byTier map[netcalc.Analysis]*netcalc.Result) {
 	t.Helper()
 	wcnc := byTier[netcalc.AnalysisWCNC]
-	tfa := byTier[netcalc.AnalysisTFA]
 	fifo := byTier[netcalc.AnalysisFIFO]
 	if len(wcnc.PathDelays) == 0 {
 		t.Fatalf("%s: no paths analyzed", label)
 	}
 	for _, pid := range sortedPathKeys(wcnc.PathDelays) {
 		w := wcnc.PathDelays[pid]
-		f, okF := fifo.PathDelays[pid]
-		a, okT := tfa.PathDelays[pid]
-		if !okF || !okT {
-			t.Fatalf("%s: %v missing from a tier (TFA %v, FIFO %v)", label, pid, okT, okF)
-		}
-		if !leq(w, a) {
-			t.Errorf("%s: %v: TFA %v tighter than WCNC %v (cheaper tier must never be tighter)", label, pid, a, w)
+		f, ok := fifo.PathDelays[pid]
+		if !ok {
+			t.Fatalf("%s: %v missing from the FIFO tier", label, pid)
 		}
 		if !leq(f, w) {
 			t.Errorf("%s: %v: FIFO %v looser than WCNC %v (costlier tier must never be looser)", label, pid, f, w)
@@ -83,8 +86,8 @@ func TestTierOrderingLintGoldenCorpus(t *testing.T) {
 		}
 		byTier := map[netcalc.Analysis]*netcalc.Result{}
 		rejected := 0
-		for _, tier := range netcalc.Analyses() {
-			res, err := netcalc.Analyze(pg, tierOptions(tier, 1))
+		for _, tier := range tiers {
+			res, err := netcalc.Analyze(pg, tierOptions(tier))
 			if err != nil {
 				rejected++
 				continue
@@ -94,9 +97,9 @@ func TestTierOrderingLintGoldenCorpus(t *testing.T) {
 		if rejected > 0 {
 			// An unstable corpus entry (e.g. an overloaded port) must be
 			// rejected by every tier, not silently analyzed by some.
-			if rejected != len(netcalc.Analyses()) {
+			if rejected != len(tiers) {
 				t.Errorf("%s: %d of %d tiers rejected the config; all or none must",
-					e.Name(), rejected, len(netcalc.Analyses()))
+					e.Name(), rejected, len(tiers))
 			}
 			continue
 		}
@@ -110,7 +113,7 @@ func TestTierOrderingLintGoldenCorpus(t *testing.T) {
 
 // TestTierOrderingHundredSeeds is the bulk ordering property: 120
 // generated configurations spanning the campaign generator's spread,
-// each held to FIFO <= WCNC <= TFA on every path.
+// each held to FIFO <= WCNC on every path.
 func TestTierOrderingHundredSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bulk tier sweep skipped in -short mode")
@@ -124,12 +127,12 @@ func TestTierOrderingHundredSeeds(t *testing.T) {
 	}
 }
 
-// TestOracleCatchesTFAFault proves the tier-ordering invariant has
-// teeth: an engine whose TFA tier is unsoundly "tightened" (bounds
+// TestOracleCatchesFIFOFault proves the tier-ordering invariant has
+// teeth: an engine whose FIFO tier is unsoundly "tightened" (bounds
 // quartered) leaves the default pipeline untouched, so only the
-// cross-tier check can expose it — and must.
-func TestOracleCatchesTFAFault(t *testing.T) {
-	o := FaultyOracle(FaultTFAOptimistic)
+// tier leg's behavioural chain can expose it — and must.
+func TestOracleCatchesFIFOFault(t *testing.T) {
+	o := FaultyOracle(FaultFIFOOptimistic)
 	net, err := configgen.Generate(campaignSpec(1, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +146,7 @@ func TestOracleCatchesTFAFault(t *testing.T) {
 		caught[v.Invariant] = true
 	}
 	if !caught[InvTierOrdering] {
-		t.Fatalf("oracle failed to catch the quartered TFA tier: %v", vs)
+		t.Fatalf("oracle failed to catch the quartered FIFO tier: %v", vs)
 	}
 
 	small := o.Shrink(net, InvTierOrdering, 60)

@@ -23,7 +23,7 @@ type Config struct {
 	Parallel int
 	// Analysis selects the Network Calculus tier every experiment's NC
 	// runs use (zero value = WCNC, the paper's default; the "tiers"
-	// experiment always sweeps the full ladder regardless).
+	// experiment always runs both tiers regardless).
 	Analysis netcalc.Analysis
 	// Ctx, when non-nil, carries the observability registry and tracer
 	// (see internal/obs) into the engine runs. Nil means background:
@@ -69,7 +69,7 @@ func All() []Experiment {
 		{"fig9", "Figure 9: WCNC - Trajectory difference over (BAG, s_max)", runFig9},
 		{"simcheck", "Soundness: analytic bounds vs simulated delays", runSimCheck},
 		{"ablation", "Ablation: every design knob on the sample configuration", runAblation},
-		{"tiers", "Tightness vs cost: the NC analysis-tier ladder on the industrial network", runTiers},
+		{"tiers", "Tightness vs cost: the WCNC and FIFO NC tiers on the industrial network", runTiers},
 		{"pessimism", "Pessimism: achievable worst cases (offset search) vs bounds", runPessimism},
 		{"priority", "Extension: two-level static-priority bounds vs FIFO", runPriority},
 		{"robustness", "Robustness: Table I statistics across generator seeds", runRobustness},

@@ -66,7 +66,7 @@ type Session struct {
 	net    *afdx.Network
 	pg     *afdx.PortGraph
 	nc     *netcalc.Cache
-	ncTier map[netcalc.Analysis]*netcalc.Cache // non-default tiers, lazily wired
+	ncAlt  *netcalc.Cache // the other NC tier's cache, lazily wired
 	tr     *trajectory.Cache
 	closed bool
 }
@@ -151,30 +151,25 @@ func Apply(n *afdx.Network, deltas ...Delta) error {
 }
 
 // ncCacheFor returns the NC cache and option set for one analysis
-// tier. The session's default tier keeps the primary cache (which may
-// be shared with the trajectory engine's prefix run); every other tier
-// gets its own lazily created cache — a netcalc.Cache is bound to one
-// exact option set, so per-tier caches are what keeps alternating-tier
-// clients warm instead of thrashing one cache's generation slots. The
-// tier caches share the default cache's per-graph fingerprint memo
-// (fingerprints are option-independent), so each round renders the
-// graph once however many tiers it is analysed under.
+// tier. The session's own tier keeps the primary cache (which may be
+// shared with the trajectory engine's prefix run); the other tier gets
+// a second, lazily created cache — a netcalc.Cache is bound to one
+// exact option set, so a separate cache is what keeps alternating-tier
+// clients warm instead of thrashing one cache's generation slots. It
+// shares the primary cache's per-graph fingerprint memo (fingerprints
+// are option-independent), so each round renders the graph once
+// whichever tier it is analysed under.
 func (s *Session) ncCacheFor(tier netcalc.Analysis) (*netcalc.Cache, netcalc.Options) {
 	o := s.opts.NC
 	o.Analysis = tier
 	if tier == s.opts.NC.Analysis {
 		return s.nc, o
 	}
-	c, ok := s.ncTier[tier]
-	if !ok {
-		c = netcalc.NewCache(o)
-		c.ShareGraphMemo(s.nc)
-		if s.ncTier == nil {
-			s.ncTier = map[netcalc.Analysis]*netcalc.Cache{}
-		}
-		s.ncTier[tier] = c
+	if s.ncAlt == nil {
+		s.ncAlt = netcalc.NewCache(o)
+		s.ncAlt.ShareGraphMemo(s.nc)
 	}
-	return c, o
+	return s.ncAlt, o
 }
 
 // Analyze runs both engines over the current configuration through the
@@ -196,7 +191,7 @@ func (s *Session) Analyze(ctx context.Context) (*Result, error) {
 // Analysis swapped to tier, through that tier's dedicated cache. The
 // trajectory engine is tier-independent and runs unchanged, so the
 // combined comparison is min(tier's NC bound, trajectory) — sound for
-// every tier. Bounds are bit-identical to a cold run at the same tier.
+// both tiers. Bounds are bit-identical to a cold run at the same tier.
 func (s *Session) AnalyzeTier(ctx context.Context, tier netcalc.Analysis) (*Result, error) {
 	if s.closed {
 		return nil, ErrClosed
@@ -270,5 +265,5 @@ func (s *Session) PeekTier(ctx context.Context, tier netcalc.Analysis, deltas ..
 // bounds.
 func (s *Session) Close() {
 	s.closed = true
-	s.net, s.pg, s.nc, s.ncTier, s.tr = nil, nil, nil, nil, nil
+	s.net, s.pg, s.nc, s.ncAlt, s.tr = nil, nil, nil, nil, nil
 }

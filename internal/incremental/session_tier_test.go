@@ -11,8 +11,8 @@ import (
 )
 
 // TestSessionTierAlternationBitIdentity is the session-level A/B/A
-// tier regression: one warm session alternating AnalyzeTier across the
-// ladder, interleaved with committed and peeked deltas, must answer
+// tier regression: one warm session alternating AnalyzeTier between
+// WCNC and FIFO, interleaved with committed and peeked deltas, must answer
 // every round bit-identical to a cold run of the same configuration at
 // the same tier. A cache that leaked entries across tiers — or failed
 // to key the tier into its identity — surfaces here as a stale bound.
@@ -48,12 +48,12 @@ func TestSessionTierAlternationBitIdentity(t *testing.T) {
 		mustEqualMaps(t, step+" Bursts", res.NC.Bursts, cold.Bursts)
 	}
 
-	// Round-robin the ladder twice over the base configuration: the
-	// second visit of each tier is a warm revisit through that tier's
+	// Alternate the two tiers over the base configuration: every visit
+	// after the first of each tier is a warm revisit through that tier's
 	// dedicated cache.
 	aba := []netcalc.Analysis{
-		netcalc.AnalysisWCNC, netcalc.AnalysisTFA, netcalc.AnalysisWCNC,
-		netcalc.AnalysisFIFO, netcalc.AnalysisTFA, netcalc.AnalysisFIFO,
+		netcalc.AnalysisWCNC, netcalc.AnalysisFIFO, netcalc.AnalysisWCNC,
+		netcalc.AnalysisFIFO, netcalc.AnalysisFIFO, netcalc.AnalysisWCNC,
 		netcalc.AnalysisWCNC,
 	}
 	for i, tier := range aba {
@@ -64,7 +64,7 @@ func TestSessionTierAlternationBitIdentity(t *testing.T) {
 		check("base round", tier, res)
 	}
 
-	// A committed delta invalidates all tiers' caches consistently.
+	// A committed delta invalidates both tiers' caches consistently.
 	v := net.VLs[0]
 	d, err := incremental.ParseDelta(fmt.Sprintf("bag %s %g", v.ID, v.BAGMs*2))
 	if err != nil {
@@ -108,7 +108,7 @@ func TestSessionTierAlternationBitIdentity(t *testing.T) {
 			break
 		}
 	}
-	if _, err := sess.PeekTier(ctx, netcalc.AnalysisTFA, peek); err != nil {
+	if _, err := sess.PeekTier(ctx, netcalc.AnalysisWCNC, peek); err != nil {
 		t.Fatal(err)
 	}
 	after, err := sess.AnalyzeTier(ctx, netcalc.AnalysisFIFO)

@@ -5,13 +5,13 @@ import (
 	"strings"
 )
 
-// Analysis selects the tightness/cost tier of the NC analysis — the
-// ladder of Bondorf et al. ("Quality and Cost of Deterministic Network
-// Calculus") and Bouillard's FIFO trade-off, projected onto this
-// engine. Every tier is sound (a true upper bound on every path), so
-// any selection may be combined by taking the per-path minimum; the
-// conformance oracle enforces the ordering TFA >= WCNC >= FIFO >=
-// sim/exact on every campaign.
+// Analysis selects the tightness/cost tier of the NC analysis: the
+// paper's WCNC pipeline or Bouillard's tighter, costlier FIFO
+// refinement of it. Both are sound (a true upper bound on every path)
+// and the FIFO tier is never looser; the conformance oracle enforces
+// WCNC >= FIFO >= sim/exact on every campaign. The separated
+// (ungrouped) bound of a textbook Total Flow Analysis is not a tier: it
+// is Options{Grouping: false, StairSteps: 0}.
 type Analysis uint8
 
 const (
@@ -20,11 +20,6 @@ const (
 	// horizontal-deviation port bounds. Options literals that predate
 	// the tier knob keep their meaning unchanged.
 	AnalysisWCNC Analysis = iota
-	// AnalysisTFA is the cheap per-flow separated tier: no grouping
-	// refinement and no staircase envelopes regardless of the Grouping
-	// and StairSteps knobs — each flow contributes its plain leaky
-	// bucket to the port aggregate. Never tighter than WCNC.
-	AnalysisTFA
 	// AnalysisFIFO is the tighter, costlier Bouillard-style tier: on
 	// top of the WCNC port bound D, each flow's delay is refined
 	// through the FIFO residual service [beta(t) - cross(t-theta)]+
@@ -34,15 +29,10 @@ const (
 	AnalysisFIFO
 )
 
-// Analyses lists every selectable tier, cheapest (loosest) first.
-func Analyses() []Analysis { return []Analysis{AnalysisTFA, AnalysisWCNC, AnalysisFIFO} }
-
 func (a Analysis) String() string {
 	switch a {
 	case AnalysisWCNC:
 		return "WCNC"
-	case AnalysisTFA:
-		return "TFA"
 	case AnalysisFIFO:
 		return "FIFO"
 	}
@@ -56,53 +46,8 @@ func ParseAnalysis(s string) (Analysis, error) {
 	switch strings.ToUpper(strings.TrimSpace(s)) {
 	case "WCNC":
 		return AnalysisWCNC, nil
-	case "TFA":
-		return AnalysisTFA, nil
 	case "FIFO":
 		return AnalysisFIFO, nil
 	}
-	return 0, fmt.Errorf("unknown analysis tier %q (want TFA, WCNC or FIFO)", s)
-}
-
-// ParseAnalysisList parses a comma-separated tier list ("TFA,FIFO"),
-// deduplicating while preserving order. An empty string is an error;
-// callers supply their own default for an absent flag.
-func ParseAnalysisList(s string) ([]Analysis, error) {
-	var out []Analysis
-	for _, part := range strings.Split(s, ",") {
-		a, err := ParseAnalysis(part)
-		if err != nil {
-			return nil, err
-		}
-		dup := false
-		for _, have := range out {
-			if have == a {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, a)
-		}
-	}
-	return out, nil
-}
-
-// effectiveGrouping projects the Grouping knob through the tier: the
-// TFA tier analyses flows fully separated, so grouping is off whatever
-// the knob says.
-func (o Options) effectiveGrouping() bool {
-	if o.Analysis == AnalysisTFA {
-		return false
-	}
-	return o.Grouping
-}
-
-// effectiveStairSteps projects the StairSteps knob through the tier:
-// the TFA tier keeps plain leaky buckets.
-func (o Options) effectiveStairSteps() int {
-	if o.Analysis == AnalysisTFA {
-		return 0
-	}
-	return o.StairSteps
+	return 0, fmt.Errorf("unknown analysis tier %q (want WCNC or FIFO)", s)
 }

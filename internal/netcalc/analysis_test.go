@@ -18,7 +18,6 @@ func TestParseAnalysis(t *testing.T) {
 		want Analysis
 	}{
 		{"WCNC", AnalysisWCNC}, {"wcnc", AnalysisWCNC}, {" Wcnc ", AnalysisWCNC},
-		{"TFA", AnalysisTFA}, {"tfa", AnalysisTFA},
 		{"FIFO", AnalysisFIFO}, {"fifo", AnalysisFIFO},
 	} {
 		got, err := ParseAnalysis(tc.in)
@@ -26,29 +25,15 @@ func TestParseAnalysis(t *testing.T) {
 			t.Errorf("ParseAnalysis(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
 	}
-	for _, bad := range []string{"", "SFA", "PMOO", "wcnc,tfa"} {
+	// TFA is no tier (its separated bound is Grouping=false,
+	// StairSteps=0), and neither is a comma list.
+	for _, bad := range []string{"", "TFA", "tfa", "SFA", "PMOO", "wcnc,fifo"} {
 		if _, err := ParseAnalysis(bad); err == nil {
 			t.Errorf("ParseAnalysis(%q) unexpectedly succeeded", bad)
 		}
 	}
 	if got := AnalysisFIFO.String(); got != "FIFO" {
 		t.Errorf("AnalysisFIFO.String() = %q", got)
-	}
-}
-
-func TestParseAnalysisList(t *testing.T) {
-	got, err := ParseAnalysisList("tfa,WCNC,fifo,TFA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Analysis{AnalysisTFA, AnalysisWCNC, AnalysisFIFO}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ParseAnalysisList = %v, want %v", got, want)
-	}
-	for _, bad := range []string{"", "TFA,", "TFA,nope"} {
-		if _, err := ParseAnalysisList(bad); err == nil {
-			t.Errorf("ParseAnalysisList(%q) unexpectedly succeeded", bad)
-		}
 	}
 }
 
@@ -134,8 +119,10 @@ func tierOpts(a Analysis) Options {
 	return o
 }
 
-// The ladder on the hand-checkable configurations: cheaper tiers are
-// never tighter, costlier tiers never looser, on every path.
+// The ladder on the hand-checkable configurations: FIFO is never
+// looser than WCNC, and WCNC never looser than the separated analysis
+// (grouping and staircases off) that stays reachable through the
+// Grouping knob.
 func TestTierOrderingOnSampleConfigs(t *testing.T) {
 	for _, cfg := range []struct {
 		name string
@@ -148,9 +135,9 @@ func TestTierOrderingOnSampleConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tfa, err := Analyze(pg, tierOpts(AnalysisTFA))
+		separated, err := Analyze(pg, Options{})
 		if err != nil {
-			t.Fatalf("%s TFA: %v", cfg.name, err)
+			t.Fatalf("%s separated: %v", cfg.name, err)
 		}
 		wcnc, err := Analyze(pg, tierOpts(AnalysisWCNC))
 		if err != nil {
@@ -163,21 +150,12 @@ func TestTierOrderingOnSampleConfigs(t *testing.T) {
 		const relTol = 1e-9
 		leq := func(a, b float64) bool { return a <= b+relTol*(1+math.Abs(a)+math.Abs(b)) }
 		for pid, dw := range wcnc.PathDelays {
-			if dt := tfa.PathDelays[pid]; !leq(dw, dt) {
-				t.Errorf("%s %v: WCNC %g tighter-violating TFA %g", cfg.name, pid, dw, dt)
+			if ds := separated.PathDelays[pid]; !leq(dw, ds) {
+				t.Errorf("%s %v: WCNC %g looser than the separated analysis %g", cfg.name, pid, dw, ds)
 			}
 			if df := fifo.PathDelays[pid]; !leq(df, dw) {
 				t.Errorf("%s %v: FIFO %g looser than WCNC %g", cfg.name, pid, df, dw)
 			}
-		}
-		// TFA really is the separated analysis: identical to WCNC with
-		// grouping and staircases off.
-		separated, err := Analyze(pg, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(tfa.PathDelays, separated.PathDelays) {
-			t.Errorf("%s: TFA differs from ungrouped plain-envelope analysis", cfg.name)
 		}
 	}
 }
@@ -222,7 +200,7 @@ func TestFIFOStrictlyImprovesSomewhere(t *testing.T) {
 // inside, and path bounds are exactly their sums.
 func TestFlowDelaysPerTier(t *testing.T) {
 	pg := figure2Graph(t)
-	for _, a := range Analyses() {
+	for _, a := range []Analysis{AnalysisWCNC, AnalysisFIFO} {
 		res, err := Analyze(pg, tierOpts(a))
 		if err != nil {
 			t.Fatal(err)
@@ -260,13 +238,13 @@ func TestFlowDelaysPerTier(t *testing.T) {
 }
 
 // Dedicated regression for the tier-aware cache signature: a warm cache
-// alternating WCNC -> TFA -> WCNC serves every round bit-identical to a
+// alternating WCNC -> FIFO -> WCNC serves every round bit-identical to a
 // cold run of the same tier (mirroring the two-generation-slot proof;
 // a stale-tier hit would surface as a cross-tier value leak).
 func TestCacheTierAlternationABA(t *testing.T) {
 	pg := figure2Graph(t)
 	c := NewCache(DefaultOptions())
-	for step, a := range []Analysis{AnalysisWCNC, AnalysisTFA, AnalysisWCNC, AnalysisFIFO, AnalysisWCNC} {
+	for step, a := range []Analysis{AnalysisWCNC, AnalysisFIFO, AnalysisWCNC, AnalysisFIFO, AnalysisWCNC} {
 		opts := tierOpts(a)
 		warm, err := AnalyzeWithCache(pg, opts, c)
 		if err != nil {
@@ -292,7 +270,7 @@ func TestCacheTierAlternationABA(t *testing.T) {
 func TestExplainSumsPerTier(t *testing.T) {
 	pg := figure2Graph(t)
 	pid := afdx.PathID{VL: "v1", PathIdx: 0}
-	for _, a := range Analyses() {
+	for _, a := range []Analysis{AnalysisWCNC, AnalysisFIFO} {
 		ex, err := Explain(pg, pid, tierOpts(a))
 		if err != nil {
 			t.Fatal(err)

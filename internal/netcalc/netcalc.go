@@ -37,9 +37,8 @@ type Options struct {
 	// ablation knob; the paper's tool uses burst inflation.
 	Deconvolution bool
 	// Analysis selects the tightness/cost tier (see the Analysis type):
-	// AnalysisWCNC (zero value) is the paper's pipeline, AnalysisTFA the
-	// cheaper per-flow separated variant, AnalysisFIFO the tighter
-	// Bouillard-style per-aggregate refinement. The tier is an ordinary
+	// AnalysisWCNC (zero value) is the paper's pipeline, AnalysisFIFO the
+	// tighter Bouillard-style per-flow refinement. The tier is an ordinary
 	// Options field, so it participates in every Options comparison —
 	// in particular the incremental cache's signature (Cache.ensureOpts)
 	// and the whole-result memo — and a warm session switching tiers can
@@ -100,10 +99,10 @@ type Result struct {
 	// delay upper bound in microseconds.
 	PathDelays map[afdx.PathID]float64
 	// FlowDelays maps every (VL, port) incidence to the delay bound the
-	// flow experiences at that port. For the WCNC and TFA tiers this is
-	// the flow's priority-level bound (DelayByPriority); the FIFO tier
-	// refines it per flow through the FIFO residual service. Path bounds
-	// are the sums of these terms along the crossed ports.
+	// flow experiences at that port. For the WCNC tier this is the flow's
+	// priority-level bound (DelayByPriority); the FIFO tier refines it
+	// per flow through the FIFO residual service. Path bounds are the
+	// sums of these terms along the crossed ports.
 	FlowDelays map[FlowPortKey]float64
 	// PrefixDelays maps (VL, port) to an upper bound on the time between
 	// the frame's emission and its arrival at that port (the sum of the
@@ -324,10 +323,10 @@ func analyzeWith(ctx context.Context, pg *afdx.PortGraph, opts Options, c *Cache
 			}
 		}
 	}
-	// Path bounds sum the per-flow port terms. For the WCNC and TFA
-	// tiers each term is exactly the flow's priority-level bound, so
-	// this sum is bit-identical to the historical per-level sum; the
-	// FIFO tier's refined terms make it strictly the per-flow total.
+	// Path bounds sum the per-flow port terms. For the WCNC tier each
+	// term is exactly the flow's priority-level bound, so this sum is
+	// bit-identical to the historical per-level sum; the FIFO tier's
+	// refined terms make it strictly the per-flow total.
 	for _, pid := range pg.Net.AllPaths() {
 		total := 0.0
 		for _, portID := range pg.PathPorts(pid) {
@@ -351,7 +350,7 @@ func flowEnvelope(res *Result, vl *afdx.VirtualLink, port afdx.PortID) (minplus.
 		return minplus.Curve{}, fmt.Errorf("netcalc: no propagated envelope for VL %s at port %s (port order broken)", vl.ID, port)
 	}
 	lb := minplus.LeakyBucket(b, vl.RhoBitsPerUs())
-	if res.Opts.effectiveStairSteps() <= 0 {
+	if res.Opts.StairSteps <= 0 {
 		return lb, nil
 	}
 	// The staircase jitter is the accumulated upstream delay bound: a
@@ -360,7 +359,7 @@ func flowEnvelope(res *Result, vl *afdx.VirtualLink, port afdx.PortID) (minplus.
 	// window of length x holds the frames of a window of length
 	// x + prefixDelay at the source.
 	jitter := res.PrefixDelays[key]
-	stair, err := minplus.StaircaseWithJitter(vl.SMaxBits(), vl.BAGUs(), jitter, res.Opts.effectiveStairSteps())
+	stair, err := minplus.StaircaseWithJitter(vl.SMaxBits(), vl.BAGUs(), jitter, res.Opts.StairSteps)
 	if err != nil {
 		return minplus.Curve{}, fmt.Errorf("netcalc: staircase envelope for VL %s at %s: %w", vl.ID, port, err)
 	}
@@ -496,7 +495,7 @@ func analyzePort(rn *ncRun, id afdx.PortID) (*portOutcome, error) {
 				inRate = in.RateBitsPerUs
 			}
 			groupEnv := members
-			if res.Opts.effectiveGrouping() && g.Prev != "" && len(flows) > 1 {
+			if res.Opts.Grouping && g.Prev != "" && len(flows) > 1 {
 				// Serialization on the shared input link: the group
 				// cannot burst faster than the link transmits, one
 				// largest frame ahead (the paper's leaky-bucket shaping
@@ -507,7 +506,7 @@ func analyzePort(rn *ncRun, id afdx.PortID) (*portOutcome, error) {
 			if fifoByLevel != nil {
 				fg := fifoGroup{
 					inRate: inRate,
-					shaped: res.Opts.effectiveGrouping() && g.Prev != "",
+					shaped: res.Opts.Grouping && g.Prev != "",
 				}
 				for _, f := range flows {
 					fg.members = append(fg.members, fifoMember{

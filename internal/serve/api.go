@@ -102,7 +102,7 @@ type AnalysisResponse struct {
 	Seq       int      `json:"seq"`
 	Committed bool     `json:"committed"`
 	Deltas    []string `json:"deltas,omitempty"`
-	// Analysis names the NC tier ("TFA", "WCNC", "FIFO") this round's
+	// Analysis names the NC tier ("WCNC" or "FIFO") this round's
 	// ncUs/bestUs/minUs figures were computed under (?analysis=,
 	// default WCNC). Cold verification replays the same tier.
 	Analysis   string      `json:"analysis"`
@@ -126,7 +126,7 @@ type Provenance struct {
 	// engines run and the per-path best is served).
 	Engines string `json:"engines"`
 	// Analysis names the NC tier the round's bounds were computed
-	// under ("TFA", "WCNC", "FIFO").
+	// under ("WCNC" or "FIFO").
 	Analysis string `json:"analysis"`
 	// TrajectoryPath is the trajectory evaluation variant ("flat":
 	// the flattened hot path; the reference walker exists only for

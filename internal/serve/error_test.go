@@ -72,6 +72,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 		{"unknown analysis tier on create", "/v1/sessions?analysis=sfa", string(cfg), http.StatusBadRequest, CodeUnknownAnalysis, false},
 		{"unknown analysis tier on whatif", "/v1/sessions/" + id + "/whatif?analysis=pmoo", `{"deltas":["drop v1"]}`, http.StatusBadRequest, CodeUnknownAnalysis, false},
 		{"unknown analysis tier on apply", "/v1/sessions/" + id + "/apply?analysis=nope", `{"deltas":["drop v1"]}`, http.StatusBadRequest, CodeUnknownAnalysis, false},
+		{"TFA tier on whatif", "/v1/sessions/" + id + "/whatif?analysis=TFA", `{"deltas":["drop v1"]}`, http.StatusBadRequest, CodeUnknownAnalysis, false},
 		{"apply rejected leaves session usable", "/v1/sessions/" + id + "/apply", `{"deltas":["drop nosuchvl"]}`, http.StatusUnprocessableEntity, CodeDeltaRejected, false},
 	}
 	for _, tc := range cases {

@@ -52,7 +52,7 @@ type Script struct {
 // n steps of BAG doubling, s_max halving, and (rarely) VL drops, each
 // drawn against the state all *committed* prior steps produce, with
 // peeks and commits interleaved and each step's NC analysis tier drawn
-// uniformly from the ladder — so one replay exercises cross-tier
+// uniformly from WCNC and FIFO — so one replay exercises cross-tier
 // alternation on a warm session. The script is a pure function of
 // (net, seed, n), so the check.sh smoke and the conformance tier replay
 // the exact same traffic.
@@ -60,14 +60,16 @@ func SeededScript(net *afdx.Network, seed int64, n int) (*Script, error) {
 	rng := rand.New(rand.NewSource(seed))
 	cur := net.Clone()
 	sc := &Script{Net: net.Clone()}
-	tiers := netcalc.Analyses()
 	for i := 0; i < n; i++ {
 		cmd := drawDelta(rng, cur)
 		if cmd == "" {
 			break
 		}
 		commit := rng.Intn(2) == 0
-		tier := tiers[rng.Intn(len(tiers))]
+		tier := netcalc.AnalysisWCNC
+		if rng.Intn(2) == 0 {
+			tier = netcalc.AnalysisFIFO
+		}
 		if commit {
 			d, err := incremental.ParseDelta(cmd)
 			if err != nil {
