@@ -165,10 +165,12 @@ type (
 func DefaultNCOptions() NCOptions { return netcalc.DefaultOptions() }
 
 // NCAnalysis selects the Network Calculus tier (set it on
-// NCOptions.Analysis): the paper's WCNC or the tighter, costlier FIFO.
+// NCOptions.Analysis): the paper's WCNC or the per-flow FIFO residual
+// formulation. Both give the same bound at the same cost: FIFO's exact
+// theta-minimum is the WCNC level bound.
 type NCAnalysis = netcalc.Analysis
 
-// The two tiers; FIFO is never looser than WCNC.
+// The two tiers; FIFO equals WCNC bitwise on every path.
 const (
 	NCAnalysisWCNC = netcalc.AnalysisWCNC
 	NCAnalysisFIFO = netcalc.AnalysisFIFO

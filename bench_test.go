@@ -218,7 +218,7 @@ func BenchmarkNetworkCalculusIndustrialPar(b *testing.B) { benchmarkNCIndustrial
 // analysis tier run from scratch, sequentially, on the industrial
 // configuration (cmd/afdx-benchjson pairs FIFO against the WCNC tier
 // into BENCH_PR10.json's tier_cold_pairs). The conformance oracle pins
-// the cross-tier ordering, so the recorded ratio is pure wall time.
+// FIFO == WCNC bitwise, so the recorded ratio is pure wall time.
 func benchmarkNCIndustrialTier(b *testing.B, tier afdx.NCAnalysis) {
 	pg := industrialGraph(b)
 	opts := afdx.DefaultNCOptions()

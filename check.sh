@@ -10,10 +10,13 @@
 #                             fails the gate)
 #   5. go test ./...         (tier-1: the full test suite)
 #   6. go test -race ./...   (the suite again under the race detector)
+#  6b. benchmark module      (go vet + go test in cmd/afdx-bench, its own
+#                             module, which ./... does not reach)
 #   7. afdx-conformance      (short cross-engine differential campaign,
 #                             deterministic seed, wall-time budgeted;
 #                             every campaign also holds the FIFO tier
-#                             to FIFO <= WCNC and to parallel parity)
+#                             to bitwise equality with WCNC and to
+#                             parallel parity)
 #   8. incremental parity    (a second campaign on a different seed:
 #                             every configuration replays a delta
 #                             sequence through a what-if session and
@@ -70,6 +73,14 @@ go test ./...
 
 echo "== go test -race ./..."
 go test -race ./...
+
+echo "== benchmark module (cmd/afdx-bench: go vet + go test)"
+# cmd/afdx-bench is a separate Go module (it replaces afdx with the
+# tree it sits in), so the ./... gates above never build it. Vet and
+# test it here so an engine change that breaks the benchmark fails the
+# gate instead of the next benchmark run. Nothing in the directory is
+# written.
+(cd cmd/afdx-bench && go vet . && go test .)
 
 echo "== conformance oracle (short campaign, deterministic)"
 go run ./cmd/afdx-conformance -n 150 -seed 1 -budget 45s -quiet

@@ -112,9 +112,8 @@ type ObsPair struct {
 
 // TierPair is one NC analysis tier's Cold cost on the industrial
 // configuration, priced against the WCNC default tier's Cold run. The
-// conformance oracle enforces the cross-tier ordering (WCNC >= FIFO
-// per path), so cost_vs_wcnc is the pure wall-time side of the
-// tightness/cost trade.
+// conformance oracle holds FIFO == WCNC bitwise per path, so
+// cost_vs_wcnc is pure wall time.
 type TierPair struct {
 	Base       string  `json:"benchmark"`
 	Tier       string  `json:"tier"`

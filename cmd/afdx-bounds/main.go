@@ -9,12 +9,12 @@
 //	afdx-bounds -config net.json -method nc      # Network Calculus only
 //	afdx-bounds -config net.json -no-grouping    # disable serialization
 //	afdx-bounds -config net.json -csv > out.csv  # machine-readable
-//	afdx-bounds -config net.json -analysis FIFO  # tighter, costlier NC tier
+//	afdx-bounds -config net.json -analysis FIFO  # FIFO-residual NC tier
 //
-// -analysis selects the Network Calculus tightness/cost tier: WCNC (the
-// paper's default) or FIFO (per-flow FIFO residual service, never
-// looser than WCNC). The separated bound of a plain Total Flow Analysis
-// is -no-grouping.
+// -analysis selects the Network Calculus tier: WCNC (the paper's
+// default) or FIFO (per-flow FIFO residual service, whose exact
+// theta-minimum is the WCNC bound, so both print the same numbers).
+// The separated bound of a plain Total Flow Analysis is -no-grouping.
 //
 // What-if mode re-analyses the configuration under deltas without
 // re-running the full analysis: after the base table, each -delta (or
@@ -95,7 +95,7 @@ func main() {
 		backlog    = flag.Bool("backlog", false, "also print per-port backlog bounds (NC)")
 		jitter     = flag.Bool("jitter", false, "also print per-path jitter (bound minus idle-network floor)")
 		esJitter   = flag.Bool("es-jitter", false, "also print the ARINC 664 end-system output jitter report")
-		analysis   = flag.String("analysis", "WCNC", "NC analysis tier: WCNC | FIFO (FIFO is tighter and costlier)")
+		analysis   = flag.String("analysis", "WCNC", "NC analysis tier: WCNC | FIFO (both give the same bound)")
 		explain    = flag.String("explain", "", "print the trajectory bound decomposition of one path (e.g. v1/0)")
 		whatif     = flag.String("whatif", "", "file of what-if delta commands, one per line ('-' = stdin; blank lines and # comments skipped)")
 	)

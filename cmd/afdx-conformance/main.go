@@ -2,7 +2,7 @@
 // generates a family of synthetic AFDX configurations, checks the full
 // invariant lattice on each (simulated ≤ achievable ≤ analytic bounds,
 // combined = per-path minimum, grouping never loosens, the FIFO tier
-// never looser than WCNC, contract tightening never loosens, parallel
+// equal to WCNC, contract tightening never loosens, parallel
 // runs bit-identical to sequential),
 // and shrinks every violation to a minimal reproducing configuration.
 //

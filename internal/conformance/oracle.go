@@ -88,10 +88,9 @@ const (
 	// cold engine runs on the replayed configurations, at worker counts
 	// 1 and ParityWorkers.
 	InvServedParity Invariant = "served-parity"
-	// InvTierOrdering: the NC analysis tiers order by tightness — the
-	// costly FIFO tier is never looser than WCNC — and simulation and
-	// the exact search stay below even the FIFO tier, which keeps
-	// parallel parity.
+	// InvTierOrdering: the NC analysis tiers agree — the FIFO tier's
+	// path bounds equal WCNC's bitwise — and simulation and the exact
+	// search stay below the FIFO tier, which keeps parallel parity.
 	InvTierOrdering Invariant = "tier-ordering"
 )
 

@@ -11,7 +11,7 @@ import (
 	"afdx/internal/netcalc"
 )
 
-// tiers lists the two NC analysis tiers the ordering property compares.
+// tiers lists the two NC analysis tiers the equality property compares.
 var tiers = []netcalc.Analysis{netcalc.AnalysisWCNC, netcalc.AnalysisFIFO}
 
 // tierOptions returns the oracle's grouped engine options at one tier.
@@ -38,8 +38,8 @@ func analyzeTiers(t *testing.T, net *afdx.Network) map[netcalc.Analysis]*netcalc
 	return out
 }
 
-// checkLadder asserts FIFO <= WCNC on every path of one configuration
-// at the repository-wide relative tolerance.
+// checkLadder asserts FIFO == WCNC bitwise on every path of one
+// configuration.
 func checkLadder(t *testing.T, label string, byTier map[netcalc.Analysis]*netcalc.Result) {
 	t.Helper()
 	wcnc := byTier[netcalc.AnalysisWCNC]
@@ -53,13 +53,13 @@ func checkLadder(t *testing.T, label string, byTier map[netcalc.Analysis]*netcal
 		if !ok {
 			t.Fatalf("%s: %v missing from the FIFO tier", label, pid)
 		}
-		if !leq(f, w) {
-			t.Errorf("%s: %v: FIFO %v looser than WCNC %v (costlier tier must never be looser)", label, pid, f, w)
+		if f != w {
+			t.Errorf("%s: %v: FIFO %v differs from WCNC %v", label, pid, f, w)
 		}
 	}
 }
 
-// TestTierOrderingLintGoldenCorpus runs the cross-tier ordering
+// TestTierOrderingLintGoldenCorpus runs the cross-tier equality
 // property over every analyzable configuration in the lint golden
 // corpus. Files constructed to trip a validator (bad BAGs, routing
 // loops, …) are skipped — they cannot reach the analysis engines — but
@@ -111,9 +111,9 @@ func TestTierOrderingLintGoldenCorpus(t *testing.T) {
 	}
 }
 
-// TestTierOrderingHundredSeeds is the bulk ordering property: 120
+// TestTierOrderingHundredSeeds is the bulk equality property: 120
 // generated configurations spanning the campaign generator's spread,
-// each held to FIFO <= WCNC on every path.
+// each held to FIFO == WCNC on every path.
 func TestTierOrderingHundredSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bulk tier sweep skipped in -short mode")
@@ -129,8 +129,9 @@ func TestTierOrderingHundredSeeds(t *testing.T) {
 
 // TestOracleCatchesFIFOFault proves the tier-ordering invariant has
 // teeth: an engine whose FIFO tier is unsoundly "tightened" (bounds
-// quartered) leaves the default pipeline untouched, so only the
-// tier leg's behavioural chain can expose it — and must.
+// quartered) leaves the default pipeline untouched, so only the tier
+// leg — its equality check and its behavioural chain — can expose it,
+// and must.
 func TestOracleCatchesFIFOFault(t *testing.T) {
 	o := FaultyOracle(FaultFIFOOptimistic)
 	net, err := configgen.Generate(campaignSpec(1, 1))

@@ -66,7 +66,6 @@ type Session struct {
 	net    *afdx.Network
 	pg     *afdx.PortGraph
 	nc     *netcalc.Cache
-	ncAlt  *netcalc.Cache // the other NC tier's cache, lazily wired
 	tr     *trajectory.Cache
 	closed bool
 }
@@ -74,8 +73,9 @@ type Session struct {
 // NewSession clones net (later deltas never touch the caller's value),
 // validates it by building the port graph, and wires the engine caches.
 // When the session's NC options match the trajectory engine's internal
-// prefix run (netcalc defaults, any Parallel), both analyses share one
-// per-port cache and the prefix run of Analyze is a pure cache hit.
+// prefix run (netcalc defaults, any Parallel, either tier), both
+// analyses share one per-port cache and the prefix run of Analyze is a
+// pure cache hit.
 func NewSession(net *afdx.Network, opts Options) (*Session, error) {
 	clone := net.Clone()
 	pg, err := afdx.BuildPortGraph(clone, opts.Mode)
@@ -84,9 +84,9 @@ func NewSession(net *afdx.Network, opts Options) (*Session, error) {
 	}
 	tr := trajectory.NewCache(opts.Trajectory)
 	nc := netcalc.NewCache(opts.NC)
-	norm, def := opts.NC, netcalc.DefaultOptions()
-	norm.Parallel, def.Parallel = 0, 0
-	if norm == def {
+	norm := opts.NC
+	norm.Parallel, norm.Analysis = 0, netcalc.AnalysisWCNC
+	if norm == netcalc.DefaultOptions() {
 		nc = tr.PrefixNCCache()
 	} else {
 		// Distinct caches still fingerprint the same graphs: share the
@@ -150,28 +150,6 @@ func Apply(n *afdx.Network, deltas ...Delta) error {
 	return nil
 }
 
-// ncCacheFor returns the NC cache and option set for one analysis
-// tier. The session's own tier keeps the primary cache (which may be
-// shared with the trajectory engine's prefix run); the other tier gets
-// a second, lazily created cache — a netcalc.Cache is bound to one
-// exact option set, so a separate cache is what keeps alternating-tier
-// clients warm instead of thrashing one cache's generation slots. It
-// shares the primary cache's per-graph fingerprint memo (fingerprints
-// are option-independent), so each round renders the graph once
-// whichever tier it is analysed under.
-func (s *Session) ncCacheFor(tier netcalc.Analysis) (*netcalc.Cache, netcalc.Options) {
-	o := s.opts.NC
-	o.Analysis = tier
-	if tier == s.opts.NC.Analysis {
-		return s.nc, o
-	}
-	if s.ncAlt == nil {
-		s.ncAlt = netcalc.NewCache(o)
-		s.ncAlt.ShareGraphMemo(s.nc)
-	}
-	return s.ncAlt, o
-}
-
 // Analyze runs both engines over the current configuration through the
 // session's caches and assembles the combined comparison. Ports and
 // paths whose inputs are unchanged since the previous Analyze are
@@ -188,16 +166,18 @@ func (s *Session) Analyze(ctx context.Context) (*Result, error) {
 
 // AnalyzeTier is Analyze with the NC analysis tier overridden for this
 // round only: the NC engine runs under the session's options with
-// Analysis swapped to tier, through that tier's dedicated cache. The
-// trajectory engine is tier-independent and runs unchanged, so the
-// combined comparison is min(tier's NC bound, trajectory) — sound for
-// both tiers. Bounds are bit-identical to a cold run at the same tier.
+// Analysis swapped to tier. The tier is result-neutral (netcalc
+// computes one bound for both), so every tier runs through the one NC
+// cache, and the trajectory engine's prefix run after it is a memo hit
+// whenever the session's NC options are the defaults. Bounds are
+// bit-identical to a cold run at the same tier.
 func (s *Session) AnalyzeTier(ctx context.Context, tier netcalc.Analysis) (*Result, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	cache, ncOpts := s.ncCacheFor(tier)
-	nc, err := netcalc.AnalyzeWithCacheCtx(ctx, s.pg, ncOpts, cache)
+	ncOpts := s.opts.NC
+	ncOpts.Analysis = tier
+	nc, err := netcalc.AnalyzeWithCacheCtx(ctx, s.pg, ncOpts, s.nc)
 	if err != nil {
 		return nil, fmt.Errorf("incremental: network calculus analysis: %w", err)
 	}
@@ -265,5 +245,5 @@ func (s *Session) PeekTier(ctx context.Context, tier netcalc.Analysis, deltas ..
 // bounds.
 func (s *Session) Close() {
 	s.closed = true
-	s.net, s.pg, s.nc, s.ncAlt, s.tr = nil, nil, nil, nil, nil
+	s.net, s.pg, s.nc, s.tr = nil, nil, nil, nil
 }

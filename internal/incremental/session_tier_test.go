@@ -8,14 +8,16 @@ import (
 	"afdx/internal/afdx"
 	"afdx/internal/incremental"
 	"afdx/internal/netcalc"
+	"afdx/internal/obs"
 )
 
 // TestSessionTierAlternationBitIdentity is the session-level A/B/A
 // tier regression: one warm session alternating AnalyzeTier between
 // WCNC and FIFO, interleaved with committed and peeked deltas, must answer
 // every round bit-identical to a cold run of the same configuration at
-// the same tier. A cache that leaked entries across tiers — or failed
-// to key the tier into its identity — surfaces here as a stale bound.
+// the same tier. Both tiers share the session's one NC cache, so a
+// tier that computed a different bound would surface here as a stale
+// one.
 func TestSessionTierAlternationBitIdentity(t *testing.T) {
 	ctx := context.Background()
 	net := testNet(t, 9, 20)
@@ -49,8 +51,7 @@ func TestSessionTierAlternationBitIdentity(t *testing.T) {
 	}
 
 	// Alternate the two tiers over the base configuration: every visit
-	// after the first of each tier is a warm revisit through that tier's
-	// dedicated cache.
+	// after the first is a warm revisit through the shared cache.
 	aba := []netcalc.Analysis{
 		netcalc.AnalysisWCNC, netcalc.AnalysisFIFO, netcalc.AnalysisWCNC,
 		netcalc.AnalysisFIFO, netcalc.AnalysisFIFO, netcalc.AnalysisWCNC,
@@ -64,7 +65,7 @@ func TestSessionTierAlternationBitIdentity(t *testing.T) {
 		check("base round", tier, res)
 	}
 
-	// A committed delta invalidates both tiers' caches consistently.
+	// A committed delta invalidates the shared cache for both tiers.
 	v := net.VLs[0]
 	d, err := incremental.ParseDelta(fmt.Sprintf("bag %s %g", v.ID, v.BAGMs*2))
 	if err != nil {
@@ -116,6 +117,59 @@ func TestSessionTierAlternationBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustEqualMaps(t, "peek rollback", after.NC.PathDelays, before.NC.PathDelays)
+}
+
+// The tier is result-neutral, so both tiers run through the session's
+// one NC cache: a FIFO peek recomputes exactly the ports the same WCNC
+// peek does (the trajectory prefix run after it is a memo hit, not a
+// second cache's recompute), and a WCNC round after a FIFO round on an
+// unchanged graph recomputes none.
+func TestFIFOPeekRecomputesLikeWCNC(t *testing.T) {
+	ctx := context.Background()
+	net := testNet(t, 9, 20)
+	var peek incremental.Delta
+	for _, v := range net.VLs {
+		if v.BAGMs*2 <= afdx.MaxBAGMs {
+			d, err := incremental.ParseDelta(fmt.Sprintf("bag %s %g", v.ID, v.BAGMs*2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			peek = d
+			break
+		}
+	}
+	recomputes := func(round func(ctx context.Context) (*incremental.Result, error)) int64 {
+		t.Helper()
+		reg := obs.NewRegistry()
+		if _, err := round(obs.WithRegistry(ctx, reg)); err != nil {
+			t.Fatal(err)
+		}
+		return reg.Snapshot().Counter("netcalc.incr_port_recomputes")
+	}
+	peeked := map[netcalc.Analysis]int64{}
+	for _, tier := range []netcalc.Analysis{netcalc.AnalysisWCNC, netcalc.AnalysisFIFO} {
+		sess, err := incremental.NewSession(net, incremental.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.AnalyzeTier(ctx, tier); err != nil {
+			t.Fatal(err)
+		}
+		peeked[tier] = recomputes(func(ctx context.Context) (*incremental.Result, error) {
+			return sess.PeekTier(ctx, tier, peek)
+		})
+		if tier == netcalc.AnalysisFIFO {
+			if got := recomputes(func(ctx context.Context) (*incremental.Result, error) {
+				return sess.AnalyzeTier(ctx, netcalc.AnalysisWCNC)
+			}); got != 0 {
+				t.Errorf("WCNC round after a FIFO round on an unchanged graph recomputed %d ports, want 0", got)
+			}
+		}
+		sess.Close()
+	}
+	if w, f := peeked[netcalc.AnalysisWCNC], peeked[netcalc.AnalysisFIFO]; w == 0 || f != w {
+		t.Errorf("netcalc.incr_port_recomputes: FIFO peek %d, WCNC peek %d; want equal and nonzero", f, w)
+	}
 }
 
 func mustEqualMaps[K comparable](t *testing.T, what string, got, want map[K]float64) {

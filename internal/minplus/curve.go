@@ -286,10 +286,12 @@ func (c Curve) InverseInf(y float64) float64 {
 		if i+1 < len(c.segs) {
 			end = s.Y + s.Slope*(c.segs[i+1].X-s.X)
 		} else {
+			// y at or below the last piece's start (a jump into it)
+			// is first reached at the jump itself.
+			if y <= s.Y+Eps {
+				return s.X
+			}
 			if s.Slope <= Eps {
-				if y <= s.Y+Eps {
-					return s.X
-				}
 				return math.Inf(1)
 			}
 			return s.X + (y-s.Y)/s.Slope
@@ -310,6 +312,23 @@ func (c Curve) InverseInf(y float64) float64 {
 		}
 	}
 	return math.Inf(1) // unreachable
+}
+
+// inverseSup returns the upper pseudo-inverse sup{ t >= 0 : f(t) <= y },
+// the right limit of InverseInf at y. The two differ only where f has a
+// flat piece at height y: inverseSup returns its end (+Inf for a flat
+// last piece).
+func (c Curve) inverseSup(y float64) float64 {
+	t := c.InverseInf(y)
+	for i, s := range c.segs {
+		if s.Slope <= Eps && math.Abs(s.Y-y) <= Eps {
+			if i+1 == len(c.segs) {
+				return math.Inf(1)
+			}
+			t = math.Max(t, c.segs[i+1].X)
+		}
+	}
+	return t
 }
 
 // String renders the curve as a compact list of pieces, for debugging

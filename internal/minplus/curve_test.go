@@ -129,6 +129,12 @@ func TestInverseInf(t *testing.T) {
 	if got := bounded.InverseInf(8); !math.IsInf(got, 1) {
 		t.Errorf("InverseInf above a bounded curve should be +Inf, got %g", got)
 	}
+	// An ordinate inside a jump into the last piece is first reached at
+	// the jump, not extrapolated back along the last piece's slope.
+	jump := MustCurve([]Segment{{0, 0, 0}, {10, 100, 2}})
+	if got := jump.InverseInf(50); got != 10 {
+		t.Errorf("InverseInf inside a jump into the last piece = %g, want 10", got)
+	}
 }
 
 func TestLongTermRateAndValueAtZero(t *testing.T) {

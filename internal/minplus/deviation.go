@@ -41,6 +41,23 @@ func HorizontalDeviation(alpha, beta Curve) float64 {
 			h = d
 		}
 	}
+	// A flat piece of beta at a positive height y (a FIFO residual's
+	// non-decreasing closure has them; convex curves do not) makes
+	// beta's pseudo-inverse jump at y: ordinates just above y wait
+	// until the piece ends. The scan above evaluates the inverses at y
+	// itself, so add the right limits there.
+	for i, s := range beta.segs {
+		if s.Slope > Eps || s.Y <= Eps || s.Y >= yMax-Eps {
+			continue
+		}
+		end := math.Inf(1)
+		if i+1 < len(beta.segs) {
+			end = beta.segs[i+1].X
+		}
+		if d := end - alpha.inverseSup(s.Y); d > h {
+			h = d
+		}
+	}
 	// The supremum can also occur as y -> 0+ with a latency-only beta and
 	// an alpha with zero initial value: cover it with the first positive
 	// ordinate of alpha (its initial jump) handled above, plus t=0 burst:

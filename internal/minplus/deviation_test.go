@@ -83,6 +83,17 @@ func TestHorizontalDeviationBoundedAlpha(t *testing.T) {
 	}
 }
 
+func TestHorizontalDeviationFlatServicePiece(t *testing.T) {
+	// beta stalls at height 10 on [10, 20), so every ordinate just above
+	// 10 waits until t = 20. alpha = 9 + t/2 first exceeds 10 at t = 2:
+	// h = 20 - 2 = 18, a supremum approached from above the flat piece.
+	alpha := LeakyBucket(9, 0.5)
+	beta := MustCurve([]Segment{{0, 0, 1}, {10, 10, 0}, {20, 10, 1}})
+	if got, want := HorizontalDeviation(alpha, beta), 18.0; !almostEq(got, want) {
+		t.Errorf("h = %g, want %g", got, want)
+	}
+}
+
 func TestVerticalDeviationLeakyBucketRateLatency(t *testing.T) {
 	// Classical closed form: v(gamma_{r,b}, beta_{R,T}) = b + r*T.
 	alpha := LeakyBucket(4000, 1)

@@ -249,122 +249,6 @@ func deconvDelay(f Curve, d float64) Curve {
 	return c
 }
 
-// FIFOResidual returns the FIFO residual service curve
-//
-//	beta_theta(t) = [beta(t) - alpha(t - theta)]+ · 1{t > theta}
-//
-// left for one flow of a FIFO aggregate served by beta when the
-// competing traffic is alpha-constrained (Le Boudec & Thiran,
-// Thm 6.2.2; Bouillard's FIFO analyses minimise over theta). Every
-// theta >= 0 yields a valid service curve for the flow, so callers
-// may take the best delay bound over any finite candidate set.
-//
-// The difference beta(t) - alpha(t-theta) is convex on [theta, +inf)
-// (beta's slopes only grow, alpha's only shrink), so it can dip before
-// it rises; the dip's positive part would not be non-decreasing. The
-// result is therefore the largest non-decreasing minorant of the
-// positive part — still a valid (smaller) service curve, and a proper
-// Curve. A possible upward jump at theta (when beta(theta) already
-// exceeds the residual minimum) is legal for Curve.
-func FIFOResidual(beta, alpha Curve, theta float64) (Curve, error) {
-	if !beta.IsConvex() {
-		return Curve{}, fmt.Errorf("minplus: FIFOResidual requires a convex service curve")
-	}
-	if !alpha.IsConcave() {
-		return Curve{}, fmt.Errorf("minplus: FIFOResidual requires a concave cross-traffic envelope")
-	}
-	if theta < 0 {
-		return Curve{}, fmt.Errorf("minplus: FIFOResidual requires theta >= 0, got %g", theta)
-	}
-	if beta.LongTermRate() < alpha.LongTermRate()-Eps {
-		return Curve{}, fmt.Errorf("minplus: FIFO residual unbounded: cross rate %g exceeds service rate %g",
-			alpha.LongTermRate(), beta.LongTermRate())
-	}
-	// Sample points: theta itself, beta's breakpoints past theta, and
-	// alpha's breakpoints shifted right by theta. The difference is
-	// linear between consecutive samples.
-	xs := []float64{theta}
-	for _, x := range beta.breakpointXs() {
-		if x > theta+Eps {
-			xs = append(xs, x)
-		}
-	}
-	for _, x := range alpha.breakpointXs() {
-		if x > Eps {
-			xs = append(xs, x+theta)
-		}
-	}
-	sort.Float64s(xs)
-	xs = dedupeFloats(xs)
-	type pt struct{ x, d, slope float64 }
-	pts := make([]pt, 0, len(xs))
-	for _, x := range xs {
-		pts = append(pts, pt{
-			x:     x,
-			d:     beta.Eval(x) - alpha.Eval(x-theta),
-			slope: beta.slopeAt(x) - alpha.slopeAt(x-theta),
-		})
-	}
-	// The convex difference attains its minimum at the first sample with
-	// a non-negative outgoing slope; flatten the decreasing prefix to
-	// that minimum (the non-decreasing closure from below).
-	iMin := len(pts) - 1
-	for i, p := range pts {
-		if p.slope >= -Eps {
-			iMin = i
-			break
-		}
-	}
-	m := pts[iMin].d
-	for i := 0; i < iMin; i++ {
-		pts[i].d = m
-		pts[i].slope = 0
-	}
-	segs := []Segment{}
-	if theta > Eps {
-		segs = append(segs, Segment{X: 0, Y: 0, Slope: 0})
-	}
-	emit := func(x, y, slope float64) {
-		if y < 0 {
-			y = 0
-		}
-		if slope < 0 {
-			slope = 0
-		}
-		if n := len(segs); n > 0 && x <= segs[n-1].X+Eps && segs[n-1].X > Eps {
-			segs[n-1] = Segment{X: segs[n-1].X, Y: y, Slope: slope}
-			return
-		}
-		segs = append(segs, Segment{X: x, Y: y, Slope: slope})
-	}
-	for i, p := range pts {
-		end := math.Inf(1)
-		if i+1 < len(pts) {
-			end = pts[i+1].x
-		}
-		switch {
-		case p.d <= Eps && p.slope <= Eps:
-			emit(p.x, 0, 0)
-		case p.d <= Eps && p.slope > Eps:
-			// Root inside the interval (or at its start).
-			root := p.x - p.d/p.slope
-			if root <= p.x+Eps {
-				emit(p.x, 0, p.slope)
-			} else {
-				emit(p.x, 0, 0)
-				if root < end {
-					emit(root, 0, p.slope)
-				}
-			}
-		default: // p.d > 0
-			emit(p.x, p.d, p.slope)
-		}
-	}
-	c := Curve{segs: dedupeSegs(segs)}
-	c.normalize()
-	return c, nil
-}
-
 // SubPos computes the positive part of a difference, (f - g)+, for a
 // convex non-decreasing f through the origin and a concave g (both
 // piecewise linear). The result is the convex non-decreasing "residual"

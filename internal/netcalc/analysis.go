@@ -5,11 +5,13 @@ import (
 	"strings"
 )
 
-// Analysis selects the tightness/cost tier of the NC analysis: the
-// paper's WCNC pipeline or Bouillard's tighter, costlier FIFO
-// refinement of it. Both are sound (a true upper bound on every path)
-// and the FIFO tier is never looser; the conformance oracle enforces
-// WCNC >= FIFO >= sim/exact on every campaign. The separated
+// Analysis names the NC analysis tier a client asks for: the paper's
+// WCNC pipeline or the FIFO-residual formulation of Bouillard and Le
+// Boudec & Thiran (Thm 6.2.2). Both are sound and they are equal: the
+// FIFO per-flow bound minimised exactly over theta is the WCNC level
+// bound (DESIGN.md §14.1), so the engine computes one bound for both
+// and caches treat the tier as result-neutral. The conformance oracle
+// holds FIFO == WCNC bitwise on every campaign. The separated
 // (ungrouped) bound of a textbook Total Flow Analysis is not a tier: it
 // is Options{Grouping: false, StairSteps: 0}.
 type Analysis uint8
@@ -17,15 +19,11 @@ type Analysis uint8
 const (
 	// AnalysisWCNC is the paper's pipeline and the default (zero
 	// value): grouped per-level aggregates, serialization shaping,
-	// horizontal-deviation port bounds. Options literals that predate
-	// the tier knob keep their meaning unchanged.
+	// horizontal-deviation port bounds.
 	AnalysisWCNC Analysis = iota
-	// AnalysisFIFO is the tighter, costlier Bouillard-style tier: on
-	// top of the WCNC port bound D, each flow's delay is refined
-	// through the FIFO residual service [beta(t) - cross(t-theta)]+
-	// minimised over a theta candidate grid and clamped to D, and the
-	// refined per-flow delay drives burst propagation. Never looser
-	// than WCNC.
+	// AnalysisFIFO asks for the per-flow bound through the FIFO
+	// residual service [beta(t) - cross(t-theta)]+. Its minimum over
+	// theta is the WCNC bound, which is what it returns.
 	AnalysisFIFO
 )
 

@@ -2,6 +2,7 @@ package netcalc
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -119,10 +120,9 @@ func tierOpts(a Analysis) Options {
 	return o
 }
 
-// The ladder on the hand-checkable configurations: FIFO is never
-// looser than WCNC, and WCNC never looser than the separated analysis
-// (grouping and staircases off) that stays reachable through the
-// Grouping knob.
+// The ladder on the hand-checkable configurations: WCNC is never
+// looser than the separated analysis (grouping and staircases off)
+// that stays reachable through the Grouping knob.
 func TestTierOrderingOnSampleConfigs(t *testing.T) {
 	for _, cfg := range []struct {
 		name string
@@ -143,61 +143,79 @@ func TestTierOrderingOnSampleConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s WCNC: %v", cfg.name, err)
 		}
-		fifo, err := Analyze(pg, tierOpts(AnalysisFIFO))
-		if err != nil {
-			t.Fatalf("%s FIFO: %v", cfg.name, err)
-		}
 		const relTol = 1e-9
 		leq := func(a, b float64) bool { return a <= b+relTol*(1+math.Abs(a)+math.Abs(b)) }
 		for pid, dw := range wcnc.PathDelays {
 			if ds := separated.PathDelays[pid]; !leq(dw, ds) {
 				t.Errorf("%s %v: WCNC %g looser than the separated analysis %g", cfg.name, pid, dw, ds)
 			}
-			if df := fifo.PathDelays[pid]; !leq(df, dw) {
-				t.Errorf("%s %v: FIFO %g looser than WCNC %g", cfg.name, pid, df, dw)
+		}
+	}
+}
+
+// The FIFO tier's exact theta-minimum is the WCNC level bound (DESIGN.md
+// §14.1), so the two tiers agree bit for bit — every output map, on
+// single- and two-level configurations, grouped, staircase-refined and
+// separated. The old 5-point theta grid "beat" WCNC here only by float
+// rounding (at most 1.8e-11 us).
+func TestFIFOTierEqualsWCNC(t *testing.T) {
+	industrial, err := configgen.Generate(configgen.DefaultSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []struct {
+		name string
+		net  *afdx.Network
+	}{
+		{"figure1", afdx.Figure1Config()},
+		{"figure2", afdx.Figure2Config()},
+		{"figure2-priority", priorityConfig()},
+		{"configgen-1", industrial},
+	} {
+		pg, err := afdx.BuildPortGraph(cfg.net, afdx.Strict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, base := range []Options{{Grouping: true}, {Grouping: true, StairSteps: 4}, {}} {
+			label := fmt.Sprintf("%s %+v", cfg.name, base)
+			var res [2]*Result
+			var errs [2]error
+			for i, a := range []Analysis{AnalysisWCNC, AnalysisFIFO} {
+				o := base
+				o.Analysis = a
+				res[i], errs[i] = Analyze(pg, o)
+			}
+			// Staircase envelopes on a two-level port are not concave, so
+			// the lower level's residual service is rejected; that
+			// rejection too must be the same on both tiers.
+			if fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
+				t.Errorf("%s: WCNC error %v, FIFO error %v", label, errs[0], errs[1])
+			}
+			if errs[0] != nil || errs[1] != nil {
+				continue
+			}
+			w, f := res[0], res[1]
+			for _, m := range []struct {
+				name       string
+				wcnc, fifo any
+			}{
+				{"PathDelays", w.PathDelays, f.PathDelays},
+				{"FlowDelays", w.FlowDelays, f.FlowDelays},
+				{"Bursts", w.Bursts, f.Bursts},
+				{"PrefixDelays", w.PrefixDelays, f.PrefixDelays},
+				{"Ports", w.Ports, f.Ports},
+			} {
+				if !reflect.DeepEqual(m.wcnc, m.fifo) {
+					t.Errorf("%s: %s differ between the FIFO and WCNC tiers", label, m.name)
+				}
 			}
 		}
 	}
 }
 
-// The FIFO tier is a refinement, not a relabeling: on a generated
-// industrial-style network it strictly tightens some path bounds while
-// never loosening any.
-func TestFIFOStrictlyImprovesSomewhere(t *testing.T) {
-	net, err := configgen.Generate(configgen.DefaultSpec(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg, err := afdx.BuildPortGraph(net, afdx.Strict)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wcnc, err := Analyze(pg, tierOpts(AnalysisWCNC))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fifo, err := Analyze(pg, tierOpts(AnalysisFIFO))
-	if err != nil {
-		t.Fatal(err)
-	}
-	improved := 0
-	for pid, dw := range wcnc.PathDelays {
-		df := fifo.PathDelays[pid]
-		if df > dw {
-			t.Errorf("path %v: FIFO %g looser than WCNC %g", pid, df, dw)
-		}
-		if df < dw {
-			improved++
-		}
-	}
-	if improved == 0 {
-		t.Error("FIFO tier did not tighten a single path bound (refinement is dead)")
-	}
-}
-
 // Per-flow delay terms: present for every (VL, port) incidence, equal
-// to the priority-level bound outside the FIFO tier, never above it
-// inside, and path bounds are exactly their sums.
+// to the priority-level bound on both tiers, and path bounds are
+// exactly their sums.
 func TestFlowDelaysPerTier(t *testing.T) {
 	pg := figure2Graph(t)
 	for _, a := range []Analysis{AnalysisWCNC, AnalysisFIFO} {
@@ -212,16 +230,8 @@ func TestFlowDelaysPerTier(t *testing.T) {
 				if !ok {
 					t.Fatalf("%v: missing FlowDelays entry for %s at %v", a, f.VL.ID, id)
 				}
-				lvl := res.Ports[id].DelayByPriority[f.VL.Priority]
-				switch a {
-				case AnalysisFIFO:
-					if fd > lvl+1e-12 {
-						t.Errorf("FIFO: flow %s at %v: %g exceeds level bound %g", f.VL.ID, id, fd, lvl)
-					}
-				default:
-					if fd != lvl {
-						t.Errorf("%v: flow %s at %v: %g != level bound %g", a, f.VL.ID, id, fd, lvl)
-					}
+				if lvl := res.Ports[id].DelayByPriority[f.VL.Priority]; fd != lvl {
+					t.Errorf("%v: flow %s at %v: %g != level bound %g", a, f.VL.ID, id, fd, lvl)
 				}
 			}
 		}
@@ -237,10 +247,9 @@ func TestFlowDelaysPerTier(t *testing.T) {
 	}
 }
 
-// Dedicated regression for the tier-aware cache signature: a warm cache
-// alternating WCNC -> FIFO -> WCNC serves every round bit-identical to a
-// cold run of the same tier (mirroring the two-generation-slot proof;
-// a stale-tier hit would surface as a cross-tier value leak).
+// A warm cache alternating WCNC -> FIFO -> WCNC (the tier is
+// result-neutral, so one cache serves both) answers every round
+// bit-identical to a cold run of the same tier.
 func TestCacheTierAlternationABA(t *testing.T) {
 	pg := figure2Graph(t)
 	c := NewCache(DefaultOptions())

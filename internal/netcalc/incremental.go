@@ -44,8 +44,8 @@ import (
 // other results of the same session; callers must treat Results as
 // read-only, which every engine consumer already does.
 //
-// A Cache is bound to one set of engine options (Parallel excluded —
-// worker counts do not change results) and must not be shared across
+// A Cache is bound to one set of engine options (Parallel and Analysis
+// excluded — neither changes results) and must not be shared across
 // goroutines: the incremental layer drives it from one session loop.
 type Cache struct {
 	opts  Options
@@ -57,15 +57,17 @@ type Cache struct {
 	// because its contents depend on the graph alone.
 	sig *sigMemo
 
-	// Single-slot whole-result memo: the last (graph, options) analyzed
-	// and its Result. Same graph pointer + same options ⇒ bit-identical
-	// result, so analyzeWith returns lastRes without touching the port
-	// entries. One oracle candidate triggers the same NC analysis up to
-	// three times (the direct run plus each trajectory engine's prefix
-	// run); this memo collapses the repeats to pure pointer returns.
-	lastPG   *afdx.PortGraph
-	lastOpts Options
-	lastRes  *Result
+	// Single-slot whole-result memo: the last graph analyzed under the
+	// bound options and its Result. Same graph pointer + same normalized
+	// options ⇒ bit-identical result, so analyzeWith returns lastRes
+	// without touching the port entries. One oracle candidate triggers
+	// the same NC analysis up to three times (the direct run plus each
+	// trajectory engine's prefix run), and a served FIFO round triggers
+	// it twice (the tier's run plus the prefix run); this memo collapses
+	// the repeats to pure pointer returns. The returned Result's Opts
+	// are those of the run that computed it.
+	lastPG  *afdx.PortGraph
+	lastRes *Result
 }
 
 // sigMemo is a single-slot per-graph memo of everything analyzeWith
@@ -134,13 +136,14 @@ func NewCache(opts Options) *Cache {
 func (c *Cache) ShareGraphMemo(donor *Cache) { c.sig = donor.sig }
 
 // normalizeOpts strips the fields that cannot change results: the
-// worker count — and nothing else. Every other Options field, the
-// Analysis tier included, stays in the cache's identity: ensureOpts
-// compares whole normalized Options values, so a warm session that
-// switches tiers discards every entry and can never serve a
-// stale-tier bound (the A/B/A tier-alternation test pins this).
+// worker count and the analysis tier (both tiers compute the same
+// bound, DESIGN.md §14.1). Every other Options field stays in the
+// cache's identity: ensureOpts compares whole normalized Options
+// values, so a warm session alternating tiers keeps one warm cache
+// instead of two (the A/B/A tier-alternation tests pin warm == cold).
 func normalizeOpts(opts Options) Options {
 	opts.Parallel = 0
+	opts.Analysis = AnalysisWCNC
 	return opts
 }
 

@@ -36,13 +36,10 @@ type Options struct {
 	// of the classical burst inflation b <- b + rho*D. This is an
 	// ablation knob; the paper's tool uses burst inflation.
 	Deconvolution bool
-	// Analysis selects the tightness/cost tier (see the Analysis type):
-	// AnalysisWCNC (zero value) is the paper's pipeline, AnalysisFIFO the
-	// tighter Bouillard-style per-flow refinement. The tier is an ordinary
-	// Options field, so it participates in every Options comparison —
-	// in particular the incremental cache's signature (Cache.ensureOpts)
-	// and the whole-result memo — and a warm session switching tiers can
-	// never be served a stale-tier bound.
+	// Analysis names the requested tier (see the Analysis type). Both
+	// tiers compute the same bound, so the field is result-neutral: the
+	// engine does not read it and the incremental cache leaves it out of
+	// its identity (normalizeOpts), like Parallel.
 	Analysis Analysis
 	// StairSteps, when positive, replaces each flow's leaky-bucket
 	// envelope with its exact staircase arrival curve (shifted by the
@@ -99,10 +96,9 @@ type Result struct {
 	// delay upper bound in microseconds.
 	PathDelays map[afdx.PathID]float64
 	// FlowDelays maps every (VL, port) incidence to the delay bound the
-	// flow experiences at that port. For the WCNC tier this is the flow's
-	// priority-level bound (DelayByPriority); the FIFO tier refines it
-	// per flow through the FIFO residual service. Path bounds are the
-	// sums of these terms along the crossed ports.
+	// flow experiences at that port: its priority-level bound
+	// (DelayByPriority) on either tier. Path bounds are the sums of these
+	// terms along the crossed ports.
 	FlowDelays map[FlowPortKey]float64
 	// PrefixDelays maps (VL, port) to an upper bound on the time between
 	// the frame's emission and its arrival at that port (the sum of the
@@ -198,7 +194,8 @@ func analyzeWith(ctx context.Context, pg *afdx.PortGraph, opts Options, c *Cache
 		im = newIncrMetrics(obs.RegistryFrom(ctx))
 		// Whole-result fast path: the exact same analysis already ran
 		// (lint included — a memoized graph passed the stability check).
-		if c.lastRes != nil && c.lastPG == pg && c.lastOpts == opts {
+		// ensureOpts dropped the memo unless the normalized options match.
+		if c.lastRes != nil && c.lastPG == pg {
 			im.hits.Add(int64(len(pg.Ports)))
 			return c.lastRes, nil
 		}
@@ -323,10 +320,8 @@ func analyzeWith(ctx context.Context, pg *afdx.PortGraph, opts Options, c *Cache
 			}
 		}
 	}
-	// Path bounds sum the per-flow port terms. For the WCNC tier each
-	// term is exactly the flow's priority-level bound, so this sum is
-	// bit-identical to the historical per-level sum; the FIFO tier's
-	// refined terms make it strictly the per-flow total.
+	// Path bounds sum the per-flow port terms, each exactly the flow's
+	// priority-level bound.
 	for _, pid := range pg.Net.AllPaths() {
 		total := 0.0
 		for _, portID := range pg.PathPorts(pid) {
@@ -335,7 +330,7 @@ func analyzeWith(ctx context.Context, pg *afdx.PortGraph, opts Options, c *Cache
 		res.PathDelays[pid] = total
 	}
 	if c != nil {
-		c.lastPG, c.lastOpts, c.lastRes = pg, opts, res
+		c.lastPG, c.lastRes = pg, res
 	}
 	return res, nil
 }
@@ -437,25 +432,6 @@ func analyzePort(rn *ncRun, id afdx.PortID) (*portOutcome, error) {
 	levelAgg := map[int]minplus.Curve{}
 	levels := []int{}
 	rhoSum := 0.0
-	// The FIFO tier's per-flow refinement needs concave building blocks
-	// (the residual op requires a concave cross envelope): each member's
-	// plain leaky bucket plus the group's serialization contract. They
-	// are collected during the aggregation sweep, in the same sorted
-	// group/level order, so the refinement below is deterministic.
-	type fifoMember struct {
-		vl   *afdx.VirtualLink
-		lb   minplus.Curve
-		smax float64
-	}
-	type fifoGroup struct {
-		inRate  float64
-		shaped  bool
-		members []fifoMember
-	}
-	var fifoByLevel map[int][]fifoGroup
-	if res.Opts.Analysis == AnalysisFIFO {
-		fifoByLevel = map[int][]fifoGroup{}
-	}
 	// Envelope constructions are counted locally and flushed in one Add
 	// per port: a per-flow atomic increment from every worker contends
 	// on one cache line for no observational gain.
@@ -503,20 +479,6 @@ func analyzePort(rn *ncRun, id afdx.PortID) (*portOutcome, error) {
 				shaping := minplus.LeakyBucket(maxFrame, inRate)
 				groupEnv = minplus.Min(members, shaping)
 			}
-			if fifoByLevel != nil {
-				fg := fifoGroup{
-					inRate: inRate,
-					shaped: res.Opts.Grouping && g.Prev != "",
-				}
-				for _, f := range flows {
-					fg.members = append(fg.members, fifoMember{
-						vl:   f.VL,
-						lb:   minplus.LeakyBucket(res.Bursts[FlowPortKey{f.VL.ID, id}], f.VL.RhoBitsPerUs()),
-						smax: f.VL.SMaxBits(),
-					})
-				}
-				fifoByLevel[lvl] = append(fifoByLevel[lvl], fg)
-			}
 			if cur, ok := levelAgg[lvl]; ok {
 				levelAgg[lvl] = minplus.Add(cur, groupEnv)
 			} else {
@@ -539,7 +501,6 @@ func analyzePort(rn *ncRun, id afdx.PortID) (*portOutcome, error) {
 	// blocking frame of the lower levels. With a single level this is
 	// exactly the FIFO analysis of the paper.
 	delayByPrio := map[int]float64{}
-	residualByPrio := map[int]minplus.Curve{}
 	total := minplus.Zero()
 	worst := 0.0
 	higher := minplus.Zero()
@@ -565,7 +526,6 @@ func analyzePort(rn *ncRun, id afdx.PortID) (*portOutcome, error) {
 			return nil, fmt.Errorf("netcalc: port %s: unbounded delay at priority %d", id, lvl)
 		}
 		delayByPrio[lvl] = delay
-		residualByPrio[lvl] = residual
 		if delay > worst {
 			worst = delay
 		}
@@ -583,99 +543,13 @@ func analyzePort(rn *ncRun, id afdx.PortID) (*portOutcome, error) {
 		},
 	}
 
-	// FIFO tier: refine each flow's delay below its level bound D via
-	// the FIFO residual service [residual(t) - cross(t-theta)]+ over a
-	// theta candidate grid in [0, D]. Every theta yields a valid bound
-	// (Le Boudec & Thiran Thm 6.2.2) and D itself is one (the aggregate
-	// bound), so the minimum — explicitly clamped to D — is sound and
-	// never looser than the WCNC tier, port by port.
-	var fifoDelay map[string]float64
-	if fifoByLevel != nil {
-		fifoDelay = make(map[string]float64, len(port.Flows))
-		for _, lvl := range levels {
-			d := delayByPrio[lvl]
-			groups := fifoByLevel[lvl]
-			residual := residualByPrio[lvl]
-			// Shaped concave envelope per group (the cross-traffic view:
-			// plain leaky buckets under the serialization contract).
-			shapedEnv := make([]minplus.Curve, len(groups))
-			for gi, g := range groups {
-				sum := minplus.Zero()
-				maxFrame := 0.0
-				for _, m := range g.members {
-					sum = minplus.Add(sum, m.lb)
-					if m.smax > maxFrame {
-						maxFrame = m.smax
-					}
-				}
-				if g.shaped && len(g.members) > 1 {
-					sum = minplus.Min(sum, minplus.LeakyBucket(maxFrame, g.inRate))
-				}
-				shapedEnv[gi] = sum
-			}
-			// Prefix/suffix sums make "every group but mine" O(1) Adds.
-			prefix := make([]minplus.Curve, len(groups)+1)
-			prefix[0] = minplus.Zero()
-			for gi := range groups {
-				prefix[gi+1] = minplus.Add(prefix[gi], shapedEnv[gi])
-			}
-			suffix := make([]minplus.Curve, len(groups)+1)
-			suffix[len(groups)] = minplus.Zero()
-			for gi := len(groups) - 1; gi >= 0; gi-- {
-				suffix[gi] = minplus.Add(suffix[gi+1], shapedEnv[gi])
-			}
-			for gi, g := range groups {
-				others := minplus.Add(prefix[gi], suffix[gi+1])
-				for mi, m := range g.members {
-					ownSum := minplus.Zero()
-					ownMax := 0.0
-					for mj, mm := range g.members {
-						if mj == mi {
-							continue
-						}
-						ownSum = minplus.Add(ownSum, mm.lb)
-						if mm.smax > ownMax {
-							ownMax = mm.smax
-						}
-					}
-					if g.shaped && len(g.members) > 2 {
-						// The remaining members still share the input link.
-						ownSum = minplus.Min(ownSum, minplus.LeakyBucket(ownMax, g.inRate))
-					}
-					cross := minplus.Add(others, ownSum)
-					env, err := flowEnvelope(res, m.vl, id)
-					if err != nil {
-						return nil, err
-					}
-					best := d
-					for _, frac := range [...]float64{0, 0.25, 0.5, 0.75, 1} {
-						r, err := minplus.FIFOResidual(residual, cross, d*frac)
-						if err != nil {
-							// A degenerate residual (e.g. zero-rate level)
-							// just loses the refinement; the aggregate
-							// bound d stays in force.
-							continue
-						}
-						if fd := minplus.HorizontalDeviation(env, r); fd < best {
-							best = fd
-						}
-					}
-					fifoDelay[m.vl.ID] = best
-				}
-			}
-		}
-	}
-
-	// Propagate each flow's envelope to its next port(s) using its own
-	// delay bound at this port: the priority level's bound, or the FIFO
-	// tier's per-flow refinement. The per-flow terms are also published
-	// to FlowDelays — path bounds sum them.
+	// Propagate each flow's envelope to its next port(s) using its
+	// priority level's bound at this port, which is also the FIFO tier's
+	// exact per-flow bound (DESIGN.md §14.1). The per-flow terms are
+	// published to FlowDelays — path bounds sum them.
 	for _, f := range port.Flows {
 		key := FlowPortKey{f.VL.ID, id}
 		delay := delayByPrio[f.VL.Priority]
-		if fd, ok := fifoDelay[f.VL.ID]; ok {
-			delay = fd
-		}
 		out.delays = append(out.delays, flowDelayTerm{key: key, delay: delay})
 		nextBurst, err := outputBurst(res, f.VL, id, delay)
 		if err != nil {

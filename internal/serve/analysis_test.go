@@ -10,9 +10,9 @@ import (
 
 // TestServedTierLadder drives one session through both tiers on the
 // same committed configuration and checks the served responses carry
-// the tier name, respect the tightness ordering WCNC >= FIFO on every
-// path's NC figure, and anchor bit-identically against cold runs of
-// their own tier.
+// the tier name, agree exactly (FIFO == WCNC) on every path's NC
+// figure, and anchor bit-identically against cold runs of their own
+// tier.
 func TestServedTierLadder(t *testing.T) {
 	_, ts := newTestServer(t, testOptions())
 	net := testNet(t, 11, 16)
@@ -55,8 +55,8 @@ func TestServedTierLadder(t *testing.T) {
 		if pw.Path != pf.Path {
 			t.Fatalf("path order diverged across tiers at %d", i)
 		}
-		if pf.NCUs > pw.NCUs {
-			t.Errorf("%s: FIFO %v looser than WCNC %v", pf.Path, pf.NCUs, pw.NCUs)
+		if pf.NCUs != pw.NCUs {
+			t.Errorf("%s: FIFO %v differs from WCNC %v", pf.Path, pf.NCUs, pw.NCUs)
 		}
 	}
 
