@@ -35,7 +35,9 @@
 #  11. traced conformance    (same campaign with metrics + tracing on:
 #                             verdicts must be identical — observability
 #                             never participates in the computation)
-#  12. fuzz smoke            (each native fuzz target for a few seconds)
+#  12. fuzz smoke            (each native fuzz target for 5 s:
+#                             FuzzReadJSON, FuzzConformanceConfig,
+#                             FuzzParseDelta)
 #
 # Usage: ./check.sh        (or: make check)
 set -eu
@@ -153,5 +155,6 @@ fi
 echo "== fuzz smoke (5s per target)"
 go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 5s ./internal/afdx
 go test -run '^$' -fuzz '^FuzzConformanceConfig$' -fuzztime 5s ./internal/conformance
+go test -run '^$' -fuzz '^FuzzParseDelta$' -fuzztime 5s ./internal/incremental
 
 echo "check.sh: all gates passed"

@@ -7,6 +7,7 @@ package afdx_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -210,6 +211,16 @@ func TestCLILintExitCodes(t *testing.T) {
 	out, _ = cmd.CombinedOutput()
 	if code := cmd.ProcessState.ExitCode(); code != 1 {
 		t.Errorf("bounds -no-lint on an unstable config: exit %d (engine failure), want 1\n%s", code, out)
+	}
+	// A BAG overflowing to +Inf us is invalid in every mode, so -relaxed
+	// rejects the file like a non-positive BAG (exit 2) instead of
+	// handing it to a trajectory engine that never terminates on it.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd = exec.CommandContext(ctx, filepath.Join(dir, "afdx-bounds"), "-relaxed", "-config", "internal/lint/testdata/nonfinite_bag.json")
+	out, _ = cmd.CombinedOutput()
+	if code := cmd.ProcessState.ExitCode(); code != 2 || !strings.Contains(string(out), "AFDX004") {
+		t.Errorf("bounds -relaxed on a non-finite BAG: exit %d, want 2 with AFDX004\n%s", code, out)
 	}
 }
 

@@ -2,6 +2,7 @@ package afdx
 
 import (
 	"fmt"
+	"math"
 
 	"afdx/internal/diag"
 )
@@ -123,7 +124,9 @@ func (n *Network) VLIdentityDiagnostics() []diag.Diagnostic {
 // the BAG (code AFDX004) and the frame-size bounds (code AFDX005). In
 // Strict mode out-of-standard values are errors; in Relaxed mode they
 // are demoted to warnings (the parametric sweeps of the paper explore
-// such values deliberately), while non-positive values stay errors.
+// such values deliberately), while non-positive values and BAGs whose
+// microsecond value is not finite (NaN, or overflowing to +Inf) stay
+// errors: no engine can analyse them.
 func (n *Network) ContractDiagnostics(mode ValidationMode) []diag.Diagnostic {
 	var ds []diag.Diagnostic
 	outOfStandard := diag.Error
@@ -139,6 +142,10 @@ func (n *Network) ContractDiagnostics(mode ValidationMode) []diag.Diagnostic {
 			ds = append(ds, diag.New(diag.CodeBAG, diag.Error, loc,
 				"set bagMs to a power of two in [1,128]",
 				"VL %s has non-positive BAG %g ms", v.ID, v.BAGMs))
+		} else if us := v.BAGUs(); math.IsNaN(us) || math.IsInf(us, 1) {
+			ds = append(ds, diag.New(diag.CodeBAG, diag.Error, loc,
+				"set bagMs to a power of two in [1,128]",
+				"VL %s has non-finite BAG %g ms (%g us)", v.ID, v.BAGMs, us))
 		} else if v.BAGMs < MinBAGMs || v.BAGMs > MaxBAGMs || !isPowerOfTwo(v.BAGMs) {
 			ds = append(ds, diag.New(diag.CodeBAG, outOfStandard, loc,
 				"ARINC 664 BAGs are the powers of two in [1,128] ms",

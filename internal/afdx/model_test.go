@@ -132,6 +132,23 @@ func TestValidateRelaxedAllowsSweepValues(t *testing.T) {
 	}
 }
 
+// TestValidateNonFiniteBAGInEveryMode pins that a BAG whose microsecond
+// value is NaN or +Inf is an error even under Relaxed validation: the
+// trajectory engine's candidate enumeration never terminates on an
+// infinite BAG, and a NaN BAG surfaces as an engine failure.
+func TestValidateNonFiniteBAGInEveryMode(t *testing.T) {
+	for _, bag := range []float64{math.NaN(), math.Inf(1), 1e306} {
+		for _, mode := range []ValidationMode{Strict, Relaxed} {
+			n := Figure2Config()
+			n.VLs[0].BAGMs = bag
+			err := n.Validate(mode)
+			if err == nil || !strings.Contains(err.Error(), "AFDX004") || !strings.Contains(err.Error(), "non-finite BAG") {
+				t.Errorf("BAG %g ms, mode %v: got %v, want an AFDX004 non-finite BAG error", bag, mode, err)
+			}
+		}
+	}
+}
+
 func TestMulticastTreeValidation(t *testing.T) {
 	n := Figure1Config()
 	// Break the tree property: reach S4 from two different predecessors.

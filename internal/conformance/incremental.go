@@ -57,13 +57,6 @@ func (p *enginePool) trCache(opts trajectory.Options) *trajectory.Cache {
 	c := p.tr[opts]
 	if c == nil {
 		c = trajectory.NewCacheWithPrefix(opts, p.ncCache(netcalc.DefaultOptions()))
-		// Same prefix cache ⇒ same dependency values: share the tracker
-		// so each candidate's dependencies are folded in once, not once
-		// per trajectory option set.
-		for _, donor := range p.tr {
-			c.ShareDeps(donor)
-			break
-		}
 		p.tr[opts] = c
 	}
 	return c

@@ -15,6 +15,7 @@ package incremental
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -108,8 +109,10 @@ func ParseDelta(s string) (Delta, error) {
 		if len(fields) != 3 {
 			return bad("bag <vl> <ms>")
 		}
+		// ParseFloat accepts NaN and Inf; neither is a BAG, and NaN
+		// would not survive a String round trip.
 		ms, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil {
+		if err != nil || math.IsNaN(ms) || math.IsInf(ms, 0) {
 			return bad("bag <vl> <ms>")
 		}
 		return Delta{Op: OpSetBAG, VL: fields[1], BAGMs: ms}, nil

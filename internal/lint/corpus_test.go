@@ -58,6 +58,7 @@ func TestGoldenCorpus(t *testing.T) {
 		{"no_path.json", []string{"AFDX002"}, 2},
 		{"dup_vl.json", []string{"AFDX003"}, 2},
 		{"bad_bag.json", []string{"AFDX004"}, 2},
+		{"nonfinite_bag.json", []string{"AFDX004"}, 2},
 		{"bad_frame.json", []string{"AFDX005"}, 2},
 		{"bad_tree.json", []string{"AFDX006"}, 2},
 		{"no_grouping.json", []string{"AFDX007"}, 0},
@@ -86,6 +87,21 @@ func TestGoldenCorpus(t *testing.T) {
 				t.Errorf("exit code = %d, want %d", rep.ExitCode(), tc.exit)
 			}
 		})
+	}
+}
+
+// TestCorpusNonFiniteBAGErrorInBothModes pins that a BAG overflowing
+// to +Inf us is not demoted to a warning under Relaxed validation, as
+// out-of-standard sweep values are: no engine can analyse it.
+func TestCorpusNonFiniteBAGErrorInBothModes(t *testing.T) {
+	net := loadCorpus(t, "nonfinite_bag.json")
+	for _, mode := range []afdx.ValidationMode{afdx.Strict, afdx.Relaxed} {
+		opts := lint.DefaultOptions()
+		opts.Mode = mode
+		rep := lint.Run(net, opts)
+		if got := uniqueCodes(rep); len(got) != 1 || got[0] != "AFDX004" || rep.ExitCode() != 2 {
+			t.Errorf("mode %v: codes %v, exit %d; want [AFDX004] with exit 2\n%s", mode, got, rep.ExitCode(), renderText(t, rep))
+		}
 	}
 }
 

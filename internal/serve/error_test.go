@@ -50,6 +50,16 @@ func TestHTTPErrorPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A second server validates Relaxed, where out-of-standard BAGs are
+	// only warnings; rows whose path is a full URL target it.
+	relaxedOpts := testOptions()
+	relaxedOpts.Mode = afdx.Relaxed
+	_, relaxed := newTestServer(t, relaxedOpts)
+	rid, err := (&Script{Net: net}).RunHTTP(relaxed.Client(), relaxed.URL, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vl := net.VLs[0].ID
 
 	cases := []struct {
 		name       string
@@ -74,10 +84,16 @@ func TestHTTPErrorPaths(t *testing.T) {
 		{"unknown analysis tier on apply", "/v1/sessions/" + id + "/apply?analysis=nope", `{"deltas":["drop v1"]}`, http.StatusBadRequest, CodeUnknownAnalysis, false},
 		{"TFA tier on whatif", "/v1/sessions/" + id + "/whatif?analysis=TFA", `{"deltas":["drop v1"]}`, http.StatusBadRequest, CodeUnknownAnalysis, false},
 		{"apply rejected leaves session usable", "/v1/sessions/" + id + "/apply", `{"deltas":["drop nosuchvl"]}`, http.StatusUnprocessableEntity, CodeDeltaRejected, false},
+		{"non-finite BAG delta", "/v1/sessions/" + id + "/whatif", `{"deltas":["bag ` + vl + ` Inf"]}`, http.StatusBadRequest, CodeBadDelta, false},
+		{"BAG overflowing to Inf us on a relaxed server", relaxed.URL + "/v1/sessions/" + rid + "/whatif", `{"deltas":["bag ` + vl + ` 1e306"]}`, http.StatusUnprocessableEntity, CodeDeltaRejected, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			status, eb := postRaw(t, ts, ts.URL+tc.path, tc.body)
+			url := tc.path
+			if strings.HasPrefix(url, "/") {
+				url = ts.URL + url
+			}
+			status, eb := postRaw(t, ts, url, tc.body)
 			if status != tc.wantStatus {
 				t.Errorf("status = %d, want %d", status, tc.wantStatus)
 			}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 
@@ -28,6 +27,9 @@ import (
 //     instantiated once per path (a counting sort of the interferer
 //     list), instead of rebuilt and re-sorted for every candidate
 //     offset.
+//   - The interference set is a q-way merge of the crossed ports' flow
+//     lists, each already ascending in VL ordinal, so it comes out in
+//     the reference's VL-ID order with no dedup table and no sort.
 //   - Source-port busy periods are memoized per port — they are a pure
 //     function of the port, recomputed per path by the reference.
 //   - Candidate offsets are merged from the per-interferer ascending
@@ -46,9 +48,8 @@ import (
 // analyzePortSeqFlat and returned on exit. A scratch is owned by
 // exactly one analyzePortSeqFlat invocation; recursive prefix analyses
 // (PrefixTrajectory mode) take their own scratch from the pool, so the
-// buffers never nest. The seen stamp array is cleaned by its owner
-// before the scratch goes back to the pool (putScratch), which is what
-// keeps checkout O(1) instead of O(#VLs).
+// buffers never nest. Every buffer is reset by the code that fills it,
+// so a scratch goes back to the pool as is.
 
 // flatInterferer is one interference-set entry in flat form: ordinals
 // and precomputed scalars only, no pointers into the model.
@@ -140,14 +141,11 @@ type candStream struct {
 // scratch is the per-invocation buffer set of the flat hot path. See
 // the ownership rules in the file comment.
 type scratch struct {
-	// seen maps VL ordinal -> index into inter, -1 when absent. It is
-	// the one buffer whose clean state spans checkouts: putScratch
-	// resets exactly the stamped entries.
-	seen    []int32
 	inter   []flatInterferer
 	regroup []flatInterferer // inter re-ordered group-major (counting sort)
 	fps     []*flatPort      // the path's ports, resolved once
 	sMin    []float64        // min arrival time of the analyzed VL per path port
+	cursor  []int            // per path port: next flow of the interference merge
 	// Serialization-group instantiation for the current path: path
 	// positions sorted by port string, per-position slot bases, and
 	// per-slot member ranges of regroup.
@@ -167,18 +165,6 @@ type flatIndex struct {
 	vls   []*afdx.VirtualLink // ordinal -> VL (ID-sorted)
 	ports map[afdx.PortID]*flatPort
 	pool  sync.Pool // of *scratch
-}
-
-func (fl *flatIndex) getScratch() *scratch {
-	return fl.pool.Get().(*scratch)
-}
-
-func (fl *flatIndex) putScratch(sc *scratch) {
-	for i := range sc.inter {
-		sc.seen[sc.inter[i].vl] = -1
-	}
-	sc.inter = sc.inter[:0]
-	fl.pool.Put(sc)
 }
 
 // prepare builds the flat hot-path index. It runs after the prefix
@@ -204,14 +190,7 @@ func (a *analyzer) prepare() error {
 		}
 		fl.ports[id] = fp
 	}
-	nVLs := len(fl.vls)
-	fl.pool.New = func() any {
-		sc := &scratch{seen: make([]int32, nVLs)}
-		for i := range sc.seen {
-			sc.seen[i] = -1
-		}
-		return sc
-	}
+	fl.pool.New = func() any { return &scratch{} }
 	a.flat = fl
 	return nil
 }
@@ -311,8 +290,8 @@ func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink,
 	}
 	topLevel := visiting == nil
 	fl := a.flat
-	sc := fl.getScratch()
-	defer fl.putScratch(sc)
+	sc := fl.pool.Get().(*scratch)
+	defer fl.pool.Put(sc)
 
 	// Resolve the path's ports and the analyzed flow's min arrival
 	// times (the reference's sMin map, now a dense slice).
@@ -330,55 +309,9 @@ func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink,
 		acc += vl.CMinUs(fp.rate) + fp.latency
 	}
 
-	// Interference set: first-occurrence dedup via the ordinal stamp
-	// array, in path-port then flow order exactly like the reference.
-	ncLookups := int64(0)
-	for pos, fp := range sc.fps {
-		for j, ord := range fp.vls {
-			c := fp.cUs[j]
-			if k := sc.seen[ord]; k >= 0 {
-				// Conservative with heterogeneous rates: charge the
-				// flow's largest transmission time over the shared ports.
-				if c > sc.inter[k].cUs {
-					sc.inter[k].cUs = c
-				}
-				continue
-			}
-			var sMaxJ float64
-			if a.opts.PrefixMode == PrefixNC {
-				if !fp.prefOK[j] {
-					a.m.ncMiss.Inc()
-					return PathDetail{}, fmt.Errorf("trajectory: no NC prefix bound for VL %s at %s", fl.vls[ord].ID, fp.id)
-				}
-				sMaxJ = fp.pref[j]
-				ncLookups++
-			} else {
-				var err error
-				sMaxJ, err = a.sMax(ctx, fl.vls[ord], fp.id, visiting)
-				if err != nil {
-					return PathDetail{}, err
-				}
-			}
-			sc.seen[ord] = int32(len(sc.inter))
-			sc.inter = append(sc.inter, flatInterferer{
-				vl:       ord,
-				pos:      int32(pos),
-				grp:      fp.grpOf[j],
-				cUs:      c,
-				aUs:      sMaxJ - sc.sMin[pos],
-				bagUs:    fp.bagUs[j],
-				serRatio: fp.serRatio[j],
-			})
-		}
+	if err := a.mergeInterferers(ctx, sc, visiting); err != nil {
+		return PathDetail{}, err
 	}
-	if ncLookups > 0 {
-		a.m.ncHits.Add(ncLookups)
-	}
-	// VL-ordinal order == VL-ID order (ordinals are assigned ID-sorted),
-	// so this reproduces the reference's interferer sort. Ordinals are
-	// unique within the set (first-occurrence dedup), so instability of
-	// the sort cannot reorder equal keys.
-	slices.SortFunc(sc.inter, func(x, y flatInterferer) int { return int(x.vl) - int(y.vl) })
 	if topLevel {
 		a.m.interferers.Observe(int64(len(sc.inter)))
 	}
@@ -434,6 +367,86 @@ func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink,
 		NumCandidates:  len(sc.cands),
 		NumInterferers: len(sc.inter),
 	}, nil
+}
+
+// mergeInterferers fills sc.inter with the path's interference set by a
+// q-way merge of the crossed ports' flow lists. Each list ascends in VL
+// ordinal (Port.Flows and VLOrder are both ID-sorted), so the merge
+// emits the set in the reference's VL-ID order with no dedup table and
+// no sort. Ties pop the lowest path position first, so a VL's entry is
+// made at its first shared port — the reference's first occurrence —
+// and its later occurrences only raise cUs to the max over the shared
+// ports. One flow incidence is consumed per round, which bounds the
+// loop by the path's incidence count.
+//
+// A missing NC prefix bound is reported at the lowest (path position,
+// flow index), the order the reference scans in, not at the first VL
+// the merge meets. In PrefixTrajectory mode the recursive S_max bounds
+// are requested in VL-ID order; each is a pure function of its (VL,
+// port), so the order changes no value.
+func (a *analyzer) mergeInterferers(ctx context.Context, sc *scratch, visiting map[netcalc.FlowPortKey]bool) error {
+	sc.inter = sc.inter[:0]
+	sc.cursor = grow(sc.cursor, len(sc.fps))
+	total := 0
+	for pos, fp := range sc.fps {
+		sc.cursor[pos] = 0
+		total += len(fp.vls)
+	}
+	// Lowest (position, flow) lacking an NC prefix. A port's flows are
+	// visited in order, so only a lower position can displace a miss.
+	missPos, missJ := -1, 0
+	ncLookups := int64(0)
+	for n := 0; n < total; n++ {
+		pos, ord := -1, int32(0)
+		for p, fp := range sc.fps {
+			if j := sc.cursor[p]; j < len(fp.vls) && (pos < 0 || fp.vls[j] < ord) {
+				pos, ord = p, fp.vls[j]
+			}
+		}
+		fp := sc.fps[pos]
+		j := sc.cursor[pos]
+		sc.cursor[pos]++
+		if last := len(sc.inter) - 1; last >= 0 && sc.inter[last].vl == ord {
+			// Conservative with heterogeneous rates: charge the flow's
+			// largest transmission time over the shared ports.
+			if c := fp.cUs[j]; c > sc.inter[last].cUs {
+				sc.inter[last].cUs = c
+			}
+			continue
+		}
+		var sMaxJ float64
+		if a.opts.PrefixMode == PrefixNC {
+			if !fp.prefOK[j] && (missPos < 0 || pos < missPos) {
+				missPos, missJ = pos, j
+			}
+			sMaxJ = fp.pref[j]
+			ncLookups++
+		} else {
+			var err error
+			sMaxJ, err = a.sMax(ctx, a.flat.vls[ord], fp.id, visiting)
+			if err != nil {
+				return err
+			}
+		}
+		sc.inter = append(sc.inter, flatInterferer{
+			vl:       ord,
+			pos:      int32(pos),
+			grp:      fp.grpOf[j],
+			cUs:      fp.cUs[j],
+			aUs:      sMaxJ - sc.sMin[pos],
+			bagUs:    fp.bagUs[j],
+			serRatio: fp.serRatio[j],
+		})
+	}
+	if missPos >= 0 {
+		a.m.ncMiss.Inc()
+		fp := sc.fps[missPos]
+		return fmt.Errorf("trajectory: no NC prefix bound for VL %s at %s", a.flat.vls[fp.vls[missJ]].ID, fp.id)
+	}
+	if ncLookups > 0 {
+		a.m.ncHits.Add(ncLookups)
+	}
+	return nil
 }
 
 // regroupInterferers instantiates the serialization-group partition for

@@ -3,6 +3,7 @@ package trajectory
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"afdx/internal/afdx"
 	"afdx/internal/configgen"
+	"afdx/internal/netcalc"
 )
 
 // Differential tests of the flat hot path (flat.go) against the
@@ -84,17 +86,26 @@ func flatVsReference(t *testing.T, label string, pg *afdx.PortGraph, variants []
 
 // TestFlatMatchesReferenceFigure2 pins the paper's sample configuration
 // across every option variant, including the recursive PrefixTrajectory
-// mode (cheap on five paths, too slow for the generated sweeps).
+// mode (cheap on five paths, too slow for the generated sweeps). The
+// slow-last-hop variant gives interferers a transmission time that
+// differs between the ports they share with a path, so the flat
+// interference set must keep the max over those ports, as the
+// reference does; no other sweep reaches that case.
 func TestFlatMatchesReferenceFigure2(t *testing.T) {
-	pg, err := afdx.BuildPortGraph(afdx.Figure2Config(), afdx.Strict)
-	if err != nil {
-		t.Fatal(err)
-	}
 	variants := append([]struct {
 		name string
 		opts Options
 	}{{"prefixtraj", Options{Grouping: true, PrefixMode: PrefixTrajectory}}}, engineVariants...)
-	flatVsReference(t, "fig2", pg, variants)
+	for _, c := range []struct {
+		label string
+		net   *afdx.Network
+	}{{"fig2", afdx.Figure2Config()}, {"slowlasthop", slowLastHop()}} {
+		pg, err := afdx.BuildPortGraph(c.net, afdx.Strict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flatVsReference(t, c.label, pg, variants)
+	}
 }
 
 // TestFlatMatchesReferenceGoldenCorpus sweeps the lint golden corpus:
@@ -116,6 +127,105 @@ func TestFlatMatchesReferenceGoldenCorpus(t *testing.T) {
 			continue
 		}
 		flatVsReference(t, filepath.Base(file), pg, engineVariants)
+	}
+}
+
+// TestFlatMissingPrefixReportedLikeReference removes NC prefix bounds
+// so that the interference merge, which visits flows in VL-ID order,
+// meets a missing bound with a lower VL ID before the one the
+// reference's (path position, flow) scan reports. Both engines must
+// fail every path with the same error text.
+func TestFlatMissingPrefixReportedLikeReference(t *testing.T) {
+	spec := configgen.DefaultSpec(1)
+	spec.NumVLs = 60
+	net, err := configgen.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, err := afdx.BuildPortGraph(net, afdx.Strict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// First occurrences along a path, in the reference's scan order.
+	firsts := func(pid afdx.PathID) []netcalc.FlowPortKey {
+		seen := map[string]bool{}
+		var out []netcalc.FlowPortKey
+		for _, h := range pg.PathPorts(pid) {
+			for _, f := range pg.Ports[h].Flows {
+				if !seen[f.VL.ID] {
+					seen[f.VL.ID] = true
+					out = append(out, netcalc.FlowPortKey{VL: f.VL.ID, Port: h})
+				}
+			}
+		}
+		return out
+	}
+	// Find a path where an earlier-port first occurrence has a higher
+	// VL ID than a later-port one; drop both, plus the path's last first
+	// occurrence, and expect the earliest to be reported.
+	var pid afdx.PathID
+	var drop []netcalc.FlowPortKey
+search:
+	for _, p := range pg.Net.AllPaths() {
+		fs := firsts(p)
+		for i := range fs {
+			for k := i + 1; k < len(fs); k++ {
+				if fs[k].Port != fs[i].Port && fs[k].VL < fs[i].VL {
+					pid, drop = p, []netcalc.FlowPortKey{fs[i], fs[k]}
+					if last := fs[len(fs)-1]; last != fs[k] {
+						drop = append(drop, last)
+					}
+					break search
+				}
+			}
+		}
+	}
+	if drop == nil {
+		t.Fatal("no path orders its first occurrences against VL-ID order")
+	}
+	want := fmt.Sprintf("trajectory: no NC prefix bound for VL %s at %s", drop[0].VL, drop[0].Port)
+
+	ctx := context.Background()
+	for _, v := range engineVariants {
+		ref, err := newAnalyzerWith(ctx, pg, v.opts, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat, err := newAnalyzerWith(ctx, pg, v.opts, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pref := maps.Clone(ref.ncPrefix)
+		for _, k := range drop {
+			delete(pref, k)
+		}
+		ref.ncPrefix, flat.ncPrefix = pref, pref
+		if err := flat.prepare(); err != nil {
+			t.Fatal(err)
+		}
+		failed := 0
+		for _, p := range pg.Net.AllPaths() {
+			rd, rerr := ref.analyzePath(ctx, p)
+			fd, ferr := flat.analyzePath(ctx, p)
+			label := fmt.Sprintf("%s/%v", v.name, p)
+			switch {
+			case (rerr == nil) != (ferr == nil):
+				t.Fatalf("%s: reference err %v vs flat err %v", label, rerr, ferr)
+			case rerr != nil:
+				failed++
+				if rerr.Error() != ferr.Error() {
+					t.Errorf("%s: error text differs:\n  reference: %v\n  flat:      %v", label, rerr, ferr)
+				}
+			case rd != fd:
+				t.Errorf("%s: reference %+v vs flat %+v", label, rd, fd)
+			}
+			if p == pid && (ferr == nil || ferr.Error() != want) {
+				t.Errorf("%s: flat err %v, want %q", label, ferr, want)
+			}
+		}
+		if failed == 0 {
+			t.Fatalf("%s: no path failed with %d prefix bounds removed", v.name, len(drop))
+		}
 	}
 }
 

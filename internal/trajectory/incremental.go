@@ -22,14 +22,14 @@ import (
 // sequence, (b) the full flow/contract/rate/latency state of every
 // crossed port — rendered as netcalc.PortSignatures — and (c) the NC
 // prefix bound of every flow at every crossed port (the S_max terms).
-// The cache tracks dependencies by version: each run bumps a run
-// counter, re-renders every port signature and prefix value, and
-// records the run at which each last *changed*. A cached path is
-// reused only when every dependency's last-change run is no later
-// than the run that computed the entry — i.e. every input is bitwise
-// identical to what the entry was computed from — so a hit equals a
-// recomputation bit for bit, and an incremental run is bit-identical
-// to a cold run for any delta sequence.
+// An entry stores exactly those inputs: the port sequence, each crossed
+// port's signature, and each crossed port's prefix vector as the flat
+// index of the computing run holds it (flatPort.pref, in the port's
+// flow order). A cached path is reused only when the current run's
+// values are equal — signatures as strings, prefix vectors element by
+// element with float == — so a hit equals a recomputation bit for bit,
+// and an incremental run is bit-identical to a cold run for any delta
+// sequence.
 //
 // Reuse decisions are sequential (before the path fan-out), so the
 // hit/miss counters are Deterministic at every Options.Parallel value.
@@ -39,7 +39,6 @@ type Cache struct {
 	opts  Options
 	bound bool
 	nc    *netcalc.Cache
-	dep   *depTracker
 	paths map[afdx.PathID]*pathLine
 }
 
@@ -53,89 +52,16 @@ type pathLine struct {
 	slots [2]*pathEntry
 }
 
-// depTracker versions the dependency values path entries are checked
-// against: the signature of every port and the NC prefix bound of
-// every (flow, port). It is shareable across trajectory caches of
-// different options — the dependency space is graph-determined (the
-// prefix run always uses netcalc.DefaultOptions), so an update is a
-// pure function of (graph, prefix result) and caches sharing a
-// tracker see the exact versions they would have recorded privately.
-type depTracker struct {
-	run  int64
-	sigs map[afdx.PortID]verString
-	pref map[netcalc.FlowPortKey]verFloat
-	// prefPort coarsens pref to whole ports: the last run any flow's
-	// prefix bound at the port changed. The validity fast path scans
-	// ports, not (flow, port) pairs — an over-approximation (a port's
-	// coarse version can be newer than every surviving flow's), which
-	// is sound because a failed fast path falls back to exact value
-	// comparison, never to invalidation.
-	prefPort map[afdx.PortID]int64
-
-	// Last inputs folded in, by pointer: the signature map is memoized
-	// per graph and the prefix result is memo-served for repeated
-	// (graph, options) runs, so pointer equality proves value equality
-	// and the whole re-render loop can be skipped (that skip is what
-	// makes sharing a tracker between the grouped and ungrouped
-	// trajectory reference runs profitable).
-	lastPG *afdx.PortGraph
-	lastNC *netcalc.Result
-}
-
-func newDepTracker() *depTracker {
-	return &depTracker{
-		sigs:     map[afdx.PortID]verString{},
-		pref:     map[netcalc.FlowPortKey]verFloat{},
-		prefPort: map[afdx.PortID]int64{},
-	}
-}
-
-// update folds one run's dependency values in, bumping the version of
-// every value that differs from the last recorded one. Re-folding
-// identical values is a no-op (nothing bumps), so calling update for
-// runs of several caches in any order is safe.
-func (d *depTracker) update(pg *afdx.PortGraph, sigs map[afdx.PortID]string, nc *netcalc.Result) {
-	if d.lastPG == pg && d.lastNC == nc {
-		return
-	}
-	d.run++
-	for id, s := range sigs {
-		if e, ok := d.sigs[id]; !ok || e.val != s {
-			d.sigs[id] = verString{s, d.run}
-		}
-	}
-	for key, v := range nc.PrefixDelays {
-		if e, ok := d.pref[key]; !ok || e.val != v {
-			d.pref[key] = verFloat{v, d.run}
-			d.prefPort[key.Port] = d.run
-		}
-	}
-	d.lastPG, d.lastNC = pg, nc
-}
-
-type verString struct {
-	val string
-	ver int64
-}
-
-type verFloat struct {
-	val float64
-	ver int64
-}
-
-// pathEntry is one cached path outcome together with the exact
-// dependency values it was computed from: the signature of each
-// crossed port (sigs, parallel to ports) and the NC prefix bound of
-// every flow at every crossed port (pref, in crossed-port-then-
-// canonical-flow order). at is the dependency-clock run that last
-// validated the entry — the version fast path; the stored values are
-// the exact fallback when versions have moved (see slotValid).
+// pathEntry is one cached path outcome together with the dependency
+// values it was computed from, per crossed port (sigs and pref are
+// parallel to ports). pref[i] is the computing run's flatPort.pref
+// slice itself: a flat index never changes after prepare, so entries
+// share it instead of copying it.
 type pathEntry struct {
 	ports []afdx.PortID
 	sigs  []string
-	pref  []float64
+	pref  [][]float64
 	det   PathDetail
-	at    int64
 }
 
 // NewCache returns an empty path cache for the given engine options,
@@ -151,27 +77,16 @@ func NewCacheWithPrefix(opts Options, ncc *netcalc.Cache) *Cache {
 	if ncc == nil {
 		ncc = netcalc.NewCache(netcalc.DefaultOptions())
 	}
-	c := &Cache{nc: ncc, dep: newDepTracker()}
+	c := &Cache{nc: ncc}
 	c.ensureOpts(opts)
 	return c
 }
-
-// ShareDeps makes c reuse donor's dependency tracker (and should come
-// with a shared prefix cache, see NewCacheWithPrefix), so a pool of
-// trajectory caches with different engine options folds each run's
-// dependency values in once instead of once per cache. The path
-// entries themselves stay private — only the dependency clock is
-// shared.
-func (c *Cache) ShareDeps(donor *Cache) { c.dep = donor.dep }
 
 func (c *Cache) ensureOpts(opts Options) {
 	opts.Parallel = 0
 	if !c.bound || c.opts != opts {
 		c.opts = opts
 		c.bound = true
-		// The tracker survives rebinding (dependency values are
-		// graph-determined, not option-determined); only the entries
-		// computed under the old options are unusable.
 		c.paths = map[afdx.PathID]*pathLine{}
 	}
 }
@@ -212,7 +127,7 @@ func AnalyzeWithCache(pg *afdx.PortGraph, opts Options, c *Cache) (*Result, erro
 // Cache). A nil cache degenerates to AnalyzeCtx, as does
 // PrefixTrajectory mode: its recursive prefix bounds depend on the
 // whole transitive upstream cone, which this cache's per-port
-// dependency tracking does not model. The result is bit-identical to
+// dependency check does not model. The result is bit-identical to
 // a cold AnalyzeCtx run on the same graph and options.
 func AnalyzeWithCacheCtx(ctx context.Context, pg *afdx.PortGraph, opts Options, c *Cache) (*Result, error) {
 	if c == nil || opts.PrefixMode != PrefixNC {
@@ -238,22 +153,15 @@ func AnalyzeWithCacheCtx(ctx context.Context, pg *afdx.PortGraph, opts Options, 
 		return nil, err
 	}
 
-	// Advance the run counter and record which dependencies changed
-	// since the previous run. Entries for ports or keys absent from the
-	// current graph simply go stale at their old version: no path of
-	// the current graph can reference them, and if they reappear later
-	// bit-identical they are still valid ancestors for entries computed
-	// before their disappearance.
 	im := newTrIncrMetrics(obs.RegistryFrom(ctx))
-	c.dep.update(pg, c.nc.SignaturesFor(pg), nc)
-
+	sigs := c.nc.SignaturesFor(pg)
 	paths := pg.Net.AllPaths()
 	dets := make([]PathDetail, len(paths))
 	todo := make([]int, 0, len(paths))
 	for i, pid := range paths {
 		line := c.paths[pid]
 		if line != nil {
-			if e := c.validSlot(line, pg.PathPorts(pid), pg); e != nil {
+			if e := line.valid(pg.PathPorts(pid), sigs, a.flat); e != nil {
 				dets[i] = e.det
 				im.hits.Inc()
 				continue
@@ -277,13 +185,14 @@ func AnalyzeWithCacheCtx(ctx context.Context, pg *afdx.PortGraph, opts Options, 
 	}
 	for _, i := range todo {
 		seq := pg.PathPorts(paths[i])
-		sigs, pref := c.depSnapshot(seq, pg)
 		e := &pathEntry{
 			ports: append([]afdx.PortID(nil), seq...),
-			sigs:  sigs,
-			pref:  pref,
+			sigs:  make([]string, len(seq)),
+			pref:  make([][]float64, len(seq)),
 			det:   dets[i],
-			at:    c.dep.run,
+		}
+		for k, h := range seq {
+			e.sigs[k], e.pref[k] = sigs[h], a.flat.ports[h].pref
 		}
 		line := c.paths[paths[i]]
 		if line == nil {
@@ -306,16 +215,11 @@ func AnalyzeWithCacheCtx(ctx context.Context, pg *afdx.PortGraph, opts Options, 
 	return res, nil
 }
 
-// validSlot returns the first slot of line whose dependencies equal
-// the current run's, promoting a slot-1 hit to the front. A slot is
-// valid when every dependency it was computed from is bitwise equal to
-// the current value — checked by version first (nothing bumped since
-// the entry's last validation: the cheap steady-state path) and by the
-// entry's stored values second (versions moved but the values flipped
-// back, the A/B/A case).
-func (c *Cache) validSlot(line *pathLine, seq []afdx.PortID, pg *afdx.PortGraph) *pathEntry {
+// valid returns the first slot of the line whose dependency values
+// equal the current run's, promoting a slot-1 hit to the front.
+func (line *pathLine) valid(seq []afdx.PortID, sigs map[afdx.PortID]string, fl *flatIndex) *pathEntry {
 	for si, e := range line.slots {
-		if e == nil || !c.slotValid(e, seq, pg) {
+		if e == nil || !e.matches(seq, sigs, fl) {
 			continue
 		}
 		if si == 1 {
@@ -326,81 +230,23 @@ func (c *Cache) validSlot(line *pathLine, seq []afdx.PortID, pg *afdx.PortGraph)
 	return nil
 }
 
-func (c *Cache) slotValid(e *pathEntry, seq []afdx.PortID, pg *afdx.PortGraph) bool {
+// matches reports whether the entry was computed from the current
+// run's inputs: the same port sequence and, at every crossed port, the
+// same signature and a bitwise-equal, fully present prefix vector.
+func (e *pathEntry) matches(seq []afdx.PortID, sigs map[afdx.PortID]string, fl *flatIndex) bool {
 	if len(seq) == 0 || len(e.ports) != len(seq) {
 		return false
 	}
-	for i := range seq {
-		if e.ports[i] != seq[i] {
-			return false
-		}
-	}
-	if e.at == c.dep.run {
-		return true // already validated (or computed) this run
-	}
-	fresh := true // no dependency version moved past e.at
-	for _, h := range seq {
-		se, ok := c.dep.sigs[h]
-		if !ok {
-			return false
-		}
-		// The S_max alignment terms read the NC prefix bound of every
-		// flow met along the path (at its first shared port, a port of
-		// seq); the coarse per-port prefix version covers all of them
-		// (update folds the full current prefix map in, so every flow
-		// of the current graph is registered under its ports).
-		pv, pok := c.dep.prefPort[h]
-		if !pok {
-			return false
-		}
-		if se.ver > e.at || pv > e.at {
-			fresh = false
-			break
-		}
-	}
-	if !fresh && !c.slotValueEqual(e, seq, pg) {
-		return false
-	}
-	// Validated against the current dependency state: refresh the
-	// entry's clock so the next run takes the version fast path.
-	e.at = c.dep.run
-	return true
-}
-
-// slotValueEqual compares the entry's stored dependency values against
-// the tracker's current ones, bitwise and allocation-free.
-func (c *Cache) slotValueEqual(e *pathEntry, seq []afdx.PortID, pg *afdx.PortGraph) bool {
-	if len(e.sigs) != len(seq) {
-		return false
-	}
-	k := 0
 	for i, h := range seq {
-		se, ok := c.dep.sigs[h]
-		if !ok || se.val != e.sigs[i] {
+		fp := fl.ports[h]
+		if e.ports[i] != h || e.sigs[i] != sigs[h] || len(e.pref[i]) != len(fp.pref) {
 			return false
 		}
-		for _, f := range pg.Ports[h].Flows {
-			pe, ok := c.dep.pref[netcalc.FlowPortKey{VL: f.VL.ID, Port: h}]
-			if !ok || k >= len(e.pref) || pe.val != e.pref[k] {
+		for j, v := range fp.pref {
+			if !fp.prefOK[j] || e.pref[i][j] != v {
 				return false
 			}
-			k++
 		}
 	}
-	return k == len(e.pref)
-}
-
-// depSnapshot captures the current dependency values of a path — the
-// signature of each crossed port and the prefix bound of every flow at
-// every crossed port — in the canonical order slotValueEqual walks.
-func (c *Cache) depSnapshot(seq []afdx.PortID, pg *afdx.PortGraph) ([]string, []float64) {
-	sigs := make([]string, len(seq))
-	var pref []float64
-	for i, h := range seq {
-		sigs[i] = c.dep.sigs[h].val
-		for _, f := range pg.Ports[h].Flows {
-			pref = append(pref, c.dep.pref[netcalc.FlowPortKey{VL: f.VL.ID, Port: h}].val)
-		}
-	}
-	return sigs, pref
+	return true
 }

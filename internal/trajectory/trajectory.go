@@ -412,8 +412,9 @@ func (a *analyzer) sMax(ctx context.Context, vl *afdx.VirtualLink, port afdx.Por
 			a.m.ncMiss.Inc()
 			return 0, fmt.Errorf("trajectory: no NC prefix bound for VL %s at %s", vl.ID, port)
 		}
-		// Hits are batched by the caller (interferenceSet): one atomic
-		// Add per interference set, not one per lookup.
+		// Hits are batched by the callers (interferenceSet and
+		// mergeInterferers): one atomic Add per interference set, not
+		// one per lookup.
 		return d, nil
 	}
 	if d, ok := a.trajPrefix.get(key); ok {
