@@ -1,7 +1,7 @@
 # Developer entry points. `make check` is the expanded verification
 # gate (build, gofmt, vet, tests, race detector); see check.sh.
 
-.PHONY: build test check lint vet-tool fmt bench bench-pr3 bench-pr4 bench-pr5 bench-pr7 bench-pr8 bench-pr9 bench-pr10 serve profile conformance fuzz-smoke
+.PHONY: build test check lint vet-tool fmt bench bench-pr3 bench-pr4 bench-pr5 bench-pr7 bench-pr8 bench-pr9 serve profile conformance fuzz-smoke
 
 build:
 	go build ./...
@@ -87,16 +87,6 @@ bench-pr9:
 		go test -run '^$$' -bench 'ServeWhatIfObs(Off|On)$$' -benchtime 5x ./internal/serve || exit 1; \
 	done | tee /dev/stderr | go run ./cmd/afdx-benchjson -o BENCH_PR9.json
 
-# Price the NC tightness/cost trade: both analysis tiers (WCNC, FIFO)
-# run cold and sequentially on the industrial configuration, recorded
-# as tier_cold_pairs in BENCH_PR10.json with FIFO's cost relative to
-# the WCNC default. The conformance oracle holds FIFO == WCNC bitwise,
-# so the recorded ratio is pure wall time; pairs use the fastest of 3
-# samples. Expected: FIFO ~1x WCNC (both compute the same bound).
-bench-pr10:
-	go test -run '^$$' -bench 'NCIndustrialTier(WCNC|FIFO)Cold$$' -benchtime 2x -count 3 . \
-		| tee /dev/stderr | go run ./cmd/afdx-benchjson -o BENCH_PR10.json
-
 # Start the analysis daemon on the default loopback port (see README
 # "Serving" for the curl walkthrough; Ctrl-C drains gracefully).
 serve:
@@ -128,3 +118,4 @@ conformance:
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s ./internal/afdx
 	go test -run '^$$' -fuzz '^FuzzConformanceConfig$$' -fuzztime 10s ./internal/conformance
+	go test -run '^$$' -fuzz '^FuzzParseDelta$$' -fuzztime 10s ./internal/incremental

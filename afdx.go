@@ -164,23 +164,6 @@ type (
 // DefaultNCOptions matches the paper's WCNC column (grouping enabled).
 func DefaultNCOptions() NCOptions { return netcalc.DefaultOptions() }
 
-// NCAnalysis selects the Network Calculus tier (set it on
-// NCOptions.Analysis): the paper's WCNC or the per-flow FIFO residual
-// formulation. Both give the same bound at the same cost: FIFO's exact
-// theta-minimum is the WCNC level bound.
-type NCAnalysis = netcalc.Analysis
-
-// The two tiers; FIFO equals WCNC bitwise on every path.
-const (
-	NCAnalysisWCNC = netcalc.AnalysisWCNC
-	NCAnalysisFIFO = netcalc.AnalysisFIFO
-)
-
-// ParseNCAnalysis parses a tier name ("WCNC" or "FIFO", any case).
-// Every CLI's -analysis flag goes through this one parser so an
-// unknown tier fails identically everywhere.
-func ParseNCAnalysis(s string) (NCAnalysis, error) { return netcalc.ParseAnalysis(s) }
-
 // AnalyzeNC runs the Network Calculus analysis.
 func AnalyzeNC(pg *PortGraph, opts NCOptions) (*NCResult, error) {
 	return netcalc.Analyze(pg, opts)

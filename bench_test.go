@@ -214,30 +214,6 @@ func benchmarkTrajectoryIndustrial(b *testing.B, workers int) {
 func BenchmarkNetworkCalculusIndustrialSeq(b *testing.B) { benchmarkNCIndustrial(b, 1) }
 func BenchmarkNetworkCalculusIndustrialPar(b *testing.B) { benchmarkNCIndustrial(b, 0) }
 
-// The per-tier Cold benchmarks price the NC tightness/cost trade: each
-// analysis tier run from scratch, sequentially, on the industrial
-// configuration (cmd/afdx-benchjson pairs FIFO against the WCNC tier
-// into BENCH_PR10.json's tier_cold_pairs). The conformance oracle pins
-// FIFO == WCNC bitwise, so the recorded ratio is pure wall time.
-func benchmarkNCIndustrialTier(b *testing.B, tier afdx.NCAnalysis) {
-	pg := industrialGraph(b)
-	opts := afdx.DefaultNCOptions()
-	opts.Parallel = 1
-	opts.Analysis = tier
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := afdx.AnalyzeNC(pg, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkNCIndustrialTierWCNCCold(b *testing.B) {
-	benchmarkNCIndustrialTier(b, afdx.NCAnalysisWCNC)
-}
-func BenchmarkNCIndustrialTierFIFOCold(b *testing.B) {
-	benchmarkNCIndustrialTier(b, afdx.NCAnalysisFIFO)
-}
 func BenchmarkTrajectoryIndustrialSeq(b *testing.B) { benchmarkTrajectoryIndustrial(b, 1) }
 func BenchmarkTrajectoryIndustrialPar(b *testing.B) { benchmarkTrajectoryIndustrial(b, 0) }
 

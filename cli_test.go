@@ -292,43 +292,78 @@ func TestCLIConformanceExitCodes(t *testing.T) {
 	}
 }
 
-// TestCLIAnalysisTierFlag drives every CLI's -analysis flag: one
-// shared parser, so an unknown tier — TFA and comma lists included —
-// exits 2 with the same message everywhere, and afdx-bounds labels its
-// NC column after the tier.
+// TestCLIAnalysisTierFlag pins the NC tier knob's removal from the
+// CLIs: afdx-bounds -analysis is an unknown flag and the experiments
+// registry has no "tiers" experiment, both usage errors (exit 2). The
+// NC column is WCNC — 293.06 us for v1/0 on the Figure 2 sample — and
+// the strictly looser separated bound is -no-grouping (335.24 us).
 func TestCLIAnalysisTierFlag(t *testing.T) {
 	dir := buildCLIs(t)
 	cfg := sampleConfig(t)
 
 	for _, tc := range [][]string{
-		{"afdx-bounds", "-config", cfg, "-analysis", "sfa"},
-		{"afdx-bounds", "-config", cfg, "-analysis", ""},
-		{"afdx-bounds", "-config", cfg, "-analysis", "TFA"},
-		{"afdx-bounds", "-config", cfg, "-analysis", "WCNC,FIFO"},
-		{"afdx-experiments", "-list", "-analysis", "sfa"},
+		{"afdx-bounds", "-config", cfg, "-analysis", "FIFO"},
+		{"afdx-bounds", "-config", cfg, "-analysis", "WCNC"},
+		{"afdx-experiments", "-exp", "tiers"},
 		{"afdx-conformance", "-n", "1", "-analysis", "FIFO"},
+		{"afdx-conformance", "-n", "1", "-fault", "fifo-optimistic"},
 	} {
 		cmd := exec.Command(filepath.Join(dir, tc[0]), tc[1:]...)
 		out, _ := cmd.CombinedOutput()
 		if code := cmd.ProcessState.ExitCode(); code != 2 {
 			t.Errorf("%v: exit %d, want 2\n%s", tc, code, out)
 		}
-		if tc[0] != "afdx-conformance" && tc[len(tc)-1] != "" &&
-			!strings.Contains(string(out), `unknown analysis tier "`+tc[len(tc)-1]+`"`) {
-			t.Errorf("%v: missing the shared parser's message:\n%s", tc, out)
-		}
 	}
 
-	// The NC column is named after the selected tier; on the Figure 2
-	// sample the FIFO tier matches the 293.06 us WCNC bound, and the
-	// strictly looser separated bound is -no-grouping.
-	fifo := runCLI(t, dir, "afdx-bounds", "-config", cfg, "-csv", "-method", "nc", "-analysis", "FIFO")
-	if !strings.Contains(fifo, "path,FIFO (us)") || !strings.Contains(fifo, "293.06") {
-		t.Errorf("FIFO tier output missing header or bound:\n%s", fifo)
+	wcnc := runCLI(t, dir, "afdx-bounds", "-config", cfg, "-csv", "-method", "nc")
+	if !strings.Contains(wcnc, "path,WCNC (us)") || !strings.Contains(wcnc, "293.06") {
+		t.Errorf("NC output missing header or the WCNC bound:\n%s", wcnc)
 	}
 	separated := runCLI(t, dir, "afdx-bounds", "-config", cfg, "-csv", "-method", "nc", "-no-grouping")
 	if !strings.Contains(separated, "path,WCNC (us)") || !strings.Contains(separated, "335.24") {
 		t.Errorf("-no-grouping output missing header or the separated bound:\n%s", separated)
+	}
+}
+
+// TestCLIBoundsExplainArgs drives afdx-bounds -explain parsing on the
+// lint corpus's clean configuration (v1 and v2, one path each): a
+// malformed value or a path the configuration lacks is a usage error
+// (exit 2) reported before any analysis, so stdout stays empty; a bare
+// VL means its path 0.
+func TestCLIBoundsExplainArgs(t *testing.T) {
+	dir := buildCLIs(t)
+	cfg := filepath.Join("internal", "lint", "testdata", "clean.json")
+	for _, tc := range []struct {
+		arg  string
+		code int
+		want string // stdout fragment on success
+	}{
+		{"v1/abc", 2, ""},
+		{"v1/1x", 2, ""},
+		{"v1/-1", 2, ""},
+		{"/0", 2, ""},
+		{"zz/0", 2, ""},
+		{"v1/7", 2, ""},
+		{"v1", 0, "trajectory bound for v1/0"},
+		{"v2/0", 0, "trajectory bound for v2/0"},
+	} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(filepath.Join(dir, "afdx-bounds"), "-config", cfg, "-explain", tc.arg)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		cmd.Run() //nolint:errcheck // the exit code is checked below
+		if code := cmd.ProcessState.ExitCode(); code != tc.code {
+			t.Errorf("-explain %q: exit %d, want %d\nstdout:\n%s\nstderr:\n%s", tc.arg, code, tc.code, stdout.String(), stderr.String())
+			continue
+		}
+		if tc.code != 0 {
+			if stdout.Len() != 0 || !strings.Contains(stderr.String(), "bad -explain value") {
+				t.Errorf("-explain %q: want empty stdout and a usage message\nstdout:\n%s\nstderr:\n%s", tc.arg, stdout.String(), stderr.String())
+			}
+			continue
+		}
+		if !strings.Contains(stdout.String(), tc.want) {
+			t.Errorf("-explain %q: stdout missing %q:\n%s", tc.arg, tc.want, stdout.String())
+		}
 	}
 }
 
@@ -344,6 +379,8 @@ func TestCLIErrorPaths(t *testing.T) {
 	cmd = exec.Command(filepath.Join(dir, "afdx-experiments"), "-exp", "nope")
 	if err := cmd.Run(); err == nil {
 		t.Error("unknown experiment should fail")
+	} else if code := cmd.ProcessState.ExitCode(); code != 2 {
+		t.Errorf("afdx-experiments -exp nope: exit %d, want 2", code)
 	}
 }
 

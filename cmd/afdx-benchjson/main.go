@@ -110,18 +110,6 @@ type ObsPair struct {
 	GoMaxProcs  int     `json:"gomaxprocs"`
 }
 
-// TierPair is one NC analysis tier's Cold cost on the industrial
-// configuration, priced against the WCNC default tier's Cold run. The
-// conformance oracle holds FIFO == WCNC bitwise per path, so
-// cost_vs_wcnc is pure wall time.
-type TierPair struct {
-	Base       string  `json:"benchmark"`
-	Tier       string  `json:"tier"`
-	ColdNsOp   float64 `json:"cold_ns_per_op"`
-	CostVsWCNC float64 `json:"cost_vs_wcnc"`
-	GoMaxProcs int     `json:"gomaxprocs"`
-}
-
 // EngineObs is one engine's -obs measurement on the industrial
 // configuration: wall time plain vs instrumented, the relative
 // overhead, and the full counter breakdown of the instrumented run.
@@ -155,7 +143,6 @@ type Report struct {
 	FastPairs  []FastPair   `json:"cold_fast_pairs,omitempty"`
 	ServedPrs  []ServedPair `json:"cold_served_pairs,omitempty"`
 	ObsPairs   []ObsPair    `json:"obs_off_on_pairs,omitempty"`
-	TierPairs  []TierPair   `json:"tier_cold_pairs,omitempty"`
 	Obs        *ObsReport   `json:"observability,omitempty"`
 	Note       string       `json:"note"`
 }
@@ -191,7 +178,6 @@ func main() {
 		FastPairs:  pairFast(rows),
 		ServedPrs:  pairServed(rows),
 		ObsPairs:   pairObs(rows),
-		TierPairs:  pairTiers(rows),
 		Note: "Seq = -parallel 1, Par = -parallel 0 (all CPUs). The engines' " +
 			"bit-reproducibility contract makes both variants compute identical " +
 			"bounds; speedup below ~1.5x on a multi-core runner is a regression, " +
@@ -439,43 +425,6 @@ func pairServed(rows []Row) []ServedPair {
 		})
 	}
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Base < pairs[j].Base })
-	return pairs
-}
-
-// pairTiers matches FooTier<NAME>Cold rows and prices each NC analysis
-// tier against the same base's WCNC tier.
-func pairTiers(rows []Row) []TierPair {
-	byName := bestByName(rows)
-	var pairs []TierPair
-	for name, cold := range byName {
-		stem, ok := strings.CutSuffix(name, "Cold")
-		if !ok {
-			continue
-		}
-		i := strings.LastIndex(stem, "Tier")
-		if i < 0 {
-			continue
-		}
-		base, tier := stem[:i], stem[i+len("Tier"):]
-		if tier == "" {
-			continue
-		}
-		wcnc, ok := byName[base+"TierWCNCCold"]
-		if !ok || wcnc == 0 {
-			continue
-		}
-		pairs = append(pairs, TierPair{
-			Base: base, Tier: tier, ColdNsOp: cold,
-			CostVsWCNC: cold / wcnc,
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-		})
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Base != pairs[j].Base {
-			return pairs[i].Base < pairs[j].Base
-		}
-		return pairs[i].Tier < pairs[j].Tier
-	})
 	return pairs
 }
 

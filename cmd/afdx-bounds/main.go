@@ -9,12 +9,12 @@
 //	afdx-bounds -config net.json -method nc      # Network Calculus only
 //	afdx-bounds -config net.json -no-grouping    # disable serialization
 //	afdx-bounds -config net.json -csv > out.csv  # machine-readable
-//	afdx-bounds -config net.json -analysis FIFO  # FIFO-residual NC tier
+//	afdx-bounds -config net.json -explain v1/0   # one path's decomposition
 //
-// -analysis selects the Network Calculus tier: WCNC (the paper's
-// default) or FIFO (per-flow FIFO residual service, whose exact
-// theta-minimum is the WCNC bound, so both print the same numbers).
 // The separated bound of a plain Total Flow Analysis is -no-grouping.
+// -explain takes vl/pathIdx (a bare vl means path 0); a malformed value
+// or a path the configuration lacks is a usage error, reported before
+// any analysis runs.
 //
 // What-if mode re-analyses the configuration under deltas without
 // re-running the full analysis: after the base table, each -delta (or
@@ -57,6 +57,7 @@ import (
 	"log"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 
 	"afdx"
@@ -95,7 +96,6 @@ func main() {
 		backlog    = flag.Bool("backlog", false, "also print per-port backlog bounds (NC)")
 		jitter     = flag.Bool("jitter", false, "also print per-path jitter (bound minus idle-network floor)")
 		esJitter   = flag.Bool("es-jitter", false, "also print the ARINC 664 end-system output jitter report")
-		analysis   = flag.String("analysis", "WCNC", "NC analysis tier: WCNC | FIFO (both give the same bound)")
 		explain    = flag.String("explain", "", "print the trajectory bound decomposition of one path (e.g. v1/0)")
 		whatif     = flag.String("whatif", "", "file of what-if delta commands, one per line ('-' = stdin; blank lines and # comments skipped)")
 	)
@@ -107,10 +107,13 @@ func main() {
 		flag.Usage()
 		os.Exit(exitUsage)
 	}
-	tier, err := afdx.ParseNCAnalysis(*analysis)
-	if err != nil {
-		log.Print(err)
-		os.Exit(exitUsage)
+	var explainPath afdx.PathID
+	var err error
+	if *explain != "" {
+		if explainPath, err = parseExplain(*explain); err != nil {
+			log.Print(err)
+			os.Exit(exitUsage)
+		}
 	}
 	if sess, err = obsFlags.Start(); err != nil {
 		fail(exitUsage, err)
@@ -123,6 +126,11 @@ func main() {
 	net, err := afdx.LoadJSON(*config, mode)
 	if err != nil {
 		fail(exitUsage, err)
+	}
+	if *explain != "" {
+		if vl := net.VL(explainPath.VL); vl == nil || explainPath.PathIdx >= len(vl.Paths) {
+			fail(exitUsage, fmt.Errorf("bad -explain value %q: the configuration has no path %v", *explain, explainPath))
+		}
 	}
 	if !*noLint {
 		preflight(net, mode)
@@ -138,7 +146,6 @@ func main() {
 	trOpts.Grouping = !*noGrouping
 	ncOpts.Parallel = *parallelN
 	trOpts.Parallel = *parallelN
-	ncOpts.Analysis = tier
 
 	var (
 		ncDelays, trDelays map[afdx.PathID]float64
@@ -165,7 +172,7 @@ func main() {
 
 	paths := sortedPaths(net)
 
-	headers, rows, err := boundsTable(pg, paths, tier.String(), ncDelays, trDelays, *jitter)
+	headers, rows, err := boundsTable(pg, paths, ncDelays, trDelays, *jitter)
 	if err != nil {
 		fail(exitAnalysis, err)
 	}
@@ -182,27 +189,14 @@ func main() {
 	}
 
 	if *explain != "" {
-		var vl string
-		var idx int
-		if n, err := fmt.Sscanf(*explain, "%s", &vl); n != 1 || err != nil {
-			log.Printf("bad -explain value %q (want vl/pathIdx)", *explain)
-			sess.Exit(exitUsage)
-		}
-		if i := strings.LastIndex(*explain, "/"); i > 0 {
-			vl = (*explain)[:i]
-			fmt.Sscanf((*explain)[i+1:], "%d", &idx)
-		} else {
-			vl = *explain
-		}
-		pid := afdx.PathID{VL: vl, PathIdx: idx}
 		fmt.Println()
-		if ncEx, err := afdx.ExplainNC(pg, pid, ncOpts); err == nil {
+		if ncEx, err := afdx.ExplainNC(pg, explainPath, ncOpts); err == nil {
 			if err := ncEx.Render(os.Stdout); err != nil {
 				fail(exitAnalysis, err)
 			}
 			fmt.Println()
 		}
-		ex, err := afdx.ExplainTrajectory(pg, pid, trOpts)
+		ex, err := afdx.ExplainTrajectory(pg, explainPath, trOpts)
 		if err != nil {
 			fail(exitAnalysis, err)
 		}
@@ -263,6 +257,20 @@ func (m *multiFlag) Set(v string) error {
 	return nil
 }
 
+// parseExplain parses an -explain value: vl/pathIdx with a non-negative
+// decimal index, or a bare vl meaning path 0.
+func parseExplain(s string) (afdx.PathID, error) {
+	vl, idx := s, "0"
+	if i := strings.LastIndex(s, "/"); i >= 0 {
+		vl, idx = s[:i], s[i+1:]
+	}
+	n, err := strconv.Atoi(idx)
+	if vl == "" || err != nil || n < 0 {
+		return afdx.PathID{}, fmt.Errorf("bad -explain value %q (want vl/pathIdx, e.g. v1/0)", s)
+	}
+	return afdx.PathID{VL: vl, PathIdx: n}, nil
+}
+
 // sortedPaths returns every path in deterministic (VL, index) order.
 func sortedPaths(net *afdx.Network) []afdx.PathID {
 	paths := net.AllPaths()
@@ -276,12 +284,11 @@ func sortedPaths(net *afdx.Network) []afdx.PathID {
 }
 
 // boundsTable renders the per-path bounds table; either delay map may
-// be nil (single-method runs), dropping its columns. ncLabel names the
-// NC column after the selected analysis tier.
-func boundsTable(pg *afdx.PortGraph, paths []afdx.PathID, ncLabel string, ncDelays, trDelays map[afdx.PathID]float64, jitter bool) ([]string, [][]string, error) {
+// be nil (single-method runs), dropping its columns.
+func boundsTable(pg *afdx.PortGraph, paths []afdx.PathID, ncDelays, trDelays map[afdx.PathID]float64, jitter bool) ([]string, [][]string, error) {
 	headers := []string{"path"}
 	if ncDelays != nil {
-		headers = append(headers, ncLabel+" (us)")
+		headers = append(headers, "WCNC (us)")
 	}
 	if trDelays != nil {
 		headers = append(headers, "Trajectory (us)")
@@ -369,7 +376,7 @@ func runWhatIf(ctx context.Context, net *afdx.Network, mode afdx.ValidationMode,
 		}
 		fmt.Printf("\nwhat-if: %s\n", d)
 		pg := ws.PortGraph()
-		headers, rows, err := boundsTable(pg, sortedPaths(pg.Net), ncOpts.Analysis.String(), res.NC.PathDelays, res.Trajectory.PathDelays, jitter)
+		headers, rows, err := boundsTable(pg, sortedPaths(pg.Net), res.NC.PathDelays, res.Trajectory.PathDelays, jitter)
 		if err != nil {
 			fail(exitAnalysis, err)
 		}

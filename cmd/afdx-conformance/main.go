@@ -1,10 +1,10 @@
 // Command afdx-conformance runs the cross-engine conformance oracle: it
 // generates a family of synthetic AFDX configurations, checks the full
 // invariant lattice on each (simulated ≤ achievable ≤ analytic bounds,
-// combined = per-path minimum, grouping never loosens, the FIFO tier
-// equal to WCNC, contract tightening never loosens, parallel
-// runs bit-identical to sequential),
-// and shrinks every violation to a minimal reproducing configuration.
+// combined = per-path minimum, grouping never loosens, contract
+// tightening never loosens, parallel runs bit-identical to
+// sequential), and shrinks every violation to a minimal reproducing
+// configuration.
 //
 // Usage:
 //
@@ -60,7 +60,7 @@ func main() {
 		corpus    = flag.String("corpus", "", "directory receiving shrunk reproducing configurations (empty = don't write)")
 		jsonOut   = flag.Bool("json", false, "emit the full JSON report on stdout")
 		quiet     = flag.Bool("quiet", false, "suppress the per-violation lines (summary only)")
-		fault     = flag.String("fault", "", "inject an engine fault for oracle self-tests: nc-optimistic | traj-optimistic | fifo-optimistic")
+		fault     = flag.String("fault", "", "inject an engine fault for oracle self-tests: nc-optimistic | traj-optimistic")
 		incr      = flag.Bool("incremental", true, "route the oracle's reference runs through the incremental caches and check the incremental-parity tier")
 		served    = flag.Bool("served", false, "also check the served-parity tier: replay a seeded delta script through a live afdx-serve instance and compare against cold runs")
 	)
@@ -99,10 +99,8 @@ func main() {
 		opts.Oracle = conformance.FaultyOracle(conformance.FaultNCOptimistic)
 	case "traj-optimistic":
 		opts.Oracle = conformance.FaultyOracle(conformance.FaultTrajectoryOptimistic)
-	case "fifo-optimistic":
-		opts.Oracle = conformance.FaultyOracle(conformance.FaultFIFOOptimistic)
 	default:
-		log.Printf("unknown -fault %q (want nc-optimistic, traj-optimistic or fifo-optimistic)", *fault)
+		log.Printf("unknown -fault %q (want nc-optimistic or traj-optimistic)", *fault)
 		sess.Exit(exitUsage)
 	}
 

@@ -7,12 +7,12 @@
 //	afdx-experiments -exp table1    # one experiment
 //	afdx-experiments -list          # list experiment IDs
 //	afdx-experiments -seed 7        # different synthetic configuration
-//	afdx-experiments -analysis FIFO # tighter NC tier for the NC columns
 //
 // Both configurations the experiments analyse (the paper's Figure 2
 // sample and the seeded synthetic industrial network) are linted before
 // anything runs; lint errors abort with exit code 3 (bypass with
-// -no-lint), warnings go to stderr.
+// -no-lint), warnings go to stderr. An unknown flag or experiment ID is
+// a usage error (exit 2); a failing experiment exits 1.
 package main
 
 import (
@@ -38,15 +38,10 @@ func main() {
 		parallelN = flag.Int("parallel", 0, "analysis worker count (0 = all CPUs, 1 = sequential; tables are identical either way)")
 		list      = flag.Bool("list", false, "list experiment IDs and exit")
 		noLint    = flag.Bool("no-lint", false, "skip the lint pre-flight gate")
-		analysis  = flag.String("analysis", "WCNC", "NC analysis tier for the experiments' NC runs: WCNC | FIFO (the 'tiers' experiment runs both regardless)")
 	)
 	obsFlags := cliobs.Register(flag.CommandLine)
 	flag.Parse()
-	tier, err := afdx.ParseNCAnalysis(*analysis)
-	if err != nil {
-		log.Print(err)
-		os.Exit(2)
-	}
+	var err error
 	if sess, err = obsFlags.Start(); err != nil {
 		log.Print(err)
 		os.Exit(2)
@@ -61,7 +56,7 @@ func main() {
 	if !*noLint {
 		preflight(*seed)
 	}
-	cfg := experiments.Config{Seed: *seed, Parallel: *parallelN, Analysis: tier, Ctx: sess.Context()}
+	cfg := experiments.Config{Seed: *seed, Parallel: *parallelN, Ctx: sess.Context()}
 	run := func(e experiments.Experiment) {
 		fmt.Printf("=== %s: %s ===\n\n", e.ID, e.Title)
 		if err := e.Run(os.Stdout, cfg); err != nil {
@@ -79,7 +74,7 @@ func main() {
 	e, ok := experiments.ByID(*exp)
 	if !ok {
 		log.Printf("unknown experiment %q (use -list)", *exp)
-		sess.Exit(1)
+		sess.Exit(2)
 	}
 	run(e)
 	sess.Exit(0)

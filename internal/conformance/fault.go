@@ -20,11 +20,6 @@ const (
 	FaultNCOptimistic Fault = iota
 	// FaultTrajectoryOptimistic halves every Trajectory path bound.
 	FaultTrajectoryOptimistic
-	// FaultFIFOOptimistic quarters every path bound of the FIFO tier
-	// only — an unsoundly "tightened" refinement that simulation and the
-	// exact search beat. The tier-ordering invariant must expose it (the
-	// default pipeline is untouched, so no other invariant will).
-	FaultFIFOOptimistic
 )
 
 // FaultyOracle returns an oracle whose engines carry the given defect.
@@ -48,20 +43,6 @@ func FaultyOracle(f Fault) *Oracle {
 				halved.PathDelays[pid] = d / 2
 			}
 			return &halved, nil
-		}
-	case FaultFIFOOptimistic:
-		real := o.Engines.NC
-		o.Engines.NC = func(ctx context.Context, pg *afdx.PortGraph, opts netcalc.Options) (*netcalc.Result, error) {
-			r, err := real(ctx, pg, opts)
-			if err != nil || opts.Analysis != netcalc.AnalysisFIFO {
-				return r, err
-			}
-			scaled := *r
-			scaled.PathDelays = map[afdx.PathID]float64{}
-			for pid, d := range r.PathDelays {
-				scaled.PathDelays[pid] = d / 4
-			}
-			return &scaled, nil
 		}
 	case FaultTrajectoryOptimistic:
 		real := o.Engines.Trajectory

@@ -88,10 +88,6 @@ const (
 	// cold engine runs on the replayed configurations, at worker counts
 	// 1 and ParityWorkers.
 	InvServedParity Invariant = "served-parity"
-	// InvTierOrdering: the NC analysis tiers agree — the FIFO tier's
-	// path bounds equal WCNC's bitwise — and simulation and the exact
-	// search stay below the FIFO tier, which keeps parallel parity.
-	InvTierOrdering Invariant = "tier-ordering"
 )
 
 // Violation is one failed invariant on one configuration.
@@ -242,11 +238,7 @@ func (o *Oracle) CheckCtx(ctx context.Context, net *afdx.Network) ([]Violation, 
 	doGrouping := want(InvGroupingTightens)
 	doCombined := want(InvCombinedMin)
 	doDeterminism := want(InvParallelParity, InvRepeatability)
-	doTiers := want(InvTierOrdering)
-	// The tier leg's behavioural half (sim/exact vs the FIFO tier)
-	// reports under InvTierOrdering, so a tier-ordering shrink re-runs
-	// the behavioural tier too.
-	doBehaviour := want(InvSimVsNC, InvSimVsTrajectory, InvSimVsExact, InvExactVsBounds, InvTierOrdering)
+	doBehaviour := want(InvSimVsNC, InvSimVsTrajectory, InvSimVsExact, InvExactVsBounds)
 	doMeta := !o.SkipMetamorphic && want(InvMonotoneBAG, InvMonotoneSMax)
 	doIncr := o.Incremental && !o.SkipMetamorphic && want(InvIncrementalParity)
 	doServed := o.Served && !o.SkipMetamorphic && want(InvServedParity)
@@ -271,9 +263,9 @@ func (o *Oracle) CheckCtx(ctx context.Context, net *afdx.Network) ([]Violation, 
 			return trajectory.AnalyzeWithCacheCtx(ctx, pg, opts, pool.trCache(opts))
 		}
 	}
-	var ncG, ncU, ncF *netcalc.Result
+	var ncG, ncU *netcalc.Result
 	var trG, trU *trajectory.Result
-	if doGrouping || doCombined || doDeterminism || doBehaviour || doMeta || doTiers {
+	if doGrouping || doCombined || doDeterminism || doBehaviour || doMeta {
 		if ncG, err = runNC(ctx, pg, netcalc.Options{Grouping: true, Parallel: 1}); err != nil {
 			return nil, fmt.Errorf("conformance: netcalc (grouped): %w", err)
 		}
@@ -281,11 +273,6 @@ func (o *Oracle) CheckCtx(ctx context.Context, net *afdx.Network) ([]Violation, 
 	if doGrouping {
 		if ncU, err = runNC(ctx, pg, netcalc.Options{Grouping: false, Parallel: 1}); err != nil {
 			return nil, fmt.Errorf("conformance: netcalc (ungrouped): %w", err)
-		}
-	}
-	if doTiers {
-		if ncF, err = runNC(ctx, pg, fifoOptions(1)); err != nil {
-			return nil, fmt.Errorf("conformance: netcalc (FIFO tier): %w", err)
 		}
 	}
 	if doGrouping || doCombined || doDeterminism {
@@ -339,11 +326,6 @@ func (o *Oracle) CheckCtx(ctx context.Context, net *afdx.Network) ([]Violation, 
 		}
 	}
 
-	// Cross-tier ordering and FIFO-tier parity.
-	if doTiers {
-		vs = append(vs, o.checkTiers(ctx, pg, ncG, ncF)...)
-	}
-
 	// Parallel parity and repeatability: bit-identical results across
 	// worker counts and across repeated runs.
 	if doDeterminism {
@@ -351,11 +333,9 @@ func (o *Oracle) CheckCtx(ctx context.Context, net *afdx.Network) ([]Violation, 
 	}
 
 	// Behavioural tier: simulation (pinned and randomized offsets) and,
-	// on small configurations, the exact offset search. ncF (the FIFO
-	// tier, nil when the tier leg is off) tightens the chain: observed
-	// and achievable delays must stay below even the FIFO tier.
+	// on small configurations, the exact offset search.
 	if doBehaviour {
-		vs = append(vs, o.checkBehaviour(ctx, pg, ncG, trU, ncF)...)
+		vs = append(vs, o.checkBehaviour(ctx, pg, ncG, trU)...)
 	}
 
 	// Metamorphic tier: tightening a contract never loosens any bound.
@@ -459,11 +439,7 @@ func diffPathDelays(inv Invariant, engine string, a, b map[afdx.PathID]float64) 
 
 // checkBehaviour runs the simulator (and on small configurations the
 // exact search) and asserts the observed ≤ achievable ≤ bound chain.
-// With ncF set (the FIFO tier's sequential run), observed and exact
-// delays are additionally held below the FIFO tier — reported under
-// InvTierOrdering, since an unsound refinement is a tier bug, not a
-// default-pipeline one.
-func (o *Oracle) checkBehaviour(ctx context.Context, pg *afdx.PortGraph, ncG *netcalc.Result, trU *trajectory.Result, ncF *netcalc.Result) []Violation {
+func (o *Oracle) checkBehaviour(ctx context.Context, pg *afdx.PortGraph, ncG *netcalc.Result, trU *trajectory.Result) []Violation {
 	var vs []Violation
 	maxBag := 0.0
 	for _, v := range pg.Net.VLs {
@@ -484,10 +460,6 @@ func (o *Oracle) checkBehaviour(ctx context.Context, pg *afdx.PortGraph, ncG *ne
 			}
 			if !leq(st.MaxDelayUs, trU.PathDelays[pid]) {
 				vs = append(vs, Violation{InvSimVsTrajectory, pid, st.MaxDelayUs, trU.PathDelays[pid], label})
-			}
-			if ncF != nil && !leq(st.MaxDelayUs, ncF.PathDelays[pid]) {
-				vs = append(vs, Violation{InvTierOrdering, pid, st.MaxDelayUs, ncF.PathDelays[pid],
-					label + ": observed delay beat the FIFO tier"})
 			}
 		}
 	}
@@ -543,10 +515,6 @@ func (o *Oracle) checkBehaviour(ctx context.Context, pg *afdx.PortGraph, ncG *ne
 	for _, pid := range sortedPathKeys(ex.Delays) {
 		if d := ex.Delays[pid]; !leq(d, bound(pid)) {
 			vs = append(vs, Violation{InvExactVsBounds, pid, d, bound(pid), "exact search beat the analytic bounds"})
-		}
-		if d := ex.Delays[pid]; ncF != nil && !leq(d, ncF.PathDelays[pid]) {
-			vs = append(vs, Violation{InvTierOrdering, pid, d, ncF.PathDelays[pid],
-				"exact search beat the FIFO tier"})
 		}
 	}
 	for _, pid := range sortedPathKeys(pinnedRes.Paths) {

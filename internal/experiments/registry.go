@@ -21,10 +21,6 @@ type Config struct {
 	// the engines' determinism contract makes every worker count
 	// produce bit-identical tables.
 	Parallel int
-	// Analysis selects the Network Calculus tier every experiment's NC
-	// runs use (zero value = WCNC, the paper's default; the "tiers"
-	// experiment always runs both tiers regardless).
-	Analysis netcalc.Analysis
 	// Ctx, when non-nil, carries the observability registry and tracer
 	// (see internal/obs) into the engine runs. Nil means background:
 	// no metrics, no spans, same results.
@@ -45,7 +41,6 @@ func (cfg Config) context() context.Context {
 func (cfg Config) engineOptions() (netcalc.Options, trajectory.Options) {
 	ncOpts, trOpts := netcalc.DefaultOptions(), trajectory.DefaultOptions()
 	ncOpts.Parallel, trOpts.Parallel = cfg.Parallel, cfg.Parallel
-	ncOpts.Analysis = cfg.Analysis
 	return ncOpts, trOpts
 }
 
@@ -69,7 +64,6 @@ func All() []Experiment {
 		{"fig9", "Figure 9: WCNC - Trajectory difference over (BAG, s_max)", runFig9},
 		{"simcheck", "Soundness: analytic bounds vs simulated delays", runSimCheck},
 		{"ablation", "Ablation: every design knob on the sample configuration", runAblation},
-		{"tiers", "Tightness vs cost: the WCNC and FIFO NC tiers on the industrial network", runTiers},
 		{"pessimism", "Pessimism: achievable worst cases (offset search) vs bounds", runPessimism},
 		{"priority", "Extension: two-level static-priority bounds vs FIFO", runPriority},
 		{"robustness", "Robustness: Table I statistics across generator seeds", runRobustness},

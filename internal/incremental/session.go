@@ -73,9 +73,8 @@ type Session struct {
 // NewSession clones net (later deltas never touch the caller's value),
 // validates it by building the port graph, and wires the engine caches.
 // When the session's NC options match the trajectory engine's internal
-// prefix run (netcalc defaults, any Parallel, either tier), both
-// analyses share one per-port cache and the prefix run of Analyze is a
-// pure cache hit.
+// prefix run (netcalc defaults, any Parallel), both analyses share one
+// per-port cache and the prefix run of Analyze is a pure cache hit.
 func NewSession(net *afdx.Network, opts Options) (*Session, error) {
 	clone := net.Clone()
 	pg, err := afdx.BuildPortGraph(clone, opts.Mode)
@@ -85,7 +84,7 @@ func NewSession(net *afdx.Network, opts Options) (*Session, error) {
 	tr := trajectory.NewCache(opts.Trajectory)
 	nc := netcalc.NewCache(opts.NC)
 	norm := opts.NC
-	norm.Parallel, norm.Analysis = 0, netcalc.AnalysisWCNC
+	norm.Parallel = 0
 	if norm == netcalc.DefaultOptions() {
 		nc = tr.PrefixNCCache()
 	} else {
@@ -161,23 +160,7 @@ func (s *Session) Analyze(ctx context.Context) (*Result, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	return s.AnalyzeTier(ctx, s.opts.NC.Analysis)
-}
-
-// AnalyzeTier is Analyze with the NC analysis tier overridden for this
-// round only: the NC engine runs under the session's options with
-// Analysis swapped to tier. The tier is result-neutral (netcalc
-// computes one bound for both), so every tier runs through the one NC
-// cache, and the trajectory engine's prefix run after it is a memo hit
-// whenever the session's NC options are the defaults. Bounds are
-// bit-identical to a cold run at the same tier.
-func (s *Session) AnalyzeTier(ctx context.Context, tier netcalc.Analysis) (*Result, error) {
-	if s.closed {
-		return nil, ErrClosed
-	}
-	ncOpts := s.opts.NC
-	ncOpts.Analysis = tier
-	nc, err := netcalc.AnalyzeWithCacheCtx(ctx, s.pg, ncOpts, s.nc)
+	nc, err := netcalc.AnalyzeWithCacheCtx(ctx, s.pg, s.opts.NC, s.nc)
 	if err != nil {
 		return nil, fmt.Errorf("incremental: network calculus analysis: %w", err)
 	}
@@ -202,15 +185,6 @@ func (s *Session) WhatIf(ctx context.Context, deltas ...Delta) (*Result, error) 
 	return s.Analyze(ctx)
 }
 
-// WhatIfTier is WhatIf with the NC analysis tier overridden for this
-// round.
-func (s *Session) WhatIfTier(ctx context.Context, tier netcalc.Analysis, deltas ...Delta) (*Result, error) {
-	if err := s.Apply(deltas...); err != nil {
-		return nil, err
-	}
-	return s.AnalyzeTier(ctx, tier)
-}
-
 // Peek is WhatIf without the commit: the deltas are applied, the
 // mutated configuration analysed through the session's caches, and the
 // session's configuration restored — the next Analyze sees the state
@@ -219,19 +193,11 @@ func (s *Session) WhatIfTier(ctx context.Context, tier netcalc.Analysis, deltas 
 // apply/restore alternation cheap), so peeking never degrades later
 // rounds. The serving layer's /whatif endpoint is this call.
 func (s *Session) Peek(ctx context.Context, deltas ...Delta) (*Result, error) {
-	return s.PeekTier(ctx, s.opts.NC.Analysis, deltas...)
-}
-
-// PeekTier is Peek with the NC analysis tier overridden for this round.
-func (s *Session) PeekTier(ctx context.Context, tier netcalc.Analysis, deltas ...Delta) (*Result, error) {
-	if s.closed {
-		return nil, ErrClosed
-	}
 	savedNet, savedPG := s.net, s.pg
 	if err := s.Apply(deltas...); err != nil {
 		return nil, err
 	}
-	res, err := s.AnalyzeTier(ctx, tier)
+	res, err := s.Analyze(ctx)
 	s.net, s.pg = savedNet, savedPG
 	return res, err
 }

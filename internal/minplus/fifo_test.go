@@ -182,9 +182,9 @@ func randomService(r *rand.Rand, load float64) (Curve, error) {
 	return SubPos(RateLatency(rate+higher, latency), LeakyBucket(r.Float64()*20000, higher))
 }
 
-// The FIFO tier's exactness claim (DESIGN.md §14.1), checked densely:
-// for 64 theta points in [0, 2D] the per-flow bound through the FIFO
-// residual service is never below the aggregate bound
+// Why a FIFO request gets the WCNC bound (DESIGN.md §14.1), checked
+// densely: for 64 theta points in [0, 2D] the per-flow bound through
+// the FIFO residual service is never below the aggregate bound
 // D = h(alpha_i+alpha_c, beta), and theta* = D attains it. No theta
 // candidate set, however fine, can tighten the WCNC level bound.
 func TestFIFOResidualDenseThetaMinimumIsAggregateBound(t *testing.T) {

@@ -2,41 +2,14 @@ package netcalc
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"afdx/internal/afdx"
-	"afdx/internal/configgen"
 	"afdx/internal/minplus"
 )
-
-func TestParseAnalysis(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Analysis
-	}{
-		{"WCNC", AnalysisWCNC}, {"wcnc", AnalysisWCNC}, {" Wcnc ", AnalysisWCNC},
-		{"FIFO", AnalysisFIFO}, {"fifo", AnalysisFIFO},
-	} {
-		got, err := ParseAnalysis(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseAnalysis(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	// TFA is no tier (its separated bound is Grouping=false,
-	// StairSteps=0), and neither is a comma list.
-	for _, bad := range []string{"", "TFA", "tfa", "SFA", "PMOO", "wcnc,fifo"} {
-		if _, err := ParseAnalysis(bad); err == nil {
-			t.Errorf("ParseAnalysis(%q) unexpectedly succeeded", bad)
-		}
-	}
-	if got := AnalysisFIFO.String(); got != "FIFO" {
-		t.Errorf("AnalysisFIFO.String() = %q", got)
-	}
-}
 
 // Regression for the RateLatency(1e12, delay) pure-delay stand-in: the
 // Deconvolution ablation must equal classical burst inflation exactly
@@ -114,15 +87,9 @@ func TestAnalyzePortRequiresPrecomputedBeta(t *testing.T) {
 	}
 }
 
-func tierOpts(a Analysis) Options {
-	o := DefaultOptions()
-	o.Analysis = a
-	return o
-}
-
-// The ladder on the hand-checkable configurations: WCNC is never
-// looser than the separated analysis (grouping and staircases off)
-// that stays reachable through the Grouping knob.
+// On the hand-checkable configurations the paper's WCNC (grouped) is
+// never looser than the separated analysis (grouping and staircases
+// off).
 func TestTierOrderingOnSampleConfigs(t *testing.T) {
 	for _, cfg := range []struct {
 		name string
@@ -139,7 +106,7 @@ func TestTierOrderingOnSampleConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s separated: %v", cfg.name, err)
 		}
-		wcnc, err := Analyze(pg, tierOpts(AnalysisWCNC))
+		wcnc, err := Analyze(pg, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s WCNC: %v", cfg.name, err)
 		}
@@ -153,143 +120,33 @@ func TestTierOrderingOnSampleConfigs(t *testing.T) {
 	}
 }
 
-// The FIFO tier's exact theta-minimum is the WCNC level bound (DESIGN.md
-// §14.1), so the two tiers agree bit for bit — every output map, on
-// single- and two-level configurations, grouped, staircase-refined and
-// separated. The old 5-point theta grid "beat" WCNC here only by float
-// rounding (at most 1.8e-11 us).
-func TestFIFOTierEqualsWCNC(t *testing.T) {
-	industrial, err := configgen.Generate(configgen.DefaultSpec(1))
+// Per-flow delay terms: present for every (VL, port) incidence, equal
+// to the priority-level bound, and path bounds are exactly their sums.
+func TestFlowDelaysPerTier(t *testing.T) {
+	pg := figure2Graph(t)
+	res, err := Analyze(pg, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []struct {
-		name string
-		net  *afdx.Network
-	}{
-		{"figure1", afdx.Figure1Config()},
-		{"figure2", afdx.Figure2Config()},
-		{"figure2-priority", priorityConfig()},
-		{"configgen-1", industrial},
-	} {
-		pg, err := afdx.BuildPortGraph(cfg.net, afdx.Strict)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, base := range []Options{{Grouping: true}, {Grouping: true, StairSteps: 4}, {}} {
-			label := fmt.Sprintf("%s %+v", cfg.name, base)
-			var res [2]*Result
-			var errs [2]error
-			for i, a := range []Analysis{AnalysisWCNC, AnalysisFIFO} {
-				o := base
-				o.Analysis = a
-				res[i], errs[i] = Analyze(pg, o)
+	for _, id := range pg.Order {
+		port := pg.Ports[id]
+		for _, f := range port.Flows {
+			fd, ok := res.FlowDelays[FlowPortKey{f.VL.ID, id}]
+			if !ok {
+				t.Fatalf("missing FlowDelays entry for %s at %v", f.VL.ID, id)
 			}
-			// Staircase envelopes on a two-level port are not concave, so
-			// the lower level's residual service is rejected; that
-			// rejection too must be the same on both tiers.
-			if fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
-				t.Errorf("%s: WCNC error %v, FIFO error %v", label, errs[0], errs[1])
-			}
-			if errs[0] != nil || errs[1] != nil {
-				continue
-			}
-			w, f := res[0], res[1]
-			for _, m := range []struct {
-				name       string
-				wcnc, fifo any
-			}{
-				{"PathDelays", w.PathDelays, f.PathDelays},
-				{"FlowDelays", w.FlowDelays, f.FlowDelays},
-				{"Bursts", w.Bursts, f.Bursts},
-				{"PrefixDelays", w.PrefixDelays, f.PrefixDelays},
-				{"Ports", w.Ports, f.Ports},
-			} {
-				if !reflect.DeepEqual(m.wcnc, m.fifo) {
-					t.Errorf("%s: %s differ between the FIFO and WCNC tiers", label, m.name)
-				}
+			if lvl := res.Ports[id].DelayByPriority[f.VL.Priority]; fd != lvl {
+				t.Errorf("flow %s at %v: %g != level bound %g", f.VL.ID, id, fd, lvl)
 			}
 		}
 	}
-}
-
-// Per-flow delay terms: present for every (VL, port) incidence, equal
-// to the priority-level bound on both tiers, and path bounds are
-// exactly their sums.
-func TestFlowDelaysPerTier(t *testing.T) {
-	pg := figure2Graph(t)
-	for _, a := range []Analysis{AnalysisWCNC, AnalysisFIFO} {
-		res, err := Analyze(pg, tierOpts(a))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range pg.Order {
-			port := pg.Ports[id]
-			for _, f := range port.Flows {
-				fd, ok := res.FlowDelays[FlowPortKey{f.VL.ID, id}]
-				if !ok {
-					t.Fatalf("%v: missing FlowDelays entry for %s at %v", a, f.VL.ID, id)
-				}
-				if lvl := res.Ports[id].DelayByPriority[f.VL.Priority]; fd != lvl {
-					t.Errorf("%v: flow %s at %v: %g != level bound %g", a, f.VL.ID, id, fd, lvl)
-				}
-			}
-		}
-		for _, pid := range pg.Net.AllPaths() {
-			sum := 0.0
-			for _, portID := range pg.PathPorts(pid) {
-				sum += res.FlowDelays[FlowPortKey{pid.VL, portID}]
-			}
-			if sum != res.PathDelays[pid] {
-				t.Errorf("%v: path %v: flow-delay sum %g != path bound %g", a, pid, sum, res.PathDelays[pid])
-			}
-		}
-	}
-}
-
-// A warm cache alternating WCNC -> FIFO -> WCNC (the tier is
-// result-neutral, so one cache serves both) answers every round
-// bit-identical to a cold run of the same tier.
-func TestCacheTierAlternationABA(t *testing.T) {
-	pg := figure2Graph(t)
-	c := NewCache(DefaultOptions())
-	for step, a := range []Analysis{AnalysisWCNC, AnalysisFIFO, AnalysisWCNC, AnalysisFIFO, AnalysisWCNC} {
-		opts := tierOpts(a)
-		warm, err := AnalyzeWithCache(pg, opts, c)
-		if err != nil {
-			t.Fatalf("step %d (%v): %v", step, a, err)
-		}
-		cold, err := Analyze(pg, opts)
-		if err != nil {
-			t.Fatalf("step %d (%v) cold: %v", step, a, err)
-		}
-		if !reflect.DeepEqual(warm.PathDelays, cold.PathDelays) {
-			t.Fatalf("step %d (%v): warm path delays diverge from cold (stale-tier bound served)", step, a)
-		}
-		if !reflect.DeepEqual(warm.FlowDelays, cold.FlowDelays) {
-			t.Fatalf("step %d (%v): warm flow delays diverge from cold", step, a)
-		}
-		if !reflect.DeepEqual(warm.Bursts, cold.Bursts) {
-			t.Fatalf("step %d (%v): warm bursts diverge from cold", step, a)
-		}
-	}
-}
-
-// The FIFO explanation still sums to the path bound (per-flow terms).
-func TestExplainSumsPerTier(t *testing.T) {
-	pg := figure2Graph(t)
-	pid := afdx.PathID{VL: "v1", PathIdx: 0}
-	for _, a := range []Analysis{AnalysisWCNC, AnalysisFIFO} {
-		ex, err := Explain(pg, pid, tierOpts(a))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, pid := range pg.Net.AllPaths() {
 		sum := 0.0
-		for _, p := range ex.Ports {
-			sum += p.DelayUs
+		for _, portID := range pg.PathPorts(pid) {
+			sum += res.FlowDelays[FlowPortKey{pid.VL, portID}]
 		}
-		if !almostEq(sum, ex.DelayUs) {
-			t.Errorf("%v: per-port terms sum to %g, path bound %g", a, sum, ex.DelayUs)
+		if sum != res.PathDelays[pid] {
+			t.Errorf("path %v: flow-delay sum %g != path bound %g", pid, sum, res.PathDelays[pid])
 		}
 	}
 }

@@ -19,7 +19,7 @@ type PathExplanation struct {
 type PortTerm struct {
 	Port afdx.PortID
 	// DelayUs is the port's delay bound for this flow: its priority
-	// level's bound, or the per-flow refinement under the FIFO tier.
+	// level's bound.
 	DelayUs float64
 	// LatencyUs, Utilization and NumFlows describe the port.
 	LatencyUs   float64

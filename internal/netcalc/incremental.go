@@ -44,9 +44,9 @@ import (
 // other results of the same session; callers must treat Results as
 // read-only, which every engine consumer already does.
 //
-// A Cache is bound to one set of engine options (Parallel and Analysis
-// excluded — neither changes results) and must not be shared across
-// goroutines: the incremental layer drives it from one session loop.
+// A Cache is bound to one set of engine options (Parallel excluded — it
+// never changes results) and must not be shared across goroutines: the
+// incremental layer drives it from one session loop.
 type Cache struct {
 	opts  Options
 	bound bool
@@ -62,10 +62,10 @@ type Cache struct {
 	// options ⇒ bit-identical result, so analyzeWith returns lastRes
 	// without touching the port entries. One oracle candidate triggers
 	// the same NC analysis up to three times (the direct run plus each
-	// trajectory engine's prefix run), and a served FIFO round triggers
-	// it twice (the tier's run plus the prefix run); this memo collapses
-	// the repeats to pure pointer returns. The returned Result's Opts
-	// are those of the run that computed it.
+	// trajectory engine's prefix run), and a session round twice (its
+	// NC run plus the trajectory prefix run); this memo collapses the
+	// repeats to pure pointer returns. The returned Result's Opts are
+	// those of the run that computed it.
 	lastPG  *afdx.PortGraph
 	lastRes *Result
 }
@@ -135,15 +135,11 @@ func NewCache(opts Options) *Cache {
 // options, so sharing cannot change any cache decision.
 func (c *Cache) ShareGraphMemo(donor *Cache) { c.sig = donor.sig }
 
-// normalizeOpts strips the fields that cannot change results: the
-// worker count and the analysis tier (both tiers compute the same
-// bound, DESIGN.md §14.1). Every other Options field stays in the
-// cache's identity: ensureOpts compares whole normalized Options
-// values, so a warm session alternating tiers keeps one warm cache
-// instead of two (the A/B/A tier-alternation tests pin warm == cold).
+// normalizeOpts strips the one field that cannot change results, the
+// worker count. Every other Options field stays in the cache's
+// identity: ensureOpts compares whole normalized Options values.
 func normalizeOpts(opts Options) Options {
 	opts.Parallel = 0
-	opts.Analysis = AnalysisWCNC
 	return opts
 }
 
@@ -333,20 +329,6 @@ func flowNexts(pg *afdx.PortGraph) map[FlowPortKey]string {
 	return out
 }
 
-// PortSignatures returns the fingerprint of every port of the graph.
-// The trajectory engine's path-level cache consumes this: a cached
-// path stays valid only while the signature of every crossed port is
-// unchanged (see trajectory.Cache).
-func PortSignatures(pg *afdx.PortGraph) map[afdx.PortID]string {
-	nexts := flowNexts(pg)
-	out := make(map[afdx.PortID]string, len(pg.Ports))
-	var buf []byte
-	for id := range pg.Ports {
-		out[id], buf = portSignature(pg, id, nexts, buf)
-	}
-	return out
-}
-
 // signatures returns the per-port fingerprints and per-flow fan-out
 // encoding of pg, memoized per graph. Signatures depend only on the
 // graph, never on options, so the memo survives ensureOpts rebinding —
@@ -367,8 +349,11 @@ func (c *Cache) signatures(pg *afdx.PortGraph) (map[afdx.PortID]string, map[Flow
 	return m.vals, m.nexts
 }
 
-// SignaturesFor is PortSignatures through the cache's per-graph memo.
-// The trajectory cache reads port signatures through its nested prefix
+// SignaturesFor returns the fingerprint of every port of the graph,
+// through the cache's per-graph memo. The trajectory engine's
+// path-level cache consumes it: a cached path stays valid only while
+// the signature of every crossed port is unchanged (see
+// trajectory.Cache). It reads the signatures through its nested prefix
 // cache so one rendering serves both engines; callers must treat the
 // returned map as read-only.
 func (c *Cache) SignaturesFor(pg *afdx.PortGraph) map[afdx.PortID]string {

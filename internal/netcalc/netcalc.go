@@ -36,11 +36,6 @@ type Options struct {
 	// of the classical burst inflation b <- b + rho*D. This is an
 	// ablation knob; the paper's tool uses burst inflation.
 	Deconvolution bool
-	// Analysis names the requested tier (see the Analysis type). Both
-	// tiers compute the same bound, so the field is result-neutral: the
-	// engine does not read it and the incremental cache leaves it out of
-	// its identity (normalizeOpts), like Parallel.
-	Analysis Analysis
 	// StairSteps, when positive, replaces each flow's leaky-bucket
 	// envelope with its exact staircase arrival curve (shifted by the
 	// accumulated upstream delay bound), truncated to that many exact
@@ -97,8 +92,8 @@ type Result struct {
 	PathDelays map[afdx.PathID]float64
 	// FlowDelays maps every (VL, port) incidence to the delay bound the
 	// flow experiences at that port: its priority-level bound
-	// (DelayByPriority) on either tier. Path bounds are the sums of these
-	// terms along the crossed ports.
+	// (DelayByPriority). Path bounds are the sums of these terms along
+	// the crossed ports.
 	FlowDelays map[FlowPortKey]float64
 	// PrefixDelays maps (VL, port) to an upper bound on the time between
 	// the frame's emission and its arrival at that port (the sum of the
@@ -544,9 +539,10 @@ func analyzePort(rn *ncRun, id afdx.PortID) (*portOutcome, error) {
 	}
 
 	// Propagate each flow's envelope to its next port(s) using its
-	// priority level's bound at this port, which is also the FIFO tier's
-	// exact per-flow bound (DESIGN.md §14.1). The per-flow terms are
-	// published to FlowDelays — path bounds sum them.
+	// priority level's bound at this port, which is also the exact
+	// theta-minimum of the per-flow FIFO residual bound (DESIGN.md
+	// §14.1). The per-flow terms are published to FlowDelays — path
+	// bounds sum them.
 	for _, f := range port.Flows {
 		key := FlowPortKey{f.VL.ID, id}
 		delay := delayByPrio[f.VL.Priority]

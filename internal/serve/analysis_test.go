@@ -3,16 +3,15 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
-
-	"afdx/internal/netcalc"
 )
 
-// TestServedTierLadder drives one session through both tiers on the
-// same committed configuration and checks the served responses carry
-// the tier name, agree exactly (FIFO == WCNC) on every path's NC
-// figure, and anchor bit-identically against cold runs of their own
-// tier.
+// TestServedTierLadder peeks one delta under every accepted ?analysis=
+// spelling on the same committed state: each answer echoes the
+// canonical name, carries the default answer's paths bit for bit (the
+// engine computes one bound for WCNC and FIFO), and anchors against
+// the one cold run.
 func TestServedTierLadder(t *testing.T) {
 	_, ts := newTestServer(t, testOptions())
 	net := testNet(t, 11, 16)
@@ -28,47 +27,33 @@ func TestServedTierLadder(t *testing.T) {
 		t.Errorf("base round analysis = %q, want WCNC default", base.Analysis)
 	}
 
-	// Peek the same tightening delta under each tier; the session's
-	// committed state never changes, so both answers describe one
-	// configuration.
 	delta := tightenDelta(net.VLs[0])
 	body, _ := json.Marshal(DeltaRequest{Deltas: []string{delta}})
-	tiers := []netcalc.Analysis{netcalc.AnalysisWCNC, netcalc.AnalysisFIFO}
-	byTier := map[string]*AnalysisResponse{}
-	for _, tier := range tiers {
-		var resp AnalysisResponse
-		url := ts.URL + "/v1/sessions/" + base.Session + "/whatif?analysis=" + tier.String()
-		if err := postJSON(ts.Client(), url, body, &resp); err != nil {
-			t.Fatalf("%v: %v", tier, err)
-		}
-		if resp.Analysis != tier.String() {
-			t.Errorf("%v: response analysis = %q", tier, resp.Analysis)
-		}
-		byTier[tier.String()] = &resp
-	}
-	wcnc, fifo := byTier["WCNC"], byTier["FIFO"]
-	if len(wcnc.Paths) == 0 || len(wcnc.Paths) != len(fifo.Paths) {
-		t.Fatalf("path count mismatch across tiers: %d/%d", len(wcnc.Paths), len(fifo.Paths))
-	}
-	for i := range wcnc.Paths {
-		pw, pf := wcnc.Paths[i], fifo.Paths[i]
-		if pw.Path != pf.Path {
-			t.Fatalf("path order diverged across tiers at %d", i)
-		}
-		if pf.NCUs != pw.NCUs {
-			t.Errorf("%s: FIFO %v differs from WCNC %v", pf.Path, pf.NCUs, pw.NCUs)
-		}
-	}
-
-	// Each tier's served round anchors exactly against a cold run at
-	// that tier (the recorded Analysis field drives the anchor).
 	sc := &Script{Net: net.Clone(), Base: &base}
-	for _, tier := range tiers {
-		sc.Steps = append(sc.Steps, Step{
-			Deltas:   []string{delta},
-			Analysis: tier.String(),
-			Response: byTier[tier.String()],
-		})
+	var dflt *AnalysisResponse
+	for _, tc := range []struct{ param, echo string }{
+		{"", "WCNC"}, {"WCNC", "WCNC"}, {"FIFO", "FIFO"}, {"fifo", "FIFO"},
+	} {
+		url := ts.URL + "/v1/sessions/" + base.Session + "/whatif"
+		if tc.param != "" {
+			url += "?analysis=" + tc.param
+		}
+		resp := &AnalysisResponse{}
+		if err := postJSON(ts.Client(), url, body, resp); err != nil {
+			t.Fatalf("analysis=%q: %v", tc.param, err)
+		}
+		if resp.Analysis != tc.echo {
+			t.Errorf("analysis=%q: response analysis = %q, want %q", tc.param, resp.Analysis, tc.echo)
+		}
+		if dflt == nil {
+			dflt = resp
+			if len(dflt.Paths) == 0 {
+				t.Fatal("default answer carries no paths")
+			}
+		} else if !reflect.DeepEqual(resp.Paths, dflt.Paths) {
+			t.Errorf("analysis=%q: paths differ from the default answer", tc.param)
+		}
+		sc.Steps = append(sc.Steps, Step{Deltas: []string{delta}, Analysis: tc.param, Response: resp})
 	}
 	mm, err := sc.VerifyCold(context.Background(), testOptions().Mode, 1)
 	if err != nil {
@@ -79,7 +64,7 @@ func TestServedTierLadder(t *testing.T) {
 	}
 }
 
-// TestServedTierProvenance pins the provenance record's tier field.
+// TestServedTierProvenance pins the provenance record's analysis echo.
 func TestServedTierProvenance(t *testing.T) {
 	_, ts := newTestServer(t, testOptions())
 	net := testNet(t, 13, 8)

@@ -58,9 +58,8 @@ const (
 	// CodeUnknownTrace marks a /v1/trace/{id} lookup for a trace that
 	// was never retained or has been evicted from the ring. HTTP 404.
 	CodeUnknownTrace diag.Code = "SRV012"
-	// CodeUnknownAnalysis marks an ?analysis= value naming no NC tier;
-	// the shared netcalc parser produces the message, so the served
-	// vocabulary matches the CLIs' -analysis flag exactly. HTTP 400.
+	// CodeUnknownAnalysis marks an ?analysis= value other than WCNC or
+	// FIFO (any case). HTTP 400.
 	CodeUnknownAnalysis diag.Code = "SRV013"
 )
 
@@ -94,17 +93,18 @@ type PathBound struct {
 
 // AnalysisResponse is one analysis round: the session, a per-session
 // round number, whether the deltas were committed (apply) or peeked
-// (whatif), the NC analysis tier the round ran under, and every path's
-// bounds in (VL, path index) order. Provenance is present only when
+// (whatif), the echoed ?analysis= name, and every path's bounds in
+// (VL, path index) order. Provenance is present only when
 // the request asked for it (?provenance=1).
 type AnalysisResponse struct {
 	Session   string   `json:"session"`
 	Seq       int      `json:"seq"`
 	Committed bool     `json:"committed"`
 	Deltas    []string `json:"deltas,omitempty"`
-	// Analysis names the NC tier ("WCNC" or "FIFO") this round's
-	// ncUs/bestUs/minUs figures were computed under (?analysis=,
-	// default WCNC). Cold verification replays the same tier.
+	// Analysis echoes the request's ?analysis= name in canonical form
+	// ("WCNC", the default, or "FIFO"). Both names get the same
+	// bounds: the FIFO residual bound minimised exactly over theta is
+	// the WCNC bound (DESIGN.md §14.1).
 	Analysis   string      `json:"analysis"`
 	Paths      []PathBound `json:"paths"`
 	Provenance *Provenance `json:"provenance,omitempty"`
@@ -125,8 +125,7 @@ type Provenance struct {
 	// Engines names the bound producers ("netcalc+trajectory": both
 	// engines run and the per-path best is served).
 	Engines string `json:"engines"`
-	// Analysis names the NC tier the round's bounds were computed
-	// under ("WCNC" or "FIFO").
+	// Analysis echoes the round's ?analysis= name ("WCNC" or "FIFO").
 	Analysis string `json:"analysis"`
 	// TrajectoryPath is the trajectory evaluation variant ("flat":
 	// the flattened hot path; the reference walker exists only for

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"afdx/internal/incremental"
-	"afdx/internal/netcalc"
 	"afdx/internal/obs"
 	"afdx/internal/obs/oplog"
 	"afdx/internal/parallel"
@@ -198,7 +197,7 @@ func wantsPrometheus(r *http.Request) bool {
 // batch applied to a scratch clone, mirroring VerifyCold's
 // reconstruction. Counters are read from a snapshot (never registered
 // here) so requesting provenance cannot perturb the registry.
-func (s *Server) provenance(sess *incremental.Session, ds []incremental.Delta, commit bool, workers int, tier netcalc.Analysis) *Provenance {
+func (s *Server) provenance(sess *incremental.Session, ds []incremental.Delta, commit bool, workers int, analysis string) *Provenance {
 	net := sess.Network()
 	if !commit && len(ds) > 0 {
 		// The batch already passed the session's re-validation, so
@@ -216,7 +215,7 @@ func (s *Server) provenance(sess *incremental.Session, ds []incremental.Delta, c
 	return &Provenance{
 		ConfigFNV64:    oplog.FNV64(data),
 		Engines:        "netcalc+trajectory",
-		Analysis:       tier.String(),
+		Analysis:       analysis,
 		TrajectoryPath: "flat",
 		// The audit record carries the resolved worker count (<= 0 is
 		// the "all cores" sentinel, useless to an auditor).

@@ -27,9 +27,9 @@ import (
 // the numbers.
 
 // Step is one delta round of a recorded script: the ParseDelta-format
-// batch, whether it was committed (/apply) or peeked (/whatif), the NC
-// analysis tier requested (?analysis=; "" = the WCNC default), and —
-// after RunHTTP — the bounds the server answered.
+// batch, whether it was committed (/apply) or peeked (/whatif), the
+// ?analysis= name sent with it ("" sends none; WCNC and FIFO get the
+// same bound), and — after RunHTTP — the bounds the server answered.
 type Step struct {
 	Commit   bool              `json:"commit"`
 	Deltas   []string          `json:"deltas"`
@@ -51,11 +51,11 @@ type Script struct {
 // SeededScript draws a deterministic delta script for a configuration:
 // n steps of BAG doubling, s_max halving, and (rarely) VL drops, each
 // drawn against the state all *committed* prior steps produce, with
-// peeks and commits interleaved and each step's NC analysis tier drawn
-// uniformly from WCNC and FIFO — so one replay exercises cross-tier
-// alternation on a warm session. The script is a pure function of
-// (net, seed, n), so the check.sh smoke and the conformance tier replay
-// the exact same traffic.
+// peeks and commits interleaved and each step's ?analysis= name drawn
+// uniformly from WCNC and FIFO — so one replay exercises both accepted
+// names on a warm session. The script is a pure function of (net,
+// seed, n), so the check.sh smoke and the conformance tier replay the
+// exact same traffic.
 func SeededScript(net *afdx.Network, seed int64, n int) (*Script, error) {
 	rng := rand.New(rand.NewSource(seed))
 	cur := net.Clone()
@@ -66,9 +66,9 @@ func SeededScript(net *afdx.Network, seed int64, n int) (*Script, error) {
 			break
 		}
 		commit := rng.Intn(2) == 0
-		tier := netcalc.AnalysisWCNC
+		analysis := "WCNC"
 		if rng.Intn(2) == 0 {
-			tier = netcalc.AnalysisFIFO
+			analysis = "FIFO"
 		}
 		if commit {
 			d, err := incremental.ParseDelta(cmd)
@@ -79,7 +79,7 @@ func SeededScript(net *afdx.Network, seed int64, n int) (*Script, error) {
 				return nil, fmt.Errorf("serve: seeded script %q: %w", cmd, err)
 			}
 		}
-		sc.Steps = append(sc.Steps, Step{Commit: commit, Deltas: []string{cmd}, Analysis: tier.String()})
+		sc.Steps = append(sc.Steps, Step{Commit: commit, Deltas: []string{cmd}, Analysis: analysis})
 	}
 	return sc, nil
 }
@@ -243,9 +243,9 @@ func (sc *Script) VerifyCold(ctx context.Context, mode afdx.ValidationMode, para
 }
 
 // diffCold compares one recorded response against a cold run on the
-// reconstructed configuration, at the NC analysis tier the response
-// records — a served FIFO round anchors against a cold FIFO run, never
-// against the default tier.
+// reconstructed configuration. Every round anchors against the same
+// default-options cold run, whatever ?analysis= name it echoes: the
+// engine computes one bound for WCNC and FIFO.
 func diffCold(ctx context.Context, resp *AnalysisResponse, net *afdx.Network, mode afdx.ValidationMode, parallel int) ([]Mismatch, error) {
 	pg, err := afdx.BuildPortGraph(net, mode)
 	if err != nil {
@@ -253,13 +253,6 @@ func diffCold(ctx context.Context, resp *AnalysisResponse, net *afdx.Network, mo
 	}
 	ncOpts := netcalc.DefaultOptions()
 	ncOpts.Parallel = parallel
-	if resp.Analysis != "" {
-		tier, err := netcalc.ParseAnalysis(resp.Analysis)
-		if err != nil {
-			return nil, fmt.Errorf("serve: recorded round %d: %w", resp.Seq, err)
-		}
-		ncOpts.Analysis = tier
-	}
 	trOpts := trajectory.DefaultOptions()
 	trOpts.Parallel = parallel
 	cmp, err := core.CompareWithCtx(ctx, pg, ncOpts, trOpts)

@@ -28,13 +28,13 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"afdx/internal/afdx"
 	"afdx/internal/incremental"
 	"afdx/internal/lint"
-	"afdx/internal/netcalc"
 	"afdx/internal/obs"
 	"afdx/internal/obs/oplog"
 )
@@ -193,20 +193,22 @@ func (s *Server) body(w http.ResponseWriter, r *http.Request) *http.Request {
 	return r
 }
 
-// analysisParam resolves a request's ?analysis= NC tier selection
-// through the shared netcalc parser (absent = the session default,
-// WCNC). An unknown tier is CodeUnknownAnalysis — HTTP 400, exit-code-2
-// territory, matching the CLIs' -analysis flag.
-func analysisParam(r *http.Request) (netcalc.Analysis, error) {
+// analysisParam checks a request's ?analysis= parameter and returns
+// the canonical name the response echoes: "WCNC" when absent, else
+// WCNC or FIFO in any case. The engine computes one bound for both —
+// the FIFO residual bound minimised exactly over theta is the WCNC
+// bound (DESIGN.md §14.1) — so the name never reaches the engine.
+// Anything else is CodeUnknownAnalysis, HTTP 400.
+func analysisParam(r *http.Request) (string, error) {
 	v := r.URL.Query().Get("analysis")
 	if v == "" {
-		return netcalc.AnalysisWCNC, nil
+		return "WCNC", nil
 	}
-	a, err := netcalc.ParseAnalysis(v)
-	if err != nil {
-		return 0, errf(CodeUnknownAnalysis, "%v", err)
+	switch a := strings.ToUpper(strings.TrimSpace(v)); a {
+	case "WCNC", "FIFO":
+		return a, nil
 	}
-	return a, nil
+	return "", errf(CodeUnknownAnalysis, "unknown analysis tier %q (want WCNC or FIFO)", v)
 }
 
 // decodeErr maps a body read/decode failure to the wire vocabulary.
@@ -226,7 +228,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r = s.body(w, r)
-	tier, err := analysisParam(r)
+	analysis, err := analysisParam(r)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -262,7 +264,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	out, err := s.mgr.submit(r.Context(), ms.id, s.analysisTask(false, nil, nil, wantProvenance(r), tier))
+	out, err := s.mgr.submit(r.Context(), ms.id, s.analysisTask(false, nil, nil, wantProvenance(r), analysis))
 	if err != nil {
 		// A session whose base analysis failed holds no useful warm
 		// state; close it so the client can retry cleanly.
@@ -277,7 +279,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 // batch, run it on the session's executor, return the round's bounds.
 func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request, commit bool) {
 	r = s.body(w, r)
-	tier, err := analysisParam(r)
+	analysis, err := analysisParam(r)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -292,7 +294,7 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request, commit boo
 		writeError(w, err)
 		return
 	}
-	out, err := s.mgr.submit(r.Context(), r.PathValue("id"), s.analysisTask(commit, req.Deltas, ds, wantProvenance(r), tier))
+	out, err := s.mgr.submit(r.Context(), r.PathValue("id"), s.analysisTask(commit, req.Deltas, ds, wantProvenance(r), analysis))
 	if err != nil {
 		writeError(w, err)
 		return
@@ -310,24 +312,22 @@ func decodeJSONBody(r *http.Request, v any) error {
 }
 
 // analysisTask builds the executor closure of one analysis round: the
-// base analysis (no deltas), a peek (/whatif), or a commit (/apply),
-// each at the request's NC analysis tier. It runs on the session's
-// executor goroutine, so the Session calls are serialized by
-// construction. With prov set the response carries the round's
-// provenance record.
-func (s *Server) analysisTask(commit bool, cmds []string, ds []incremental.Delta, prov bool, tier netcalc.Analysis) func(ctx context.Context, sess *incremental.Session, ms *managed) (any, error) {
+// base analysis (no deltas), a peek (/whatif), or a commit (/apply).
+// analysis is the request's checked ?analysis= name, echoed in the
+// response. It runs on the session's executor goroutine, so the
+// Session calls are serialized by construction. With prov set the
+// response carries the round's provenance record.
+func (s *Server) analysisTask(commit bool, cmds []string, ds []incremental.Delta, prov bool, analysis string) func(ctx context.Context, sess *incremental.Session, ms *managed) (any, error) {
 	return func(ctx context.Context, sess *incremental.Session, ms *managed) (any, error) {
 		var res *incremental.Result
 		var err error
 		switch {
 		case len(ds) == 0:
-			res, err = sess.AnalyzeTier(ctx, tier)
+			res, err = sess.Analyze(ctx)
 		case commit:
-			if err = sess.Apply(ds...); err == nil {
-				res, err = sess.AnalyzeTier(ctx, tier)
-			}
+			res, err = sess.WhatIf(ctx, ds...)
 		default:
-			res, err = sess.PeekTier(ctx, tier, ds...)
+			res, err = sess.Peek(ctx, ds...)
 		}
 		if err != nil {
 			var bad *incremental.BadDeltaError
@@ -344,7 +344,7 @@ func (s *Server) analysisTask(commit bool, cmds []string, ds []incremental.Delta
 			Session:   ms.id,
 			Committed: commit || len(ds) == 0,
 			Deltas:    cmds,
-			Analysis:  tier.String(),
+			Analysis:  analysis,
 			Paths:     pathBounds(res.Comparison),
 		}
 		var workers int
@@ -359,7 +359,7 @@ func (s *Server) analysisTask(commit bool, cmds []string, ds []incremental.Delta
 			workers = st.parallel
 		})
 		if prov {
-			resp.Provenance = s.provenance(sess, ds, commit, workers, tier)
+			resp.Provenance = s.provenance(sess, ds, commit, workers, analysis)
 		}
 		s.mgr.metrics.rounds.Inc()
 		if commit {

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"afdx/internal/afdx"
+	"afdx/internal/obs"
 )
 
 // Explanation decomposes one path's trajectory bound into its terms —
@@ -50,20 +51,19 @@ func Explain(pg *afdx.PortGraph, pid afdx.PathID, opts Options) (*Explanation, e
 }
 
 // ExplainCtx is Explain with the caller's context threaded through the
-// underlying analysis and decomposition: cancellation propagates into
-// the busy-period and candidate loops, and an obs registry or tracer on
-// ctx observes the runs. (Explain used to rebuild its analyzer on
-// context.Background(), silently dropping both.)
+// analysis and decomposition: cancellation propagates into the
+// busy-period and candidate loops, and an obs registry or tracer on ctx
+// observes the run. Only the explained path is analysed, by the same
+// analyzer AnalyzeCtx builds, so its DelayUs and CriticalT equal the
+// path's Details entry of a full run.
 func ExplainCtx(ctx context.Context, pg *afdx.PortGraph, pid afdx.PathID, opts Options) (*Explanation, error) {
-	res, err := AnalyzeCtx(ctx, pg, opts)
+	ctx, span := obs.StartSpan(ctx, "trajectory")
+	defer span.End()
+	a, err := newAnalyzer(ctx, pg, opts)
 	if err != nil {
 		return nil, err
 	}
-	det, ok := res.Details[pid]
-	if !ok {
-		return nil, fmt.Errorf("trajectory: unknown path %v", pid)
-	}
-	a, err := newAnalyzer(ctx, pg, opts)
+	det, err := a.analyzePath(ctx, pid)
 	if err != nil {
 		return nil, err
 	}

@@ -20,8 +20,8 @@ import (
 //
 // analyzePortSeq for a path is a pure function of (a) the path's port
 // sequence, (b) the full flow/contract/rate/latency state of every
-// crossed port — rendered as netcalc.PortSignatures — and (c) the NC
-// prefix bound of every flow at every crossed port (the S_max terms).
+// crossed port — rendered by netcalc.Cache.SignaturesFor — and (c) the
+// NC prefix bound of every flow at every crossed port (the S_max terms).
 // An entry stores exactly those inputs: the port sequence, each crossed
 // port's signature, and each crossed port's prefix vector as the flat
 // index of the computing run holds it (flatPort.pref, in the port's

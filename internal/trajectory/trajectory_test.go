@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"afdx/internal/afdx"
+	"afdx/internal/configgen"
 	"afdx/internal/netcalc"
 )
 
@@ -544,6 +545,54 @@ func TestExplainSharedTransitionVariant(t *testing.T) {
 	}
 	if len(ex.Transitions) != 2 {
 		t.Errorf("transition terms = %d, want 2", len(ex.Transitions))
+	}
+}
+
+// TestExplainMatchesAnalyze pins Explain's single-path analysis to a
+// full run: for every path, DelayUs and CriticalT equal the path's
+// AnalyzeCtx Details entry bit for bit — on Figure 2 under every engine
+// variant, PrefixTrajectory included, and on a 60-VL generated
+// configuration.
+func TestExplainMatchesAnalyze(t *testing.T) {
+	spec := configgen.DefaultSpec(1)
+	spec.NumVLs = 60
+	generated, err := configgen.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type variant = struct {
+		name string
+		opts Options
+	}
+	fig2Variants := append([]variant{{"prefixtraj", Options{Grouping: true, PrefixMode: PrefixTrajectory}}}, engineVariants...)
+	for _, c := range []struct {
+		label    string
+		net      *afdx.Network
+		variants []variant
+	}{
+		{"fig2", afdx.Figure2Config(), fig2Variants},
+		{"configgen-1-60vl", generated, []variant{{"default", DefaultOptions()}}},
+	} {
+		pg, err := afdx.BuildPortGraph(c.net, afdx.Strict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range c.variants {
+			res, err := Analyze(pg, v.opts)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.label, v.name, err)
+			}
+			for _, pid := range pg.Net.AllPaths() {
+				ex, err := Explain(pg, pid, v.opts)
+				if err != nil {
+					t.Fatalf("%s/%s %v: %v", c.label, v.name, pid, err)
+				}
+				if det := res.Details[pid]; ex.DelayUs != det.DelayUs || ex.CriticalT != det.CriticalT {
+					t.Errorf("%s/%s %v: Explain (%v, t=%v) != Analyze (%v, t=%v)",
+						c.label, v.name, pid, ex.DelayUs, ex.CriticalT, det.DelayUs, det.CriticalT)
+				}
+			}
+		}
 	}
 }
 
