@@ -1,7 +1,7 @@
 # Developer entry points. `make check` is the expanded verification
 # gate (build, gofmt, vet, tests, race detector); see check.sh.
 
-.PHONY: build test check lint vet-tool fmt bench bench-pr3 bench-pr4 bench-pr5 bench-pr7 bench-pr8 bench-pr9 serve profile conformance fuzz-smoke
+.PHONY: build test check lint vet-tool fmt bench bench-pr3 bench-pr4 bench-pr7 bench-pr8 bench-pr9 serve profile conformance fuzz-smoke
 
 build:
 	go build ./...
@@ -40,17 +40,6 @@ bench:
 bench-pr3:
 	go test -run '^$$' -bench 'ConformanceOracle(Seq|Par)$$' -benchtime 3x ./internal/conformance \
 		| tee /dev/stderr | go run ./cmd/afdx-benchjson -o BENCH_PR3.json
-
-# Time the incremental what-if layer against cold recomputation: a full
-# conformance shrink minimisation (40 candidates) and a single what-if
-# step, each run from scratch (Cold) and through the dependency-tracked
-# caches (Incr). Results are bit-identical by the incremental contract,
-# so the recorded speedups are pure re-analysis wall time; pairs use
-# the fastest of 3 samples to damp shared-runner noise. Expected:
-# ShrinkLoop speedup >= 2x, WhatIfStep speedup >= 2x.
-bench-pr5:
-	go test -run '^$$' -bench '(ShrinkLoop|WhatIfStep)(Cold|Incr)$$' -benchtime 5x -count 3 ./internal/incremental \
-		| tee /dev/stderr | go run ./cmd/afdx-benchjson -o BENCH_PR5.json
 
 # Time the trajectory engine on the industrial configuration through
 # the reference (pre-flattening) hot path (Cold) and the flat

@@ -256,10 +256,11 @@ func CompareWithCtx(ctx context.Context, pg *PortGraph, nc NCOptions, tr Traject
 	return core.CompareWithCtx(ctx, pg, nc, tr)
 }
 
-// Incremental what-if re-analysis (dependency-tracked caching).
+// What-if re-analysis: sessions that apply deltas and analyse cold.
 type (
 	// IncrementalSession is a stateful what-if loop: apply deltas,
-	// re-analyse, with unchanged ports and paths served from cache.
+	// re-analyse the resulting configuration from scratch, with one
+	// WCNC run shared by both engines.
 	IncrementalSession = incremental.Session
 	// IncrementalOptions binds a session's validation mode and engine
 	// option sets.
@@ -287,11 +288,11 @@ func NewIncrementalSession(net *Network, opts IncrementalOptions) (*IncrementalS
 // "reroute v1 es1,s1,es2", "add {...vl json...}").
 func ParseDelta(s string) (Delta, error) { return incremental.ParseDelta(s) }
 
-// AnalyzeIncremental applies a delta batch to the session (atomically:
-// a rejected batch leaves the session unchanged) and re-analyses,
-// reusing every port and path outcome whose inputs did not change. The
-// result is bit-identical to a cold analysis of the mutated
-// configuration, at every Parallel value.
+// AnalyzeIncremental applies a delta batch to the session and
+// re-analyses; the batch is committed only when its analysis succeeds,
+// so a rejected batch or a failed analysis leaves the session
+// unchanged. The result is bit-identical to a cold analysis of the
+// mutated configuration, at every Parallel value.
 func AnalyzeIncremental(ctx context.Context, s *IncrementalSession, deltas ...Delta) (*IncrementalResult, error) {
 	return s.WhatIf(ctx, deltas...)
 }

@@ -14,13 +14,13 @@
 #                             module, which ./... does not reach)
 #   7. afdx-conformance      (short cross-engine differential campaign,
 #                             deterministic seed, wall-time budgeted;
-#                             every campaign also holds the FIFO tier
-#                             to bitwise equality with WCNC and to
-#                             parallel parity)
-#   8. incremental parity    (a second campaign on a different seed:
-#                             every configuration replays a delta
-#                             sequence through a what-if session and
-#                             requires bit-identity with cold runs)
+#                             every campaign also holds the trajectory
+#                             run that shares the reference WCNC run's
+#                             prefix bounds bitwise equal to private-
+#                             prefix runs at 1 and N workers: parallel
+#                             parity and repeatability)
+#   8. second campaign       (30 configurations on a seed no other gate
+#                             draws, every tier of the lattice)
 #   9. flat hot-path smoke   (a third campaign on yet another seed,
 #                             cross-checking the flattened trajectory
 #                             hot path against the oracle's invariants)
@@ -87,12 +87,9 @@ echo "== benchmark module (cmd/afdx-bench: go vet + go test)"
 echo "== conformance oracle (short campaign, deterministic)"
 go run ./cmd/afdx-conformance -n 150 -seed 1 -budget 45s -quiet
 
-echo "== incremental parity (30-config campaign, what-if vs cold bit-identity)"
-# The oracle's incremental tier drives a session through a BAG-doubling,
-# s_max-halving, VL-dropping delta sequence per configuration and fails
-# on any bitwise divergence from cold engine runs (at -parallel 1 and
-# the parallel worker count). A different seed than the campaign above,
-# so the two gates cover disjoint configuration draws.
+echo "== second conformance campaign (30 configs, disjoint seed)"
+# The full lattice again on a seed the other gates never draw, so the
+# campaigns cover disjoint configuration draws.
 go run ./cmd/afdx-conformance -n 30 -seed 5 -quiet
 
 echo "== flat hot-path smoke (30-config conformance slice)"

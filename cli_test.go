@@ -367,6 +367,70 @@ func TestCLIBoundsExplainArgs(t *testing.T) {
 	}
 }
 
+// TestCLIBoundsWhatIf drives afdx-bounds' what-if flags: every table
+// printed after a delta must be byte-equal to a cold -csv run on the
+// mutated configuration, whether the deltas come from -delta flags or
+// from -whatif stdin; a delta that does not parse or that the session
+// rejects is a usage error (exit 2), a delta whose analysis fails an
+// analysis failure (exit 1).
+func TestCLIBoundsWhatIf(t *testing.T) {
+	dir := buildCLIs(t)
+	cfg := filepath.Join("internal", "lint", "testdata", "clean.json")
+	net, err := afdx.LoadJSON(cfg, afdx.Strict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := func(name string) string {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), name+".json")
+		if err := net.SaveJSON(path); err != nil {
+			t.Fatal(err)
+		}
+		return runCLIStdout(t, dir, "afdx-bounds", "-csv", "-config", path)
+	}
+	want := cold("base")
+	net.VL("v1").SMaxBytes = 100
+	want += "\nwhat-if: smax v1 100\n" + cold("smax")
+	net.VL("v2").BAGMs = 4
+	want += "\nwhat-if: bag v2 4\n" + cold("bag")
+
+	got := runCLIStdout(t, dir, "afdx-bounds", "-csv", "-config", cfg, "-delta", "smax v1 100", "-delta", "bag v2 4")
+	if got != want {
+		t.Errorf("-delta output differs from the cold runs:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(filepath.Join(dir, "afdx-bounds"), "-csv", "-config", cfg, "-whatif", "-")
+	cmd.Stdin = strings.NewReader("# tighten v1, then slow v2\nsmax v1 100\n\nbag v2 4\n")
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("-whatif -: %v\nstderr:\n%s", err, stderr.String())
+	}
+	if stdout.String() != want {
+		t.Errorf("-whatif - output differs from the cold runs:\ngot:\n%s\nwant:\n%s", stdout.String(), want)
+	}
+
+	for _, tc := range []struct {
+		delta string
+		code  int
+		msg   string // stderr fragment
+	}{
+		{"frob v1", 2, `unknown delta op "frob"`},
+		{"drop nosuch", 2, `unknown VL "nosuch"`},
+		{"priority v1 1", 1, "priority"},
+	} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(filepath.Join(dir, "afdx-bounds"), "-config", cfg, "-delta", tc.delta)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		cmd.Run() //nolint:errcheck // the exit code is checked below
+		if code := cmd.ProcessState.ExitCode(); code != tc.code {
+			t.Errorf("-delta %q: exit %d, want %d\nstderr:\n%s", tc.delta, code, tc.code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.msg) {
+			t.Errorf("-delta %q: stderr misses %q:\n%s", tc.delta, tc.msg, stderr.String())
+		}
+	}
+}
+
 func TestCLIErrorPaths(t *testing.T) {
 	dir := buildCLIs(t)
 	// Missing -config must exit non-zero — with the documented usage code.

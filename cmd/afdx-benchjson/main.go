@@ -1,16 +1,14 @@
 // Command afdx-benchjson converts `go test -bench` output on stdin into
 // a small JSON report, pairing the industrial engine benchmarks'
-// Seq/Par variants (parallel speedup), the incremental benchmarks'
-// Cold/Incr variants (what-if re-analysis speedup), and the trajectory
-// hot-path benchmarks' Cold/Fast variants (reference engine vs the
-// flat index-based fast path). Repeated samples of one benchmark
-// (`-count`) pair by their fastest run.
+// Seq/Par variants (parallel speedup) and the trajectory hot-path
+// benchmarks' Cold/Fast variants (reference engine vs the flat
+// index-based fast path). Repeated samples of one benchmark (`-count`)
+// pair by their fastest run.
 //
 // Usage:
 //
 //	go test -bench 'Industrial(Seq|Par)$' -run '^$' . | afdx-benchjson -o BENCH_PR2.json
 //	go test -bench ... . | afdx-benchjson -obs -o BENCH_PR4.json
-//	go test -bench '(Cold|Incr)$' -count 3 -run '^$' . | afdx-benchjson -o BENCH_PR5.json
 //
 // -o names the output file ("-", the default, is stdout) and is
 // preferred over shell redirection: the file is only written after the
@@ -58,17 +56,6 @@ type Pair struct {
 	ParNsOp    float64 `json:"par_ns_per_op"`
 	Speedup    float64 `json:"speedup"`
 	GoMaxProcs int     `json:"gomaxprocs"`
-}
-
-// IncrPair is a Cold/Incr benchmark couple: the same workload run
-// from scratch vs through the incremental what-if caches, whose
-// results are bit-identical by contract, so the speedup is pure
-// re-analysis wall time saved.
-type IncrPair struct {
-	Base     string  `json:"benchmark"`
-	ColdNsOp float64 `json:"cold_ns_per_op"`
-	IncrNsOp float64 `json:"incr_ns_per_op"`
-	Speedup  float64 `json:"speedup"`
 }
 
 // FastPair is a Cold/Fast benchmark couple: the same workload run by
@@ -139,7 +126,6 @@ type Report struct {
 	GoVersion  string       `json:"go_version"`
 	Rows       []Row        `json:"benchmarks"`
 	Pairs      []Pair       `json:"seq_par_pairs,omitempty"`
-	IncrPairs  []IncrPair   `json:"cold_incr_pairs,omitempty"`
 	FastPairs  []FastPair   `json:"cold_fast_pairs,omitempty"`
 	ServedPrs  []ServedPair `json:"cold_served_pairs,omitempty"`
 	ObsPairs   []ObsPair    `json:"obs_off_on_pairs,omitempty"`
@@ -174,7 +160,6 @@ func main() {
 		GoVersion:  runtime.Version(),
 		Rows:       rows,
 		Pairs:      pair(rows),
-		IncrPairs:  pairIncr(rows),
 		FastPairs:  pairFast(rows),
 		ServedPrs:  pairServed(rows),
 		ObsPairs:   pairObs(rows),
@@ -446,29 +431,6 @@ func pairObs(rows []Row) []ObsPair {
 			Base: base, OffNsOp: off, OnNsOp: on,
 			OverheadPct: (on/off - 1) * 100,
 			GoMaxProcs:  runtime.GOMAXPROCS(0),
-		})
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Base < pairs[j].Base })
-	return pairs
-}
-
-// pairIncr matches FooCold/FooIncr rows and computes the incremental
-// re-analysis speedups.
-func pairIncr(rows []Row) []IncrPair {
-	byName := bestByName(rows)
-	var pairs []IncrPair
-	for name, cold := range byName {
-		base, ok := strings.CutSuffix(name, "Cold")
-		if !ok {
-			continue
-		}
-		incr, ok := byName[base+"Incr"]
-		if !ok || incr == 0 {
-			continue
-		}
-		pairs = append(pairs, IncrPair{
-			Base: base, ColdNsOp: cold, IncrNsOp: incr,
-			Speedup: cold / incr,
 		})
 	}
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Base < pairs[j].Base })

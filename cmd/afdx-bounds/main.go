@@ -16,12 +16,11 @@
 // or a path the configuration lacks is a usage error, reported before
 // any analysis runs.
 //
-// What-if mode re-analyses the configuration under deltas without
-// re-running the full analysis: after the base table, each -delta (or
-// each line of the -whatif file; '-' reads stdin) is applied to an
-// incremental session — only the ports and paths downstream of the
-// change are recomputed, and the reprinted bounds are bit-identical to
-// a cold run on the mutated configuration:
+// What-if mode re-analyses the configuration under deltas: after the
+// base table, each -delta (or each line of the -whatif file; '-' reads
+// stdin) is applied to a what-if session and the bounds table is
+// reprinted, byte-identical to a cold run on the mutated
+// configuration:
 //
 //	afdx-bounds -config net.json -delta 'bag v3 16' -delta 'drop v7'
 //	afdx-bounds -config net.json -whatif scenario.txt
@@ -29,7 +28,10 @@
 // Delta commands: 'bag <vl> <ms>', 'smax <vl> <bytes>',
 // 'priority <vl> <level>', 'drop <vl>', 'reroute <vl> <node,node,...>
 // [<path> ...]', 'add <vl json>'. Deltas compose: each applies on top
-// of the previous one's configuration.
+// of the previous one's configuration. A delta that does not parse, or
+// that the session rejects (an unknown VL, a result that fails
+// validation), is a usage error; one whose analysis fails is an
+// analysis failure.
 //
 // Observability (shared across every afdx-* command; see
 // internal/obs/cliobs): -metrics writes the engines' counter and
@@ -51,6 +53,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -61,6 +64,7 @@ import (
 	"strings"
 
 	"afdx"
+	"afdx/internal/incremental"
 	"afdx/internal/obs/cliobs"
 	"afdx/internal/report"
 )
@@ -100,7 +104,7 @@ func main() {
 		whatif     = flag.String("whatif", "", "file of what-if delta commands, one per line ('-' = stdin; blank lines and # comments skipped)")
 	)
 	var deltaCmds multiFlag
-	flag.Var(&deltaCmds, "delta", "what-if delta command (repeatable; e.g. 'bag v1 16', 'drop v5'): applied incrementally after the base analysis")
+	flag.Var(&deltaCmds, "delta", "what-if delta command (repeatable; e.g. 'bag v1 16', 'drop v5'): applied in order after the base analysis")
 	obsFlags := cliobs.Register(flag.CommandLine)
 	flag.Parse()
 	if *config == "" {
@@ -330,10 +334,10 @@ func boundsTable(pg *afdx.PortGraph, paths []afdx.PathID, ncDelays, trDelays map
 	return headers, rows, nil
 }
 
-// runWhatIf drives the incremental what-if loop: -delta commands first
-// (in flag order), then the -whatif file's lines, each applied on top
-// of the previous configuration with only the affected ports and paths
-// re-analysed, and the bounds table reprinted after every delta.
+// runWhatIf drives the what-if loop: -delta commands first (in flag
+// order), then the -whatif file's lines, each applied on top of the
+// previous configuration, with the bounds table reprinted after every
+// delta.
 func runWhatIf(ctx context.Context, net *afdx.Network, mode afdx.ValidationMode, ncOpts afdx.NCOptions, trOpts afdx.TrajectoryOptions, cmds []string, file string, jitter bool, emit func(w io.Writer, headers []string, rows [][]string) error) {
 	lines := append([]string{}, cmds...)
 	if file != "" {
@@ -360,11 +364,6 @@ func runWhatIf(ctx context.Context, net *afdx.Network, mode afdx.ValidationMode,
 	if err != nil {
 		fail(exitAnalysis, err)
 	}
-	// Warm the session's caches with the base configuration so each
-	// delta below pays only for its downstream cone.
-	if _, err := ws.Analyze(ctx); err != nil {
-		fail(exitAnalysis, err)
-	}
 	for _, ln := range lines {
 		d, err := afdx.ParseDelta(ln)
 		if err != nil {
@@ -372,7 +371,12 @@ func runWhatIf(ctx context.Context, net *afdx.Network, mode afdx.ValidationMode,
 		}
 		res, err := afdx.AnalyzeIncremental(ctx, ws, d)
 		if err != nil {
-			fail(exitAnalysis, fmt.Errorf("what-if %q: %w", d, err))
+			code := exitAnalysis
+			var bad *incremental.BadDeltaError
+			if errors.As(err, &bad) {
+				code = exitUsage
+			}
+			fail(code, fmt.Errorf("what-if %q: %w", d, err))
 		}
 		fmt.Printf("\nwhat-if: %s\n", d)
 		pg := ws.PortGraph()

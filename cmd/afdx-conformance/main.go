@@ -61,7 +61,6 @@ func main() {
 		jsonOut   = flag.Bool("json", false, "emit the full JSON report on stdout")
 		quiet     = flag.Bool("quiet", false, "suppress the per-violation lines (summary only)")
 		fault     = flag.String("fault", "", "inject an engine fault for oracle self-tests: nc-optimistic | traj-optimistic")
-		incr      = flag.Bool("incremental", true, "route the oracle's reference runs through the incremental caches and check the incremental-parity tier")
 		served    = flag.Bool("served", false, "also check the served-parity tier: replay a seeded delta script through a live afdx-serve instance and compare against cold runs")
 	)
 	obsFlags := cliobs.Register(flag.CommandLine)
@@ -87,10 +86,9 @@ func main() {
 		Budget:    *budget,
 		CorpusDir: *corpus,
 	}
-	if !*incr || *served {
+	if *served {
 		o := conformance.NewOracle()
-		o.Incremental = *incr
-		o.Served = *served
+		o.Served = true
 		opts.Oracle = o
 	}
 	switch *fault {

@@ -1,7 +1,8 @@
 // Command afdx-serve is the analysis-as-a-service daemon: it holds
-// warm incremental what-if sessions behind a stdlib HTTP/JSON API so a
-// design-space exploration loop pays the full analysis once and each
-// subsequent tweak only for its downstream cone.
+// what-if sessions behind a stdlib HTTP/JSON API, so a design-space
+// exploration loop uploads a configuration once and then sends only
+// deltas; each delta batch is analysed cold on the session's
+// configuration, with one WCNC run shared by both engines.
 //
 //	afdx-serve -addr 127.0.0.1:8723
 //

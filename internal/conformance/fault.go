@@ -26,9 +26,6 @@ const (
 // Everything else (budgets, seeds) matches NewOracle.
 func FaultyOracle(f Fault) *Oracle {
 	o := NewOracle()
-	// Cached runs call the real engines directly; they must stay off so
-	// the injected wrappers are actually exercised.
-	o.Incremental = false
 	switch f {
 	case FaultNCOptimistic:
 		real := o.Engines.NC
@@ -46,8 +43,8 @@ func FaultyOracle(f Fault) *Oracle {
 		}
 	case FaultTrajectoryOptimistic:
 		real := o.Engines.Trajectory
-		o.Engines.Trajectory = func(ctx context.Context, pg *afdx.PortGraph, opts trajectory.Options) (*trajectory.Result, error) {
-			r, err := real(ctx, pg, opts)
+		o.Engines.Trajectory = func(ctx context.Context, pg *afdx.PortGraph, opts trajectory.Options, nc *netcalc.Result) (*trajectory.Result, error) {
+			r, err := real(ctx, pg, opts, nc)
 			if err != nil {
 				return nil, err
 			}

@@ -78,10 +78,6 @@ const (
 	// InvRepeatability: re-running an engine on the same input yields
 	// bit-identical results (pins the PR 2 map-iteration float wobble).
 	InvRepeatability Invariant = "repeatability"
-	// InvIncrementalParity: a what-if session's cached re-analysis after
-	// each delta of a tightening sequence is bit-identical to a cold
-	// recompute of the mutated configuration, at every worker count.
-	InvIncrementalParity Invariant = "incremental-parity"
 	// InvServedParity: the answers a live afdx-serve daemon returns over
 	// HTTP for a seeded upload + delta script — JSON round-trip, session
 	// manager and serialized executor included — are bit-identical to
@@ -110,10 +106,12 @@ func (v Violation) String() string {
 // production use keeps DefaultEngines. Each entry point takes the
 // observability context (see internal/obs): the oracle threads the
 // campaign's context through so engine spans and counters nest under
-// the per-configuration span.
+// the per-configuration span. Trajectory takes the NC result whose
+// prefix bounds it may share (trajectory.AnalyzeWithNCCtx; nil runs a
+// private prefix analysis).
 type Engines struct {
 	NC         func(ctx context.Context, pg *afdx.PortGraph, opts netcalc.Options) (*netcalc.Result, error)
-	Trajectory func(ctx context.Context, pg *afdx.PortGraph, opts trajectory.Options) (*trajectory.Result, error)
+	Trajectory func(ctx context.Context, pg *afdx.PortGraph, opts trajectory.Options, nc *netcalc.Result) (*trajectory.Result, error)
 	Sim        func(ctx context.Context, pg *afdx.PortGraph, cfg sim.Config) (*sim.Result, error)
 	Exact      func(ctx context.Context, pg *afdx.PortGraph, opts exact.Options) (*exact.Result, error)
 }
@@ -122,7 +120,7 @@ type Engines struct {
 func DefaultEngines() Engines {
 	return Engines{
 		NC:         netcalc.AnalyzeCtx,
-		Trajectory: trajectory.AnalyzeCtx,
+		Trajectory: trajectory.AnalyzeWithNCCtx,
 		Sim:        sim.RunCtx,
 		Exact:      exact.SearchCtx,
 	}
@@ -147,16 +145,6 @@ type Oracle struct {
 	SkipMetamorphic bool
 	// SimSeed seeds the randomized simulation run.
 	SimSeed int64
-	// Incremental routes the oracle's sequential reference runs through
-	// the engines' incremental caches and enables the
-	// incremental-parity tier. It MUST be false when Engines is
-	// overridden (fault injection): cached runs call the real engines
-	// directly and would bypass the injected wrappers. The caches are
-	// themselves under test here — a buggy cache desynchronises the
-	// reference runs from the cold runs of the combined-minimum
-	// cross-check and of the parity tier, and is reported as a
-	// violation.
-	Incremental bool
 	// Served enables the served-parity tier: a seeded delta script is
 	// played against an in-process afdx-serve instance over real HTTP
 	// and the recorded answers are re-derived cold. Off by default —
@@ -164,12 +152,6 @@ type Oracle struct {
 	// and enabled by the campaign driver's -served flag and the serving
 	// layer's own conformance test.
 	Served bool
-	// pool persists incremental caches across CheckCtx calls; only the
-	// shrinker sets it (on its private oracle copy — a pool is
-	// single-writer, and campaigns check configurations in parallel
-	// against one shared Oracle). When nil and Incremental is set,
-	// CheckCtx uses a transient per-call pool.
-	pool *enginePool
 	// only, when non-empty, restricts CheckCtx to the tiers that can
 	// produce that invariant. The shrinker sets it: its inner loop asks
 	// one question — does THIS invariant still reproduce? — and
@@ -187,7 +169,6 @@ func NewOracle() *Oracle {
 		ExactGridDiv:  4,
 		ParityWorkers: 4,
 		SimSeed:       1,
-		Incremental:   true,
 	}
 }
 
@@ -196,8 +177,7 @@ func NewOracle() *Oracle {
 // engines are deterministic, so the tolerance only absorbs the genuine
 // float non-associativity between *different* computations (e.g. a sum
 // of port bounds vs a busy-period maximisation); identity invariants
-// (parity, repeatability, combined-minimum, incremental-parity) use
-// exact equality.
+// (parity, repeatability, combined-minimum) use exact equality.
 func leq(a, b float64) bool {
 	return tol.Leq(a, b)
 }
@@ -240,48 +220,33 @@ func (o *Oracle) CheckCtx(ctx context.Context, net *afdx.Network) ([]Violation, 
 	doDeterminism := want(InvParallelParity, InvRepeatability)
 	doBehaviour := want(InvSimVsNC, InvSimVsTrajectory, InvSimVsExact, InvExactVsBounds)
 	doMeta := !o.SkipMetamorphic && want(InvMonotoneBAG, InvMonotoneSMax)
-	doIncr := o.Incremental && !o.SkipMetamorphic && want(InvIncrementalParity)
 	doServed := o.Served && !o.SkipMetamorphic && want(InvServedParity)
 
 	// Sequential reference runs of the engine variants each selected
-	// tier reads. With Incremental set they route through the cache
-	// pool — persistent across the shrinker's candidates, transient
-	// otherwise — and the cold cross-checks below (combined-minimum,
-	// parity, repeatability, all run outside the pool) keep the caches
-	// honest.
-	pool := o.pool
-	if pool == nil && o.Incremental {
-		pool = newEnginePool()
-	}
-	runNC := o.Engines.NC
-	runTraj := o.Engines.Trajectory
-	if pool != nil {
-		runNC = func(ctx context.Context, pg *afdx.PortGraph, opts netcalc.Options) (*netcalc.Result, error) {
-			return netcalc.AnalyzeWithCacheCtx(ctx, pg, opts, pool.ncCache(opts))
-		}
-		runTraj = func(ctx context.Context, pg *afdx.PortGraph, opts trajectory.Options) (*trajectory.Result, error) {
-			return trajectory.AnalyzeWithCacheCtx(ctx, pg, opts, pool.trCache(opts))
-		}
-	}
+	// tier reads. Both trajectory runs take their S_max prefix bounds
+	// from the grouped NC run (every trajectory tier also needs ncG);
+	// checkDeterminism's runs compute their own, so the parity and
+	// repeatability tiers compare the shared prefix against a private
+	// one bit for bit.
 	var ncG, ncU *netcalc.Result
 	var trG, trU *trajectory.Result
 	if doGrouping || doCombined || doDeterminism || doBehaviour || doMeta {
-		if ncG, err = runNC(ctx, pg, netcalc.Options{Grouping: true, Parallel: 1}); err != nil {
+		if ncG, err = o.Engines.NC(ctx, pg, netcalc.Options{Grouping: true, Parallel: 1}); err != nil {
 			return nil, fmt.Errorf("conformance: netcalc (grouped): %w", err)
 		}
 	}
 	if doGrouping {
-		if ncU, err = runNC(ctx, pg, netcalc.Options{Grouping: false, Parallel: 1}); err != nil {
+		if ncU, err = o.Engines.NC(ctx, pg, netcalc.Options{Grouping: false, Parallel: 1}); err != nil {
 			return nil, fmt.Errorf("conformance: netcalc (ungrouped): %w", err)
 		}
 	}
 	if doGrouping || doCombined || doDeterminism {
-		if trG, err = runTraj(ctx, pg, trajectory.Options{Grouping: true, Parallel: 1}); err != nil {
+		if trG, err = o.Engines.Trajectory(ctx, pg, trajectory.Options{Grouping: true, Parallel: 1}, ncG); err != nil {
 			return nil, fmt.Errorf("conformance: trajectory (grouped): %w", err)
 		}
 	}
 	if doGrouping || doBehaviour || doMeta {
-		if trU, err = runTraj(ctx, pg, trajectory.Options{Grouping: false, Parallel: 1}); err != nil {
+		if trU, err = o.Engines.Trajectory(ctx, pg, trajectory.Options{Grouping: false, Parallel: 1}, ncG); err != nil {
 			return nil, fmt.Errorf("conformance: trajectory (ungrouped): %w", err)
 		}
 	}
@@ -303,8 +268,8 @@ func (o *Oracle) CheckCtx(ctx context.Context, net *afdx.Network) ([]Violation, 
 	// The combined analysis is exactly min(WCNC, Trajectory) per path,
 	// computed over the same engine results the oracle holds. core
 	// re-runs the real engines, so this also cross-checks the oracle's
-	// (possibly fault-injected or cache-served) engine runs against the
-	// library's cold ones.
+	// (possibly fault-injected) engine runs against the library's cold
+	// ones.
 	if doCombined {
 		cmp, err := core.CompareWithCtx(ctx, pg,
 			netcalc.Options{Grouping: true, Parallel: 1},
@@ -347,22 +312,10 @@ func (o *Oracle) CheckCtx(ctx context.Context, net *afdx.Network) ([]Violation, 
 		vs = append(vs, mvs...)
 	}
 
-	// Incremental-parity tier: what-if sessions over a tightening delta
-	// sequence stay bit-identical to cold recomputes (skipped in the
-	// shrinker's inner loop alongside the metamorphic tier — both build
+	// Served-parity tier: a live afdx-serve instance answers a seeded
+	// delta script bit-identically to cold runs (skipped in the
+	// shrinker's inner loop, like the metamorphic tier: both build
 	// mutants of mutants there).
-	if doIncr {
-		ivs, err := o.checkIncremental(ctx, net)
-		if err != nil {
-			return nil, err
-		}
-		vs = append(vs, ivs...)
-	}
-
-	// Served-parity tier: the same contract over the wire — a live
-	// afdx-serve instance answers a seeded delta script bit-identically
-	// to cold runs (skipped in the shrinker's inner loop for the same
-	// mutants-of-mutants reason as the tiers above).
 	if doServed {
 		svs, err := o.checkServed(ctx, net)
 		if err != nil {
@@ -384,7 +337,10 @@ func (o *Oracle) CheckCtx(ctx context.Context, net *afdx.Network) ([]Violation, 
 }
 
 // checkDeterminism asserts parallel parity and run-to-run repeatability
-// of both engines against the sequential reference results.
+// of both engines against the sequential reference results. Its
+// trajectory runs pass no NC result, so they compute their own prefix
+// bounds: trRef, which shares the reference NC run's, must match them
+// bit for bit.
 func (o *Oracle) checkDeterminism(ctx context.Context, pg *afdx.PortGraph, ncRef *netcalc.Result, trRef *trajectory.Result) []Violation {
 	var vs []Violation
 	workers := o.ParityWorkers
@@ -396,7 +352,7 @@ func (o *Oracle) checkDeterminism(ctx context.Context, pg *afdx.PortGraph, ncRef
 	} else {
 		vs = append(vs, diffPathDelays(InvParallelParity, "netcalc", ncRef.PathDelays, ncPar.PathDelays)...)
 	}
-	if trPar, err := o.Engines.Trajectory(ctx, pg, trajectory.Options{Grouping: true, Parallel: workers}); err != nil {
+	if trPar, err := o.Engines.Trajectory(ctx, pg, trajectory.Options{Grouping: true, Parallel: workers}, nil); err != nil {
 		vs = append(vs, Violation{InvParallelParity, afdx.PathID{}, 0, 0, "trajectory parallel run failed: " + err.Error()})
 	} else {
 		vs = append(vs, diffPathDelays(InvParallelParity, "trajectory", trRef.PathDelays, trPar.PathDelays)...)
@@ -404,7 +360,7 @@ func (o *Oracle) checkDeterminism(ctx context.Context, pg *afdx.PortGraph, ncRef
 	if ncAgain, err := o.Engines.NC(ctx, pg, netcalc.Options{Grouping: true, Parallel: 1}); err == nil {
 		vs = append(vs, diffPathDelays(InvRepeatability, "netcalc", ncRef.PathDelays, ncAgain.PathDelays)...)
 	}
-	if trAgain, err := o.Engines.Trajectory(ctx, pg, trajectory.Options{Grouping: true, Parallel: 1}); err == nil {
+	if trAgain, err := o.Engines.Trajectory(ctx, pg, trajectory.Options{Grouping: true, Parallel: 1}, nil); err == nil {
 		vs = append(vs, diffPathDelays(InvRepeatability, "trajectory", trRef.PathDelays, trAgain.PathDelays)...)
 	}
 	return vs
@@ -553,7 +509,7 @@ func (o *Oracle) checkMetamorphic(ctx context.Context, net *afdx.Network, ncG *n
 		if err != nil {
 			return fmt.Errorf("conformance: mutant netcalc (%s): %w", what, err)
 		}
-		tr, err := o.Engines.Trajectory(ctx, pg, trajectory.Options{Grouping: false, Parallel: 1})
+		tr, err := o.Engines.Trajectory(ctx, pg, trajectory.Options{Grouping: false, Parallel: 1}, nc)
 		if err != nil {
 			return fmt.Errorf("conformance: mutant trajectory (%s): %w", what, err)
 		}

@@ -5,14 +5,26 @@ import (
 	"testing"
 
 	"afdx/internal/afdx"
+	"afdx/internal/configgen"
 )
+
+// campaignNet generates the first configuration of the campaign family
+// with the given seed.
+func campaignNet(t *testing.T, seed int64) *afdx.Network {
+	t.Helper()
+	net, err := configgen.Generate(campaignSpec(seed, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
 
 // TestServedParityTier runs the served-parity invariant end to end on a
 // generated configuration: a live afdx-serve instance answers a seeded
 // script over real HTTP and the oracle re-derives every answer cold. A
 // clean verdict pins the serving layer to the engines bit for bit.
 func TestServedParityTier(t *testing.T) {
-	net := incrTestNet(t, 17)
+	net := campaignNet(t, 17)
 	o := NewOracle()
 	o.Served = true
 	o.only = InvServedParity // the wire tier alone; the rest of the lattice has its own tests
@@ -31,7 +43,7 @@ func TestServedTierOffByDefault(t *testing.T) {
 	if o.Served {
 		t.Fatal("NewOracle enables the served tier; it must be opt-in")
 	}
-	net := incrTestNet(t, 17)
+	net := campaignNet(t, 17)
 	vs, err := o.Check(net)
 	if err != nil {
 		t.Fatal(err)

@@ -22,10 +22,7 @@ func cloneNetwork(n *afdx.Network) *afdx.Network { return n.Clone() }
 // replay corpus. Shrinking re-checks candidates with only the tiers
 // that can produce inv — re-running the rest of the lattice on every
 // candidate slows convergence without changing which candidates are
-// kept (the corpus replay re-runs the full lattice on the result) —
-// and, when the oracle is incremental, with a cache pool persisted
-// across candidates so each re-check pays only for what the last
-// transformation changed.
+// kept (the corpus replay re-runs the full lattice on the result).
 func (o *Oracle) Shrink(net *afdx.Network, inv Invariant, budget int) *afdx.Network {
 	return o.ShrinkCtx(context.Background(), net, inv, budget)
 }
@@ -53,13 +50,6 @@ func (o *Oracle) ShrinkCtx(ctx context.Context, net *afdx.Network, inv Invariant
 	// other invariants would be discarded anyway).
 	inner.only = inv
 	inner.SkipMetamorphic = false // `only` already restricts the tiers
-	if inner.Incremental {
-		// One pool for the whole minimisation: successive candidates
-		// differ by one greedy transformation, so most port and path
-		// outcomes carry over between oracle re-runs. The shrinker is
-		// sequential, satisfying the pool's single-writer contract.
-		inner.pool = newEnginePool()
-	}
 	evals := 0
 	stillFails := func(cand *afdx.Network) bool {
 		if evals >= budget {

@@ -66,13 +66,16 @@ func CompareWith(pg *afdx.PortGraph, ncOpts netcalc.Options, trOpts trajectory.O
 
 // CompareWithCtx is CompareWith with observability threaded through
 // the context: each engine opens its own span and registers its own
-// counters when ctx carries a tracer or registry.
+// counters when ctx carries a tracer or registry. The WCNC result also
+// serves as the trajectory engine's S_max prefix bounds when ncOpts are
+// the defaults (see trajectory.AnalyzeWithNCCtx), so a default
+// comparison runs WCNC once.
 func CompareWithCtx(ctx context.Context, pg *afdx.PortGraph, ncOpts netcalc.Options, trOpts trajectory.Options) (*Comparison, error) {
 	nc, err := netcalc.AnalyzeCtx(ctx, pg, ncOpts)
 	if err != nil {
 		return nil, fmt.Errorf("core: network calculus analysis: %w", err)
 	}
-	tr, err := trajectory.AnalyzeCtx(ctx, pg, trOpts)
+	tr, err := trajectory.AnalyzeWithNCCtx(ctx, pg, trOpts, nc)
 	if err != nil {
 		return nil, fmt.Errorf("core: trajectory analysis: %w", err)
 	}
@@ -81,9 +84,9 @@ func CompareWithCtx(ctx context.Context, pg *afdx.PortGraph, ncOpts netcalc.Opti
 
 // Combine assembles the per-path comparison from already-computed
 // engine results (CompareWithCtx = two engine runs + Combine). The
-// incremental what-if layer calls it directly with cache-served
-// results, so the combined figures of an incremental step are
-// assembled by exactly the code path a cold comparison uses.
+// what-if layer calls it directly with its own round's results, so the
+// combined figures of a what-if step are assembled by exactly the code
+// path a cold comparison uses.
 func Combine(pg *afdx.PortGraph, nc *netcalc.Result, tr *trajectory.Result) (*Comparison, error) {
 	c := &Comparison{Net: pg.Net, PerPath: map[afdx.PathID]PathComparison{}}
 	for _, pid := range pg.Net.AllPaths() {

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"afdx/internal/afdx"
+	"afdx/internal/configgen"
 	"afdx/internal/netcalc"
+	"afdx/internal/obs"
 	"afdx/internal/trajectory"
 )
 
@@ -151,6 +154,32 @@ func TestBySmaxGrouping(t *testing.T) {
 	}
 	if rows[1].NCWinsPct != 0 {
 		t.Errorf("NC should lose on the 500B paths: %+v", rows[1])
+	}
+}
+
+// A default comparison runs WCNC once: the trajectory engine takes its
+// S_max prefix bounds from the comparison's own WCNC result, so the NC
+// port counter sees every port exactly once.
+func TestCompareRunsWCNCOnce(t *testing.T) {
+	spec := configgen.DefaultSpec(1)
+	spec.NumVLs = 60
+	net, err := configgen.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []*afdx.Network{afdx.Figure2Config(), net} {
+		pg, err := afdx.BuildPortGraph(n, afdx.Strict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		if _, err := CompareWithCtx(obs.WithRegistry(context.Background(), reg), pg,
+			netcalc.DefaultOptions(), trajectory.DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := reg.Snapshot().Counter("netcalc.ports_analyzed"), int64(len(pg.Ports)); got != want {
+			t.Errorf("%s: netcalc.ports_analyzed = %d, want %d (one WCNC run)", n.Name, got, want)
+		}
 	}
 }
 

@@ -12,7 +12,7 @@
 // *relatively* wherever the compared values scale with time.
 //
 // The tolerance never affects the determinism contract: identity
-// invariants (parallel parity, repeatability, incremental-vs-cold) use
+// invariants (parallel parity, repeatability, served-vs-cold) use
 // exact bitwise equality, not tol.
 package tol
 

@@ -62,7 +62,7 @@ func ParseClass(s string) (PkgClass, bool) {
 
 // enginePaths lists the packages under the full determinism contract:
 // every number they produce is covered by the bit-reproducibility and
-// incremental-parity gates.
+// served-parity gates.
 var enginePaths = map[string]bool{
 	"afdx/internal/netcalc":     true,
 	"afdx/internal/trajectory":  true,

@@ -9,7 +9,7 @@ import (
 // DET002 nondetsource: reads of nondeterministic sources inside engine
 // packages. An engine result must be a pure function of the
 // configuration and the options — the bit-reproducibility and
-// incremental-parity gates (check.sh) replay analyses across worker
+// served-parity gates (check.sh) replay analyses across worker
 // counts and sessions and require bitwise identity, which a wall-clock
 // read, an environment read, or the globally seeded math/rand source
 // breaks by construction. Constructing a *local* seeded source

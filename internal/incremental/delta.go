@@ -1,15 +1,11 @@
-// Package incremental is the dependency-tracked what-if re-analysis
-// layer: a Session holds a working copy of a configuration plus the
-// per-port (netcalc) and per-path (trajectory) outcome caches, applies
-// Deltas — VL added or removed, BAG / s_max / priority changed, path
-// rerouted — and re-analyses only what a delta actually dirties. The
-// engines' caches (netcalc.Cache, trajectory.Cache) decide reuse by
-// comparing each unit's input fingerprint bitwise, so invalidation is
-// exactly the change's downstream cone in PortGraph.Ranks order, with
-// early cutoff where inflated envelopes stop differing — and every
-// incremental result is bit-identical to a cold recompute, at every
-// worker count (the contract the conformance oracle's
-// incremental-parity invariant enforces).
+// Package incremental is the what-if layer: a Session holds a working
+// copy of a configuration and its port graph, applies Deltas — VL added
+// or removed, BAG / s_max / priority changed, path rerouted — as atomic
+// batches, and analyses each round cold. A round runs WCNC once and
+// hands that result to the trajectory engine as its S_max prefix
+// bounds (trajectory.AnalyzeWithNCCtx), so every round is bit-identical
+// to cold engine runs on the same configuration, at every worker count
+// (the contract the served-parity invariant enforces over the wire).
 package incremental
 
 import (

@@ -1,6 +1,5 @@
-// Tests live in package incremental_test so the benchmark file next to
-// them can import the conformance oracle (which itself imports this
-// package) without a cycle.
+// Tests live in package incremental_test: they drive the session
+// through its exported API only.
 package incremental_test
 
 import (
@@ -13,7 +12,6 @@ import (
 	"afdx/internal/configgen"
 	"afdx/internal/incremental"
 	"afdx/internal/netcalc"
-	"afdx/internal/obs"
 	"afdx/internal/trajectory"
 )
 
@@ -53,7 +51,7 @@ func coldResults(t testing.TB, net *afdx.Network, opts incremental.Options) (*ne
 
 // mustIdentical asserts bitwise equality of the full engine outcomes —
 // path bounds, per-port results, burst and prefix maps, trajectory
-// details — between an incremental round and a cold recompute.
+// details — between a session round and a cold recompute.
 func mustIdentical(t *testing.T, step string, nc *netcalc.Result, tr *trajectory.Result, coldNC *netcalc.Result, coldTr *trajectory.Result) {
 	t.Helper()
 	if !reflect.DeepEqual(nc.PathDelays, coldNC.PathDelays) {
@@ -78,7 +76,7 @@ func mustIdentical(t *testing.T, step string, nc *netcalc.Result, tr *trajectory
 
 // randomDelta draws one applicable tightening/loosening delta against
 // the current configuration; stash carries VLs dropped earlier so they
-// can be re-added (exercising the A/B/A cache-revalidation path).
+// can be re-added (an A/B/A alternation back to an earlier state).
 func randomDelta(rng *rand.Rand, cur *afdx.Network, stash *[]*afdx.VirtualLink) *incremental.Delta {
 	pickVL := func(ok func(*afdx.VirtualLink) bool) *afdx.VirtualLink {
 		var cands []*afdx.VirtualLink
@@ -130,11 +128,12 @@ func randomDelta(rng *rand.Rand, cur *afdx.Network, stash *[]*afdx.VirtualLink) 
 	return nil
 }
 
-// TestDeltaSequenceBitIdentity is the tentpole's core property test: a
-// 20-step random delta sequence over a generated configuration, where
-// after every step the incremental session's results — at Parallel 1
-// and at Parallel 4 — are bitwise identical to a cold recompute of the
-// mutated configuration.
+// TestDeltaSequenceBitIdentity is the what-if layer's core property
+// test: a 20-step random delta sequence over a generated configuration,
+// where after every step the session's results — at Parallel 1 and at
+// Parallel 4, with the trajectory prefix bounds taken from the round's
+// own WCNC run — are bitwise identical to cold engine runs on the
+// mutated configuration, whose trajectory run computes its own prefix.
 func TestDeltaSequenceBitIdentity(t *testing.T) {
 	net := testNet(t, 42, 15)
 	opts := incremental.DefaultOptions()
@@ -178,42 +177,6 @@ func TestDeltaSequenceBitIdentity(t *testing.T) {
 	}
 }
 
-// A no-op re-analysis must be served entirely from cache: zero port or
-// path recomputes, and the hit counters equal the unit counts.
-func TestNoOpReanalysisAllHits(t *testing.T) {
-	net := testNet(t, 5, 10)
-	sess, err := incremental.NewSession(net, incremental.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Analyze(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	ctx := obs.WithRegistry(context.Background(), reg)
-	if _, err := sess.Analyze(ctx); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	for _, name := range []string{"netcalc.incr_port_recomputes", "trajectory.incr_path_recomputes"} {
-		if got := snap.Counter(name); got != 0 {
-			t.Errorf("%s = %d after a no-op re-analysis, want 0", name, got)
-		}
-	}
-	pg, err := afdx.BuildPortGraph(net, afdx.Strict)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The NC run and the trajectory prefix run share one cache, so the
-	// per-port hit counter fires twice per port per round.
-	if got, want := snap.Counter("netcalc.incr_port_hits"), int64(2*len(pg.Ports)); got != want {
-		t.Errorf("netcalc.incr_port_hits = %d, want %d", got, want)
-	}
-	if got, want := snap.Counter("trajectory.incr_path_hits"), int64(len(net.AllPaths())); got != want {
-		t.Errorf("trajectory.incr_path_hits = %d, want %d", got, want)
-	}
-}
-
 // A rejected delta batch must leave the session untouched.
 func TestApplyIsAtomic(t *testing.T) {
 	net := testNet(t, 5, 10)
@@ -236,6 +199,36 @@ func TestApplyIsAtomic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(before.NC.PathDelays, after.NC.PathDelays) {
 		t.Fatal("rejected batch still changed the session's configuration")
+	}
+}
+
+// A batch whose analysis fails must not be committed: after WhatIf
+// errors (the trajectory engine rejects a mixed-priority network), the
+// session still holds its previous configuration and analyses it.
+func TestWhatIfFailureDoesNotCommit(t *testing.T) {
+	net := testNet(t, 7, 8)
+	sess, err := incremental.NewSession(net, incremental.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	before, err := sess.Analyze(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := incremental.Delta{Op: incremental.OpSetPriority, VL: net.VLs[0].ID, Priority: net.VLs[0].Priority + 1}
+	if _, err := sess.WhatIf(ctx, d); err == nil {
+		t.Fatal("WhatIf on a mixed-priority network unexpectedly succeeded")
+	}
+	if !reflect.DeepEqual(sess.Network(), net) {
+		t.Error("a WhatIf whose analysis failed still changed the session's configuration")
+	}
+	after, err := sess.Analyze(ctx)
+	if err != nil {
+		t.Fatalf("Analyze after a failed WhatIf: %v", err)
+	}
+	if !reflect.DeepEqual(after.Comparison.PerPath, before.Comparison.PerPath) {
+		t.Error("Analyze after a failed WhatIf differs from the round before it")
 	}
 }
 

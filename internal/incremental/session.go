@@ -26,9 +26,8 @@ func (e *BadDeltaError) Error() string { return e.Err.Error() }
 func (e *BadDeltaError) Unwrap() error { return e.Err }
 
 // Options configures a what-if Session: the validation mode used when a
-// delta batch is re-validated, and the engine option sets the cached
-// analyses run under. A session's caches are bound to these options;
-// change options by opening a new session.
+// delta batch is re-validated, and the engine option sets every
+// analysis round runs under.
 type Options struct {
 	Mode       afdx.ValidationMode
 	NC         netcalc.Options
@@ -47,7 +46,7 @@ func DefaultOptions() Options {
 
 // Result carries one analysis round of a session: both engine results
 // and the combined per-path comparison, each bit-identical to what a
-// cold run on the session's current network would produce.
+// cold run on the analysed network would produce.
 type Result struct {
 	NC         *netcalc.Result
 	Trajectory *trajectory.Result
@@ -55,44 +54,27 @@ type Result struct {
 }
 
 // Session is the stateful what-if loop: it owns a private clone of a
-// configuration, re-validates and swaps it under Apply'd deltas, and
-// Analyze serves unchanged ports and paths from the engines' incremental
-// caches. Sessions are not safe for concurrent use (the caches are
-// single-writer); Options.NC.Parallel / Options.Trajectory.Parallel
-// still fan each individual analysis out, and results do not depend on
-// those values.
+// configuration and its port graph, re-validates and swaps them under
+// Apply'd deltas, and analyses them cold on every round. Sessions are
+// not safe for concurrent use; Options.NC.Parallel /
+// Options.Trajectory.Parallel still fan each individual analysis out,
+// and results do not depend on those values.
 type Session struct {
 	opts   Options
 	net    *afdx.Network
 	pg     *afdx.PortGraph
-	nc     *netcalc.Cache
-	tr     *trajectory.Cache
 	closed bool
 }
 
-// NewSession clones net (later deltas never touch the caller's value),
-// validates it by building the port graph, and wires the engine caches.
-// When the session's NC options match the trajectory engine's internal
-// prefix run (netcalc defaults, any Parallel), both analyses share one
-// per-port cache and the prefix run of Analyze is a pure cache hit.
+// NewSession clones net (later deltas never touch the caller's value)
+// and validates the clone by building its port graph.
 func NewSession(net *afdx.Network, opts Options) (*Session, error) {
 	clone := net.Clone()
 	pg, err := afdx.BuildPortGraph(clone, opts.Mode)
 	if err != nil {
 		return nil, fmt.Errorf("incremental: %w", err)
 	}
-	tr := trajectory.NewCache(opts.Trajectory)
-	nc := netcalc.NewCache(opts.NC)
-	norm := opts.NC
-	norm.Parallel = 0
-	if norm == netcalc.DefaultOptions() {
-		nc = tr.PrefixNCCache()
-	} else {
-		// Distinct caches still fingerprint the same graphs: share the
-		// per-graph memo so each round renders them once.
-		nc.ShareGraphMemo(tr.PrefixNCCache())
-	}
-	return &Session{opts: opts, net: clone, pg: pg, nc: nc, tr: tr}, nil
+	return &Session{opts: opts, net: clone, pg: pg}, nil
 }
 
 // Network returns a clone of the session's current configuration (with
@@ -110,8 +92,7 @@ func (s *Session) Options() Options { return s.opts }
 
 // PortGraph returns the port-level view of the session's current
 // configuration (e.g. for rendering per-path floors alongside an
-// analysis round). Callers must treat it as read-only: the session's
-// caches key off it.
+// analysis round). Callers must treat it as read-only.
 func (s *Session) PortGraph() *afdx.PortGraph { return s.pg }
 
 // Apply mutates the session's configuration by the given deltas, in
@@ -120,19 +101,30 @@ func (s *Session) PortGraph() *afdx.PortGraph { return s.pg }
 // new configuration. On error the session is unchanged; every rejection
 // is reported as a *BadDeltaError.
 func (s *Session) Apply(deltas ...Delta) error {
+	net, pg, err := s.candidate(deltas)
+	if err != nil {
+		return err
+	}
+	s.net, s.pg = net, pg
+	return nil
+}
+
+// candidate applies a delta batch to a clone of the session's
+// configuration and builds its port graph, leaving the session as it
+// is.
+func (s *Session) candidate(deltas []Delta) (*afdx.Network, *afdx.PortGraph, error) {
 	if s.closed {
-		return ErrClosed
+		return nil, nil, ErrClosed
 	}
 	cand := s.net.Clone()
 	if err := Apply(cand, deltas...); err != nil {
-		return &BadDeltaError{Err: err}
+		return nil, nil, &BadDeltaError{Err: err}
 	}
 	pg, err := afdx.BuildPortGraph(cand, s.opts.Mode)
 	if err != nil {
-		return &BadDeltaError{Err: fmt.Errorf("incremental: delta batch rejected: %w", err)}
+		return nil, nil, &BadDeltaError{Err: fmt.Errorf("incremental: delta batch rejected: %w", err)}
 	}
-	s.net, s.pg = cand, pg
-	return nil
+	return cand, pg, nil
 }
 
 // Apply mutates a network in place by the given deltas, in order,
@@ -149,67 +141,74 @@ func Apply(n *afdx.Network, deltas ...Delta) error {
 	return nil
 }
 
-// Analyze runs both engines over the current configuration through the
-// session's caches and assembles the combined comparison. Ports and
-// paths whose inputs are unchanged since the previous Analyze are
-// served from cache; the result is bit-identical to a cold run. An
-// analysis error (e.g. cancellation, instability after a delta) leaves
-// the caches consistent — every stored entry is still keyed by its
-// exact inputs — so the session remains usable.
+// Analyze runs both engines over the current configuration and
+// assembles the combined comparison. The WCNC result also supplies the
+// trajectory engine's S_max prefix bounds when the session's NC options
+// are the defaults (trajectory.AnalyzeWithNCCtx), so a round runs WCNC
+// once. An analysis error (e.g. cancellation) leaves the session
+// unchanged and usable.
 func (s *Session) Analyze(ctx context.Context) (*Result, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	nc, err := netcalc.AnalyzeWithCacheCtx(ctx, s.pg, s.opts.NC, s.nc)
+	return s.analyze(ctx, s.pg)
+}
+
+// analyze runs one round on pg: WCNC, the trajectory engine on the
+// WCNC run's prefix bounds, and the combined comparison.
+func (s *Session) analyze(ctx context.Context, pg *afdx.PortGraph) (*Result, error) {
+	nc, err := netcalc.AnalyzeCtx(ctx, pg, s.opts.NC)
 	if err != nil {
 		return nil, fmt.Errorf("incremental: network calculus analysis: %w", err)
 	}
-	tr, err := trajectory.AnalyzeWithCacheCtx(ctx, s.pg, s.opts.Trajectory, s.tr)
+	tr, err := trajectory.AnalyzeWithNCCtx(ctx, pg, s.opts.Trajectory, nc)
 	if err != nil {
 		return nil, fmt.Errorf("incremental: trajectory analysis: %w", err)
 	}
-	cmp, err := core.Combine(s.pg, nc, tr)
+	cmp, err := core.Combine(pg, nc, tr)
 	if err != nil {
 		return nil, fmt.Errorf("incremental: %w", err)
 	}
 	return &Result{NC: nc, Trajectory: tr, Comparison: cmp}, nil
 }
 
-// WhatIf is Apply + Analyze: one what-if step. The delta batch is
-// atomic; if it is rejected, the session's configuration is unchanged
-// and no analysis runs.
+// WhatIf is Peek plus the commit: one what-if step. The delta batch is
+// applied to a scratch clone and analysed there, and the session swaps
+// to the new configuration only when the analysis succeeds. A rejected
+// batch (a *BadDeltaError, before any analysis runs) and a failed
+// analysis (an engine error or a cancellation) both leave the session
+// unchanged.
 func (s *Session) WhatIf(ctx context.Context, deltas ...Delta) (*Result, error) {
-	if err := s.Apply(deltas...); err != nil {
+	net, pg, err := s.candidate(deltas)
+	if err != nil {
 		return nil, err
 	}
-	return s.Analyze(ctx)
+	res, err := s.analyze(ctx, pg)
+	if err != nil {
+		return nil, err
+	}
+	s.net, s.pg = net, pg
+	return res, nil
 }
 
-// Peek is WhatIf without the commit: the deltas are applied, the
-// mutated configuration analysed through the session's caches, and the
-// session's configuration restored — the next Analyze sees the state
-// from before the Peek. The caches keep both variants' entries (each
-// keyed by its exact inputs; the two-generation slots make the
-// apply/restore alternation cheap), so peeking never degrades later
-// rounds. The serving layer's /whatif endpoint is this call.
+// Peek is WhatIf without the commit: the deltas are applied to a
+// scratch clone and analysed there, and the session keeps its
+// configuration — the next Analyze sees the state from before the
+// Peek. The serving layer's /whatif endpoint is this call.
 func (s *Session) Peek(ctx context.Context, deltas ...Delta) (*Result, error) {
-	savedNet, savedPG := s.net, s.pg
-	if err := s.Apply(deltas...); err != nil {
+	_, pg, err := s.candidate(deltas)
+	if err != nil {
 		return nil, err
 	}
-	res, err := s.Analyze(ctx)
-	s.net, s.pg = savedNet, savedPG
-	return res, err
+	return s.analyze(ctx, pg)
 }
 
-// Close releases the session's configuration and both engine caches so
-// a long-lived owner (the serving layer's session pool) can return the
-// memory; every subsequent method reports ErrClosed. Close follows the
-// session's single-writer discipline — do not race it with Analyze —
-// and is idempotent. A new session over the same configuration starts
-// cold and, by the incremental contract, still computes bit-identical
-// bounds.
+// Close releases the session's configuration so a long-lived owner
+// (the serving layer's session pool) can return the memory; every
+// subsequent method reports ErrClosed. Close follows the session's
+// single-writer discipline — do not race it with Analyze — and is
+// idempotent.
 func (s *Session) Close() {
 	s.closed = true
-	s.net, s.pg, s.nc, s.tr = nil, nil, nil, nil
+	s.net, s.pg = nil, nil
 }

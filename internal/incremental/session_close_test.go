@@ -89,7 +89,7 @@ func TestPeekDoesNotCommit(t *testing.T) {
 		!reflect.DeepEqual(after.Trajectory.PathDelays, base.Trajectory.PathDelays) {
 		t.Error("Analyze after Peek differs from the base round: the peek committed state")
 	}
-	// The peek must not have poisoned the caches for a later commit.
+	// The peek must leave no residue that a later commit could see.
 	recommit, err := peeker.WhatIf(ctx, d)
 	if err != nil {
 		t.Fatal(err)

@@ -173,36 +173,10 @@ type betaKey struct {
 // Observation never influences the computation: results are
 // bit-identical with or without it.
 func AnalyzeCtx(ctx context.Context, pg *afdx.PortGraph, opts Options) (*Result, error) {
-	return analyzeWith(ctx, pg, opts, nil)
-}
-
-// analyzeWith is the shared engine body behind AnalyzeCtx (c == nil,
-// every port computed) and AnalyzeWithCacheCtx (per-port outcomes
-// served from c when their fingerprints match; see incremental.go).
-func analyzeWith(ctx context.Context, pg *afdx.PortGraph, opts Options, c *Cache) (*Result, error) {
 	ctx, span := obs.StartSpan(ctx, "netcalc")
 	defer span.End()
-	var im incrMetrics
-	var sigMap map[afdx.PortID]string
-	if c != nil {
-		c.ensureOpts(opts)
-		im = newIncrMetrics(obs.RegistryFrom(ctx))
-		// Whole-result fast path: the exact same analysis already ran
-		// (lint included — a memoized graph passed the stability check).
-		// ensureOpts dropped the memo unless the normalized options match.
-		if c.lastRes != nil && c.lastPG == pg {
-			im.hits.Add(int64(len(pg.Ports)))
-			return c.lastRes, nil
-		}
-		sigMap, _ = c.signatures(pg)
-	}
-	if c == nil || c.sig.stabPG != pg {
-		if err := lint.CheckStability(pg); err != nil {
-			return nil, fmt.Errorf("netcalc: %w", err)
-		}
-		if c != nil {
-			c.sig.stabPG = pg
-		}
+	if err := lint.CheckStability(pg); err != nil {
+		return nil, fmt.Errorf("netcalc: %w", err)
 	}
 	incidences := 0
 	for _, port := range pg.Ports {
@@ -258,42 +232,10 @@ func analyzeWith(ctx context.Context, pg *afdx.PortGraph, opts Options, c *Cache
 	// an in-order loop, so the sequential analysis shares this code
 	// path — and its metric stream: the pool's deterministic batch and
 	// task counts are identical across worker counts.
-	// With a cache attached, each port's fingerprint (contract signature
-	// + upstream inputs) is compared sequentially before the rank fans
-	// out, so only the dirty frontier is recomputed; hit/miss decisions
-	// are input comparisons made before any worker runs, hence
-	// deterministic at every worker count (the counters are
-	// Deterministic class).
 	workers := parallel.Workers(opts.Parallel)
 	for _, rank := range pg.Ranks() {
 		outs := make([]*portOutcome, len(rank))
-		todo := make([]int, 0, len(rank))
-		var sigs []string
-		var inputs [][]float64
-		if c != nil {
-			sigs = make([]string, len(rank))
-			inputs = make([][]float64, len(rank))
-			for i, id := range rank {
-				sigs[i] = sigMap[id]
-				if e := c.ports[id]; e != nil {
-					if s := e.match(sigs[i], rn, id); s != nil {
-						outs[i] = s.out
-						im.hits.Inc()
-						continue
-					}
-					im.invalidations.Inc()
-				}
-				inputs[i], _ = rn.portInputs(id)
-				todo = append(todo, i)
-			}
-			im.recomputes.Add(int64(len(todo)))
-		} else {
-			for i := range rank {
-				todo = append(todo, i)
-			}
-		}
-		err := parallel.ForEachCtx(ctx, workers, len(todo), func(k int) error {
-			i := todo[k]
+		err := parallel.ForEachCtx(ctx, workers, len(rank), func(i int) error {
 			out, err := analyzePort(rn, rank[i])
 			outs[i] = out
 			return err
@@ -304,16 +246,6 @@ func analyzeWith(ctx context.Context, pg *afdx.PortGraph, opts Options, c *Cache
 		for _, out := range outs {
 			res.merge(out)
 		}
-		if c != nil {
-			for _, i := range todo {
-				e := c.ports[rank[i]]
-				if e == nil {
-					e = &cacheEntry{}
-					c.ports[rank[i]] = e
-				}
-				e.store(&cacheSlot{sig: sigs[i], inputs: inputs[i], out: outs[i]})
-			}
-		}
 	}
 	// Path bounds sum the per-flow port terms, each exactly the flow's
 	// priority-level bound.
@@ -323,9 +255,6 @@ func analyzeWith(ctx context.Context, pg *afdx.PortGraph, opts Options, c *Cache
 			total += res.FlowDelays[FlowPortKey{pid.VL, portID}]
 		}
 		res.PathDelays[pid] = total
-	}
-	if c != nil {
-		c.lastPG, c.lastRes = pg, res
 	}
 	return res, nil
 }

@@ -44,8 +44,9 @@ const (
 	// place because every session is busy. HTTP 503.
 	CodePoolFull diag.Code = "SRV008"
 	// CodeTimeout marks a request abandoned by the per-request timeout;
-	// an already-committed apply still completes and is streamed on the
-	// session's event feed. HTTP 504.
+	// an apply whose analysis still completes is committed and streamed
+	// on the session's event feed, one cancelled mid-analysis leaves the
+	// session unchanged. HTTP 504.
 	CodeTimeout diag.Code = "SRV009"
 	// CodeAnalysis marks an engine failure on a validated configuration
 	// — the served twin of afdx-bounds exit code 1. HTTP 500.
@@ -111,13 +112,11 @@ type AnalysisResponse struct {
 }
 
 // Provenance is the audit record of one analysis round: enough to
-// answer, after the fact, which configuration, engine variant, and
-// cache path produced these bounds. The digest is FNV-1a 64 over the
-// canonical JSON of the exact configuration the bounds describe (for
-// a peek: committed state plus the peeked batch — the same
-// reconstruction VerifyCold anchors against). Hit/recompute totals
-// are the server-wide Deterministic incremental counters at response
-// time; ObsVersion pins the record schema.
+// answer, after the fact, which configuration and engine variant
+// produced these bounds. The digest is FNV-1a 64 over the canonical
+// JSON of the exact configuration the bounds describe (for a peek:
+// committed state plus the peeked batch — the same reconstruction
+// VerifyCold anchors against); ObsVersion pins the record schema.
 type Provenance struct {
 	// ConfigFNV64 is the hex FNV-1a 64-bit digest of the analysed
 	// configuration's canonical JSON.
@@ -134,20 +133,14 @@ type Provenance struct {
 	// Workers is the session's engine worker count (0 = all CPUs).
 	// Bounds do not depend on it.
 	Workers int `json:"workers"`
-	// PortHits / PortRecomputes are netcalc.incr_port_{hits,recomputes}.
-	PortHits       int64 `json:"portHits"`
-	PortRecomputes int64 `json:"portRecomputes"`
-	// PathHits / PathRecomputes are trajectory.incr_path_{hits,recomputes}.
-	PathHits       int64 `json:"pathHits"`
-	PathRecomputes int64 `json:"pathRecomputes"`
 	// ObsVersion is the observability-layer schema tag (oplog.Version).
 	ObsVersion string `json:"obsVersion"`
 }
 
 // AnalysisEvent is the SSE "analysis" event payload: the response every
 // subscriber sees for each round, plus the server's Deterministic-class
-// counter totals at publish time (engine cache hits/recomputes, served
-// request counts).
+// counter totals at publish time (engine work counts, served request
+// counts).
 type AnalysisEvent struct {
 	AnalysisResponse
 	Counters map[string]int64 `json:"counters,omitempty"`

@@ -36,8 +36,8 @@ func benchNet(b *testing.B) *afdx.Network {
 }
 
 // benchDeltas returns two alternating peek questions, so the served
-// variant exercises the caches' A/B alternation rather than a single
-// hot entry.
+// variant answers an A/B alternation rather than one repeated
+// question.
 func benchDeltas(b *testing.B, net *afdx.Network) [2][]string {
 	b.Helper()
 	if len(net.VLs) < 2 {

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -118,6 +119,37 @@ func TestHTTPErrorPaths(t *testing.T) {
 	body, _ := json.Marshal(DeltaRequest{Deltas: []string{tightenDelta(net.VLs[0])}})
 	if err := postJSON(ts.Client(), ts.URL+"/v1/sessions/"+id+"/whatif", body, &resp); err != nil {
 		t.Fatalf("session unusable after rejected deltas: %v", err)
+	}
+}
+
+// TestFailedApplyLeavesSessionUnchanged pins commit-on-success: an
+// /apply whose analysis fails — a priority change the trajectory engine
+// rejects as mixed-priority — answers 500 SRV010 and does not commit,
+// so the same peek answers 200 with the same paths before and after.
+func TestFailedApplyLeavesSessionUnchanged(t *testing.T) {
+	_, ts := newTestServer(t, testOptions())
+	net := testNet(t, 7, 8)
+	id, err := (&Script{Net: net}).RunHTTP(ts.Client(), ts.URL, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vl := net.VLs[0].ID
+	peek := func() AnalysisResponse {
+		t.Helper()
+		var resp AnalysisResponse
+		body := `{"deltas":["bag ` + vl + ` 2"]}`
+		if err := postJSON(ts.Client(), ts.URL+"/v1/sessions/"+id+"/whatif", []byte(body), &resp); err != nil {
+			t.Fatalf("peek: %v", err)
+		}
+		return resp
+	}
+	before := peek()
+	status, eb := postRaw(t, ts, ts.URL+"/v1/sessions/"+id+"/apply", `{"deltas":["priority `+vl+` 1"]}`)
+	if status != http.StatusInternalServerError || eb.Error.Code != CodeAnalysis {
+		t.Fatalf("failing apply: status %d code %s, want 500 %s", status, eb.Error.Code, CodeAnalysis)
+	}
+	if after := peek(); !reflect.DeepEqual(after.Paths, before.Paths) {
+		t.Error("peek after a failed apply differs from the peek before it: the failed batch was committed")
 	}
 }
 

@@ -105,7 +105,8 @@ func newManager(opts Options, reg *obs.Registry) *manager {
 // sessionOptions is the engine option set every served session runs
 // under: both engines' paper defaults (grouping on) at the requested
 // worker count — the exact options the cold-anchor replay uses, so a
-// served answer and its anchor differ only by the caches in between.
+// served answer and its anchor differ only by the session and the wire
+// in between.
 func sessionOptions(mode afdx.ValidationMode, parallel int) incremental.Options {
 	nc := netcalc.DefaultOptions()
 	nc.Parallel = parallel
@@ -167,7 +168,7 @@ func (m *manager) create(net *afdx.Network, parallel int) (*managed, error) {
 
 // run is a session's executor goroutine: it applies the queued requests
 // one at a time until the request channel closes, then releases the
-// session's caches and terminates the event stream.
+// session and terminates the event stream.
 func (m *manager) run(ms *managed) {
 	defer m.wg.Done()
 	for fn := range ms.reqs {

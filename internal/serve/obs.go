@@ -195,8 +195,7 @@ func wantsPrometheus(r *http.Request) bool {
 // digest covers the exact configuration the bounds describe: the
 // session's committed state, plus — for a peek — the non-committed
 // batch applied to a scratch clone, mirroring VerifyCold's
-// reconstruction. Counters are read from a snapshot (never registered
-// here) so requesting provenance cannot perturb the registry.
+// reconstruction.
 func (s *Server) provenance(sess *incremental.Session, ds []incremental.Delta, commit bool, workers int, analysis string) *Provenance {
 	net := sess.Network()
 	if !commit && len(ds) > 0 {
@@ -211,7 +210,6 @@ func (s *Server) provenance(sess *incremental.Session, ds []incremental.Delta, c
 	if err != nil {
 		return nil
 	}
-	snap := s.reg.Snapshot()
 	return &Provenance{
 		ConfigFNV64:    oplog.FNV64(data),
 		Engines:        "netcalc+trajectory",
@@ -219,12 +217,8 @@ func (s *Server) provenance(sess *incremental.Session, ds []incremental.Delta, c
 		TrajectoryPath: "flat",
 		// The audit record carries the resolved worker count (<= 0 is
 		// the "all cores" sentinel, useless to an auditor).
-		Workers:        parallel.Workers(workers),
-		PortHits:       snap.Counter("netcalc.incr_port_hits"),
-		PortRecomputes: snap.Counter("netcalc.incr_port_recomputes"),
-		PathHits:       snap.Counter("trajectory.incr_path_hits"),
-		PathRecomputes: snap.Counter("trajectory.incr_path_recomputes"),
-		ObsVersion:     oplog.Version,
+		Workers:    parallel.Workers(workers),
+		ObsVersion: oplog.Version,
 	}
 }
 

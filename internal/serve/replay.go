@@ -20,11 +20,9 @@ import (
 // This file is the served-conformance harness: record one session's
 // traffic (the uploaded configuration plus every delta round and the
 // bounds the server answered), then replay the same state evolution
-// through cold engine runs — no server, no session, no cache — and
-// require exact `==` on every path bound. It is the serving layer's
-// analog of the incremental-parity tier: the wire (JSON round-trip),
-// the session manager, and the warm caches must all be invisible in
-// the numbers.
+// through cold engine runs — no server, no session — and require exact
+// `==` on every path bound: the wire (JSON round-trip) and the session
+// manager must both be invisible in the numbers.
 
 // Step is one delta round of a recorded script: the ParseDelta-format
 // batch, whether it was committed (/apply) or peeked (/whatif), the
@@ -53,7 +51,7 @@ type Script struct {
 // drawn against the state all *committed* prior steps produce, with
 // peeks and commits interleaved and each step's ?analysis= name drawn
 // uniformly from WCNC and FIFO — so one replay exercises both accepted
-// names on a warm session. The script is a pure function of (net,
+// names on one session. The script is a pure function of (net,
 // seed, n), so the check.sh smoke and the conformance tier replay the
 // exact same traffic.
 func SeededScript(net *afdx.Network, seed int64, n int) (*Script, error) {
@@ -206,7 +204,7 @@ func (m Mismatch) String() string {
 // round (committed deltas accumulate, peeked deltas apply to a scratch
 // clone), runs both engines cold at the given worker count, and
 // compares every path bound with exact `==`. An empty slice means the
-// server was bit-faithful; any tolerance here would hide a cache or
+// server was bit-faithful; any tolerance here would hide a session or
 // codec bug, so there is none.
 func (sc *Script) VerifyCold(ctx context.Context, mode afdx.ValidationMode, parallel int) ([]Mismatch, error) {
 	var out []Mismatch

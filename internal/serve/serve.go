@@ -1,16 +1,17 @@
 // Package serve is the analysis-as-a-service layer: a stdlib-only
-// HTTP/JSON surface over incremental what-if sessions. A client uploads
-// a configuration (lint pre-flight gated, exactly as afdx-bounds gates
-// a cold run), receives a session ID, and POSTs ParseDelta-format delta
-// batches to /whatif (peek, non-committing) or /apply (commit); each
+// HTTP/JSON surface over what-if sessions (internal/incremental). A
+// client uploads a configuration (lint pre-flight gated, exactly as
+// afdx-bounds gates a cold run), receives a session ID, and POSTs
+// ParseDelta-format delta batches to /whatif (peek, non-committing) or
+// /apply (commit, only when the batch's analysis succeeds); each
 // request returns the re-analysed per-path bounds. An SSE endpoint
 // streams every analysis round plus the deterministic counter totals.
 //
 // Determinism contract for served answers: every bound a session
 // returns is exactly `==` the bound a cold afdx-bounds run computes on
-// the same configuration — the same guarantee the incremental layer
-// pins, carried over the wire by encoding/json's shortest-round-trip
-// float64 form and enforced end to end by the served-conformance tier
+// the same configuration — the same guarantee the session pins,
+// carried over the wire by encoding/json's shortest-round-trip float64
+// form and enforced end to end by the served-conformance tier
 // (replay.go and internal/conformance's served-parity invariant).
 //
 // Because incremental.Session is single-writer, each session is owned

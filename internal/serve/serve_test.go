@@ -65,7 +65,7 @@ func testOptions() Options {
 
 // TestServedConformanceSeeded is the served-conformance tier's core
 // case: a seeded 20-step script served over HTTP, then every answer
-// re-derived from cold engine runs — no server, no caches — requiring
+// re-derived from cold engine runs — no server, no session — requiring
 // exact == at worker counts 1 and N.
 func TestServedConformanceSeeded(t *testing.T) {
 	_, ts := newTestServer(t, testOptions())
@@ -154,10 +154,9 @@ func TestServedConformanceConcurrentClients(t *testing.T) {
 }
 
 // TestEvictedThenRecreatedMatchesCold is the Session.Close regression
-// pin: evict a session (returning its cache memory), recreate it from
-// the same configuration, and require the recreated session's answers
-// — now computed by cold caches — to be bit-identical to the first
-// session's and to cold anchors.
+// pin: evict a session (returning its memory), recreate it from the
+// same configuration, and require the recreated session's answers to
+// be bit-identical to the first session's and to cold anchors.
 func TestEvictedThenRecreatedMatchesCold(t *testing.T) {
 	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	var mu sync.Mutex
@@ -192,8 +191,8 @@ func TestEvictedThenRecreatedMatchesCold(t *testing.T) {
 	}
 
 	// Recreate from the same configuration and replay the same script:
-	// a fresh session starts with cold caches, so identical answers here
-	// plus VerifyCold pin the eviction as semantically invisible.
+	// identical answers here plus VerifyCold pin the eviction as
+	// semantically invisible.
 	second := &Script{Net: net.Clone()}
 	for _, st := range first.Steps {
 		second.Steps = append(second.Steps, Step{Commit: st.Commit, Deltas: st.Deltas, Analysis: st.Analysis})

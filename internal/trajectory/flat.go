@@ -167,9 +167,9 @@ type flatIndex struct {
 	pool  sync.Pool // of *scratch
 }
 
-// prepare builds the flat hot-path index. It runs after the prefix
-// bounds are known (newAnalyzerWith for cold runs, AnalyzeWithCacheCtx
-// for incremental ones) and is skipped entirely on reference analyzers.
+// prepare builds the flat hot-path index. newAnalyzerWith runs it once
+// the prefix bounds are known; it is skipped entirely on reference
+// analyzers.
 func (a *analyzer) prepare() error {
 	if a.reference {
 		return nil

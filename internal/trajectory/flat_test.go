@@ -187,11 +187,11 @@ search:
 
 	ctx := context.Background()
 	for _, v := range engineVariants {
-		ref, err := newAnalyzerWith(ctx, pg, v.opts, true)
+		ref, err := newAnalyzerWith(ctx, pg, v.opts, nil, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat, err := newAnalyzerWith(ctx, pg, v.opts, false)
+		flat, err := newAnalyzerWith(ctx, pg, v.opts, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,7 @@ import (
 // analyzeReference runs the full analysis through the reference
 // (pre-flattening) hot path. Test and benchmark entry point only.
 func analyzeReference(ctx context.Context, pg *afdx.PortGraph, opts Options) (*Result, error) {
-	a, err := newAnalyzerWith(ctx, pg, opts, true)
+	a, err := newAnalyzerWith(ctx, pg, opts, nil, true)
 	if err != nil {
 		return nil, err
 	}

@@ -1,0 +1,130 @@
+package trajectory
+
+import (
+	"context"
+	"fmt"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"afdx/internal/afdx"
+	"afdx/internal/configgen"
+	"afdx/internal/netcalc"
+	"afdx/internal/obs"
+)
+
+// TestAnalyzeWithNCMatchesAnalyze pins AnalyzeWithNCCtx to AnalyzeCtx
+// bit for bit (PathDelays and Details) for every NC result a caller may
+// hand it: nil, default-option runs at Parallel 1 and 4 (shared as the
+// prefix bounds), and non-default runs (grouping off, staircase
+// envelopes, deconvolution), which must fall back to a private prefix
+// run. The NC port counter of the trajectory call alone tells which
+// source was used: zero ports when the prefix is shared (and always in
+// PrefixTrajectory mode, which reads no NC result), every port when the
+// engine ran its own.
+func TestAnalyzeWithNCMatchesAnalyze(t *testing.T) {
+	type variant = struct {
+		name string
+		opts Options
+	}
+	prefixTraj := variant{"prefixtraj", Options{Grouping: true, PrefixMode: PrefixTrajectory}}
+	withPrefixTraj := append([]variant{prefixTraj}, engineVariants...)
+	defaults := []variant{{"default", DefaultOptions()}}
+
+	type config struct {
+		label    string
+		net      *afdx.Network
+		variants []variant
+	}
+	cases := []config{
+		{"fig1", afdx.Figure1Config(), []variant{{"default", DefaultOptions()}, prefixTraj}},
+		{"fig2", afdx.Figure2Config(), withPrefixTraj},
+	}
+	files, err := filepath.Glob("../lint/testdata/*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("golden corpus missing: %v (%d files)", err, len(files))
+	}
+	for _, file := range files {
+		net, err := afdx.LoadJSON(file, afdx.Strict)
+		if err != nil {
+			continue // invalid-on-purpose corpus entries
+		}
+		cases = append(cases, config{filepath.Base(file), net, withPrefixTraj})
+	}
+	gen := func(seed int64, small bool, vls int) *afdx.Network {
+		spec := configgen.DefaultSpec(seed)
+		if small {
+			spec.NumSwitches = 3
+			spec.ESPerSwitch = 3
+		}
+		spec.NumVLs = vls
+		net, err := configgen.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		cases = append(cases, config{fmt.Sprintf("configgen-%d", seed), gen(seed, true, 15), defaults})
+	}
+	cases = append(cases, config{"configgen-1-60vl", gen(1, false, 60), defaults})
+
+	ncVariants := []struct {
+		name   string
+		opts   netcalc.Options
+		shared bool
+	}{
+		{"default/p1", netcalc.Options{Grouping: true, Parallel: 1}, true},
+		{"default/p4", netcalc.Options{Grouping: true, Parallel: 4}, true},
+		{"nogrouping", netcalc.Options{Parallel: 1}, false},
+		{"stairsteps4", netcalc.Options{Grouping: true, StairSteps: 4, Parallel: 1}, false},
+		{"deconvolution", netcalc.Options{Grouping: true, Deconvolution: true, Parallel: 1}, false},
+	}
+
+	ctx := context.Background()
+	for _, c := range cases {
+		pg, err := afdx.BuildPortGraph(c.net, afdx.Strict)
+		if err != nil {
+			continue
+		}
+		type source struct {
+			name   string
+			nc     *netcalc.Result
+			shared bool
+		}
+		sources := []source{{"nil", nil, false}}
+		for _, nv := range ncVariants {
+			if nc, err := netcalc.AnalyzeCtx(ctx, pg, nv.opts); err == nil {
+				sources = append(sources, source{nv.name, nc, nv.shared})
+			}
+		}
+		for _, v := range c.variants {
+			for _, par := range []int{1, 4} {
+				opts := v.opts
+				opts.Parallel = par
+				want, wantErr := AnalyzeCtx(ctx, pg, opts)
+				for _, src := range sources {
+					label := fmt.Sprintf("%s/%s/p%d/nc=%s", c.label, v.name, par, src.name)
+					reg := obs.NewRegistry()
+					got, err := AnalyzeWithNCCtx(obs.WithRegistry(ctx, reg), pg, opts, src.nc)
+					if wantErr != nil || err != nil {
+						if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+							t.Errorf("%s: error %v, AnalyzeCtx error %v", label, err, wantErr)
+						}
+						continue
+					}
+					if !reflect.DeepEqual(got.PathDelays, want.PathDelays) || !reflect.DeepEqual(got.Details, want.Details) {
+						t.Errorf("%s: result differs from AnalyzeCtx", label)
+					}
+					wantPorts := int64(len(pg.Ports))
+					if src.shared || opts.PrefixMode == PrefixTrajectory {
+						wantPorts = 0
+					}
+					if n := reg.Snapshot().Counter("netcalc.ports_analyzed"); n != wantPorts {
+						t.Errorf("%s: prefix run analysed %d NC ports, want %d", label, n, wantPorts)
+					}
+				}
+			}
+		}
+	}
+}

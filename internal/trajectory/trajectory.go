@@ -224,43 +224,21 @@ type analyzer struct {
 // newAnalyzer validates the configuration for trajectory analysis and
 // prepares the shared state (prefix bounds, flat hot-path index).
 func newAnalyzer(ctx context.Context, pg *afdx.PortGraph, opts Options) (*analyzer, error) {
-	return newAnalyzerWith(ctx, pg, opts, false)
+	return newAnalyzerWith(ctx, pg, opts, nil, false)
 }
 
-// newAnalyzerWith is newAnalyzer with an engine selector: reference
-// analyzers skip the flat index and run the pre-flattening hot path
-// (differential tests and benchmarks only).
-func newAnalyzerWith(ctx context.Context, pg *afdx.PortGraph, opts Options, reference bool) (*analyzer, error) {
-	a, err := newAnalyzerShell(ctx, pg, opts)
-	if err != nil {
-		return nil, err
-	}
-	a.reference = reference
-	if opts.PrefixMode == PrefixNC {
-		ncOpts := netcalc.DefaultOptions()
-		ncOpts.Parallel = opts.Parallel
-		nc, err := netcalc.AnalyzeCtx(ctx, pg, ncOpts)
-		if err != nil {
-			return nil, fmt.Errorf("trajectory: computing NC prefix bounds: %w", err)
-		}
-		a.ncPrefix = nc.PrefixDelays
-	}
-	if err := a.prepare(); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// newAnalyzerShell runs the configuration checks and builds the shared
-// analyzer state without the NC prefix run; newAnalyzer adds a cold
-// prefix run, the incremental entry point (incremental.go) a cached
-// one.
-func newAnalyzerShell(ctx context.Context, pg *afdx.PortGraph, opts Options) (*analyzer, error) {
+// newAnalyzerWith is newAnalyzer with the caller's NC result as the
+// prefix-bound source (see AnalyzeWithNCCtx; nil runs a private prefix
+// analysis) and an engine selector: reference analyzers skip the flat
+// index and run the pre-flattening hot path (differential tests and
+// benchmarks only).
+func newAnalyzerWith(ctx context.Context, pg *afdx.PortGraph, opts Options, nc *netcalc.Result, reference bool) (*analyzer, error) {
 	a := &analyzer{
 		pg:         pg,
 		opts:       opts,
 		m:          newTrMetrics(obs.RegistryFrom(ctx)),
 		trajPrefix: prefixCache{val: map[netcalc.FlowPortKey]float64{}},
+		reference:  reference,
 	}
 	// Shared stability pre-flight (lint diagnostic AFDX001), consuming
 	// PortGraph.UtilizationReport exactly as the Network Calculus engine
@@ -281,7 +259,33 @@ func newAnalyzerShell(ctx context.Context, pg *afdx.PortGraph, opts Options) (*a
 				vl.ID, vl.Priority, pg.Net.VLs[0].ID, prio)
 		}
 	}
+	if opts.PrefixMode == PrefixNC {
+		if !isDefaultNC(nc) {
+			ncOpts := netcalc.DefaultOptions()
+			ncOpts.Parallel = opts.Parallel
+			var err error
+			if nc, err = netcalc.AnalyzeCtx(ctx, pg, ncOpts); err != nil {
+				return nil, fmt.Errorf("trajectory: computing NC prefix bounds: %w", err)
+			}
+		}
+		a.ncPrefix = nc.PrefixDelays
+	}
+	if err := a.prepare(); err != nil {
+		return nil, err
+	}
 	return a, nil
+}
+
+// isDefaultNC reports whether nc holds the prefix bounds the engine's
+// own PrefixNC run would compute: a result under netcalc.DefaultOptions.
+// The worker count is ignored — every Parallel value is bit-identical.
+func isDefaultNC(nc *netcalc.Result) bool {
+	if nc == nil {
+		return false
+	}
+	o := nc.Opts
+	o.Parallel = 0
+	return o == netcalc.DefaultOptions()
 }
 
 // Analyze runs the Trajectory analysis over a feed-forward port graph.
@@ -303,9 +307,23 @@ func Analyze(pg *afdx.PortGraph, opts Options) (*Result, error) {
 // influences the computation: results are bit-identical with or
 // without it.
 func AnalyzeCtx(ctx context.Context, pg *afdx.PortGraph, opts Options) (*Result, error) {
+	return AnalyzeWithNCCtx(ctx, pg, opts, nil)
+}
+
+// AnalyzeWithNCCtx is AnalyzeCtx with the S_max prefix bounds taken
+// from a Network Calculus result the caller already holds. When
+// opts.PrefixMode is PrefixNC and nc was computed under
+// netcalc.DefaultOptions (any Parallel), nc.PrefixDelays are exactly
+// the bounds the engine's own prefix run would produce, so that run is
+// skipped and the result is bit-identical to AnalyzeCtx. Any other nc —
+// nil or a non-default option set — makes the engine run its own
+// prefix analysis, exactly as AnalyzeCtx does; PrefixTrajectory mode
+// bounds S_max recursively and ignores nc. nc must come from the same
+// PortGraph: its prefix bounds are read, not checked.
+func AnalyzeWithNCCtx(ctx context.Context, pg *afdx.PortGraph, opts Options, nc *netcalc.Result) (*Result, error) {
 	ctx, span := obs.StartSpan(ctx, "trajectory")
 	defer span.End()
-	a, err := newAnalyzer(ctx, pg, opts)
+	a, err := newAnalyzerWith(ctx, pg, opts, nc, false)
 	if err != nil {
 		return nil, err
 	}
