@@ -108,3 +108,4 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s ./internal/afdx
 	go test -run '^$$' -fuzz '^FuzzConformanceConfig$$' -fuzztime 10s ./internal/conformance
 	go test -run '^$$' -fuzz '^FuzzParseDelta$$' -fuzztime 10s ./internal/incremental
+	go test -run '^$$' -fuzz '^FuzzServeWhatIf$$' -fuzztime 10s ./internal/serve

@@ -42,7 +42,9 @@ func (n *Network) NetworkDiagnostics() []diag.Diagnostic {
 		report(diag.Location{}, "declare the transmitting and receiving end systems",
 			"network %q has no end systems", n.Name)
 	}
-	seen := map[string]string{}
+	// seen holds every declared node name; the link-rate checks below
+	// look names up in it.
+	seen := make(map[string]string, len(n.EndSystems)+len(n.Switches))
 	for _, e := range n.EndSystems {
 		if k, dup := seen[e]; dup {
 			report(diag.Location{Node: e}, "rename one of the two declarations",
@@ -73,11 +75,11 @@ func (n *Network) NetworkDiagnostics() []diag.Diagnostic {
 			report(link, "set a positive per-link rate",
 				"link %s->%s has non-positive rate %g Mb/s", lr.From, lr.To, lr.Mbps)
 		}
-		if !n.IsEndSystem(lr.From) && !n.IsSwitch(lr.From) {
+		if _, ok := seen[lr.From]; !ok {
 			report(link, "declare the node or drop the override",
 				"link rate for unknown node %q", lr.From)
 		}
-		if !n.IsEndSystem(lr.To) && !n.IsSwitch(lr.To) {
+		if _, ok := seen[lr.To]; !ok {
 			report(link, "declare the node or drop the override",
 				"link rate for unknown node %q", lr.To)
 		}
@@ -177,23 +179,50 @@ func (n *Network) ContractDiagnostics(mode ValidationMode) []diag.Diagnostic {
 	return ds
 }
 
+// nodeEntry is one node name's row in the per-call table that
+// RoutingDiagnostics builds: its declared kinds, the switch it attaches
+// to (end systems), and the last path that visited it.
+type nodeEntry struct {
+	es, sw   bool
+	attach   string
+	attached bool
+	visit    int
+}
+
 // RoutingDiagnostics checks VL routing (code AFDX002) and the
 // one-switch-per-end-system attachment rule (code AFDX012): every VL
 // has at least one path; each path starts at the source end system,
 // crosses only switches, ends at a distinct end system, and visits no
-// node twice.
+// node twice. The node names are indexed once per call, so the checks
+// cost one lookup per path node: O(Σ path length) in all.
 func (n *Network) RoutingDiagnostics() []diag.Diagnostic {
 	var ds []diag.Diagnostic
 	route := func(loc diag.Location, suggestion, format string, args ...any) {
 		ds = append(ds, diag.New(diag.CodeRouting, diag.Error, loc, suggestion, format, args...))
 	}
-	attach := map[string]string{}
+	table := make(map[string]*nodeEntry, len(n.EndSystems)+len(n.Switches))
+	node := func(name string) *nodeEntry {
+		e := table[name]
+		if e == nil {
+			e = &nodeEntry{}
+			table[name] = e
+		}
+		return e
+	}
+	for _, e := range n.EndSystems {
+		node(e).es = true
+	}
+	for _, s := range n.Switches {
+		node(s).sw = true
+	}
+	var ents []*nodeEntry // the current path's rows, reused across paths
+	visit := 0
 	for _, v := range n.VLs {
 		if v == nil {
 			continue
 		}
 		loc := diag.Location{VL: v.ID}
-		if !n.IsEndSystem(v.Source) {
+		if !node(v.Source).es {
 			route(loc, "VL sources must be declared end systems (mono-transmitter rule)",
 				"VL %s source %q is not an end system", v.ID, v.Source)
 		}
@@ -208,12 +237,16 @@ func (n *Network) RoutingDiagnostics() []diag.Diagnostic {
 					"VL %s path %d too short (%v): need source ES, >=1 switch, dest ES", v.ID, pi, path)
 				continue
 			}
+			ents = ents[:0]
+			for _, nd := range path {
+				ents = append(ents, node(nd))
+			}
 			if path[0] != v.Source {
 				route(diag.Location{VL: v.ID, Node: path[0]}, "paths must start at the VL's source",
 					"VL %s path %d starts at %q, want source %q", v.ID, pi, path[0], v.Source)
 			}
 			last := path[len(path)-1]
-			if !n.IsEndSystem(last) {
+			if !ents[len(path)-1].es {
 				route(diag.Location{VL: v.ID, Node: last}, "destinations must be declared end systems",
 					"VL %s path %d ends at %q which is not an end system", v.ID, pi, last)
 			}
@@ -222,34 +255,34 @@ func (n *Network) RoutingDiagnostics() []diag.Diagnostic {
 					"VL %s path %d loops back to its source", v.ID, pi)
 			}
 			for k := 1; k < len(path)-1; k++ {
-				if !n.IsSwitch(path[k]) {
+				if !ents[k].sw {
 					route(diag.Location{VL: v.ID, Node: path[k]}, "interior path nodes must be switches",
 						"VL %s path %d interior node %q is not a switch", v.ID, pi, path[k])
 				}
 			}
-			nodes := map[string]bool{}
-			for _, nd := range path {
-				if nodes[nd] {
-					route(diag.Location{VL: v.ID, Node: nd}, "remove the routing loop",
-						"VL %s path %d visits %q twice", v.ID, pi, nd)
+			visit++
+			for k, e := range ents {
+				if e.visit == visit {
+					route(diag.Location{VL: v.ID, Node: path[k]}, "remove the routing loop",
+						"VL %s path %d visits %q twice", v.ID, pi, path[k])
 					break
 				}
-				nodes[nd] = true
+				e.visit = visit
 			}
 			// End systems attach to exactly one switch (ARINC 664 rule).
-			for _, pair := range [][2]string{{path[0], path[1]}, {last, path[len(path)-2]}} {
-				es, sw := pair[0], pair[1]
-				if !n.IsEndSystem(es) {
+			for _, end := range [2][2]int{{0, 1}, {len(path) - 1, len(path) - 2}} {
+				e, sw := ents[end[0]], path[end[1]]
+				if !e.es {
 					continue
 				}
-				if prev, ok := attach[es]; ok && prev != sw {
+				if e.attached && e.attach != sw {
 					ds = append(ds, diag.New(diag.CodeAttachment, diag.Error,
-						diag.Location{Node: es},
+						diag.Location{Node: path[end[0]]},
 						"an end system connects to exactly one switch port",
-						"end system %q attached to both %q and %q", es, prev, sw))
+						"end system %q attached to both %q and %q", path[end[0]], e.attach, sw))
 					continue
 				}
-				attach[es] = sw
+				e.attach, e.attached = sw, true
 			}
 		}
 	}
@@ -263,11 +296,12 @@ func (n *Network) RoutingDiagnostics() []diag.Diagnostic {
 // downstream node from different directions).
 func (n *Network) TreeDiagnostics() []diag.Diagnostic {
 	var ds []diag.Diagnostic
+	pred := map[string]string{} // reused across VLs
 	for _, v := range n.VLs {
 		if v == nil {
 			continue
 		}
-		pred := map[string]string{}
+		clear(pred)
 		for pi, path := range v.Paths {
 			for k := 1; k < len(path); k++ {
 				node, prev := path[k], path[k-1]

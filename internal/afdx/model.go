@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -179,7 +180,7 @@ type PathID struct {
 	PathIdx int    // index into VirtualLink.Paths
 }
 
-func (p PathID) String() string { return fmt.Sprintf("%s/%d", p.VL, p.PathIdx) }
+func (p PathID) String() string { return p.VL + "/" + strconv.Itoa(p.PathIdx) }
 
 // SortPathIDs orders path identifiers by (VL, PathIdx) — the canonical
 // iteration order whenever per-path results gathered from a map must be

@@ -110,17 +110,14 @@ type PortGraph struct {
 	// in per-path loops and need the O(1) lookup the frozen graph can
 	// afford.
 	vls map[string]*VirtualLink
+	// ranks is the dependency-rank grouping of the ports (Ranks),
+	// derived together with Order.
+	ranks [][]PortID
 
-	// ranks memoizes Ranks(): the grouping is derived data, queried by
-	// both the parallel schedulers and the observability layer, and the
-	// graph is immutable once built.
-	ranksOnce sync.Once
-	ranks     [][]PortID
-
-	// vlOrd memoizes VLOrder/VLOrdinal: the dense, ID-sorted VL index
-	// the flattened engine hot paths use in place of string-keyed maps.
-	vlOrdOnce sync.Once
+	// vlOrder holds the network's VLs sorted by ID, the order the build
+	// visits them in. vlOrd memoizes VLOrdinal's inverse index.
 	vlOrder   []*VirtualLink
+	vlOrdOnce sync.Once
 	vlOrd     map[string]int
 }
 
@@ -128,39 +125,51 @@ type PortGraph struct {
 // an error when the configuration is invalid or when the port dependency
 // graph is cyclic (holistic analyses require feed-forward networks, as do
 // the configurations studied in the paper).
+//
+// The build numbers the ports densely as it creates them and keeps the
+// port-to-port edges as integer lists, so ordering and ranking the ports
+// never touches a PortID-keyed map. VLs are visited in ID order, which
+// leaves every port's flow list sorted and puts a VL's incidences at a
+// port back to back: comparing with the port's last flow is enough to
+// catch a VL crossing the port twice.
 func BuildPortGraph(n *Network, mode ValidationMode) (*PortGraph, error) {
 	if err := n.Validate(mode); err != nil {
 		return nil, err
 	}
-	// Size the hot maps up front: the number of (VL, port) incidences
-	// bounds both the member table and the port count, and rebuilding
-	// the graph is on the critical path of every what-if candidate.
+	// Validation guarantees every path has at least three nodes, so a
+	// path of k nodes crosses exactly k-1 ports.
 	incidences, npaths := 0, 0
 	for _, v := range n.VLs {
 		npaths += len(v.Paths)
 		for _, path := range v.Paths {
-			if len(path) > 1 {
-				incidences += len(path) - 1
-			}
+			incidences += len(path) - 1
 		}
 	}
+	vls := slices.Clone(n.VLs)
+	slices.SortFunc(vls, func(a, b *VirtualLink) int { return strings.Compare(a.ID, b.ID) })
 	pg := &PortGraph{
-		Net:   n,
-		Ports: make(map[PortID]*Port, incidences),
-		paths: make(map[PathID][]PortID, npaths),
-		vls:   make(map[string]*VirtualLink, len(n.VLs)),
+		Net:     n,
+		paths:   make(map[PathID][]PortID, npaths),
+		vls:     make(map[string]*VirtualLink, len(vls)),
+		vlOrder: vls,
 	}
-	for _, v := range n.VLs {
+	endSystems := make(map[string]bool, len(n.EndSystems))
+	for _, e := range n.EndSystems {
+		endSystems[e] = true
+	}
+	var (
+		ports []*Port
+		index = map[PortID]int32{} // dense port number, in creation order
+		succ  [][]int32            // succ[i]: the ports some VL crosses right after ports[i]
+		seqs  = make([]PortID, incidences)
+	)
+	for _, v := range vls {
 		pg.vls[v.ID] = v
-	}
-	type memberKey struct {
-		port PortID
-		vl   string
-	}
-	members := make(map[memberKey]string, incidences) // -> prev node
-	for _, v := range n.VLs {
 		for pi, path := range v.Paths {
-			var seq []PortID
+			hops := len(path) - 1
+			seq := seqs[:0:hops]
+			seqs = seqs[hops:]
+			from := int32(-1)
 			for k := 0; k+1 < len(path); k++ {
 				id := PortID{From: path[k], To: path[k+1]}
 				seq = append(seq, id)
@@ -168,41 +177,46 @@ func BuildPortGraph(n *Network, mode ValidationMode) (*PortGraph, error) {
 				if k > 0 {
 					prev = path[k-1]
 				}
-				mk := memberKey{port: id, vl: v.ID}
-				if old, ok := members[mk]; ok {
-					if old != prev {
+				i, ok := index[id]
+				if !ok {
+					lat := n.Params.SwitchLatencyUs
+					if endSystems[path[k]] {
+						lat = n.Params.SourceLatencyUs
+					}
+					i = int32(len(ports))
+					index[id] = i
+					ports = append(ports, &Port{
+						ID:            id,
+						RateBitsPerUs: n.LinkRateBitsPerUs(path[k], path[k+1]),
+						LatencyUs:     lat,
+					})
+					succ = append(succ, nil)
+				}
+				port := ports[i]
+				if last := len(port.Flows) - 1; last >= 0 && port.Flows[last].VL == v {
+					if old := port.Flows[last].Prev; old != prev {
 						return nil, fmt.Errorf("afdx: VL %s enters port %s from both %q and %q",
 							v.ID, id, old, prev)
 					}
 				} else {
-					members[mk] = prev
-					port := pg.Ports[id]
-					if port == nil {
-						lat := n.Params.SwitchLatencyUs
-						if n.IsEndSystem(path[k]) {
-							lat = n.Params.SourceLatencyUs
-						}
-						port = &Port{
-							ID:            id,
-							RateBitsPerUs: n.LinkRateBitsPerUs(path[k], path[k+1]),
-							LatencyUs:     lat,
-						}
-						pg.Ports[id] = port
-					}
 					port.Flows = append(port.Flows, PortFlow{VL: v, Prev: prev})
 				}
+				if from >= 0 && !slices.Contains(succ[from], i) {
+					succ[from] = append(succ[from], i)
+				}
+				from = i
 			}
 			pg.paths[PathID{VL: v.ID, PathIdx: pi}] = seq
 		}
 	}
-	for _, p := range pg.Ports {
-		slices.SortFunc(p.Flows, func(a, b PortFlow) int { return strings.Compare(a.VL.ID, b.VL.ID) })
+	pg.Ports = make(map[PortID]*Port, len(ports))
+	for _, p := range ports {
+		pg.Ports[p.ID] = p
 	}
-	order, err := pg.topoOrder()
-	if err != nil {
+	var err error
+	if pg.Order, pg.ranks, err = orderPorts(ports, succ); err != nil {
 		return nil, err
 	}
-	pg.Order = order
 	return pg, nil
 }
 
@@ -214,92 +228,88 @@ func (pg *PortGraph) PathPorts(id PathID) []PortID { return pg.paths[id] }
 // at graph-build time.
 func (pg *PortGraph) VL(id string) *VirtualLink { return pg.vls[id] }
 
-// VLOrder returns the network's VLs sorted by ID (memoized). The slice
-// index is the VL's dense ordinal: engines that replace string-keyed
-// map lookups with array indexing in their hot loops key those arrays
-// by this ordinal, and because the order is the ID sort every analysis
-// already iterates in, sorting by ordinal is sorting by VL ID.
-func (pg *PortGraph) VLOrder() []*VirtualLink {
-	pg.buildVLOrd()
-	return pg.vlOrder
-}
+// VLOrder returns the network's VLs sorted by ID. The slice index is
+// the VL's dense ordinal: engines that replace string-keyed map lookups
+// with array indexing in their hot loops key those arrays by this
+// ordinal, and because the order is the ID sort every analysis already
+// iterates in, sorting by ordinal is sorting by VL ID.
+func (pg *PortGraph) VLOrder() []*VirtualLink { return pg.vlOrder }
 
 // VLOrdinal returns the dense index of the VL in VLOrder, or -1 when
 // the ID names no VL of the network.
 func (pg *PortGraph) VLOrdinal(id string) int {
-	pg.buildVLOrd()
+	pg.vlOrdOnce.Do(func() {
+		pg.vlOrd = make(map[string]int, len(pg.vlOrder))
+		for i, v := range pg.vlOrder {
+			pg.vlOrd[v.ID] = i
+		}
+	})
 	if i, ok := pg.vlOrd[id]; ok {
 		return i
 	}
 	return -1
 }
 
-func (pg *PortGraph) buildVLOrd() {
-	pg.vlOrdOnce.Do(func() {
-		pg.vlOrder = append([]*VirtualLink(nil), pg.Net.VLs...)
-		slices.SortFunc(pg.vlOrder, func(a, b *VirtualLink) int { return strings.Compare(a.ID, b.ID) })
-		pg.vlOrd = make(map[string]int, len(pg.vlOrder))
-		for i, v := range pg.vlOrder {
-			pg.vlOrd[v.ID] = i
-		}
-	})
-}
-
-// topoOrder computes a deterministic topological order of the port
-// dependency graph (port q feeds port p when some VL crosses q then p).
-func (pg *PortGraph) topoOrder() ([]PortID, error) {
-	succ := make(map[PortID][]PortID, len(pg.Ports))
-	indeg := make(map[PortID]int, len(pg.Ports))
-	for id := range pg.Ports {
-		indeg[id] = 0
+// orderPorts computes a deterministic topological order of the port
+// dependency graph (port q feeds port p when some VL crosses q then p)
+// and its dependency ranks, from the dense form BuildPortGraph derives:
+// ports[i] is port number i and succ[i] lists the ports it feeds. Ties
+// are broken in PortID order; ranking every port by that order once
+// lets the Kahn queue and the rank lists sort plain integers.
+func orderPorts(ports []*Port, succ [][]int32) ([]PortID, [][]PortID, error) {
+	// byID[r] is the port number of the r-th port in PortID order, and
+	// pos its inverse.
+	byID := make([]int32, len(ports))
+	for i := range byID {
+		byID[i] = int32(i)
 	}
-	seen := make(map[[2]PortID]bool, len(pg.Ports))
-	for _, seq := range pg.paths {
-		for k := 0; k+1 < len(seq); k++ {
-			e := [2]PortID{seq[k], seq[k+1]}
-			if seen[e] {
-				continue
-			}
-			seen[e] = true
-			succ[seq[k]] = append(succ[seq[k]], seq[k+1])
-			indeg[seq[k+1]]++
-		}
+	slices.SortFunc(byID, func(a, b int32) int { return comparePortIDs(ports[a].ID, ports[b].ID) })
+	pos := make([]int32, len(ports))
+	indeg := make([]int32, len(ports))
+	for r, i := range byID {
+		pos[i] = int32(r)
 	}
-	// Kahn's algorithm with lexicographic tie-breaking for determinism.
-	var ready []PortID
-	for id, d := range indeg {
-		if d == 0 {
-			ready = append(ready, id)
-		}
-	}
-	sortPortIDs(ready)
-	var order []PortID
-	for len(ready) > 0 {
-		id := ready[0]
-		ready = ready[1:]
-		order = append(order, id)
-		next := succ[id]
-		sortPortIDs(next)
-		var newly []PortID
+	for _, next := range succ {
 		for _, s := range next {
-			indeg[s]--
-			if indeg[s] == 0 {
-				newly = append(newly, s)
+			indeg[s]++
+		}
+	}
+	// Kahn's algorithm with PortID tie-breaking: ready holds the PortID
+	// positions of the released ports, sorted, and the smallest goes
+	// next. A port's rank is the longest feeder chain above it, final
+	// by the time the port is released.
+	var ready []int32
+	for r, i := range byID {
+		if indeg[i] == 0 {
+			ready = append(ready, int32(r))
+		}
+	}
+	order := make([]PortID, 0, len(ports))
+	rank := make([]int32, len(ports))
+	maxRank := int32(0)
+	for len(ready) > 0 {
+		i := byID[ready[0]]
+		ready = ready[1:]
+		order = append(order, ports[i].ID)
+		maxRank = max(maxRank, rank[i])
+		for _, s := range succ[i] {
+			rank[s] = max(rank[s], rank[i]+1)
+			if indeg[s]--; indeg[s] == 0 {
+				at, _ := slices.BinarySearch(ready, pos[s])
+				ready = slices.Insert(ready, at, pos[s])
 			}
 		}
-		if len(newly) > 0 {
-			// ready stays sorted throughout; merging the (sorted) newly
-			// released ports preserves the lexicographic tie-breaking
-			// without re-sorting the whole queue per step.
-			sortPortIDs(newly)
-			ready = mergePortIDs(ready, newly)
-		}
 	}
-	if len(order) != len(pg.Ports) {
-		return nil, fmt.Errorf("afdx: cyclic port dependencies (%d of %d ports ordered); the holistic analyses require a feed-forward configuration",
-			len(order), len(pg.Ports))
+	if len(order) != len(ports) {
+		return nil, nil, fmt.Errorf("afdx: cyclic port dependencies (%d of %d ports ordered); the holistic analyses require a feed-forward configuration",
+			len(order), len(ports))
 	}
-	return order, nil
+	// Walking the ports in PortID order fills each rank already sorted.
+	ranks := make([][]PortID, maxRank+1)
+	for _, i := range byID {
+		ranks[rank[i]] = append(ranks[rank[i]], ports[i].ID)
+	}
+	return order, ranks, nil
 }
 
 // Ranks groups the ports into dependency ranks: rank 0 holds the ports
@@ -309,49 +319,7 @@ func (pg *PortGraph) topoOrder() ([]PortID, error) {
 // analysis that has finished every rank below r may analyse all of
 // rank r's ports concurrently; ranks are returned in dependency order
 // and each rank is sorted canonically for deterministic scheduling.
-func (pg *PortGraph) Ranks() [][]PortID {
-	pg.ranksOnce.Do(func() { pg.ranks = pg.computeRanks() })
-	return pg.ranks
-}
-
-func (pg *PortGraph) computeRanks() [][]PortID {
-	pred := map[PortID][]PortID{}
-	seen := map[[2]PortID]bool{}
-	for _, seq := range pg.paths {
-		for k := 0; k+1 < len(seq); k++ {
-			e := [2]PortID{seq[k], seq[k+1]}
-			if seen[e] {
-				continue
-			}
-			seen[e] = true
-			pred[seq[k+1]] = append(pred[seq[k+1]], seq[k])
-		}
-	}
-	// Order is topological, so every feeder's rank is known when its
-	// successor is visited.
-	rank := make(map[PortID]int, len(pg.Ports))
-	maxRank := 0
-	for _, id := range pg.Order {
-		r := 0
-		for _, q := range pred[id] {
-			if rank[q]+1 > r {
-				r = rank[q] + 1
-			}
-		}
-		rank[id] = r
-		if r > maxRank {
-			maxRank = r
-		}
-	}
-	out := make([][]PortID, maxRank+1)
-	for _, id := range pg.Order {
-		out[rank[id]] = append(out[rank[id]], id)
-	}
-	for _, ids := range out {
-		sortPortIDs(ids)
-	}
-	return out
-}
+func (pg *PortGraph) Ranks() [][]PortID { return pg.ranks }
 
 func comparePortIDs(a, b PortID) int {
 	if c := strings.Compare(a.From, b.From); c != 0 {
@@ -366,22 +334,6 @@ func sortPortIDs(ids []PortID) { slices.SortFunc(ids, comparePortIDs) }
 // iteration order whenever port results gathered from a map must be
 // consumed deterministically (DET001/DET003).
 func SortPortIDs(ids []PortID) { sortPortIDs(ids) }
-
-// mergePortIDs merges two sorted slices into one sorted slice.
-func mergePortIDs(a, b []PortID) []PortID {
-	out := make([]PortID, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if comparePortIDs(a[i], b[j]) <= 0 {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	return append(append(out, a[i:]...), b[j:]...)
-}
 
 // FlowsSharingPath returns the set of VLs whose routing shares at least
 // one output port with the given path (including the path's own VL), with

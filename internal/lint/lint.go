@@ -6,9 +6,12 @@
 //
 // The point of the subsystem is to move feasibility checking ahead of
 // the expensive delay analyses: an unstable port, a routing loop, or an
-// ARINC 664 contract violation is caught in microseconds with a coded,
-// located, actionable diagnostic instead of surfacing as a runtime
-// error deep inside internal/netcalc or internal/trajectory. The
+// ARINC 664 contract violation is caught with a coded, located,
+// actionable diagnostic instead of surfacing as a runtime error deep
+// inside internal/netcalc or internal/trajectory. A full lint run of
+// the 903-VL seed-1 industrial configuration takes about 18 ms (median
+// of five traced certify-cold runs of cmd/afdx-bench on a 2-vCPU
+// host), against about 100 ms for the two engines it guards. The
 // engines share the same checks (CheckStability) so the two layers can
 // never disagree.
 package lint

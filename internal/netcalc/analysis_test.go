@@ -26,17 +26,11 @@ func TestOutputBurstDeconvolutionExactAtEveryRate(t *testing.T) {
 			t.Fatalf("rho setup: got %g, want about %g", got, rho)
 		}
 		for _, delay := range []float64{0, 0.5, 56, 1e4} {
-			mk := func(deconv bool) *Result {
-				return &Result{
-					Opts:   Options{Deconvolution: deconv},
-					Bursts: map[FlowPortKey]float64{{vl.ID, id}: 4000},
-				}
-			}
-			classic, err := outputBurst(mk(false), vl, id, delay)
+			classic, err := outputBurst(Options{}, vl, id, 4000, delay)
 			if err != nil {
 				t.Fatalf("rho=%g delay=%g classic: %v", rho, delay, err)
 			}
-			ablated, err := outputBurst(mk(true), vl, id, delay)
+			ablated, err := outputBurst(Options{Deconvolution: true}, vl, id, 4000, delay)
 			if err != nil {
 				t.Fatalf("rho=%g delay=%g deconvolution: %v", rho, delay, err)
 			}
@@ -72,13 +66,12 @@ func TestDeconvolutionAblationBitIdenticalOnFigure2(t *testing.T) {
 // a hard invariant error, not silently uncounted fallback work.
 func TestAnalyzePortRequiresPrecomputedBeta(t *testing.T) {
 	pg := figure2Graph(t)
-	rn := &ncRun{
-		ctx:   context.Background(),
-		pg:    pg,
-		res:   &Result{Opts: DefaultOptions()},
-		betas: map[betaKey]minplus.Curve{},
+	rn, err := newRun(context.Background(), pg, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, err := analyzePort(rn, pg.Order[0])
+	rn.betas = map[betaKey]minplus.Curve{}
+	err = analyzePort(rn, 0)
 	if err == nil {
 		t.Fatal("analyzePort with an empty service-curve cache unexpectedly succeeded")
 	}

@@ -1,0 +1,166 @@
+package netcalc
+
+import (
+	"fmt"
+	"hash/fnv"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+
+	"afdx/internal/afdx"
+	"afdx/internal/configgen"
+)
+
+// wcncDigest is an FNV-64a digest of every field of a WCNC result:
+// per-port bounds (each priority level included), path bounds and the
+// three per-incidence maps, with keys in sorted order and floats in
+// exact hexadecimal (%x) form, so any change to a float accumulation
+// order changes the digest.
+func wcncDigest(r *Result) uint64 {
+	h := fnv.New64a()
+	line := func(format string, args ...any) { fmt.Fprintf(h, format+"\n", args...) }
+
+	ports := make([]afdx.PortID, 0, len(r.Ports))
+	for id := range r.Ports {
+		ports = append(ports, id)
+	}
+	afdx.SortPortIDs(ports)
+	for _, id := range ports {
+		p := r.Ports[id]
+		line("port %s delay %x backlog %x util %x", id, p.DelayUs, p.BacklogBits, p.Utilization)
+		levels := make([]int, 0, len(p.DelayByPriority))
+		for lvl := range p.DelayByPriority {
+			levels = append(levels, lvl)
+		}
+		sort.Ints(levels)
+		for _, lvl := range levels {
+			line("  level %d %x", lvl, p.DelayByPriority[lvl])
+		}
+	}
+
+	paths := make([]afdx.PathID, 0, len(r.PathDelays))
+	for pid := range r.PathDelays {
+		paths = append(paths, pid)
+	}
+	afdx.SortPathIDs(paths)
+	for _, pid := range paths {
+		line("path %s %x", pid, r.PathDelays[pid])
+	}
+
+	for _, m := range []struct {
+		name string
+		vals map[FlowPortKey]float64
+	}{
+		{"flow", r.FlowDelays},
+		{"prefix", r.PrefixDelays},
+		{"burst", r.Bursts},
+	} {
+		keys := make([]FlowPortKey, 0, len(m.vals))
+		for k := range m.vals {
+			keys = append(keys, k)
+		}
+		slices.SortFunc(keys, func(a, b FlowPortKey) int {
+			if c := strings.Compare(a.VL, b.VL); c != 0 {
+				return c
+			}
+			if c := strings.Compare(a.Port.From, b.Port.From); c != 0 {
+				return c
+			}
+			return strings.Compare(a.Port.To, b.Port.To)
+		})
+		for _, k := range keys {
+			line("%s %s %s %x", m.name, k.VL, k.Port, m.vals[k])
+		}
+	}
+	return h.Sum64()
+}
+
+// goldenNetworks are the configurations the WCNC goldens cover: the
+// paper's two samples, a two-level priority variant of Figure 2, and
+// two configgen draws (120 VLs, and the full seed-1 industrial config).
+func goldenNetworks(t *testing.T) []struct {
+	name string
+	net  *afdx.Network
+} {
+	t.Helper()
+	small := configgen.DefaultSpec(1)
+	small.NumVLs = 120
+	smallNet, err := configgen.Generate(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	industrial, err := configgen.Generate(configgen.DefaultSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []struct {
+		name string
+		net  *afdx.Network
+	}{
+		{"figure1", afdx.Figure1Config()},
+		{"figure2", afdx.Figure2Config()},
+		{"priority", priorityConfig()},
+		{"seed1-120", smallNet},
+		{"seed1-industrial", industrial},
+	}
+}
+
+// TestWCNCGoldenDigests pins the WCNC engine's complete output bit for
+// bit, per configuration and option variant, at 1 and 8 workers. A
+// variant the engine rejects pins its error text instead.
+func TestWCNCGoldenDigests(t *testing.T) {
+	variants := []struct {
+		name string
+		opts Options
+	}{
+		{"default", DefaultOptions()},
+		{"nogrouping", Options{}},
+		{"stair4", Options{Grouping: true, StairSteps: 4}},
+		{"deconv", Options{Grouping: true, Deconvolution: true}},
+	}
+	want := map[string]string{
+		"figure1/default":             "0xa1236549c81eb7e4",
+		"figure1/nogrouping":          "0xff5fa36385a48b39",
+		"figure1/stair4":              "0x16b2185863f14742",
+		"figure1/deconv":              "0xa1236549c81eb7e4",
+		"figure2/default":             "0x833471defd2fbf3c",
+		"figure2/nogrouping":          "0x8cf9b7e58e615b40",
+		"figure2/stair4":              "0xd1e7bcc331665168",
+		"figure2/deconv":              "0x833471defd2fbf3c",
+		"priority/default":            "0x72c59e6185c321d4",
+		"priority/nogrouping":         "0x2b3af450d3d4b57d",
+		"priority/stair4":             "error: netcalc: port S3->e6 level 1 residual service: minplus: SubPos requires a concave subtrahend",
+		"priority/deconv":             "0x72c59e6185c321d4",
+		"seed1-120/default":           "0xeb32efec797282cd",
+		"seed1-120/nogrouping":        "0xa8188e931eaacc5c",
+		"seed1-120/stair4":            "0x773413300cfbd25a",
+		"seed1-120/deconv":            "0xeb32efec797282cd",
+		"seed1-industrial/default":    "0x708e77b158d85559",
+		"seed1-industrial/nogrouping": "0x6822465018e3e0a3",
+		"seed1-industrial/stair4":     "0xfea324ac2300cc55",
+		"seed1-industrial/deconv":     "0x708e77b158d85559",
+	}
+	for _, cfg := range goldenNetworks(t) {
+		pg, err := afdx.BuildPortGraph(cfg.net, afdx.Strict)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.name, err)
+		}
+		for _, v := range variants {
+			key := cfg.name + "/" + v.name
+			for _, workers := range []int{1, 8} {
+				opts := v.opts
+				opts.Parallel = workers
+				var got string
+				if res, err := Analyze(pg, opts); err != nil {
+					got = "error: " + err.Error()
+				} else {
+					got = fmt.Sprintf("%#x", wcncDigest(res))
+				}
+				if got != want[key] {
+					t.Errorf("%s (workers=%d): got %q, want the pinned %q", key, workers, got, want[key])
+				}
+			}
+		}
+	}
+}

@@ -12,10 +12,12 @@
 package netcalc
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"afdx/internal/afdx"
 	"afdx/internal/lint"
@@ -146,15 +148,33 @@ func newNCMetrics(reg *obs.Registry) ncMetrics {
 	}
 }
 
-// ncRun bundles the per-run state threaded through analyzePort: the
-// graph, the shared (merge-only) result, the instrument bundle, and
-// the read-only service-curve cache.
+// ncRun is the state of one engine run. Every (VL, port) incidence is
+// numbered densely: ports by their position in pg.Order, then flows by
+// their position in Port.Flows, so port i owns the incidence range
+// [base[i], base[i+1]). The rank loop reads and writes only the slices
+// below; the public Result maps are filled once, after it.
 type ncRun struct {
 	ctx   context.Context
 	pg    *afdx.PortGraph
-	res   *Result
+	opts  Options
 	m     ncMetrics
 	betas map[betaKey]minplus.Curve
+
+	ports []*afdx.Port // ports[i] is pg.Ports[pg.Order[i]]
+	pos   map[afdx.PortID]int32
+	base  []int32
+	// groups lists each port's incidences ordered by input node (Prev),
+	// then by VL ID: the port's input groups, back to back.
+	groups []int32
+	// up is the incidence that feeds each incidence: the same VL at the
+	// port it crosses just before (-1 at its source port). A VL enters
+	// a port from exactly one link, so there is exactly one.
+	up []int32
+	// Per incidence: the flow's burst and accumulated delay bound on
+	// arrival at the port, its delay bound at the port, and its burst on
+	// leaving it.
+	burst, prefix, delay, outBurst []float64
+	portRes                        []PortResult
 }
 
 // betaKey identifies a rate-latency service curve. Ports share curves
@@ -164,6 +184,81 @@ type ncRun struct {
 type betaKey struct {
 	rate    float64
 	latency float64
+}
+
+// newRun numbers the graph's incidences and links each one to its
+// upstream incidence. Flows of one input group are a subset, in the
+// same VL-ID order, of the flows of the port they arrive from, so one
+// merge walk per group finds every upstream incidence.
+func newRun(ctx context.Context, pg *afdx.PortGraph, opts Options) (*ncRun, error) {
+	rn := &ncRun{
+		ctx:   ctx,
+		pg:    pg,
+		opts:  opts,
+		m:     newNCMetrics(obs.RegistryFrom(ctx)),
+		ports: make([]*afdx.Port, len(pg.Order)),
+		pos:   make(map[afdx.PortID]int32, len(pg.Order)),
+		base:  make([]int32, len(pg.Order)+1),
+	}
+	for i, id := range pg.Order {
+		rn.ports[i] = pg.Ports[id]
+		rn.pos[id] = int32(i)
+		rn.base[i+1] = rn.base[i] + int32(len(rn.ports[i].Flows))
+	}
+	n := rn.base[len(pg.Order)]
+	rn.groups = make([]int32, n)
+	rn.up = make([]int32, n)
+	rn.burst = make([]float64, n)
+	rn.prefix = make([]float64, n)
+	rn.delay = make([]float64, n)
+	rn.outBurst = make([]float64, n)
+	rn.portRes = make([]PortResult, len(pg.Order))
+	for i, port := range rn.ports {
+		lo, hi := rn.base[i], rn.base[i+1]
+		grp := rn.groups[lo:hi]
+		for k := range grp {
+			grp[k] = lo + int32(k)
+		}
+		flows := port.Flows
+		slices.SortStableFunc(grp, func(a, b int32) int { return strings.Compare(flows[a-lo].Prev, flows[b-lo].Prev) })
+		for g, end := 0, 0; g < len(grp); g = end {
+			end = groupEnd(flows, grp, lo, g)
+			prev := flows[grp[g]-lo].Prev
+			if prev == "" {
+				for _, j := range grp[g:end] {
+					rn.up[j] = -1
+				}
+				continue
+			}
+			from, ok := rn.pos[afdx.PortID{From: prev, To: port.ID.From}]
+			upFlows := []afdx.PortFlow(nil)
+			if ok {
+				upFlows = rn.ports[from].Flows
+			}
+			k := 0
+			for _, j := range grp[g:end] {
+				vl := flows[j-lo].VL
+				for k < len(upFlows) && upFlows[k].VL != vl {
+					k++
+				}
+				if k == len(upFlows) {
+					return nil, fmt.Errorf("netcalc: no propagated envelope for VL %s at port %s (port order broken)", vl.ID, port.ID)
+				}
+				rn.up[j] = rn.base[from] + int32(k)
+			}
+		}
+	}
+	return rn, nil
+}
+
+// groupEnd returns the end of the input group that starts at grp[g]:
+// the first later position whose flow arrives from another node.
+func groupEnd(flows []afdx.PortFlow, grp []int32, lo int32, g int) int {
+	end := g + 1
+	for end < len(grp) && flows[grp[end]-lo].Prev == flows[grp[g]-lo].Prev {
+		end++
+	}
+	return end
 }
 
 // AnalyzeCtx is Analyze with observability: when ctx carries an
@@ -178,40 +273,14 @@ func AnalyzeCtx(ctx context.Context, pg *afdx.PortGraph, opts Options) (*Result,
 	if err := lint.CheckStability(pg); err != nil {
 		return nil, fmt.Errorf("netcalc: %w", err)
 	}
-	incidences := 0
-	for _, port := range pg.Ports {
-		incidences += len(port.Flows)
-	}
-	res := &Result{
-		Opts:         opts,
-		Ports:        make(map[afdx.PortID]PortResult, len(pg.Ports)),
-		PathDelays:   map[afdx.PathID]float64{},
-		FlowDelays:   make(map[FlowPortKey]float64, incidences),
-		PrefixDelays: make(map[FlowPortKey]float64, incidences),
-		Bursts:       make(map[FlowPortKey]float64, incidences),
-	}
-	// Initialise source-port envelopes: at its source end system every VL
-	// is freshly shaped to (s_max, s_max/BAG).
-	for _, id := range pg.Order {
-		port := pg.Ports[id]
-		for _, f := range port.Flows {
-			if f.Prev == "" {
-				res.Bursts[FlowPortKey{f.VL.ID, id}] = f.VL.SMaxBits()
-				res.PrefixDelays[FlowPortKey{f.VL.ID, id}] = 0
-			}
-		}
-	}
-	rn := &ncRun{
-		ctx: ctx,
-		pg:  pg,
-		res: res,
-		m:   newNCMetrics(obs.RegistryFrom(ctx)),
+	rn, err := newRun(ctx, pg, opts)
+	if err != nil {
+		return nil, err
 	}
 	// Precompute the service-curve cache over the distinct (rate,
 	// latency) pairs; afterwards it is read-only and parallel-safe.
 	rn.betas = make(map[betaKey]minplus.Curve)
-	for _, id := range pg.Order {
-		port := pg.Ports[id]
+	for _, port := range rn.ports {
 		k := betaKey{port.RateBitsPerUs, port.LatencyUs}
 		if _, ok := rn.betas[k]; !ok {
 			rn.betas[k] = minplus.RateLatency(port.RateBitsPerUs, port.LatencyUs)
@@ -223,53 +292,74 @@ func AnalyzeCtx(ctx context.Context, pg *afdx.PortGraph, opts Options) (*Result,
 			rn.m.rankSize.Observe(int64(len(rank)))
 		}
 	}
-	// Ports of the same dependency rank are independent — each reads
-	// only results of strictly lower ranks, all merged before the rank
-	// starts — so a rank is a safe fan-out unit. Outcomes land indexed
-	// in a slice and merge in the rank's canonical order, keeping the
-	// Result maps free of concurrent writes and the run bit-identical
-	// at every worker count. At workers == 1 ForEachCtx degenerates to
-	// an in-order loop, so the sequential analysis shares this code
-	// path — and its metric stream: the pool's deterministic batch and
-	// task counts are identical across worker counts.
+	// Ports of the same dependency rank are independent: each reads
+	// only incidences of ports in strictly lower ranks, all finished
+	// before the rank starts, and writes only its own incidence range
+	// and result slot. So a rank is a safe fan-out unit, and the run is
+	// bit-identical at every worker count. At workers == 1 ForEachCtx
+	// degenerates to an in-order loop, so the sequential analysis
+	// shares this code path — and its metric stream: the pool's
+	// deterministic batch and task counts are identical across worker
+	// counts.
 	workers := parallel.Workers(opts.Parallel)
 	for _, rank := range pg.Ranks() {
-		outs := make([]*portOutcome, len(rank))
 		err := parallel.ForEachCtx(ctx, workers, len(rank), func(i int) error {
-			out, err := analyzePort(rn, rank[i])
-			outs[i] = out
-			return err
+			return analyzePort(rn, int(rn.pos[rank[i]]))
 		})
 		if err != nil {
 			return nil, err
 		}
-		for _, out := range outs {
-			res.merge(out)
-		}
 	}
-	// Path bounds sum the per-flow port terms, each exactly the flow's
-	// priority-level bound.
-	for _, pid := range pg.Net.AllPaths() {
-		total := 0.0
-		for _, portID := range pg.PathPorts(pid) {
-			total += res.FlowDelays[FlowPortKey{pid.VL, portID}]
-		}
-		res.PathDelays[pid] = total
-	}
-	return res, nil
+	return rn.result(), nil
 }
 
-// flowEnvelope returns the arrival envelope of one flow as it arrives
-// at a port: the jitter-inflated leaky bucket, or (with StairSteps > 0)
-// the exact jitter-shifted staircase curve.
-func flowEnvelope(res *Result, vl *afdx.VirtualLink, port afdx.PortID) (minplus.Curve, error) {
-	key := FlowPortKey{vl.ID, port}
-	b, ok := res.Bursts[key]
-	if !ok {
-		return minplus.Curve{}, fmt.Errorf("netcalc: no propagated envelope for VL %s at port %s (port order broken)", vl.ID, port)
+// result fills the public Result maps from the run's dense state. A
+// path's bound is the prefix bound at its last port plus the flow's
+// delay there: the prefix is the sum of the earlier ports' terms,
+// accumulated from 0 in path order, so this is the same float sum as
+// adding the path's per-port terms one by one.
+func (rn *ncRun) result() *Result {
+	n, paths := len(rn.up), 0
+	for _, vl := range rn.pg.Net.VLs {
+		paths += len(vl.Paths)
 	}
-	lb := minplus.LeakyBucket(b, vl.RhoBitsPerUs())
-	if res.Opts.StairSteps <= 0 {
+	res := &Result{
+		Opts:         rn.opts,
+		Ports:        make(map[afdx.PortID]PortResult, len(rn.ports)),
+		PathDelays:   make(map[afdx.PathID]float64, paths),
+		FlowDelays:   make(map[FlowPortKey]float64, n),
+		PrefixDelays: make(map[FlowPortKey]float64, n),
+		Bursts:       make(map[FlowPortKey]float64, n),
+	}
+	for i, port := range rn.ports {
+		res.Ports[port.ID] = rn.portRes[i]
+		for k, f := range port.Flows {
+			j := rn.base[i] + int32(k)
+			key := FlowPortKey{f.VL.ID, port.ID}
+			res.FlowDelays[key] = rn.delay[j]
+			res.PrefixDelays[key] = rn.prefix[j]
+			res.Bursts[key] = rn.burst[j]
+		}
+	}
+	for _, vl := range rn.pg.Net.VLs {
+		for pi, path := range vl.Paths {
+			i := rn.pos[afdx.PortID{From: path[len(path)-2], To: path[len(path)-1]}]
+			k, _ := slices.BinarySearchFunc(rn.ports[i].Flows, vl.ID, func(f afdx.PortFlow, id string) int {
+				return strings.Compare(f.VL.ID, id)
+			})
+			j := rn.base[i] + int32(k)
+			res.PathDelays[afdx.PathID{VL: vl.ID, PathIdx: pi}] = rn.prefix[j] + rn.delay[j]
+		}
+	}
+	return res
+}
+
+// flowEnvelope returns the arrival envelope of incidence j: the
+// jitter-inflated leaky bucket, or (with StairSteps > 0) the exact
+// jitter-shifted staircase curve.
+func (rn *ncRun) flowEnvelope(j int32, vl *afdx.VirtualLink, port afdx.PortID) (minplus.Curve, error) {
+	lb := minplus.LeakyBucket(rn.burst[j], vl.RhoBitsPerUs())
+	if rn.opts.StairSteps <= 0 {
 		return lb, nil
 	}
 	// The staircase jitter is the accumulated upstream delay bound: a
@@ -277,8 +367,7 @@ func flowEnvelope(res *Result, vl *afdx.VirtualLink, port afdx.PortID) (minplus.
 	// [t + minTransit, t + prefixDelay], so in the worst case the
 	// window of length x holds the frames of a window of length
 	// x + prefixDelay at the source.
-	jitter := res.PrefixDelays[key]
-	stair, err := minplus.StaircaseWithJitter(vl.SMaxBits(), vl.BAGUs(), jitter, res.Opts.StairSteps)
+	stair, err := minplus.StaircaseWithJitter(vl.SMaxBits(), vl.BAGUs(), rn.prefix[j], rn.opts.StairSteps)
 	if err != nil {
 		return minplus.Curve{}, fmt.Errorf("netcalc: staircase envelope for VL %s at %s: %w", vl.ID, port, err)
 	}
@@ -288,114 +377,104 @@ func flowEnvelope(res *Result, vl *afdx.VirtualLink, port afdx.PortID) (minplus.
 	return minplus.Min(lb, stair), nil
 }
 
-// flowWrite is one envelope propagation produced by a port analysis:
-// the analyzed flow's burst and accumulated prefix delay as it arrives
-// at a downstream port.
-type flowWrite struct {
-	key    FlowPortKey
-	burst  float64
-	prefix float64
-}
-
-// flowDelayTerm is one flow's delay bound at the analysed port (the
-// FlowDelays entry the merge step publishes).
-type flowDelayTerm struct {
-	key   FlowPortKey
+// levelCurve is one priority level's aggregate arrival curve at a port.
+type levelCurve struct {
+	lvl   int
+	agg   minplus.Curve
 	delay float64
 }
 
-// portOutcome is the complete effect of analysing one port: its bounds,
-// the per-flow delay terms, plus the envelope propagations to
-// downstream ports. analyzePort only reads the Result it is given;
-// applying an outcome is the separate, single-writer merge step, which
-// keeps the parallel engine free of concurrent map access.
-type portOutcome struct {
-	id     afdx.PortID
-	port   PortResult
-	delays []flowDelayTerm
-	writes []flowWrite
-}
-
-// merge applies one port's outcome to the shared result. Writes are
-// conflict-free across ports (a VL enters every port from exactly one
-// upstream link), so merge order does not affect the stored values;
-// callers still merge in canonical port order so error-free runs are
-// reproducible step by step.
-func (r *Result) merge(out *portOutcome) {
-	r.Ports[out.id] = out.port
-	for _, d := range out.delays {
-		r.FlowDelays[d.key] = d.delay
-	}
-	for _, w := range out.writes {
-		r.Bursts[w.key] = w.burst
-		r.PrefixDelays[w.key] = w.prefix
-	}
-}
-
-func analyzePort(rn *ncRun, id afdx.PortID) (*portOutcome, error) {
-	pg, res := rn.pg, rn.res
+// analyzePort analyses the port at position i of pg.Order. It reads the
+// incidences that feed it, which belong to ports of lower ranks, and
+// writes only its own incidences and result slot.
+func analyzePort(rn *ncRun, i int) error {
+	port := rn.ports[i]
+	id := port.ID
 	_, span := obs.StartSpan(rn.ctx, "port:"+id.String())
 	defer span.End()
 	rn.m.ports.Inc()
-	port := pg.Ports[id]
 	beta, ok := rn.betas[betaKey{port.RateBitsPerUs, port.LatencyUs}]
 	if !ok {
 		// The engine precomputes every port's service curve before the
 		// rank fan-out; a miss means analyzePort ran outside an engine
 		// run, which would silently skip the beta-cache accounting. Hard
 		// invariant error rather than untested fallback code.
-		return nil, fmt.Errorf("netcalc: port %s: service curve (rate %g, latency %g) not precomputed (analyzePort called outside an engine run)",
+		return fmt.Errorf("netcalc: port %s: service curve (rate %g, latency %g) not precomputed (analyzePort called outside an engine run)",
 			id, port.RateBitsPerUs, port.LatencyUs)
 	}
 	rn.m.betaHits.Inc()
 
+	// Arrival state: the feeding incidence's departure burst and its
+	// prefix plus its delay; at the source end system every VL is
+	// freshly shaped to (s_max, s_max/BAG).
+	lo := rn.base[i]
+	for k, f := range port.Flows {
+		j := lo + int32(k)
+		if u := rn.up[j]; u >= 0 {
+			rn.burst[j] = rn.outBurst[u]
+			rn.prefix[j] = rn.prefix[u] + rn.delay[u]
+		} else {
+			rn.burst[j] = f.VL.SMaxBits()
+			rn.prefix[j] = 0
+		}
+	}
+
 	// Grouped aggregate arrival curve per priority level, plus the total
 	// for stability and backlog. Groups and levels are iterated in
-	// sorted order: the curve additions below accumulate floating-point
-	// error, so iteration order is part of the reproducibility contract.
-	levelAgg := map[int]minplus.Curve{}
-	levels := []int{}
+	// sorted order, members in VL-ID order: the curve additions below
+	// accumulate floating-point error, so iteration order is part of
+	// the reproducibility contract.
+	var levels []levelCurve
+	var groupLevels []int
 	rhoSum := 0.0
 	// Envelope constructions are counted locally and flushed in one Add
 	// per port: a per-flow atomic increment from every worker contends
 	// on one cache line for no observational gain.
 	envelopes := int64(0)
-	for _, g := range port.InputGroupsSorted() {
+	grp := rn.groups[lo:rn.base[i+1]]
+	for g, end := 0, 0; g < len(grp); g = end {
+		end = groupEnd(port.Flows, grp, lo, g)
+		prev := port.Flows[grp[g]-lo].Prev
+		group := grp[g:end]
 		// Grouping applies within a priority level: a link serializes
 		// all frames, but the shaping below feeds per-level residual
 		// services, so split the group by level first (conservative:
 		// cross-level serialization is not exploited).
-		byLevel := map[int][]afdx.PortFlow{}
-		groupLevels := []int{}
-		for _, f := range g.Flows {
-			if _, ok := byLevel[f.VL.Priority]; !ok {
-				groupLevels = append(groupLevels, f.VL.Priority)
+		groupLevels = groupLevels[:0]
+		for _, j := range group {
+			vl := port.Flows[j-lo].VL
+			if !slices.Contains(groupLevels, vl.Priority) {
+				groupLevels = append(groupLevels, vl.Priority)
 			}
-			byLevel[f.VL.Priority] = append(byLevel[f.VL.Priority], f)
-			rhoSum += f.VL.RhoBitsPerUs()
+			rhoSum += vl.RhoBitsPerUs()
 		}
-		sort.Ints(groupLevels)
+		slices.Sort(groupLevels)
+		inRate := port.RateBitsPerUs
+		if in := rn.pg.Ports[afdx.PortID{From: prev, To: id.From}]; in != nil {
+			inRate = in.RateBitsPerUs
+		}
 		for _, lvl := range groupLevels {
-			flows := byLevel[lvl]
 			var members = minplus.Zero()
 			maxFrame := 0.0
-			for _, f := range flows {
-				env, err := flowEnvelope(res, f.VL, id)
+			count := 0
+			for _, j := range group {
+				vl := port.Flows[j-lo].VL
+				if vl.Priority != lvl {
+					continue
+				}
+				env, err := rn.flowEnvelope(j, vl, id)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				envelopes++
+				count++
 				members = minplus.Add(members, env)
-				if s := f.VL.SMaxBits(); s > maxFrame {
+				if s := vl.SMaxBits(); s > maxFrame {
 					maxFrame = s
 				}
 			}
-			inRate := port.RateBitsPerUs
-			if in := pg.Ports[afdx.PortID{From: g.Prev, To: id.From}]; in != nil {
-				inRate = in.RateBitsPerUs
-			}
 			groupEnv := members
-			if res.Opts.Grouping && g.Prev != "" && len(flows) > 1 {
+			if rn.opts.Grouping && prev != "" && count > 1 {
 				// Serialization on the shared input link: the group
 				// cannot burst faster than the link transmits, one
 				// largest frame ahead (the paper's leaky-bucket shaping
@@ -403,15 +482,14 @@ func analyzePort(rn *ncRun, id afdx.PortID) (*portOutcome, error) {
 				shaping := minplus.LeakyBucket(maxFrame, inRate)
 				groupEnv = minplus.Min(members, shaping)
 			}
-			if cur, ok := levelAgg[lvl]; ok {
-				levelAgg[lvl] = minplus.Add(cur, groupEnv)
+			if l := slices.IndexFunc(levels, func(c levelCurve) bool { return c.lvl == lvl }); l >= 0 {
+				levels[l].agg = minplus.Add(levels[l].agg, groupEnv)
 			} else {
-				levelAgg[lvl] = groupEnv
-				levels = append(levels, lvl)
+				levels = append(levels, levelCurve{lvl: lvl, agg: groupEnv})
 			}
 		}
 	}
-	sort.Ints(levels)
+	slices.SortFunc(levels, func(a, b levelCurve) int { return cmp.Compare(a.lvl, b.lvl) })
 	if envelopes > 0 {
 		rn.m.envelopes.Add(envelopes)
 	}
@@ -424,11 +502,12 @@ func analyzePort(rn *ncRun, id afdx.PortID) (*portOutcome, error) {
 	// minus the higher levels' arrivals and minus one non-preemptive
 	// blocking frame of the lower levels. With a single level this is
 	// exactly the FIFO analysis of the paper.
-	delayByPrio := map[int]float64{}
+	delayByPrio := make(map[int]float64, len(levels))
 	total := minplus.Zero()
 	worst := 0.0
 	higher := minplus.Zero()
-	for i, lvl := range levels {
+	for l := range levels {
+		lvl := levels[l].lvl
 		blocking := 0.0
 		for _, f := range port.Flows {
 			if f.VL.Priority > lvl {
@@ -438,70 +517,60 @@ func analyzePort(rn *ncRun, id afdx.PortID) (*portOutcome, error) {
 			}
 		}
 		residual := beta
-		if i > 0 || blocking > 0 {
+		if l > 0 || blocking > 0 {
 			var err error
 			residual, err = minplus.SubPos(beta, minplus.Add(higher, minplus.Plateau(blocking)))
 			if err != nil {
-				return nil, fmt.Errorf("netcalc: port %s level %d residual service: %w", id, lvl, err)
+				return fmt.Errorf("netcalc: port %s level %d residual service: %w", id, lvl, err)
 			}
 		}
-		delay := minplus.HorizontalDeviation(levelAgg[lvl], residual)
+		delay := minplus.HorizontalDeviation(levels[l].agg, residual)
 		if math.IsInf(delay, 1) {
-			return nil, fmt.Errorf("netcalc: port %s: unbounded delay at priority %d", id, lvl)
+			return fmt.Errorf("netcalc: port %s: unbounded delay at priority %d", id, lvl)
 		}
+		levels[l].delay = delay
 		delayByPrio[lvl] = delay
 		if delay > worst {
 			worst = delay
 		}
-		higher = minplus.Add(higher, levelAgg[lvl])
-		total = minplus.Add(total, levelAgg[lvl])
+		higher = minplus.Add(higher, levels[l].agg)
+		total = minplus.Add(total, levels[l].agg)
 	}
-	backlog := minplus.VerticalDeviation(total, beta)
-	out := &portOutcome{
-		id: id,
-		port: PortResult{
-			DelayUs:         worst,
-			DelayByPriority: delayByPrio,
-			BacklogBits:     backlog,
-			Utilization:     rhoSum / port.RateBitsPerUs,
-		},
+	rn.portRes[i] = PortResult{
+		DelayUs:         worst,
+		DelayByPriority: delayByPrio,
+		BacklogBits:     minplus.VerticalDeviation(total, beta),
+		Utilization:     rhoSum / port.RateBitsPerUs,
 	}
 
-	// Propagate each flow's envelope to its next port(s) using its
-	// priority level's bound at this port, which is also the exact
-	// theta-minimum of the per-flow FIFO residual bound (DESIGN.md
-	// §14.1). The per-flow terms are published to FlowDelays — path
-	// bounds sum them.
-	for _, f := range port.Flows {
-		key := FlowPortKey{f.VL.ID, id}
-		delay := delayByPrio[f.VL.Priority]
-		out.delays = append(out.delays, flowDelayTerm{key: key, delay: delay})
-		nextBurst, err := outputBurst(res, f.VL, id, delay)
+	// Each flow's delay term is its priority level's bound at this port,
+	// which is also the exact theta-minimum of the per-flow FIFO
+	// residual bound (DESIGN.md §14.1); its departure burst feeds the
+	// ports downstream.
+	for k, f := range port.Flows {
+		j := lo + int32(k)
+		l := slices.IndexFunc(levels, func(c levelCurve) bool { return c.lvl == f.VL.Priority })
+		rn.delay[j] = levels[l].delay
+		b, err := outputBurst(rn.opts, f.VL, id, rn.burst[j], rn.delay[j])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for _, next := range nextPorts(pg, f.VL, id) {
-			out.writes = append(out.writes, flowWrite{
-				key:    FlowPortKey{f.VL.ID, next},
-				burst:  nextBurst,
-				prefix: res.PrefixDelays[key] + delay,
-			})
-		}
+		rn.outBurst[j] = b
 	}
-	return out, nil
+	return nil
 }
 
 // outputBurst computes the burst of a flow after it crosses a port whose
-// delay bound for the flow is delay. The classical propagation inflates
-// the burst by rho*delay (the output traffic is bounded by
-// alpha(t+delay)); the Deconvolution option instead deconvolves the flow
-// envelope against the exact pure-delay service delta_delay, which for
-// leaky buckets evaluates to the identical float expression b + rho*delay
-// at every link rate — the ablation's correctness no longer depends on a
-// finite magic rate (the old stand-in was RateLatency(1e12, delay)).
-func outputBurst(res *Result, vl *afdx.VirtualLink, id afdx.PortID, delay float64) (float64, error) {
-	b := res.Bursts[FlowPortKey{vl.ID, id}]
-	if !res.Opts.Deconvolution {
+// delay bound for the flow is delay, given its burst b on arrival. The
+// classical propagation inflates the burst by rho*delay (the output
+// traffic is bounded by alpha(t+delay)); the Deconvolution option
+// instead deconvolves the flow envelope against the exact pure-delay
+// service delta_delay, which for leaky buckets evaluates to the
+// identical float expression b + rho*delay at every link rate — the
+// ablation's correctness no longer depends on a finite magic rate (the
+// old stand-in was RateLatency(1e12, delay)).
+func outputBurst(opts Options, vl *afdx.VirtualLink, id afdx.PortID, b, delay float64) (float64, error) {
+	if !opts.Deconvolution {
 		return b + vl.RhoBitsPerUs()*delay, nil
 	}
 	env := minplus.LeakyBucket(b, vl.RhoBitsPerUs())
@@ -513,23 +582,6 @@ func outputBurst(res *Result, vl *afdx.VirtualLink, id afdx.PortID, delay float6
 		return 0, fmt.Errorf("netcalc: propagating VL %s past port %s: %w", vl.ID, id, err)
 	}
 	return out.ValueAtZero(), nil
-}
-
-// nextPorts lists the ports immediately downstream of id on the paths of
-// the given VL (several for a multicast branch, none at the last hop).
-func nextPorts(pg *afdx.PortGraph, vl *afdx.VirtualLink, id afdx.PortID) []afdx.PortID {
-	var out []afdx.PortID
-	seen := map[afdx.PortID]bool{}
-	for pi := range vl.Paths {
-		seq := pg.PathPorts(afdx.PathID{VL: vl.ID, PathIdx: pi})
-		for k := 0; k+1 < len(seq); k++ {
-			if seq[k] == id && !seen[seq[k+1]] {
-				seen[seq[k+1]] = true
-				out = append(out, seq[k+1])
-			}
-		}
-	}
-	return out
 }
 
 // PathDelay returns the end-to-end bound of one path, or an error when

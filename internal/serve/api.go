@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -240,24 +241,26 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // pathBounds renders a comparison as the wire bound list, in canonical
-// (VL, path index) order.
+// (VL, path index) order: the analysed network's VLs sorted by ID, each
+// VL's paths by index — the afdx.SortPathIDs order, without sorting
+// every path.
 func pathBounds(cmp *core.Comparison) []PathBound {
-	ids := make([]afdx.PathID, 0, len(cmp.PerPath))
-	for pid := range cmp.PerPath {
-		ids = append(ids, pid)
-	}
-	afdx.SortPathIDs(ids)
-	out := make([]PathBound, 0, len(ids))
-	for _, pid := range ids {
-		pc := cmp.PerPath[pid]
-		out = append(out, PathBound{
-			Path:         pid.String(),
-			NCUs:         pc.NCUs,
-			TrajectoryUs: pc.TrajectoryUs,
-			BestUs:       pc.BestUs,
-			MinUs:        pc.MinUs,
-			JitterUs:     pc.JitterUs,
-		})
+	vls := slices.Clone(cmp.Net.VLs)
+	slices.SortFunc(vls, func(a, b *afdx.VirtualLink) int { return strings.Compare(a.ID, b.ID) })
+	out := make([]PathBound, 0, len(cmp.PerPath))
+	for _, vl := range vls {
+		for i := range vl.Paths {
+			pid := afdx.PathID{VL: vl.ID, PathIdx: i}
+			pc := cmp.PerPath[pid]
+			out = append(out, PathBound{
+				Path:         pid.String(),
+				NCUs:         pc.NCUs,
+				TrajectoryUs: pc.TrajectoryUs,
+				BestUs:       pc.BestUs,
+				MinUs:        pc.MinUs,
+				JitterUs:     pc.JitterUs,
+			})
+		}
 	}
 	return out
 }

@@ -175,7 +175,7 @@ func (m *manager) run(ms *managed) {
 		fn()
 	}
 	ms.sess.Close()
-	ms.hub.publish("closed", map[string]string{"session": ms.id})
+	ms.hub.publish("closed", func() any { return map[string]string{"session": ms.id} })
 	ms.hub.close()
 	close(ms.done)
 }

@@ -369,9 +369,8 @@ func (s *Server) analysisTask(commit bool, cmds []string, ds []incremental.Delta
 				s.log.Info("delta applied", "session", ms.id, "seq", resp.Seq, "cmd", cmd)
 			}
 		}
-		ms.hub.publish("analysis", AnalysisEvent{
-			AnalysisResponse: resp,
-			Counters:         countersMap(s.reg),
+		ms.hub.publish("analysis", func() any {
+			return AnalysisEvent{AnalysisResponse: resp, Counters: countersMap(s.reg)}
 		})
 		return resp, nil
 	}

@@ -67,12 +67,17 @@ func (h *hub) subscribe() (<-chan event, func()) {
 	return ch, cancel
 }
 
-// publish marshals v and delivers it to every subscriber without
-// blocking. No-op after close.
-func (h *hub) publish(name string, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return
+// publish delivers one event to every subscriber without blocking.
+// The payload is built and marshalled only when the hub has a
+// subscriber, but the event id advances on every call, so ids keep
+// counting rounds: a subscriber that joins after k silent rounds sees
+// id k+1 first. No-op after close.
+func (h *hub) publish(name string, payload func() any) {
+	var data []byte
+	if h.listening() {
+		// The payloads are plain data and always marshal; were one to
+		// fail, the round's event would be dropped, never sent empty.
+		data, _ = json.Marshal(payload())
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -80,6 +85,9 @@ func (h *hub) publish(name string, v any) {
 		return
 	}
 	h.nextID++
+	if data == nil {
+		return
+	}
 	e := event{id: h.nextID, name: name, data: data}
 	for ch := range h.subs {
 		select {
@@ -90,6 +98,13 @@ func (h *hub) publish(name string, v any) {
 			}
 		}
 	}
+}
+
+// listening reports whether the hub has a subscriber.
+func (h *hub) listening() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.subs) > 0
 }
 
 // close terminates every subscriber stream. Idempotent.
