@@ -182,41 +182,6 @@ func BenchmarkSimCheck(b *testing.B) {
 	}
 }
 
-// The industrial engine benchmarks come in Seq (-parallel 1) and Par
-// (-parallel 0, all CPUs) variants; the bit-reproducibility contract
-// makes both compute the same bounds, so the ratio is the parallel
-// speedup quoted in the README and BENCH_PR2.json (cmd/afdx-benchjson
-// extracts it from `go test -bench Industrial` output).
-func benchmarkNCIndustrial(b *testing.B, workers int) {
-	pg := industrialGraph(b)
-	opts := afdx.DefaultNCOptions()
-	opts.Parallel = workers
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := afdx.AnalyzeNC(pg, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchmarkTrajectoryIndustrial(b *testing.B, workers int) {
-	pg := industrialGraph(b)
-	opts := afdx.DefaultTrajectoryOptions()
-	opts.Parallel = workers
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := afdx.AnalyzeTrajectory(pg, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkNetworkCalculusIndustrialSeq(b *testing.B) { benchmarkNCIndustrial(b, 1) }
-func BenchmarkNetworkCalculusIndustrialPar(b *testing.B) { benchmarkNCIndustrial(b, 0) }
-
-func BenchmarkTrajectoryIndustrialSeq(b *testing.B) { benchmarkTrajectoryIndustrial(b, 1) }
-func BenchmarkTrajectoryIndustrialPar(b *testing.B) { benchmarkTrajectoryIndustrial(b, 0) }
-
 // BenchmarkSimulatorFigure2 times the discrete-event simulator itself.
 func BenchmarkSimulatorFigure2(b *testing.B) {
 	pg := figure2Graph(b)

@@ -28,7 +28,7 @@ var (
 	cliOnce  sync.Once
 	cliDir   string
 	cliErr   error
-	cliTools = []string{"afdx-gen", "afdx-lint", "afdx-bounds", "afdx-sim", "afdx-experiments", "afdx-exact", "afdx-conformance", "afdx-benchjson", "afdx-vet", "afdx-serve"}
+	cliTools = []string{"afdx-gen", "afdx-lint", "afdx-bounds", "afdx-sim", "afdx-experiments", "afdx-exact", "afdx-conformance", "afdx-vet", "afdx-serve"}
 )
 
 // buildCLIs compiles every command once per test binary invocation.
@@ -372,7 +372,8 @@ func TestCLIBoundsExplainArgs(t *testing.T) {
 // mutated configuration, whether the deltas come from -delta flags or
 // from -whatif stdin; a delta that does not parse or that the session
 // rejects is a usage error (exit 2), a delta whose analysis fails an
-// analysis failure (exit 1).
+// analysis failure (exit 1). An unreadable -whatif file or a delta that
+// does not parse is caught before any analysis, so stdout stays empty.
 func TestCLIBoundsWhatIf(t *testing.T) {
 	dir := buildCLIs(t)
 	cfg := filepath.Join("internal", "lint", "testdata", "clean.json")
@@ -409,24 +410,31 @@ func TestCLIBoundsWhatIf(t *testing.T) {
 		t.Errorf("-whatif - output differs from the cold runs:\ngot:\n%s\nwant:\n%s", stdout.String(), want)
 	}
 
+	missing := filepath.Join(t.TempDir(), "missing.txt")
 	for _, tc := range []struct {
-		delta string
+		args  []string
 		code  int
 		msg   string // stderr fragment
+		early bool   // rejected before the config is loaded: empty stdout
 	}{
-		{"frob v1", 2, `unknown delta op "frob"`},
-		{"drop nosuch", 2, `unknown VL "nosuch"`},
-		{"priority v1 1", 1, "priority"},
+		{[]string{"-delta", "frob v1"}, 2, `unknown delta op "frob"`, true},
+		{[]string{"-delta", "bag v1 4", "-delta", "frob v1"}, 2, `unknown delta op "frob"`, true},
+		{[]string{"-whatif", missing}, 2, "reading what-if input", true},
+		{[]string{"-delta", "drop nosuch"}, 2, `unknown VL "nosuch"`, false},
+		{[]string{"-delta", "priority v1 1"}, 1, "priority", false},
 	} {
 		var stdout, stderr bytes.Buffer
-		cmd := exec.Command(filepath.Join(dir, "afdx-bounds"), "-config", cfg, "-delta", tc.delta)
+		cmd := exec.Command(filepath.Join(dir, "afdx-bounds"), append([]string{"-config", cfg}, tc.args...)...)
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		cmd.Run() //nolint:errcheck // the exit code is checked below
 		if code := cmd.ProcessState.ExitCode(); code != tc.code {
-			t.Errorf("-delta %q: exit %d, want %d\nstderr:\n%s", tc.delta, code, tc.code, stderr.String())
+			t.Errorf("%q: exit %d, want %d\nstderr:\n%s", tc.args, code, tc.code, stderr.String())
 		}
 		if !strings.Contains(stderr.String(), tc.msg) {
-			t.Errorf("-delta %q: stderr misses %q:\n%s", tc.delta, tc.msg, stderr.String())
+			t.Errorf("%q: stderr misses %q:\n%s", tc.args, tc.msg, stderr.String())
+		}
+		if tc.early && stdout.Len() != 0 {
+			t.Errorf("%q: want empty stdout, got:\n%s", tc.args, stdout.String())
 		}
 	}
 }
@@ -906,35 +914,5 @@ func TestCLIServeUsageErrors(t *testing.T) {
 		if code := cmd.ProcessState.ExitCode(); code != 2 {
 			t.Errorf("afdx-serve %v: exit %d, want 2\n%s", args, code, out)
 		}
-	}
-}
-
-// TestCLIBenchJSON checks the report assembler: Seq/Par rows pair into
-// a speedup and -o writes the document to the named file.
-func TestCLIBenchJSON(t *testing.T) {
-	dir := buildCLIs(t)
-	out := filepath.Join(t.TempDir(), "bench.json")
-	cmd := exec.Command(filepath.Join(dir, "afdx-benchjson"), "-o", out)
-	cmd.Stdin = strings.NewReader(
-		"BenchmarkIndustrialNCSeq-8   5  200000000 ns/op\n" +
-			"BenchmarkIndustrialNCPar-8  10  100000000 ns/op\n")
-	if b, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("afdx-benchjson: %v\n%s", err, b)
-	}
-	raw, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatalf("-o wrote no file: %v", err)
-	}
-	var rep struct {
-		Pairs []struct {
-			Base    string  `json:"benchmark"`
-			Speedup float64 `json:"speedup"`
-		} `json:"seq_par_pairs"`
-	}
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("report is not JSON: %v\n%s", err, raw)
-	}
-	if len(rep.Pairs) != 1 || rep.Pairs[0].Base != "BenchmarkIndustrialNC" || rep.Pairs[0].Speedup != 2 {
-		t.Errorf("pairs = %+v, want one BenchmarkIndustrialNC pair with speedup 2", rep.Pairs)
 	}
 }

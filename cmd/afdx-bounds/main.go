@@ -31,7 +31,9 @@
 // of the previous one's configuration. A delta that does not parse, or
 // that the session rejects (an unknown VL, a result that fails
 // validation), is a usage error; one whose analysis fails is an
-// analysis failure.
+// analysis failure. Every delta is read and parsed before the
+// configuration is loaded, so an unreadable -whatif file or a
+// malformed delta exits before any table is printed.
 //
 // Observability (shared across every afdx-* command; see
 // internal/obs/cliobs): -metrics writes the engines' counter and
@@ -119,6 +121,11 @@ func main() {
 			os.Exit(exitUsage)
 		}
 	}
+	deltas, err := readDeltas(deltaCmds, *whatif)
+	if err != nil {
+		log.Print(err)
+		os.Exit(exitUsage)
+	}
 	if sess, err = obsFlags.Start(); err != nil {
 		fail(exitUsage, err)
 	}
@@ -188,8 +195,8 @@ func main() {
 		fail(exitAnalysis, err)
 	}
 
-	if len(deltaCmds) > 0 || *whatif != "" {
-		runWhatIf(ctx, net, mode, ncOpts, trOpts, deltaCmds, *whatif, *jitter, emit)
+	if len(deltas) > 0 {
+		runWhatIf(ctx, net, mode, ncOpts, trOpts, deltas, *jitter, emit)
 	}
 
 	if *explain != "" {
@@ -334,11 +341,10 @@ func boundsTable(pg *afdx.PortGraph, paths []afdx.PathID, ncDelays, trDelays map
 	return headers, rows, nil
 }
 
-// runWhatIf drives the what-if loop: -delta commands first (in flag
-// order), then the -whatif file's lines, each applied on top of the
-// previous configuration, with the bounds table reprinted after every
-// delta.
-func runWhatIf(ctx context.Context, net *afdx.Network, mode afdx.ValidationMode, ncOpts afdx.NCOptions, trOpts afdx.TrajectoryOptions, cmds []string, file string, jitter bool, emit func(w io.Writer, headers []string, rows [][]string) error) {
+// readDeltas reads and parses the what-if input: the -delta commands
+// in flag order, then the -whatif file's lines ('-' reads stdin; blank
+// lines and # comments are skipped).
+func readDeltas(cmds []string, file string) ([]afdx.Delta, error) {
 	lines := append([]string{}, cmds...)
 	if file != "" {
 		var data []byte
@@ -349,7 +355,7 @@ func runWhatIf(ctx context.Context, net *afdx.Network, mode afdx.ValidationMode,
 			data, err = os.ReadFile(file)
 		}
 		if err != nil {
-			fail(exitUsage, fmt.Errorf("reading what-if input: %w", err))
+			return nil, fmt.Errorf("reading what-if input: %w", err)
 		}
 		for _, ln := range strings.Split(string(data), "\n") {
 			ln = strings.TrimSpace(ln)
@@ -359,16 +365,26 @@ func runWhatIf(ctx context.Context, net *afdx.Network, mode afdx.ValidationMode,
 			lines = append(lines, ln)
 		}
 	}
+	deltas := make([]afdx.Delta, len(lines))
+	for i, ln := range lines {
+		d, err := afdx.ParseDelta(ln)
+		if err != nil {
+			return nil, err
+		}
+		deltas[i] = d
+	}
+	return deltas, nil
+}
 
+// runWhatIf drives the what-if loop: each delta is applied on top of
+// the previous configuration, with the bounds table reprinted after
+// every delta.
+func runWhatIf(ctx context.Context, net *afdx.Network, mode afdx.ValidationMode, ncOpts afdx.NCOptions, trOpts afdx.TrajectoryOptions, deltas []afdx.Delta, jitter bool, emit func(w io.Writer, headers []string, rows [][]string) error) {
 	ws, err := afdx.NewIncrementalSession(net, afdx.IncrementalOptions{Mode: mode, NC: ncOpts, Trajectory: trOpts})
 	if err != nil {
 		fail(exitAnalysis, err)
 	}
-	for _, ln := range lines {
-		d, err := afdx.ParseDelta(ln)
-		if err != nil {
-			fail(exitUsage, err)
-		}
+	for _, d := range deltas {
 		res, err := afdx.AnalyzeIncremental(ctx, ws, d)
 		if err != nil {
 			code := exitAnalysis

@@ -14,7 +14,8 @@ import (
 // This file is the reference implementation of the per-path hot loop:
 // the engine exactly as it shipped before the flat-index rework
 // (flat.go), kept so the flattened hot path can be proven bit-identical
-// against it and benchmarked against it (make bench-pr7).
+// against it. CHANGES.md records the flat path's measured speed-up
+// over this one.
 //
 // The reference is not dead code guarded by faith: analyzeReference
 // drives it from the differential property tests (flat_test.go), which
@@ -27,7 +28,7 @@ import (
 // layout or scheduling choice differs.
 
 // analyzeReference runs the full analysis through the reference
-// (pre-flattening) hot path. Test and benchmark entry point only.
+// (pre-flattening) hot path. Test entry point only.
 func analyzeReference(ctx context.Context, pg *afdx.PortGraph, opts Options) (*Result, error) {
 	a, err := newAnalyzerWith(ctx, pg, opts, nil, true)
 	if err != nil {

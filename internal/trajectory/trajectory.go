@@ -212,8 +212,8 @@ type analyzer struct {
 	// (PrefixTrajectory mode).
 	trajPrefix prefixCache
 	// reference forces the pre-flattening hot path (reference.go) —
-	// the anchor the flattened engine is differentially tested and
-	// benchmarked against. Never set on production entry points.
+	// the anchor the flattened engine is differentially tested
+	// against. Never set on production entry points.
 	reference bool
 	// flat is the dense per-run index the flattened hot path runs on
 	// (flat.go). Built by prepare after the prefix bounds are known;
@@ -230,8 +230,8 @@ func newAnalyzer(ctx context.Context, pg *afdx.PortGraph, opts Options) (*analyz
 // newAnalyzerWith is newAnalyzer with the caller's NC result as the
 // prefix-bound source (see AnalyzeWithNCCtx; nil runs a private prefix
 // analysis) and an engine selector: reference analyzers skip the flat
-// index and run the pre-flattening hot path (differential tests and
-// benchmarks only).
+// index and run the pre-flattening hot path (differential tests
+// only).
 func newAnalyzerWith(ctx context.Context, pg *afdx.PortGraph, opts Options, nc *netcalc.Result, reference bool) (*analyzer, error) {
 	a := &analyzer{
 		pg:         pg,
