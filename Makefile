@@ -61,4 +61,5 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzConformanceConfig$$' -fuzztime 10s ./internal/conformance
 	go test -run '^$$' -fuzz '^FuzzParseDelta$$' -fuzztime 10s ./internal/incremental
 	go test -run '^$$' -fuzz '^FuzzServeWhatIf$$' -fuzztime 10s ./internal/serve
+	go test -run '^$$' -fuzz '^FuzzServeApply$$' -fuzztime 10s ./internal/serve
 	go test -run '^$$' -fuzz '^FuzzServeUpload$$' -fuzztime 10s ./internal/serve

@@ -209,20 +209,19 @@ func ExplainTrajectory(pg *PortGraph, pid PathID, opts TrajectoryOptions) (*Traj
 }
 
 // ExplainTrajectoryCtx is ExplainTrajectory with cancellation and
-// observability threaded through the context.
-func ExplainTrajectoryCtx(ctx context.Context, pg *PortGraph, pid PathID, opts TrajectoryOptions) (*TrajectoryExplanation, error) {
-	return trajectory.ExplainCtx(ctx, pg, pid, opts)
+// observability threaded through the context, and the S_max prefix
+// bounds taken from the caller's NC result when it ran under the
+// default NC options (nil, or any other result, runs a private prefix
+// analysis). The decomposition is read off the engine's own run at the
+// critical offset, so its terms sum to the bound bit for bit.
+func ExplainTrajectoryCtx(ctx context.Context, pg *PortGraph, pid PathID, opts TrajectoryOptions, nc *NCResult) (*TrajectoryExplanation, error) {
+	return trajectory.ExplainCtx(ctx, pg, pid, opts, nc)
 }
 
 // NCExplanation decomposes one path's Network Calculus bound into its
-// per-port terms.
+// per-port terms: NCResult.Explain projects it out of a result, with
+// no engine run.
 type NCExplanation = netcalc.PathExplanation
-
-// ExplainNC returns the per-port decomposition of one path's Network
-// Calculus bound.
-func ExplainNC(pg *PortGraph, pid PathID, opts NCOptions) (*NCExplanation, error) {
-	return netcalc.Explain(pg, pid, opts)
-}
 
 // Combined comparison (the paper's primary contribution).
 type (
@@ -265,9 +264,6 @@ type (
 	// IncrementalOptions binds a session's validation mode and engine
 	// option sets.
 	IncrementalOptions = incremental.Options
-	// IncrementalResult carries one analysis round: both engine results
-	// and the combined comparison.
-	IncrementalResult = incremental.Result
 	// Delta is one configuration mutation (BAG, s_max, priority,
 	// reroute, VL added or removed).
 	Delta = incremental.Delta
@@ -291,9 +287,10 @@ func ParseDelta(s string) (Delta, error) { return incremental.ParseDelta(s) }
 // AnalyzeIncremental applies a delta batch to the session and
 // re-analyses; the batch is committed only when its analysis succeeds,
 // so a rejected batch or a failed analysis leaves the session
-// unchanged. The result is bit-identical to a cold analysis of the
-// mutated configuration, at every Parallel value.
-func AnalyzeIncremental(ctx context.Context, s *IncrementalSession, deltas ...Delta) (*IncrementalResult, error) {
+// unchanged. The comparison, engine results included, is bit-identical
+// to a cold CompareWithCtx of the mutated configuration, at every
+// Parallel value.
+func AnalyzeIncremental(ctx context.Context, s *IncrementalSession, deltas ...Delta) (*Comparison, error) {
 	return s.WhatIf(ctx, deltas...)
 }
 

@@ -38,7 +38,7 @@
 #  12. fuzz smoke            (each native fuzz target for 5 s:
 #                             FuzzReadJSON, FuzzConformanceConfig,
 #                             FuzzParseDelta, FuzzServeWhatIf,
-#                             FuzzServeUpload)
+#                             FuzzServeApply, FuzzServeUpload)
 #
 # Usage: ./check.sh        (or: make check)
 set -eu
@@ -155,6 +155,7 @@ go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 5s ./internal/afdx
 go test -run '^$' -fuzz '^FuzzConformanceConfig$' -fuzztime 5s ./internal/conformance
 go test -run '^$' -fuzz '^FuzzParseDelta$' -fuzztime 5s ./internal/incremental
 go test -run '^$' -fuzz '^FuzzServeWhatIf$' -fuzztime 5s ./internal/serve
+go test -run '^$' -fuzz '^FuzzServeApply$' -fuzztime 5s ./internal/serve
 go test -run '^$' -fuzz '^FuzzServeUpload$' -fuzztime 5s ./internal/serve
 
 echo "check.sh: all gates passed"

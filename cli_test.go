@@ -329,30 +329,53 @@ func TestCLIAnalysisTierFlag(t *testing.T) {
 // lint corpus's clean configuration (v1 and v2, one path each): a
 // malformed value or a path the configuration lacks is a usage error
 // (exit 2) reported before any analysis, so stdout stays empty; a bare
-// VL means its path 0.
+// VL means its path 0. -explain prints one block per method that ran:
+// -method nc explains a mixed-priority copy of the configuration, which
+// the trajectory engine refuses, and -method trajectory prints no NC
+// block.
 func TestCLIBoundsExplainArgs(t *testing.T) {
 	dir := buildCLIs(t)
 	cfg := filepath.Join("internal", "lint", "testdata", "clean.json")
+	net, err := afdx.LoadJSON(cfg, afdx.Strict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.VL("v2").Priority = 1
+	prio := filepath.Join(t.TempDir(), "priority.json")
+	if err := net.SaveJSON(prio); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		arg  string
 		code int
 		want string // stdout fragment on success
+		// Per-method rows: extra flags, a config replacing clean.json,
+		// and a stdout fragment that must be absent.
+		flags  []string
+		cfg    string
+		absent string
 	}{
-		{"v1/abc", 2, ""},
-		{"v1/1x", 2, ""},
-		{"v1/-1", 2, ""},
-		{"/0", 2, ""},
-		{"zz/0", 2, ""},
-		{"v1/7", 2, ""},
-		{"v1", 0, "trajectory bound for v1/0"},
-		{"v2/0", 0, "trajectory bound for v2/0"},
+		{"v1/abc", 2, "", nil, "", ""},
+		{"v1/1x", 2, "", nil, "", ""},
+		{"v1/-1", 2, "", nil, "", ""},
+		{"/0", 2, "", nil, "", ""},
+		{"zz/0", 2, "", nil, "", ""},
+		{"v1/7", 2, "", nil, "", ""},
+		{"v1", 0, "trajectory bound for v1/0", nil, "", ""},
+		{"v2/0", 0, "trajectory bound for v2/0", nil, "", ""},
+		{"v1/0", 0, "network calculus bound for v1/0", []string{"-method", "nc"}, prio, "trajectory bound"},
+		{"v1/0", 0, "trajectory bound for v1/0", []string{"-method", "trajectory"}, "", "network calculus bound"},
 	} {
+		config := cfg
+		if tc.cfg != "" {
+			config = tc.cfg
+		}
 		var stdout, stderr bytes.Buffer
-		cmd := exec.Command(filepath.Join(dir, "afdx-bounds"), "-config", cfg, "-explain", tc.arg)
+		cmd := exec.Command(filepath.Join(dir, "afdx-bounds"), append([]string{"-config", config, "-explain", tc.arg}, tc.flags...)...)
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		cmd.Run() //nolint:errcheck // the exit code is checked below
 		if code := cmd.ProcessState.ExitCode(); code != tc.code {
-			t.Errorf("-explain %q: exit %d, want %d\nstdout:\n%s\nstderr:\n%s", tc.arg, code, tc.code, stdout.String(), stderr.String())
+			t.Errorf("-explain %q %v: exit %d, want %d\nstdout:\n%s\nstderr:\n%s", tc.arg, tc.flags, code, tc.code, stdout.String(), stderr.String())
 			continue
 		}
 		if tc.code != 0 {
@@ -362,7 +385,10 @@ func TestCLIBoundsExplainArgs(t *testing.T) {
 			continue
 		}
 		if !strings.Contains(stdout.String(), tc.want) {
-			t.Errorf("-explain %q: stdout missing %q:\n%s", tc.arg, tc.want, stdout.String())
+			t.Errorf("-explain %q %v: stdout missing %q:\n%s", tc.arg, tc.flags, tc.want, stdout.String())
+		}
+		if tc.absent != "" && strings.Contains(stdout.String(), tc.absent) {
+			t.Errorf("-explain %q %v: stdout holds %q for a method that did not run:\n%s", tc.arg, tc.flags, tc.absent, stdout.String())
 		}
 	}
 }
@@ -518,6 +544,76 @@ func TestCLIBoundsMetricsAndTrace(t *testing.T) {
 	}
 	if !names["netcalc"] || !names["trajectory"] {
 		t.Errorf("trace misses engine spans, got %v", names)
+	}
+}
+
+// TestCLIBoundsExplainSharesRun pins that afdx-bounds runs WCNC once on
+// the generated industrial configuration of seed 1 (222 output ports),
+// with or without -explain: the table, the NC explanation and the
+// trajectory explanation's prefix bounds all read the comparison's one
+// run. The explanation's own trajectory work runs under the command's
+// context, so it shows in the metrics (one more path) and the trace
+// (one more trajectory span), and the table it follows is unchanged.
+func TestCLIBoundsExplainSharesRun(t *testing.T) {
+	dir := buildCLIs(t)
+	td := t.TempDir()
+	cfg := filepath.Join(td, "industrial.json")
+	runCLI(t, dir, "afdx-gen", "-seed", "1", "-quiet", "-out", cfg)
+	type run struct {
+		stdout   string
+		counters map[string]int64
+		spans    map[string]int
+	}
+	bounds := func(extra ...string) run {
+		t.Helper()
+		metrics, tracef := filepath.Join(td, "metrics.json"), filepath.Join(td, "trace.json")
+		out := runCLIStdout(t, dir, "afdx-bounds", append([]string{"-config", cfg, "-metrics", metrics, "-tracefile", tracef}, extra...)...)
+		var snap struct {
+			Counters []struct {
+				Name  string `json:"name"`
+				Value int64  `json:"value"`
+			} `json:"counters"`
+		}
+		var evs []struct {
+			Name string `json:"name"`
+		}
+		for file, v := range map[string]any{metrics: &snap, tracef: &evs} {
+			raw, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(raw, v); err != nil {
+				t.Fatalf("%s: %v", file, err)
+			}
+		}
+		r := run{stdout: out, counters: map[string]int64{}, spans: map[string]int{}}
+		for _, c := range snap.Counters {
+			r.counters[c.Name] = c.Value
+		}
+		for _, e := range evs {
+			r.spans[e.Name]++
+		}
+		return r
+	}
+	plain, explained := bounds(), bounds("-explain", "v0001/0")
+	for _, r := range []run{plain, explained} {
+		if n := r.counters["netcalc.ports_analyzed"]; n != 222 {
+			t.Errorf("netcalc.ports_analyzed = %d, want 222 (one WCNC pass)", n)
+		}
+		if n := r.spans["netcalc"]; n != 1 {
+			t.Errorf("%d netcalc spans, want 1", n)
+		}
+	}
+	if d := explained.counters["trajectory.paths_analyzed"] - plain.counters["trajectory.paths_analyzed"]; d != 1 {
+		t.Errorf("-explain added %d trajectory paths to the metrics, want 1", d)
+	}
+	if plain.spans["trajectory"] != 1 || explained.spans["trajectory"] != 2 {
+		t.Errorf("trajectory spans: %d plain, %d with -explain; want 1 and 2", plain.spans["trajectory"], explained.spans["trajectory"])
+	}
+	if !strings.HasPrefix(explained.stdout, plain.stdout) ||
+		!strings.Contains(explained.stdout, "network calculus bound for v0001/0") ||
+		!strings.Contains(explained.stdout, "trajectory bound for v0001/0") {
+		t.Errorf("-explain output is not the plain table followed by both explanations:\n%.2000s", explained.stdout)
 	}
 }
 

@@ -14,7 +14,8 @@
 // The separated bound of a plain Total Flow Analysis is -no-grouping.
 // -explain takes vl/pathIdx (a bare vl means path 0); a malformed value
 // or a path the configuration lacks is a usage error, reported before
-// any analysis runs.
+// any analysis runs. It prints one decomposition per method that ran,
+// each read off the run that computed the table's bound.
 //
 // What-if mode re-analyses the configuration under deltas: after the
 // base table, each -delta (or each line of the -whatif file; '-' reads
@@ -102,7 +103,7 @@ func main() {
 		backlog    = flag.Bool("backlog", false, "also print per-port backlog bounds (NC)")
 		jitter     = flag.Bool("jitter", false, "also print per-path jitter (bound minus idle-network floor)")
 		esJitter   = flag.Bool("es-jitter", false, "also print the ARINC 664 end-system output jitter report")
-		explain    = flag.String("explain", "", "print the trajectory bound decomposition of one path (e.g. v1/0)")
+		explain    = flag.String("explain", "", "print one path's bound decomposition for each method run (e.g. v1/0)")
 		whatif     = flag.String("whatif", "", "file of what-if delta commands, one per line ('-' = stdin; blank lines and # comments skipped)")
 	)
 	var deltaCmds multiFlag
@@ -158,32 +159,34 @@ func main() {
 	ncOpts.Parallel = *parallelN
 	trOpts.Parallel = *parallelN
 
+	// One run feeds the table, -backlog and -explain. Both methods are
+	// one comparison, whose WCNC pass also supplies the trajectory
+	// engine's prefix bounds.
 	var (
-		ncDelays, trDelays map[afdx.PathID]float64
-		ncRes              *afdx.NCResult
+		ncRes *afdx.NCResult
+		trRes *afdx.TrajectoryResult
 	)
-	if *method == "nc" || *method == "both" {
-		var err error
-		if ncRes, err = afdx.AnalyzeNCCtx(ctx, pg, ncOpts); err != nil {
-			fail(exitAnalysis, err)
-		}
-		ncDelays = ncRes.PathDelays
-	}
-	if *method == "trajectory" || *method == "both" {
-		tr, err := afdx.AnalyzeTrajectoryCtx(ctx, pg, trOpts)
+	switch *method {
+	case "both":
+		cmp, err := afdx.CompareWithCtx(ctx, pg, ncOpts, trOpts)
 		if err != nil {
 			fail(exitAnalysis, err)
 		}
-		trDelays = tr.PathDelays
-	}
-	if ncDelays == nil && trDelays == nil {
+		ncRes, trRes = cmp.NC, cmp.Trajectory
+	case "nc":
+		if ncRes, err = afdx.AnalyzeNCCtx(ctx, pg, ncOpts); err != nil {
+			fail(exitAnalysis, err)
+		}
+	case "trajectory":
+		if trRes, err = afdx.AnalyzeTrajectoryCtx(ctx, pg, trOpts); err != nil {
+			fail(exitAnalysis, err)
+		}
+	default:
 		log.Printf("unknown method %q (want nc, trajectory or both)", *method)
 		sess.Exit(exitUsage)
 	}
 
-	paths := sortedPaths(net)
-
-	headers, rows, err := boundsTable(pg, paths, ncDelays, trDelays, *jitter)
+	headers, rows, err := boundsTable(pg, ncRes, trRes, *jitter)
 	if err != nil {
 		fail(exitAnalysis, err)
 	}
@@ -200,19 +203,13 @@ func main() {
 	}
 
 	if *explain != "" {
-		fmt.Println()
-		if ncEx, err := afdx.ExplainNC(pg, explainPath, ncOpts); err == nil {
-			if err := ncEx.Render(os.Stdout); err != nil {
-				fail(exitAnalysis, err)
-			}
-			fmt.Println()
+		// One block per method that ran; the trajectory explanation
+		// reuses the run's WCNC result for its prefix bounds.
+		if ncRes != nil {
+			printExplanation(ncRes.Explain(pg, explainPath))
 		}
-		ex, err := afdx.ExplainTrajectory(pg, explainPath, trOpts)
-		if err != nil {
-			fail(exitAnalysis, err)
-		}
-		if err := ex.Render(os.Stdout); err != nil {
-			fail(exitAnalysis, err)
+		if trRes != nil {
+			printExplanation(afdx.ExplainTrajectoryCtx(ctx, pg, explainPath, trOpts, ncRes))
 		}
 	}
 
@@ -258,6 +255,18 @@ func main() {
 	sess.Exit(exitOK)
 }
 
+// printExplanation prints one -explain block after a blank line, or
+// fails the run with the explanation's error.
+func printExplanation(ex interface{ Render(io.Writer) error }, err error) {
+	if err == nil {
+		fmt.Println()
+		err = ex.Render(os.Stdout)
+	}
+	if err != nil {
+		fail(exitAnalysis, err)
+	}
+}
+
 // multiFlag collects a repeatable string flag in order of appearance.
 type multiFlag []string
 
@@ -282,52 +291,41 @@ func parseExplain(s string) (afdx.PathID, error) {
 	return afdx.PathID{VL: vl, PathIdx: n}, nil
 }
 
-// sortedPaths returns every path in deterministic (VL, index) order.
-func sortedPaths(net *afdx.Network) []afdx.PathID {
-	paths := net.AllPaths()
-	sort.Slice(paths, func(i, j int) bool {
-		if paths[i].VL != paths[j].VL {
-			return paths[i].VL < paths[j].VL
-		}
-		return paths[i].PathIdx < paths[j].PathIdx
-	})
-	return paths
-}
-
-// boundsTable renders the per-path bounds table; either delay map may
-// be nil (single-method runs), dropping its columns.
-func boundsTable(pg *afdx.PortGraph, paths []afdx.PathID, ncDelays, trDelays map[afdx.PathID]float64, jitter bool) ([]string, [][]string, error) {
+// boundsTable renders the per-path bounds table; either result may be
+// nil (single-method runs), dropping its columns.
+func boundsTable(pg *afdx.PortGraph, nc *afdx.NCResult, tr *afdx.TrajectoryResult, jitter bool) ([]string, [][]string, error) {
 	headers := []string{"path"}
-	if ncDelays != nil {
+	if nc != nil {
 		headers = append(headers, "WCNC (us)")
 	}
-	if trDelays != nil {
+	if tr != nil {
 		headers = append(headers, "Trajectory (us)")
 	}
-	if ncDelays != nil && trDelays != nil {
+	if nc != nil && tr != nil {
 		headers = append(headers, "Best (us)", "benefit")
 	}
 	if jitter {
 		headers = append(headers, "jitter (us)")
 	}
+	paths := pg.Net.AllPaths()
+	afdx.SortPathIDs(paths)
 	rows := make([][]string, 0, len(paths))
 	for _, pid := range paths {
 		row := []string{pid.String()}
 		best := 0.0
-		if ncDelays != nil {
-			best = ncDelays[pid]
-			row = append(row, report.Us(ncDelays[pid]))
+		if nc != nil {
+			best = nc.PathDelays[pid]
+			row = append(row, report.Us(best))
 		}
-		if trDelays != nil {
-			if best == 0 || trDelays[pid] < best {
-				best = trDelays[pid]
+		if tr != nil {
+			if d := tr.PathDelays[pid]; best == 0 || d < best {
+				best = d
 			}
-			row = append(row, report.Us(trDelays[pid]))
+			row = append(row, report.Us(tr.PathDelays[pid]))
 		}
-		if ncDelays != nil && trDelays != nil {
-			row = append(row,
-				report.Us(best),
-				report.Pct((ncDelays[pid]-trDelays[pid])/ncDelays[pid]*100))
+		if nc != nil && tr != nil {
+			dn, dt := nc.PathDelays[pid], tr.PathDelays[pid]
+			row = append(row, report.Us(best), report.Pct((dn-dt)/dn*100))
 		}
 		if jitter {
 			floor, err := pg.MinPathDelayUs(pid)
@@ -395,8 +393,7 @@ func runWhatIf(ctx context.Context, net *afdx.Network, mode afdx.ValidationMode,
 			fail(code, fmt.Errorf("what-if %q: %w", d, err))
 		}
 		fmt.Printf("\nwhat-if: %s\n", d)
-		pg := ws.PortGraph()
-		headers, rows, err := boundsTable(pg, sortedPaths(pg.Net), res.NC.PathDelays, res.Trajectory.PathDelays, jitter)
+		headers, rows, err := boundsTable(ws.PortGraph(), res.NC, res.Trajectory, jitter)
 		if err != nil {
 			fail(exitAnalysis, err)
 		}

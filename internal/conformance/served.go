@@ -17,10 +17,10 @@ import (
 // a pure function of (configuration, SimSeed), so a violation here
 // replays like every other oracle finding.
 //
-// The session answers each round with one WCNC run shared by both
-// engines, the cold anchors with private prefix runs; this tier adds
-// the session manager, the HTTP surface, and the JSON float64
-// round-trip on top, and the equality stays exact.
+// The session round and each cold anchor (serve.Script.VerifyCold) are
+// both core.CompareWithCtx calls, one WCNC run shared by both engines;
+// this tier adds the session manager, the HTTP surface, and the JSON
+// float64 round-trip on top, and the equality stays exact.
 func (o *Oracle) checkServed(ctx context.Context, net *afdx.Network) ([]Violation, error) {
 	workers := o.ParityWorkers
 	if workers <= 0 {

@@ -41,10 +41,14 @@ type PathComparison struct {
 	JitterUs float64
 }
 
-// Comparison is the full per-path comparison of one configuration.
+// Comparison is the full per-path comparison of one configuration,
+// with the two engine results it was assembled from: every explanation
+// and table of a comparison reads the run that computed its bounds.
 type Comparison struct {
-	Net     *afdx.Network
-	PerPath map[afdx.PathID]PathComparison
+	Net        *afdx.Network
+	PerPath    map[afdx.PathID]PathComparison
+	NC         *netcalc.Result
+	Trajectory *trajectory.Result
 }
 
 // Compare runs both analyses with their paper-default options.
@@ -83,12 +87,10 @@ func CompareWithCtx(ctx context.Context, pg *afdx.PortGraph, ncOpts netcalc.Opti
 }
 
 // Combine assembles the per-path comparison from already-computed
-// engine results (CompareWithCtx = two engine runs + Combine). The
-// what-if layer calls it directly with its own round's results, so the
-// combined figures of a what-if step are assembled by exactly the code
-// path a cold comparison uses.
+// engine results (CompareWithCtx = two engine runs + Combine) and
+// records both results on it.
 func Combine(pg *afdx.PortGraph, nc *netcalc.Result, tr *trajectory.Result) (*Comparison, error) {
-	c := &Comparison{Net: pg.Net, PerPath: map[afdx.PathID]PathComparison{}}
+	c := &Comparison{Net: pg.Net, PerPath: map[afdx.PathID]PathComparison{}, NC: nc, Trajectory: tr}
 	for _, pid := range pg.Net.AllPaths() {
 		dn, ok1 := nc.PathDelays[pid]
 		dt, ok2 := tr.PathDelays[pid]

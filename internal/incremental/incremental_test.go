@@ -171,7 +171,7 @@ func TestDeltaSequenceBitIdentity(t *testing.T) {
 		label := d.String()
 		mustIdentical(t, "seq after "+label, resSeq.NC, resSeq.Trajectory, coldNC, coldTr)
 		mustIdentical(t, "par after "+label, resPar.NC, resPar.Trajectory, coldNC, coldTr)
-		if !reflect.DeepEqual(resSeq.Comparison.PerPath, resPar.Comparison.PerPath) {
+		if !reflect.DeepEqual(resSeq.PerPath, resPar.PerPath) {
 			t.Fatalf("after %s: combined comparison differs between worker counts", label)
 		}
 	}
@@ -227,7 +227,7 @@ func TestWhatIfFailureDoesNotCommit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Analyze after a failed WhatIf: %v", err)
 	}
-	if !reflect.DeepEqual(after.Comparison.PerPath, before.Comparison.PerPath) {
+	if !reflect.DeepEqual(after.PerPath, before.PerPath) {
 		t.Error("Analyze after a failed WhatIf differs from the round before it")
 	}
 }

@@ -44,15 +44,6 @@ func DefaultOptions() Options {
 	}
 }
 
-// Result carries one analysis round of a session: both engine results
-// and the combined per-path comparison, each bit-identical to what a
-// cold run on the analysed network would produce.
-type Result struct {
-	NC         *netcalc.Result
-	Trajectory *trajectory.Result
-	Comparison *core.Comparison
-}
-
 // Session is the stateful what-if loop: it owns a private clone of a
 // configuration and its port graph, re-validates and swaps them under
 // Apply'd deltas, and analyses them cold on every round. Sessions are
@@ -86,9 +77,6 @@ func (s *Session) Network() *afdx.Network {
 	}
 	return s.net.Clone()
 }
-
-// Options returns the option set the session was opened with.
-func (s *Session) Options() Options { return s.opts }
 
 // PortGraph returns the port-level view of the session's current
 // configuration (e.g. for rendering per-path floors alongside an
@@ -141,35 +129,17 @@ func Apply(n *afdx.Network, deltas ...Delta) error {
 	return nil
 }
 
-// Analyze runs both engines over the current configuration and
-// assembles the combined comparison. The WCNC result also supplies the
-// trajectory engine's S_max prefix bounds when the session's NC options
-// are the defaults (trajectory.AnalyzeWithNCCtx), so a round runs WCNC
-// once. An analysis error (e.g. cancellation) leaves the session
-// unchanged and usable.
-func (s *Session) Analyze(ctx context.Context) (*Result, error) {
+// Analyze runs one round on the current configuration: a cold
+// core.CompareWithCtx, whose WCNC run also supplies the trajectory
+// engine's S_max prefix bounds when the session's NC options are the
+// defaults, so a round runs WCNC once. The Comparison carries both
+// engine results. An analysis error (e.g. cancellation) leaves the
+// session unchanged and usable.
+func (s *Session) Analyze(ctx context.Context) (*core.Comparison, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	return s.analyze(ctx, s.pg)
-}
-
-// analyze runs one round on pg: WCNC, the trajectory engine on the
-// WCNC run's prefix bounds, and the combined comparison.
-func (s *Session) analyze(ctx context.Context, pg *afdx.PortGraph) (*Result, error) {
-	nc, err := netcalc.AnalyzeCtx(ctx, pg, s.opts.NC)
-	if err != nil {
-		return nil, fmt.Errorf("incremental: network calculus analysis: %w", err)
-	}
-	tr, err := trajectory.AnalyzeWithNCCtx(ctx, pg, s.opts.Trajectory, nc)
-	if err != nil {
-		return nil, fmt.Errorf("incremental: trajectory analysis: %w", err)
-	}
-	cmp, err := core.Combine(pg, nc, tr)
-	if err != nil {
-		return nil, fmt.Errorf("incremental: %w", err)
-	}
-	return &Result{NC: nc, Trajectory: tr, Comparison: cmp}, nil
+	return core.CompareWithCtx(ctx, s.pg, s.opts.NC, s.opts.Trajectory)
 }
 
 // WhatIf is Peek plus the commit: one what-if step. The delta batch is
@@ -178,29 +148,29 @@ func (s *Session) analyze(ctx context.Context, pg *afdx.PortGraph) (*Result, err
 // batch (a *BadDeltaError, before any analysis runs) and a failed
 // analysis (an engine error or a cancellation) both leave the session
 // unchanged.
-func (s *Session) WhatIf(ctx context.Context, deltas ...Delta) (*Result, error) {
+func (s *Session) WhatIf(ctx context.Context, deltas ...Delta) (*core.Comparison, error) {
 	net, pg, err := s.candidate(deltas)
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.analyze(ctx, pg)
+	cmp, err := core.CompareWithCtx(ctx, pg, s.opts.NC, s.opts.Trajectory)
 	if err != nil {
 		return nil, err
 	}
 	s.net, s.pg = net, pg
-	return res, nil
+	return cmp, nil
 }
 
 // Peek is WhatIf without the commit: the deltas are applied to a
 // scratch clone and analysed there, and the session keeps its
 // configuration — the next Analyze sees the state from before the
 // Peek. The serving layer's /whatif endpoint is this call.
-func (s *Session) Peek(ctx context.Context, deltas ...Delta) (*Result, error) {
+func (s *Session) Peek(ctx context.Context, deltas ...Delta) (*core.Comparison, error) {
 	_, pg, err := s.candidate(deltas)
 	if err != nil {
 		return nil, err
 	}
-	return s.analyze(ctx, pg)
+	return core.CompareWithCtx(ctx, pg, s.opts.NC, s.opts.Trajectory)
 }
 
 // Close releases the session's configuration so a long-lived owner

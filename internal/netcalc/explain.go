@@ -32,31 +32,28 @@ type PortTerm struct {
 	PrefixDelayUs float64
 }
 
-// Explain runs the analysis and returns the per-port decomposition of
-// one path's bound; the port delays sum to the path bound.
-func Explain(pg *afdx.PortGraph, pid afdx.PathID, opts Options) (*PathExplanation, error) {
-	res, err := Analyze(pg, opts)
-	if err != nil {
-		return nil, err
-	}
-	d, ok := res.PathDelays[pid]
+// Explain projects one path's bound out of the result into its
+// per-port terms; no engine runs. pg must be the graph the result was
+// computed on. The terms read the engine's own per-incidence values, so
+// the port delays summed in path order equal the path bound, and so
+// does the last port's PrefixDelayUs + DelayUs.
+func (r *Result) Explain(pg *afdx.PortGraph, pid afdx.PathID) (*PathExplanation, error) {
+	d, ok := r.PathDelays[pid]
 	if !ok {
 		return nil, fmt.Errorf("netcalc: unknown path %v", pid)
 	}
-	vl := pg.VL(pid.VL)
 	ex := &PathExplanation{Path: pid, DelayUs: d}
 	for _, portID := range pg.PathPorts(pid) {
-		pr := res.Ports[portID]
 		port := pg.Ports[portID]
-		key := FlowPortKey{vl.ID, portID}
+		key := FlowPortKey{pid.VL, portID}
 		ex.Ports = append(ex.Ports, PortTerm{
 			Port:          portID,
-			DelayUs:       res.FlowDelays[key],
+			DelayUs:       r.FlowDelays[key],
 			LatencyUs:     port.LatencyUs,
-			Utilization:   pr.Utilization,
+			Utilization:   r.Ports[portID].Utilization,
 			NumFlows:      len(port.Flows),
-			BurstBits:     res.Bursts[key],
-			PrefixDelayUs: res.PrefixDelays[key],
+			BurstBits:     r.Bursts[key],
+			PrefixDelayUs: r.PrefixDelays[key],
 		})
 	}
 	return ex, nil

@@ -302,7 +302,11 @@ func TestStaircaseMatchesClassicOnSourceOnlyPaths(t *testing.T) {
 
 func TestExplainPerPortDecomposition(t *testing.T) {
 	pg := figure2Graph(t)
-	ex, err := Explain(pg, afdx.PathID{VL: "v1", PathIdx: 0}, DefaultOptions())
+	res, err := Analyze(pg, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := res.Explain(pg, afdx.PathID{VL: "v1", PathIdx: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +340,11 @@ func TestExplainPerPortDecomposition(t *testing.T) {
 
 func TestExplainUnknownPathNC(t *testing.T) {
 	pg := figure2Graph(t)
-	if _, err := Explain(pg, afdx.PathID{VL: "zz", PathIdx: 0}, DefaultOptions()); err == nil {
+	res, err := Analyze(pg, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res.Explain(pg, afdx.PathID{VL: "zz", PathIdx: 0}); err == nil {
 		t.Fatal("expected error")
 	}
 }

@@ -36,23 +36,7 @@ func FuzzServeWhatIf(f *testing.F) {
 		f.Fatalf("session upload: status %d, %v: %s", rec.Code, err, rec.Body)
 	}
 
-	// The /whatif rows of TestHTTPErrorPaths, a config body sent to the
-	// wrong endpoint, an engine refusal (mixed priorities), an added VL,
-	// and a valid peek with every query value set.
-	for _, seed := range []struct{ body, analysis, provenance string }{
-		{"not json", "", ""},
-		{`{"deltas":["frobnicate v1 2"]}`, "", ""},
-		{`{"deltas":[]}`, "", ""},
-		{`{"deltas":["drop nosuchvl"]}`, "", ""},
-		{`{"deltas":["drop v1"]}`, "pmoo", ""},
-		{`{"deltas":["drop v1"]}`, "TFA", ""},
-		{`{"deltas":["bag v1 Inf"]}`, "", ""},
-		{`{"deltas":["bag v1 1e306"]}`, "", ""},
-		{`{"bogus": 1}`, "", ""},
-		{`{"deltas":["priority v3 1"]}`, "", ""},
-		{`{"deltas":["add {\"id\":\"v9\",\"source\":\"e1\",\"bagMs\":2,\"sMaxBytes\":300,\"sMinBytes\":64,\"paths\":[[\"e1\",\"S1\",\"S3\",\"e6\"]]}"]}`, "", ""},
-		{`{"deltas":["smax v1 100","bag v2 4"]}`, "fifo", "1"},
-	} {
+	for _, seed := range deltaSeeds {
 		f.Add(seed.body, seed.analysis, seed.provenance)
 	}
 
@@ -61,6 +45,80 @@ func FuzzServeWhatIf(f *testing.F) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, target, strings.NewReader(body)))
 		checkAnswer(t, rec, http.StatusOK, func() *afdx.Network { return peekedNet(t, body) })
+	})
+}
+
+// deltaSeeds seeds the delta-batch fuzz targets: the /whatif rows of
+// TestHTTPErrorPaths, a config body sent to the wrong endpoint, an
+// engine refusal (mixed priorities), an added VL, and a valid batch
+// with every query value set.
+var deltaSeeds = []struct{ body, analysis, provenance string }{
+	{"not json", "", ""},
+	{`{"deltas":["frobnicate v1 2"]}`, "", ""},
+	{`{"deltas":[]}`, "", ""},
+	{`{"deltas":["drop nosuchvl"]}`, "", ""},
+	{`{"deltas":["drop v1"]}`, "pmoo", ""},
+	{`{"deltas":["drop v1"]}`, "TFA", ""},
+	{`{"deltas":["bag v1 Inf"]}`, "", ""},
+	{`{"deltas":["bag v1 1e306"]}`, "", ""},
+	{`{"bogus": 1}`, "", ""},
+	{`{"deltas":["priority v3 1"]}`, "", ""},
+	{`{"deltas":["add {\"id\":\"v9\",\"source\":\"e1\",\"bagMs\":2,\"sMaxBytes\":300,\"sMinBytes\":64,\"paths\":[[\"e1\",\"S1\",\"S3\",\"e6\"]]}"]}`, "", ""},
+	{`{"deltas":["smax v1 100","bag v2 4"]}`, "fifo", "1"},
+}
+
+// FuzzServeApply sends arbitrary /apply bodies and ?analysis= /
+// ?provenance= values, each to a fresh Strict Figure 2 session. Every
+// answer is held to checkAnswer's contract against the committed
+// configuration, and the session's info shows commit-on-success:
+// appliedDeltas is the batch's delta count after a 200 and 0 after
+// anything else. Each session is deleted, so the pool never fills.
+func FuzzServeApply(f *testing.F) {
+	h := fuzzHandler(f)
+	var fig2 bytes.Buffer
+	if err := afdx.Figure2Config().WriteJSON(&fig2); err != nil {
+		f.Fatal(err)
+	}
+	// The /apply rows of TestHTTPErrorPaths, then the /whatif seeds.
+	f.Add(`{"deltas":["drop v1"]}`, "nope", "")
+	f.Add(`{"deltas":["drop nosuchvl"]}`, "", "")
+	for _, seed := range deltaSeeds {
+		f.Add(seed.body, seed.analysis, seed.provenance)
+	}
+
+	f.Fuzz(func(t *testing.T, body, analysis, provenance string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(fig2.Bytes())))
+		var created AnalysisResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &created); rec.Code != http.StatusCreated || err != nil {
+			t.Fatalf("session upload: status %d, %v: %s", rec.Code, err, rec.Body)
+		}
+		session := "/v1/sessions/" + created.Session
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, session+"/apply?"+query("analysis", analysis, "provenance", provenance), strings.NewReader(body)))
+		applied := 0
+		if checkAnswer(t, rec, http.StatusOK, func() *afdx.Network { return peekedNet(t, body) }) != nil {
+			var req DeltaRequest
+			if err := newStrictDecoder(strings.NewReader(body)).Decode(&req); err != nil {
+				t.Fatalf("a 200 for a body that does not decode: %v", err)
+			}
+			applied = len(req.Deltas)
+		}
+
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, session, nil))
+		var info SessionInfo
+		if err := json.Unmarshal(rec.Body.Bytes(), &info); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("session info: status %d, %v: %s", rec.Code, err, rec.Body)
+		}
+		if info.Applied != applied {
+			t.Fatalf("appliedDeltas = %d after this answer, want %d", info.Applied, applied)
+		}
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, session, nil))
+		if rec.Code != http.StatusNoContent {
+			t.Fatalf("deleting session %q: status %d: %s", created.Session, rec.Code, rec.Body)
+		}
 	})
 }
 

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"afdx/internal/afdx"
+	"afdx/internal/core"
 	"afdx/internal/incremental"
 	"afdx/internal/lint"
 	"afdx/internal/obs"
@@ -320,15 +321,15 @@ func decodeJSONBody(r *http.Request, v any) error {
 // response carries the round's provenance record.
 func (s *Server) analysisTask(commit bool, cmds []string, ds []incremental.Delta, prov bool, analysis string) func(ctx context.Context, sess *incremental.Session, ms *managed) (any, error) {
 	return func(ctx context.Context, sess *incremental.Session, ms *managed) (any, error) {
-		var res *incremental.Result
+		var cmp *core.Comparison
 		var err error
 		switch {
 		case len(ds) == 0:
-			res, err = sess.Analyze(ctx)
+			cmp, err = sess.Analyze(ctx)
 		case commit:
-			res, err = sess.WhatIf(ctx, ds...)
+			cmp, err = sess.WhatIf(ctx, ds...)
 		default:
-			res, err = sess.Peek(ctx, ds...)
+			cmp, err = sess.Peek(ctx, ds...)
 		}
 		if err != nil {
 			var bad *incremental.BadDeltaError
@@ -346,7 +347,7 @@ func (s *Server) analysisTask(commit bool, cmds []string, ds []incremental.Delta
 			Committed: commit || len(ds) == 0,
 			Deltas:    cmds,
 			Analysis:  analysis,
-			Paths:     pathBounds(res.Comparison),
+			Paths:     pathBounds(cmp),
 		}
 		var workers int
 		s.mgr.updateStats(ms, func(st *sessionStats) {

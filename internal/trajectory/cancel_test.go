@@ -26,7 +26,7 @@ func TestExplainCtxAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	pid := afdx.PathID{VL: "v1", PathIdx: 0}
-	if _, err := ExplainCtx(ctx, pg, pid, DefaultOptions()); !errors.Is(err, context.Canceled) {
+	if _, err := ExplainCtx(ctx, pg, pid, DefaultOptions(), nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ExplainCtx on cancelled context: got %v, want context.Canceled", err)
 	}
 }

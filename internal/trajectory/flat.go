@@ -94,8 +94,8 @@ type flatPort struct {
 	serRatio []float64 // per flow: serialization ratio of its input link
 	grpOf    []int32   // per flow: local input-group index (prev-sorted)
 
-	nGroups      int32
-	grpPrevEmpty []bool // per local group: arrives from the local node
+	nGroups int32
+	grpPrev []string // per local group: its input node ("" = sourced here)
 
 	// Busy-period fixpoint inputs, accumulated in flow order exactly as
 	// the reference sourceBusyPeriod does.
@@ -235,8 +235,8 @@ func (a *analyzer) buildFlatPort(id afdx.PortID) (*flatPort, error) {
 	sort.Strings(prevs)
 	for gi, prev := range prevs {
 		prevIdx[prev] = int32(gi)
-		fp.grpPrevEmpty = append(fp.grpPrevEmpty, prev == "")
 	}
+	fp.grpPrev = prevs
 	fp.nGroups = int32(len(prevs))
 	grpRatio := make([]float64, len(prevs))
 	grpSeen := make([]bool, len(prevs))
@@ -283,8 +283,10 @@ func (a *analyzer) buildFlatPort(id afdx.PortID) (*flatPort, error) {
 }
 
 // analyzePortSeqFlat is the flat twin of analyzePortSeqRef. Same
-// mathematics, same accumulation orders, dense state.
-func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink, ports []afdx.PortID, visiting map[netcalc.FlowPortKey]bool) (PathDetail, error) {
+// mathematics, same accumulation orders, dense state. A non-nil ex
+// receives the decomposition at the critical offset, read off the
+// scratch state the bound was computed from (see Explanation).
+func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink, ports []afdx.PortID, visiting map[netcalc.FlowPortKey]bool, ex *Explanation) (PathDetail, error) {
 	if err := ctx.Err(); err != nil {
 		return PathDetail{}, fmt.Errorf("trajectory: analysis cancelled: %w", err)
 	}
@@ -322,7 +324,7 @@ func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink,
 	for _, fp := range sc.fps {
 		lSum += fp.latency
 	}
-	deltaSum := a.transitionSum(ports)
+	deltaSum := a.transitionSum(ports, nil)
 
 	busy, rounds, err := sc.fps[0].busyPeriod(ctx)
 	if err != nil {
@@ -359,6 +361,12 @@ func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink,
 		if v > best {
 			best, bestT = v, t
 		}
+	}
+	if ex != nil {
+		ex.DelayUs, ex.CriticalT, ex.LatencyUs = best, bestT, lSum
+		ex.Interference = sc.interferenceTerms(a.flat.vls, a.opts.Grouping, nSlots, bestT)
+		ex.InterferenceUs = sc.interferenceAt(a.opts.Grouping, nSlots, bestT)
+		ex.TransitionUs = a.transitionSum(ports, &ex.Transitions)
 	}
 	return PathDetail{
 		DelayUs:        best,
@@ -483,7 +491,7 @@ func (sc *scratch) regroupInterferers(q int) int {
 		base := sc.slotBase[pos]
 		for g := int32(0); g < fp.nGroups; g++ {
 			sc.grpCount[base+g] = 0
-			sc.grpPrevEmpty[base+g] = fp.grpPrevEmpty[g]
+			sc.grpPrevEmpty[base+g] = fp.grpPrev[g] == ""
 		}
 	}
 	for i := range sc.inter {
@@ -524,33 +532,73 @@ func (sc *scratch) interferenceAt(grouping bool, nSlots int, t float64) float64 
 	}
 	sum := 0.0
 	for g := 0; g < nSlots; g++ {
-		cnt := sc.grpCount[g]
-		if cnt == 0 {
-			continue // the reference's map has no entry for empty groups
+		if cnt := sc.grpCount[g]; cnt > 0 { // the reference's map has no entry for empty groups
+			sum += groupAt(sc.regroup[sc.grpStart[g]:sc.grpStart[g]+cnt], sc.serialized(g), t).Us
 		}
-		members := sc.regroup[sc.grpStart[g] : sc.grpStart[g]+cnt]
-		full, firsts, maxC := 0.0, 0.0, 0.0
-		for i := range members {
-			m := &members[i]
-			n := frameCount(t+m.aUs, m.bagUs)
-			full += float64(n-1) * m.cUs
-			firsts += m.cUs
-			if m.cUs > maxC {
-				maxC = m.cUs
-			}
-		}
-		if !sc.grpPrevEmpty[g] || cnt > 1 {
-			// Serialized first frames: largest member frame plus the
-			// input-link throughput over the offset window (ratio
-			// identical across the group, asserted at build time).
-			capTime := maxC + t*members[0].serRatio
-			if capTime < firsts {
-				firsts = capTime
-			}
-		}
-		sum += full + firsts
 	}
 	return sum
+}
+
+// serialized reports whether slot g's first frames are capped: its
+// members arrive through an input link, or several share the source
+// port.
+func (sc *scratch) serialized(g int) bool {
+	return !sc.grpPrevEmpty[g] || sc.grpCount[g] > 1
+}
+
+// groupAt is the per-group arithmetic of interferenceAt at offset t,
+// shared with the explanation. Every frame after a member's first
+// counts in full; the first frames of a serialized group are capped at
+// the largest member frame plus the input-link throughput over the
+// offset window (ratio identical across the group, asserted at build
+// time).
+func groupAt(members []flatInterferer, serialized bool, t float64) groupTerm {
+	full, firsts, maxC := 0.0, 0.0, 0.0
+	for i := range members {
+		m := &members[i]
+		full += float64(frameCount(t+m.aUs, m.bagUs)-1) * m.cUs
+		firsts += m.cUs
+		if m.cUs > maxC {
+			maxC = m.cUs
+		}
+	}
+	g := groupTerm{FullUs: full, FirstUs: firsts, Us: full + firsts}
+	if serialized {
+		g.CapUs = maxC + t*members[0].serRatio
+		if g.Capped = g.CapUs < g.FirstUs; g.Capped {
+			g.Us = g.FullUs + g.CapUs
+		}
+	}
+	return g
+}
+
+// interferenceTerms reads the interference decomposition at offset t
+// off the current path's scratch state, in interferenceAt's order: one
+// group per slot with grouping, one per interferer (N·C) without.
+func (sc *scratch) interferenceTerms(vls []*afdx.VirtualLink, grouping bool, nSlots int, t float64) []InterferenceGroup {
+	var out []InterferenceGroup
+	add := func(members []flatInterferer, local int32, term groupTerm) {
+		fp := sc.fps[members[0].pos]
+		g := InterferenceGroup{Port: fp.id, InputLink: fp.grpPrev[local], groupTerm: term}
+		for _, m := range members {
+			g.Members = append(g.Members, Member{VL: vls[m.vl].ID, Frames: frameCount(t+m.aUs, m.bagUs), CUs: m.cUs, AUs: m.aUs})
+		}
+		out = append(out, g)
+	}
+	if !grouping {
+		for i, it := range sc.inter {
+			full := float64(frameCount(t+it.aUs, it.bagUs)) * it.cUs
+			add(sc.inter[i:i+1], it.grp, groupTerm{FullUs: full, Us: full})
+		}
+		return out
+	}
+	for g := 0; g < nSlots; g++ {
+		if cnt := sc.grpCount[g]; cnt > 0 {
+			members := sc.regroup[sc.grpStart[g] : sc.grpStart[g]+cnt]
+			add(members, members[0].grp-sc.slotBase[members[0].pos], groupAt(members, sc.serialized(g), t))
+		}
+	}
+	return out
 }
 
 // mergeCandidates fills sc.cands with the deduplicated ascending

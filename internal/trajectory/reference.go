@@ -81,7 +81,7 @@ func (a *analyzer) analyzePortSeqRef(ctx context.Context, vl *afdx.VirtualLink, 
 	for _, h := range ports {
 		lSum += a.pg.Ports[h].LatencyUs
 	}
-	deltaSum := a.transitionSum(ports)
+	deltaSum := a.transitionSum(ports, nil)
 
 	busy, rounds, err := a.sourceBusyPeriod(ctx, ports[0])
 	if err != nil {

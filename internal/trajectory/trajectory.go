@@ -390,19 +390,26 @@ func (a *analyzer) analyzePortSeq(ctx context.Context, vl *afdx.VirtualLink, por
 	if a.reference {
 		return a.analyzePortSeqRef(ctx, vl, ports, visiting)
 	}
-	return a.analyzePortSeqFlat(ctx, vl, ports, visiting)
+	return a.analyzePortSeqFlat(ctx, vl, ports, visiting, nil)
 }
 
 // transitionSum bounds the transition ("counted twice") packets of a
 // port sequence: one largest-frame term per transition, attributed per
 // Options (receiving node, departing node, or shared-flows refinement).
-func (a *analyzer) transitionSum(ports []afdx.PortID) float64 {
+// A non-nil terms receives each summand, in summation order.
+func (a *analyzer) transitionSum(ports []afdx.PortID, terms *[]TransitionTerm) float64 {
 	deltaSum := 0.0
+	add := func(at afdx.PortID, c float64) {
+		deltaSum += c
+		if terms != nil {
+			*terms = append(*terms, TransitionTerm{Port: at, CUs: c})
+		}
+	}
 	if a.opts.SharedTransition {
 		// The bridging packet of transition h_k -> h_{k+1} crosses both
 		// ports; bound it by the largest frame of the flows doing so.
 		for k := 0; k+1 < len(ports); k++ {
-			deltaSum += a.maxSharedFrameTime(ports[k], ports[k+1])
+			add(ports[k+1], a.maxSharedFrameTime(ports[k], ports[k+1]))
 		}
 	} else {
 		from, to := 1, len(ports) // receiving-node convention: h_2 .. h_q
@@ -410,7 +417,7 @@ func (a *analyzer) transitionSum(ports []afdx.PortID) float64 {
 			from, to = 0, len(ports)-1 // departing-node convention: h_1 .. h_{q-1}
 		}
 		for k := from; k < to; k++ {
-			deltaSum += a.maxFrameTimeAt(ports[k])
+			add(ports[k], a.maxFrameTimeAt(ports[k]))
 		}
 	}
 	return deltaSum
