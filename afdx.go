@@ -155,7 +155,8 @@ func LintAnalyzers() []*LintAnalyzer { return lint.Analyzers() }
 
 // Network Calculus analysis.
 type (
-	// NCOptions selects Network Calculus variants (grouping, propagation).
+	// NCOptions selects Network Calculus variants (grouping, staircase
+	// envelopes, worker count).
 	NCOptions = netcalc.Options
 	// NCResult carries per-port and per-path Network Calculus bounds.
 	NCResult = netcalc.Result
@@ -177,8 +178,8 @@ func AnalyzeNCCtx(ctx context.Context, pg *PortGraph, opts NCOptions) (*NCResult
 
 // Trajectory analysis.
 type (
-	// TrajectoryOptions selects Trajectory variants (grouping, transition
-	// term placement, prefix bounding).
+	// TrajectoryOptions selects Trajectory variants (grouping, the
+	// shared-transition refinement, worker count).
 	TrajectoryOptions = trajectory.Options
 	// TrajectoryResult carries per-path Trajectory bounds and details.
 	TrajectoryResult = trajectory.Result

@@ -207,7 +207,7 @@ func BenchmarkAblationMatrix(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rows) != 9 {
+		if len(rows) != 6 {
 			b.Fatalf("ablation rows drifted: %d", len(rows))
 		}
 	}

@@ -154,6 +154,19 @@ func TestCLIExperimentsList(t *testing.T) {
 	}
 }
 
+// TestCLIExperimentsAblationGolden pins the ablation table byte for
+// byte: every row's name and both bound columns.
+func TestCLIExperimentsAblationGolden(t *testing.T) {
+	dir := buildCLIs(t)
+	want, err := os.ReadFile(filepath.Join("internal", "experiments", "testdata", "ablation.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runCLIStdout(t, dir, "afdx-experiments", "-exp", "ablation"); got != string(want) {
+		t.Errorf("ablation stdout drifted from testdata/ablation.golden:\n--- got\n%s--- want\n%s", got, want)
+	}
+}
+
 func TestCLIExact(t *testing.T) {
 	dir := buildCLIs(t)
 	cfg := sampleConfig(t)
@@ -465,20 +478,63 @@ func TestCLIBoundsWhatIf(t *testing.T) {
 	}
 }
 
+// TestCLIErrorPaths drives usage and input errors: each must exit with
+// its documented code, name its cause on stderr and write nothing to
+// stdout. Invalid numeric flags are rejected before any work; a
+// simulation horizon the simulator cannot represent fails the run
+// (exit 1). Each numeric row used to run on a default or degenerate
+// value and exit 0 or 1.
 func TestCLIErrorPaths(t *testing.T) {
 	dir := buildCLIs(t)
-	// Missing -config must exit non-zero — with the documented usage code.
-	cmd := exec.Command(filepath.Join(dir, "afdx-bounds"))
-	if err := cmd.Run(); err == nil {
-		t.Error("afdx-bounds without -config should fail")
-	} else if code := cmd.ProcessState.ExitCode(); code != 2 {
-		t.Errorf("afdx-bounds without -config: exit %d, want 2", code)
+	clean := filepath.Join("internal", "lint", "testdata", "clean.json")
+	overbudget := filepath.Join("internal", "lint", "testdata", "overbudget.json")
+	cases := []struct {
+		tool string
+		args []string
+		code int
+		msg  string
+	}{
+		{"afdx-bounds", nil, 2, "-config"},
+		{"afdx-experiments", []string{"-exp", "nope"}, 2, `unknown experiment "nope"`},
+		{"afdx-lint", []string{"-link-budget", "NaN", overbudget}, 2, "-link-budget"},
+		{"afdx-lint", []string{"-headroom", "NaN", clean}, 2, "-headroom"},
+		{"afdx-lint", []string{"-headroom", "0", clean}, 2, "-headroom"},
+		{"afdx-lint", []string{"-link-budget", "1.5", clean}, 2, "-link-budget"},
+		{"afdx-sim", []string{"-config", clean, "-duration-ms", "NaN"}, 1, "DurationUs"},
+		{"afdx-sim", []string{"-config", clean, "-duration-ms", "1e300"}, 1, "DurationUs"},
+		{"afdx-sim", []string{"-config", clean, "-policing", "-policing-rate", "NaN"}, 2, "-policing-rate"},
+		{"afdx-sim", []string{"-config", clean, "-policing", "-policing-rate", "-1"}, 2, "-policing-rate"},
+		{"afdx-sim", []string{"-config", clean, "-jitter-us", "-5"}, 2, "-jitter-us"},
+		{"afdx-sim", []string{"-config", clean, "-jitter-us", "NaN"}, 2, "-jitter-us"},
+		{"afdx-gen", []string{"-vls", "-5"}, 2, "-vls"},
+		{"afdx-gen", []string{"-switches", "-1"}, 2, "-switches"},
+		{"afdx-gen", []string{"-es-per-switch", "-3"}, 2, "-es-per-switch"},
+		{"afdx-gen", []string{"-max-utilization", "-1"}, 2, "-max-utilization"},
+		{"afdx-gen", []string{"-max-utilization", "NaN"}, 2, "-max-utilization"},
+		{"afdx-exact", []string{"-config", clean, "-refine", "-3"}, 2, "-refine"},
+		{"afdx-exact", []string{"-config", clean, "-grid-us", "-1"}, 2, "-grid-us"},
+		{"afdx-exact", []string{"-config", clean, "-max-combos", "-1"}, 2, "-max-combos"},
+		{"afdx-exact", []string{"-config", clean, "-max-combos", "0"}, 2, "-max-combos"},
 	}
-	cmd = exec.Command(filepath.Join(dir, "afdx-experiments"), "-exp", "nope")
-	if err := cmd.Run(); err == nil {
-		t.Error("unknown experiment should fail")
-	} else if code := cmd.ProcessState.ExitCode(); code != 2 {
-		t.Errorf("afdx-experiments -exp nope: exit %d, want 2", code)
+	for _, tc := range cases {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(filepath.Join(dir, tc.tool), tc.args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		label := tc.tool + " " + strings.Join(tc.args, " ")
+		if err == nil {
+			t.Errorf("%s: exit 0, want %d", label, tc.code)
+			continue
+		}
+		if code := cmd.ProcessState.ExitCode(); code != tc.code {
+			t.Errorf("%s: exit %d, want %d\nstderr:\n%s", label, code, tc.code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.msg) {
+			t.Errorf("%s: stderr misses %q:\n%s", label, tc.msg, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: want empty stdout, got:\n%.300s", label, stdout.String())
+		}
 	}
 }
 

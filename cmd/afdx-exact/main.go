@@ -7,12 +7,16 @@
 // Usage:
 //
 //	afdx-exact -config sample.json -grid-us 500 -refine 12
+//
+// A negative or non-finite -grid-us, a negative -refine or a
+// non-positive -max-combos is a usage error (exit 2).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"sort"
 
@@ -44,6 +48,21 @@ func main() {
 	flag.Parse()
 	if *config == "" {
 		flag.Usage()
+		os.Exit(2)
+	}
+	// -grid-us 0 selects BAG/8 and -refine 0 skips refinement; negative
+	// or non-finite values, and an empty enumeration budget, are usage
+	// errors.
+	if !(*gridUs >= 0) || math.IsInf(*gridUs, 1) {
+		log.Printf("-grid-us must be a finite non-negative number, got %v", *gridUs)
+		os.Exit(2)
+	}
+	if *refine < 0 {
+		log.Printf("-refine must be non-negative, got %d", *refine)
+		os.Exit(2)
+	}
+	if *maxComb <= 0 {
+		log.Printf("-max-combos must be positive, got %d", *maxComb)
 		os.Exit(2)
 	}
 	var err error

@@ -7,6 +7,9 @@
 //	afdx-gen -seed 1 -out industrial.json
 //	afdx-gen -seed 1 -vls 200 -switches 4 -es-per-switch 6 -out small.json
 //
+// A negative or non-finite -vls, -switches, -es-per-switch or
+// -max-utilization is a usage error (exit 2); 0 keeps the default.
+//
 // The shared observability flags (-cpuprofile, -memprofile, -trace,
 // -metrics, -tracefile, -spantree; see internal/obs/cliobs) are
 // accepted for uniformity with the analysis commands; generation
@@ -17,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 
 	"afdx"
@@ -48,6 +52,15 @@ func main() {
 	)
 	obsFlags := cliobs.Register(flag.CommandLine)
 	flag.Parse()
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"vls", float64(*vls)}, {"switches", float64(*switches)}, {"es-per-switch", float64(*esPerSw)}, {"max-utilization", *maxUtil}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			log.Printf("-%s must be a finite non-negative number, got %v", f.name, f.v)
+			os.Exit(2)
+		}
+	}
 	var err error
 	if sess, err = obsFlags.Start(); err != nil {
 		log.Print(err)

@@ -14,7 +14,8 @@
 //	afdx-lint -rules                           # list analyzers and exit
 //
 // Exit code: 0 when every file is clean, 1 when the worst finding is a
-// warning, 2 when any file has errors (or cannot be read or decoded).
+// warning, 2 when any file has errors (or cannot be read or decoded) or
+// a threshold flag is not a number in (0, 1].
 package main
 
 import (
@@ -44,6 +45,16 @@ func main() {
 	if err != nil {
 		log.Print(err)
 		os.Exit(2)
+	}
+
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"headroom", *headroom}, {"link-budget", *budget}} {
+		if !(f.v > 0 && f.v <= 1) {
+			log.Printf("-%s must be a number in (0, 1], got %v", f.name, f.v)
+			sess.Exit(2)
+		}
 	}
 
 	if *rules {

@@ -9,13 +9,16 @@
 //	afdx-sim -config net.json -policing -policing-rate 0.5
 //
 // The configuration is linted before the simulation starts; lint errors
-// abort the run (bypass with -no-lint).
+// abort the run (bypass with -no-lint). A negative or non-finite
+// -jitter-us, or a non-positive or non-finite -policing-rate, is a
+// usage error (exit 2).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -57,6 +60,14 @@ func main() {
 	flag.Parse()
 	if *config == "" {
 		flag.Usage()
+		os.Exit(2)
+	}
+	if !(*jitterUs >= 0) || math.IsInf(*jitterUs, 1) {
+		log.Printf("-jitter-us must be a finite non-negative number, got %v", *jitterUs)
+		os.Exit(2)
+	}
+	if !(*polRate > 0) || math.IsInf(*polRate, 1) {
+		log.Printf("-policing-rate must be a finite positive number, got %v", *polRate)
 		os.Exit(2)
 	}
 	var err error

@@ -234,9 +234,7 @@ func TestTrajectoryGoldenPinnedValues(t *testing.T) {
 	}{
 		{"grouped", afdx.TrajectoryOptions{Grouping: true}, grouped},
 		{"ungrouped", afdx.TrajectoryOptions{}, ungrouped},
-		{"prefixtraj", afdx.TrajectoryOptions{Grouping: true, PrefixMode: 1 /* PrefixTrajectory */}, grouped},
 		{"shared", afdx.TrajectoryOptions{Grouping: true, SharedTransition: true}, grouped},
-		{"deltafirst", afdx.TrajectoryOptions{Grouping: true, DeltaAtFirstNode: true}, grouped},
 	}
 	for _, tc := range fig2Cases {
 		for _, workers := range []int{1, 8} {

@@ -22,9 +22,8 @@ type AblationRow struct {
 }
 
 // Ablations evaluates the design knobs DESIGN.md calls out, on the
-// sample configuration: grouping, transition-term placement, the
-// shared-transition refinement, staircase envelopes, and envelope
-// propagation by deconvolution.
+// sample configuration: grouping, staircase envelopes and the
+// shared-transition refinement.
 func Ablations() ([]AblationRow, error) {
 	type variant struct {
 		name string
@@ -53,12 +52,9 @@ func Ablations() ([]AblationRow, error) {
 		{"NC, no grouping", ncRun(netcalc.Options{})},
 		{"NC, grouping (paper WCNC)", ncRun(netcalc.Options{Grouping: true})},
 		{"NC, grouping + staircase envelopes", ncRun(netcalc.Options{Grouping: true, StairSteps: 8})},
-		{"NC, grouping + deconvolution propagation", ncRun(netcalc.Options{Grouping: true, Deconvolution: true})},
 		{"Trajectory, no grouping (paper Fig 3)", trajRun(trajectory.Options{})},
 		{"Trajectory, grouping (paper Fig 4)", trajRun(trajectory.Options{Grouping: true})},
-		{"Trajectory, grouping, delta at departing node", trajRun(trajectory.Options{Grouping: true, DeltaAtFirstNode: true})},
 		{"Trajectory, grouping, shared-transition refinement", trajRun(trajectory.Options{Grouping: true, SharedTransition: true})},
-		{"Trajectory, grouping, recursive prefixes", trajRun(trajectory.Options{Grouping: true, PrefixMode: trajectory.PrefixTrajectory})},
 	}
 
 	build := func(smax int) (*afdx.PortGraph, error) {

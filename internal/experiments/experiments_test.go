@@ -253,20 +253,29 @@ func TestAblationsOrdering(t *testing.T) {
 	for _, r := range rows {
 		byName[r.Name] = r
 	}
+	// A missing row must fail, not read as a zero bound.
+	row := func(name string) AblationRow {
+		t.Helper()
+		r, ok := byName[name]
+		if !ok {
+			t.Fatalf("ablation row %q missing", name)
+		}
+		return r
+	}
 	// Grouping tightens both methods at both sizes.
-	if byName["NC, grouping (paper WCNC)"].V1At500BUs >= byName["NC, no grouping"].V1At500BUs {
+	if row("NC, grouping (paper WCNC)").V1At500BUs >= row("NC, no grouping").V1At500BUs {
 		t.Error("NC grouping should tighten the 500B bound")
 	}
-	if byName["Trajectory, grouping (paper Fig 4)"].V1At500BUs >= byName["Trajectory, no grouping (paper Fig 3)"].V1At500BUs {
+	if row("Trajectory, grouping (paper Fig 4)").V1At500BUs >= row("Trajectory, no grouping (paper Fig 3)").V1At500BUs {
 		t.Error("trajectory grouping should tighten the 500B bound")
 	}
 	// Staircase envelopes tighten NC strictly on this multi-hop config.
-	if byName["NC, grouping + staircase envelopes"].V1At500BUs >= byName["NC, grouping (paper WCNC)"].V1At500BUs {
+	if row("NC, grouping + staircase envelopes").V1At500BUs >= row("NC, grouping (paper WCNC)").V1At500BUs {
 		t.Error("staircase envelopes should tighten grouped NC")
 	}
 	// The shared-transition refinement only bites in the small-frame regime.
-	base := byName["Trajectory, grouping (paper Fig 4)"]
-	shared := byName["Trajectory, grouping, shared-transition refinement"]
+	base := row("Trajectory, grouping (paper Fig 4)")
+	shared := row("Trajectory, grouping, shared-transition refinement")
 	if shared.V1At500BUs != base.V1At500BUs {
 		t.Error("shared-transition should not change the uniform-frame bound")
 	}

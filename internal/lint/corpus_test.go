@@ -1,8 +1,10 @@
 package lint_test
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -190,6 +192,34 @@ func TestIndustrialSeed1NoErrors(t *testing.T) {
 	for _, d := range rep.Diagnostics {
 		if d.Severity == diag.Warning && d.Code != diag.CodeESJitter {
 			t.Errorf("unexpected warning: %s", d)
+		}
+	}
+}
+
+// TestRunTreatsNaNThresholdsAsUnset: a NaN threshold takes its default,
+// like zero does; it must not silence its warning (every comparison
+// with NaN is false). An eighth 1518-byte VL at BAG 1 ms puts
+// overbudget.json's S1->e0 at utilization 0.971, so the default options
+// report both the AFDX001 headroom and the AFDX013 budget warning.
+func TestRunTreatsNaNThresholdsAsUnset(t *testing.T) {
+	net := loadCorpus(t, "overbudget.json")
+	net.VLs = append(net.VLs, &afdx.VirtualLink{
+		ID: "v8", Source: "e2", BAGMs: 1, SMaxBytes: 1518, SMinBytes: 64,
+		Paths: [][]string{{"e2", "S1", "e0"}},
+	})
+	want := lint.Run(net, lint.DefaultOptions())
+	if codes := strings.Join(uniqueCodes(want), ","); codes != "AFDX001,AFDX013" || want.Warnings != 2 {
+		t.Fatalf("default options: codes %s, %d warnings; want AFDX001,AFDX013 and 2", codes, want.Warnings)
+	}
+	for _, tc := range []struct {
+		name string
+		opts lint.Options
+	}{
+		{"headroom", lint.Options{Mode: afdx.Strict, UtilizationHeadroom: math.NaN(), LinkUtilizationWarn: 0.75}},
+		{"link-budget", lint.Options{Mode: afdx.Strict, UtilizationHeadroom: 0.95, LinkUtilizationWarn: math.NaN()}},
+	} {
+		if got := lint.Run(net, tc.opts); !reflect.DeepEqual(got, want) {
+			t.Errorf("NaN %s: report differs from the default options':\n%s", tc.name, renderText(t, got))
 		}
 	}
 }

@@ -182,14 +182,18 @@ func (r *Report) ExitCode() int {
 }
 
 // Run lints a configuration with every registered analyzer and returns
-// the assembled report. Port-level analyzers are skipped when the port
-// graph cannot be derived (the structural diagnostics cover the cause);
-// Run itself never fails and never panics on any decodable input.
+// the assembled report. A threshold that is not positive (zero,
+// negative or NaN) is unset and takes its DefaultOptions value.
+// Port-level analyzers are skipped when the port graph cannot be
+// derived (the structural diagnostics cover the cause); Run itself
+// never fails and never panics on any decodable input.
 func Run(net *afdx.Network, opts Options) *Report {
-	if opts.UtilizationHeadroom <= 0 {
+	// !(x > 0), not x <= 0: every comparison with NaN is false, so a
+	// NaN threshold would otherwise silence its warning.
+	if !(opts.UtilizationHeadroom > 0) {
 		opts.UtilizationHeadroom = DefaultOptions().UtilizationHeadroom
 	}
-	if opts.LinkUtilizationWarn <= 0 {
+	if !(opts.LinkUtilizationWarn > 0) {
 		opts.LinkUtilizationWarn = DefaultOptions().LinkUtilizationWarn
 	}
 	rep := &Report{Network: net.Name}

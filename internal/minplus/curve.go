@@ -1,9 +1,9 @@
 // Package minplus implements the fragment of (min,+) algebra on
-// piecewise-linear curves needed by deterministic Network Calculus:
-// arrival curves (concave, e.g. leaky buckets), service curves (convex,
-// e.g. rate-latency), pointwise addition and minimum, (min,+) convolution
-// and deconvolution, and the horizontal/vertical deviations that yield
-// delay and backlog bounds.
+// piecewise-linear curves that the Network Calculus engine uses:
+// arrival curves (concave, e.g. leaky buckets and staircases), service
+// curves (convex, e.g. rate-latency), pointwise addition and minimum,
+// the positive-part residual SubPos, and the horizontal/vertical
+// deviations that yield delay and backlog bounds.
 //
 // Curves are non-negative, non-decreasing, right-continuous piecewise-linear
 // functions on [0, +inf). Time is expressed in microseconds and values in
@@ -22,7 +22,7 @@ import (
 const Eps = 1e-9
 
 // joinEps is the looser absolute tolerance for vertical continuity at
-// segment joins: Y values carry rounding accumulated across convolution
+// segment joins: Y values carry rounding accumulated across operator
 // chains, so equality of left limit and segment start is asserted at
 // 1e-6 rather than Eps. Deliberately a named constant, not a literal at
 // the comparison sites (DET004).
@@ -124,40 +124,6 @@ func Plateau(v float64) Curve {
 	return Curve{segs: []Segment{{X: 0, Y: v, Slope: 0}}}
 }
 
-// Delay returns the pure-delay service curve delta_d: 0 on [0, d] and
-// +Inf beyond. A server offering delta_d guarantees every bit is out
-// within d; deconvolving an arrival envelope against it yields the
-// exact output envelope f(t + d) (no finite-rate approximation).
-// d <= 0 degenerates to the (min,+) identity: 0 at the origin, +Inf
-// for every positive t.
-func Delay(d float64) Curve {
-	if d <= 0 {
-		return Curve{segs: []Segment{{X: 0, Y: 0, Slope: math.Inf(1)}}}
-	}
-	return Curve{segs: []Segment{
-		{X: 0, Y: 0, Slope: 0},
-		{X: d, Y: math.Inf(1), Slope: 0},
-	}}
-}
-
-// delayOf reports whether c is a pure-delay curve (built by Delay) and
-// returns its delay. Pure delays are the only curves in the package
-// with an infinite ordinate, so the shape test is exact.
-func (c Curve) delayOf() (float64, bool) {
-	switch len(c.segs) {
-	case 1:
-		if s := c.segs[0]; s.Y == 0 && math.IsInf(s.Slope, 1) {
-			return 0, true
-		}
-	case 2:
-		a, b := c.segs[0], c.segs[1]
-		if a.Y == 0 && a.Slope == 0 && math.IsInf(b.Y, 1) {
-			return b.X, true
-		}
-	}
-	return 0, false
-}
-
 // normalize merges consecutive collinear segments in place.
 func (c *Curve) normalize() {
 	if len(c.segs) <= 1 {
@@ -175,13 +141,6 @@ func (c *Curve) normalize() {
 	c.segs = out
 }
 
-// Segments returns a copy of the curve's linear pieces.
-func (c Curve) Segments() []Segment {
-	cp := make([]Segment, len(c.segs))
-	copy(cp, c.segs)
-	return cp
-}
-
 // NumSegments returns the number of linear pieces.
 func (c Curve) NumSegments() int { return len(c.segs) }
 
@@ -196,11 +155,6 @@ func (c Curve) Eval(t float64) float64 {
 		i = 0
 	}
 	s := c.segs[i]
-	if t == s.X {
-		// Exact for finite slopes (Y + Slope*0 == Y) and required for the
-		// pure-delay curve, whose infinite slope would yield Inf*0 = NaN.
-		return s.Y
-	}
 	return s.Y + s.Slope*(t-s.X)
 }
 

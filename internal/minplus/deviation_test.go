@@ -16,10 +16,10 @@ func TestHorizontalDeviationLeakyBucketRateLatency(t *testing.T) {
 
 func TestHorizontalDeviationAggregate(t *testing.T) {
 	// Five identical leaky buckets through one port: h = T + 5b/R.
-	agg := Sum(
-		LeakyBucket(4000, 1), LeakyBucket(4000, 1), LeakyBucket(4000, 1),
-		LeakyBucket(4000, 1), LeakyBucket(4000, 1),
-	)
+	agg := LeakyBucket(4000, 1)
+	for i := 1; i < 5; i++ {
+		agg = Add(agg, LeakyBucket(4000, 1))
+	}
 	beta := RateLatency(100, 16)
 	if got, want := HorizontalDeviation(agg, beta), 16+5*4000.0/100; !almostEq(got, want) {
 		t.Errorf("h = %g, want %g", got, want)
@@ -46,7 +46,7 @@ func TestHorizontalDeviationZeroBurst(t *testing.T) {
 func TestHorizontalDeviationGroupedEnvelope(t *testing.T) {
 	// Grouping lowers the deviation: two flows serialized on a 100 bits/us
 	// link burst at most one max frame ahead of the link rate.
-	sum := Sum(LeakyBucket(4000, 1), LeakyBucket(4000, 1))
+	sum := Add(LeakyBucket(4000, 1), LeakyBucket(4000, 1))
 	grouped := Min(sum, Affine(4000, 100))
 	beta := RateLatency(100, 16)
 	hSum := HorizontalDeviation(sum, beta)

@@ -216,3 +216,123 @@ func TestFIFOResidualDenseThetaMinimumIsAggregateBound(t *testing.T) {
 		}
 	}
 }
+
+func TestFIFOResidualRejectsBadShapes(t *testing.T) {
+	beta := RateLatency(100, 16)
+	alpha := Affine(4000, 1)
+	if _, err := FIFOResidual(alpha, alpha, 0); err == nil {
+		t.Errorf("concave service curve should be rejected")
+	}
+	if _, err := FIFOResidual(beta, beta, 0); err == nil {
+		t.Errorf("convex cross envelope should be rejected")
+	}
+	if _, err := FIFOResidual(beta, alpha, -1); err == nil {
+		t.Errorf("negative theta should be rejected")
+	}
+	if _, err := FIFOResidual(RateLatency(1, 0), Affine(10, 2), 0); err == nil {
+		t.Errorf("cross rate above service rate should be rejected")
+	}
+}
+
+// At theta = 0 and without a positive dip the FIFO residual is exactly
+// the blind-multiplexing residual (beta - alpha)+.
+func TestFIFOResidualZeroThetaMatchesSubPos(t *testing.T) {
+	beta := RateLatency(100, 16)
+	alpha := Min(Affine(4000, 1), Affine(1000, 30))
+	want, err := SubPos(beta, alpha)
+	if err != nil {
+		t.Fatalf("SubPos: %v", err)
+	}
+	got, err := FIFOResidual(beta, alpha, 0)
+	if err != nil {
+		t.Fatalf("FIFOResidual: %v", err)
+	}
+	for _, x := range []float64{0, 10, 16, 56, 57, 100, 1e4} {
+		if !almostEq(got.Eval(x), want.Eval(x)) {
+			t.Errorf("Eval(%g) = %g, want %g", x, got.Eval(x), want.Eval(x))
+		}
+	}
+}
+
+func TestFIFOResidualZeroBeforeTheta(t *testing.T) {
+	beta := RateLatency(100, 16)
+	alpha := Affine(4000, 1)
+	const theta = 120
+	r, err := FIFOResidual(beta, alpha, theta)
+	if err != nil {
+		t.Fatalf("FIFOResidual: %v", err)
+	}
+	for _, x := range []float64{0, 16, 119.9} {
+		if got := r.Eval(x); got != 0 {
+			t.Errorf("Eval(%g) = %g, want 0 before theta", x, got)
+		}
+	}
+	// Past theta the residual is [beta(t) - alpha(t-theta)]+ (no dip
+	// here: beta's slope dominates alpha's everywhere past the latency).
+	for _, x := range []float64{theta, 200, 1e4} {
+		want := beta.Eval(x) - alpha.Eval(x-theta)
+		if want < 0 {
+			want = 0
+		}
+		if got := r.Eval(x); !almostEq(got, want) {
+			t.Errorf("Eval(%g) = %g, want %g", x, got, want)
+		}
+	}
+}
+
+// When the difference dips below its value at theta before rising, the
+// naive positive part is not non-decreasing; the op must return the
+// non-decreasing closure (a valid, smaller service curve).
+func TestFIFOResidualDipTakesClosure(t *testing.T) {
+	beta := MustCurve([]Segment{{X: 0, Y: 0, Slope: 0.5}, {X: 10, Y: 5, Slope: 3}})
+	alpha := Affine(2, 1)
+	r, err := FIFOResidual(beta, alpha, 6)
+	if err != nil {
+		t.Fatalf("FIFOResidual: %v", err)
+	}
+	// diff(6) = 1 but diff dips to -1 at t=10; the closure is 0 until the
+	// root 10.5 and then rises at slope 2.
+	for _, x := range []float64{0, 6, 7, 10, 10.5} {
+		if got := r.Eval(x); got != 0 {
+			t.Errorf("Eval(%g) = %g, want 0 (closure of the dip)", x, got)
+		}
+	}
+	if got := r.Eval(12); !almostEq(got, 3) {
+		t.Errorf("Eval(12) = %g, want 3", got)
+	}
+	// Monotonicity across the board.
+	prev := -1.0
+	for x := 0.0; x <= 20; x += 0.25 {
+		if v := r.Eval(x); v < prev-Eps {
+			t.Fatalf("residual decreases at %g: %g -> %g", x, prev, v)
+		} else {
+			prev = v
+		}
+	}
+}
+
+// The soundness anchor the engine relies on: with D the aggregate delay
+// bound h(alpha1+alpha2, beta), the per-flow bound through the FIFO
+// residual at theta = D never exceeds D. Random leaky buckets and
+// rate-latency curves, stability enforced.
+func TestFIFOResidualThetaDNeverWorseThanAggregate(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		b1, b2 := 1+rng.Float64()*5000, 1+rng.Float64()*5000
+		r1, r2 := 0.1+rng.Float64()*40, 0.1+rng.Float64()*40
+		rate := (r1 + r2) * (1.05 + rng.Float64()*3)
+		lat := rng.Float64() * 50
+		beta := RateLatency(rate, lat)
+		a1, a2 := Affine(b1, r1), Affine(b2, r2)
+		d := HorizontalDeviation(Add(a1, a2), beta)
+		res, err := FIFOResidual(beta, a2, d)
+		if err != nil {
+			t.Fatalf("case %d: FIFOResidual: %v", i, err)
+		}
+		df := HorizontalDeviation(a1, res)
+		if df > d+1e-6 {
+			t.Fatalf("case %d: per-flow bound %g exceeds aggregate bound %g (beta=%v a1=%v a2=%v)",
+				i, df, d, beta, a1, a2)
+		}
+	}
+}

@@ -32,12 +32,6 @@ func TestAddWithBreakpoints(t *testing.T) {
 	}
 }
 
-func TestSumEmptyIsZero(t *testing.T) {
-	if got := Sum().Eval(99); got != 0 {
-		t.Errorf("Sum() should be zero curve, Eval(99)=%g", got)
-	}
-}
-
 func TestMinBasic(t *testing.T) {
 	// The grouping curve of the paper: min(sum of leaky buckets, link shaping).
 	sum := Add(Affine(4000, 1), Affine(4000, 1))
@@ -66,122 +60,6 @@ func TestMinFindsInteriorCrossing(t *testing.T) {
 	}
 	if got := c.Eval(5); !almostEq(got, 15) {
 		t.Errorf("Eval(5) = %g, want 15 (crossing)", got)
-	}
-}
-
-func TestMinOfSingle(t *testing.T) {
-	c := MinOf(Affine(1, 1))
-	if got := c.Eval(3); !almostEq(got, 4) {
-		t.Errorf("MinOf single = %g, want 4", got)
-	}
-}
-
-func TestConvolveConvexRateLatency(t *testing.T) {
-	b1 := RateLatency(100, 16)
-	b2 := RateLatency(80, 10)
-	c, err := ConvolveConvex(b1, b2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// beta_{100,16} conv beta_{80,10} = beta_{80,26}
-	want := RateLatency(80, 26)
-	for _, x := range []float64{0, 10, 26, 27, 50, 1000} {
-		if got := c.Eval(x); !almostEq(got, want.Eval(x)) {
-			t.Errorf("Eval(%g) = %g, want %g", x, got, want.Eval(x))
-		}
-	}
-}
-
-func TestConvolveConvexRejectsConcave(t *testing.T) {
-	if _, err := ConvolveConvex(LeakyBucket(5, 1), RateLatency(10, 1)); err == nil {
-		t.Error("expected error convolving a leaky bucket as convex")
-	}
-}
-
-func TestConvolveConcaveLeakyBuckets(t *testing.T) {
-	f := LeakyBucket(10, 2)
-	g := LeakyBucket(4, 5)
-	c, err := ConvolveConcave(f, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// (f conv g)(t) = 14 + min(2t, 5t) = 14 + 2t
-	for _, x := range []float64{0, 1, 7, 100} {
-		want := 14 + 2*x
-		if got := c.Eval(x); !almostEq(got, want) {
-			t.Errorf("Eval(%g) = %g, want %g", x, got, want)
-		}
-	}
-}
-
-func TestConvolveConcaveMatchesBruteForce(t *testing.T) {
-	f := Min(LeakyBucket(8, 3), LeakyBucket(20, 1))
-	g := LeakyBucket(5, 2)
-	c, err := ConvolveConcave(f, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0, 0.5, 1, 3, 6, 10, 25, 60} {
-		want := math.Inf(1)
-		for u := 0.0; u <= x; u += x/400 + 1e-6 {
-			if v := f.Eval(u) + g.Eval(x-u); v < want {
-				want = v
-			}
-		}
-		if got := c.Eval(x); got > want+1e-6 || got < want-0.3 {
-			// brute force grid slightly overestimates the min; allow slack below
-			t.Errorf("ConvolveConcave.Eval(%g) = %g, brute force %g", x, got, want)
-		}
-	}
-}
-
-func TestConvolveConcaveRejectsConvex(t *testing.T) {
-	if _, err := ConvolveConcave(RateLatency(10, 5), LeakyBucket(1, 1)); err == nil {
-		t.Error("expected error convolving a rate-latency curve as concave")
-	}
-}
-
-func TestDeconvolveLeakyBucketRateLatency(t *testing.T) {
-	// Classical result: gamma_{r,b} deconv beta_{R,T} = gamma_{r, b+rT}.
-	f := LeakyBucket(4000, 1)
-	g := RateLatency(100, 16)
-	c, err := Deconvolve(f, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := LeakyBucket(4000+1*16, 1)
-	for _, x := range []float64{0, 1, 16, 100, 1e5} {
-		if got := c.Eval(x); !almostEq(got, want.Eval(x)) {
-			t.Errorf("Deconvolve.Eval(%g) = %g, want %g", x, got, want.Eval(x))
-		}
-	}
-}
-
-func TestDeconvolveUnstable(t *testing.T) {
-	if _, err := Deconvolve(LeakyBucket(1, 200), RateLatency(100, 1)); err == nil {
-		t.Error("expected unbounded deconvolution error when rate exceeds service")
-	}
-}
-
-func TestDeconvolveMatchesBruteForce(t *testing.T) {
-	f := Min(LeakyBucket(500, 40), LeakyBucket(3000, 5))
-	g := RateLatency(60, 7)
-	c, err := Deconvolve(f, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0, 1, 5, 10, 50, 200} {
-		want := math.Inf(-1)
-		for u := 0.0; u <= 500; u += 0.25 {
-			if v := f.Eval(x+u) - g.Eval(u); v > want {
-				want = v
-			}
-		}
-		got := c.Eval(x)
-		if got < want-1e-6 || got > want+2.5 {
-			// grid slightly underestimates the sup; allow slack above
-			t.Errorf("Deconvolve.Eval(%g) = %g, brute force %g", x, got, want)
-		}
 	}
 }
 

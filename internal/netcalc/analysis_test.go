@@ -3,64 +3,12 @@ package netcalc
 import (
 	"context"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
 	"afdx/internal/afdx"
 	"afdx/internal/minplus"
 )
-
-// Regression for the RateLatency(1e12, delay) pure-delay stand-in: the
-// Deconvolution ablation must equal classical burst inflation exactly
-// (==, not within tolerance) for leaky buckets at every VL rate,
-// including rates at and beyond the old magic 1e12 constant where the
-// finite-rate approximation broke down.
-func TestOutputBurstDeconvolutionExactAtEveryRate(t *testing.T) {
-	id := afdx.PortID{From: "a", To: "b"}
-	for _, rho := range []float64{0.01, 1, 125, 1e6, 1e11, 1e12, 5e12, 1e13} {
-		// rho = SMaxBits/BAGUs; pick BAG to hit the target rate with a
-		// 125-byte (1000-bit) frame.
-		vl := &afdx.VirtualLink{ID: "v", SMaxBytes: 125, BAGMs: 1.0 / rho}
-		if got := vl.RhoBitsPerUs(); !almostEq(got, rho) {
-			t.Fatalf("rho setup: got %g, want about %g", got, rho)
-		}
-		for _, delay := range []float64{0, 0.5, 56, 1e4} {
-			classic, err := outputBurst(Options{}, vl, id, 4000, delay)
-			if err != nil {
-				t.Fatalf("rho=%g delay=%g classic: %v", rho, delay, err)
-			}
-			ablated, err := outputBurst(Options{Deconvolution: true}, vl, id, 4000, delay)
-			if err != nil {
-				t.Fatalf("rho=%g delay=%g deconvolution: %v", rho, delay, err)
-			}
-			if ablated != classic {
-				t.Errorf("rho=%g delay=%g: deconvolution %v != classical %v (must be exact)",
-					rho, delay, ablated, classic)
-			}
-		}
-	}
-}
-
-// The end-to-end ablation equality is now exact as well: every path
-// bound and every propagated burst agree bit for bit.
-func TestDeconvolutionAblationBitIdenticalOnFigure2(t *testing.T) {
-	pg := figure2Graph(t)
-	classic, err := Analyze(pg, Options{Grouping: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deconv, err := Analyze(pg, Options{Grouping: true, Deconvolution: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(classic.PathDelays, deconv.PathDelays) {
-		t.Errorf("path delays differ between classical and deconvolution propagation")
-	}
-	if !reflect.DeepEqual(classic.Bursts, deconv.Bursts) {
-		t.Errorf("bursts differ between classical and deconvolution propagation")
-	}
-}
 
 // analyzePort outside an engine run (no precomputed service curves) is
 // a hard invariant error, not silently uncounted fallback work.

@@ -117,29 +117,23 @@ func TestWCNCGoldenDigests(t *testing.T) {
 		{"default", DefaultOptions()},
 		{"nogrouping", Options{}},
 		{"stair4", Options{Grouping: true, StairSteps: 4}},
-		{"deconv", Options{Grouping: true, Deconvolution: true}},
 	}
 	want := map[string]string{
 		"figure1/default":             "0xa1236549c81eb7e4",
 		"figure1/nogrouping":          "0xff5fa36385a48b39",
 		"figure1/stair4":              "0x16b2185863f14742",
-		"figure1/deconv":              "0xa1236549c81eb7e4",
 		"figure2/default":             "0x833471defd2fbf3c",
 		"figure2/nogrouping":          "0x8cf9b7e58e615b40",
 		"figure2/stair4":              "0xd1e7bcc331665168",
-		"figure2/deconv":              "0x833471defd2fbf3c",
 		"priority/default":            "0x72c59e6185c321d4",
 		"priority/nogrouping":         "0x2b3af450d3d4b57d",
 		"priority/stair4":             "error: netcalc: port S3->e6 level 1 residual service: minplus: SubPos requires a concave subtrahend",
-		"priority/deconv":             "0x72c59e6185c321d4",
 		"seed1-120/default":           "0xeb32efec797282cd",
 		"seed1-120/nogrouping":        "0xa8188e931eaacc5c",
 		"seed1-120/stair4":            "0x773413300cfbd25a",
-		"seed1-120/deconv":            "0xeb32efec797282cd",
 		"seed1-industrial/default":    "0x708e77b158d85559",
 		"seed1-industrial/nogrouping": "0x6822465018e3e0a3",
 		"seed1-industrial/stair4":     "0xfea324ac2300cc55",
-		"seed1-industrial/deconv":     "0x708e77b158d85559",
 	}
 	for _, cfg := range goldenNetworks(t) {
 		pg, err := afdx.BuildPortGraph(cfg.net, afdx.Strict)

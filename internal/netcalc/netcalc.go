@@ -33,11 +33,6 @@ type Options struct {
 	// bucket with burst = largest member frame and rate = link rate.
 	// This is the "grouping technique" of the paper (Section II-B).
 	Grouping bool
-	// Deconvolution propagates per-flow output envelopes with the exact
-	// (min,+) deconvolution against the port's residual service instead
-	// of the classical burst inflation b <- b + rho*D. This is an
-	// ablation knob; the paper's tool uses burst inflation.
-	Deconvolution bool
 	// StairSteps, when positive, replaces each flow's leaky-bucket
 	// envelope with its exact staircase arrival curve (shifted by the
 	// accumulated upstream delay bound), truncated to that many exact
@@ -58,7 +53,7 @@ type Options struct {
 }
 
 // DefaultOptions returns the configuration matching the paper's WCNC
-// column: grouping enabled, classical burst-inflation propagation.
+// column: grouping enabled, leaky-bucket envelopes.
 func DefaultOptions() Options { return Options{Grouping: true} }
 
 // PortResult carries the per-output-port bounds: the delay bound (which
@@ -545,43 +540,16 @@ func analyzePort(rn *ncRun, i int) error {
 
 	// Each flow's delay term is its priority level's bound at this port,
 	// which is also the exact theta-minimum of the per-flow FIFO
-	// residual bound (DESIGN.md §14.1); its departure burst feeds the
-	// ports downstream.
+	// residual bound (DESIGN.md §14.1). Its departure burst feeds the
+	// ports downstream: the output traffic is bounded by alpha(t+delay),
+	// so the burst grows by rho*delay.
 	for k, f := range port.Flows {
 		j := lo + int32(k)
 		l := slices.IndexFunc(levels, func(c levelCurve) bool { return c.lvl == f.VL.Priority })
 		rn.delay[j] = levels[l].delay
-		b, err := outputBurst(rn.opts, f.VL, id, rn.burst[j], rn.delay[j])
-		if err != nil {
-			return err
-		}
-		rn.outBurst[j] = b
+		rn.outBurst[j] = rn.burst[j] + f.VL.RhoBitsPerUs()*rn.delay[j]
 	}
 	return nil
-}
-
-// outputBurst computes the burst of a flow after it crosses a port whose
-// delay bound for the flow is delay, given its burst b on arrival. The
-// classical propagation inflates the burst by rho*delay (the output
-// traffic is bounded by alpha(t+delay)); the Deconvolution option
-// instead deconvolves the flow envelope against the exact pure-delay
-// service delta_delay, which for leaky buckets evaluates to the
-// identical float expression b + rho*delay at every link rate — the
-// ablation's correctness no longer depends on a finite magic rate (the
-// old stand-in was RateLatency(1e12, delay)).
-func outputBurst(opts Options, vl *afdx.VirtualLink, id afdx.PortID, b, delay float64) (float64, error) {
-	if !opts.Deconvolution {
-		return b + vl.RhoBitsPerUs()*delay, nil
-	}
-	env := minplus.LeakyBucket(b, vl.RhoBitsPerUs())
-	// In FIFO aggregation the flow is guaranteed the aggregate's delay
-	// bound as a pure delay service: delta_delay(t) = +inf for t > delay.
-	// Deconvolving against it gives alpha(t + delay) exactly.
-	out, err := minplus.Deconvolve(env, minplus.Delay(delay))
-	if err != nil {
-		return 0, fmt.Errorf("netcalc: propagating VL %s past port %s: %w", vl.ID, id, err)
-	}
-	return out.ValueAtZero(), nil
 }
 
 // PathDelay returns the end-to-end bound of one path, or an error when

@@ -176,23 +176,6 @@ func TestUnstablePortRejected(t *testing.T) {
 	}
 }
 
-func TestDeconvolutionOptionMatchesBurstInflation(t *testing.T) {
-	pg := figure2Graph(t)
-	classic, err := Analyze(pg, Options{Grouping: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deconv, err := Analyze(pg, Options{Grouping: true, Deconvolution: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pid, d := range classic.PathDelays {
-		if dd := deconv.PathDelays[pid]; math.Abs(d-dd) > 1e-3 {
-			t.Errorf("path %v: classic %g vs deconvolution %g", pid, d, dd)
-		}
-	}
-}
-
 func TestUnknownPathError(t *testing.T) {
 	res, err := Analyze(figure2Graph(t), DefaultOptions())
 	if err != nil {

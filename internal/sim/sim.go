@@ -56,19 +56,20 @@ type Config struct {
 	// instead of always s_max.
 	RandomSizes bool
 	// JitterUs is the maximum per-frame emission jitter of
-	// PeriodicJitterSources.
+	// PeriodicJitterSources (finite, non-negative).
 	JitterUs float64
 	// Policing enables the ARINC 664 per-VL token-bucket filter at every
 	// switch ingress; non-conformant frames are dropped and counted.
 	Policing bool
 	// PolicingSlackUs is the extra burst tolerance of the policer,
-	// expressed as the time window of accumulated jitter it forgives.
+	// expressed as the time window of accumulated jitter it forgives
+	// (finite, non-negative).
 	PolicingSlackUs float64
 	// PolicingRateFactor scales the rate the policer enforces relative
-	// to the VL's declared contract (1.0 when zero). Values below 1
-	// model a misconfigured filter or, equivalently, a source emitting
-	// faster than its declared BAG — the fault the ARINC 664 policing
-	// function exists to contain.
+	// to the VL's declared contract (finite, non-negative; 1.0 when
+	// zero). Values below 1 model a misconfigured filter or,
+	// equivalently, a source emitting faster than its declared BAG —
+	// the fault the ARINC 664 policing function exists to contain.
 	PolicingRateFactor float64
 	// RecordFrames additionally stores every delivered frame's delay per
 	// path, in emission order (FIFO networks preserve per-VL order).
@@ -198,8 +199,8 @@ func Run(pg *afdx.PortGraph, cfg Config) (*Result, error) {
 func RunCtx(ctx context.Context, pg *afdx.PortGraph, cfg Config) (*Result, error) {
 	_, span := obs.StartSpan(ctx, "sim")
 	defer span.End()
-	if cfg.DurationUs <= 0 {
-		return nil, fmt.Errorf("sim: non-positive duration %g us", cfg.DurationUs)
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
 	s := &simulator{
 		pg:       pg,
@@ -445,6 +446,29 @@ func (s *simulator) police(ev event) bool {
 		s.policer[key] = tb
 	}
 	return tb.conform(ev.timeNs, ev.fr.bits)
+}
+
+// check rejects the numeric settings the simulator cannot honour: a
+// horizon that is not positive or not representable in int64
+// nanoseconds, and negative or non-finite jitter and policer settings.
+// Every comparison with NaN is false, so each test is written to fail
+// on NaN.
+func (cfg Config) check() error {
+	if !(cfg.DurationUs > 0) {
+		return fmt.Errorf("sim: DurationUs must be positive, got %g us", cfg.DurationUs)
+	}
+	if !(cfg.DurationUs*1000 < math.MaxInt64) {
+		return fmt.Errorf("sim: DurationUs %g us does not fit in int64 nanoseconds", cfg.DurationUs)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"JitterUs", cfg.JitterUs}, {"PolicingSlackUs", cfg.PolicingSlackUs}, {"PolicingRateFactor", cfg.PolicingRateFactor}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("sim: %s must be finite and non-negative, got %g", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 func usToNs(us float64) int64 { return int64(math.Round(us * 1000)) }

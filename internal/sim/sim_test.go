@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"afdx/internal/afdx"
@@ -287,6 +288,39 @@ func TestPolicingDropsBurst(t *testing.T) {
 func TestRunRejectsBadDuration(t *testing.T) {
 	if _, err := Run(figure2Graph(t), Config{DurationUs: 0}); err == nil {
 		t.Error("expected error for zero duration")
+	}
+	// A horizon that is NaN, infinite or beyond int64 nanoseconds used to
+	// simulate one frame per path and succeed.
+	for _, d := range []float64{math.NaN(), math.Inf(1), 1e300} {
+		_, err := Run(figure2Graph(t), Config{DurationUs: d})
+		if err == nil || !strings.Contains(err.Error(), "DurationUs") {
+			t.Errorf("DurationUs %g: got %v, want an error naming DurationUs", d, err)
+		}
+	}
+}
+
+// TestRunRejectsInvalidJitterAndPolicing: negative or non-finite jitter
+// and policer settings used to run silently (NaN or a negative rate
+// factor dropped nearly every frame; negative jitter was ignored).
+func TestRunRejectsInvalidJitterAndPolicing(t *testing.T) {
+	pg := figure2Graph(t)
+	for _, tc := range []struct {
+		field string
+		set   func(*Config, float64)
+	}{
+		{"JitterUs", func(c *Config, v float64) { c.Model, c.JitterUs = PeriodicJitterSources, v }},
+		{"PolicingSlackUs", func(c *Config, v float64) { c.Policing, c.PolicingSlackUs = true, v }},
+		{"PolicingRateFactor", func(c *Config, v float64) { c.Policing, c.PolicingRateFactor = true, v }},
+	} {
+		for _, v := range []float64{-1, math.NaN(), math.Inf(1)} {
+			cfg := DefaultConfig(1)
+			cfg.DurationUs = 16_000
+			tc.set(&cfg, v)
+			_, err := Run(pg, cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s %g: got %v, want an error naming %s", tc.field, v, err, tc.field)
+			}
+		}
 	}
 }
 

@@ -105,7 +105,7 @@ func (a *analyzer) explainPath(ctx context.Context, pid afdx.PathID) (*Explanati
 	}
 	a.m.paths.Inc()
 	ex := &Explanation{Path: pid}
-	if _, err := a.analyzePortSeqFlat(ctx, vl, ports, nil, ex); err != nil {
+	if _, err := a.analyzePortSeqFlat(ctx, vl, ports, ex); err != nil {
 		return nil, err
 	}
 	return ex, nil

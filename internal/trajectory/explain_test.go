@@ -133,14 +133,9 @@ func explainAll(t *testing.T, label string, pg *afdx.PortGraph, variants []struc
 }
 
 // TestExplainIdentityFigure2 sweeps the paper's sample configuration
-// under every engine variant, PrefixTrajectory included, and the
-// slow-last-hop variant whose interferers' frame times differ between
-// shared ports.
+// under every engine variant, and the slow-last-hop variant whose
+// interferers' frame times differ between shared ports.
 func TestExplainIdentityFigure2(t *testing.T) {
-	variants := append([]struct {
-		name string
-		opts Options
-	}{{"prefixtraj", Options{Grouping: true, PrefixMode: PrefixTrajectory}}}, engineVariants...)
 	for _, c := range []struct {
 		label string
 		net   *afdx.Network
@@ -149,7 +144,7 @@ func TestExplainIdentityFigure2(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		explainAll(t, c.label, pg, variants)
+		explainAll(t, c.label, pg, engineVariants)
 	}
 }
 
@@ -277,10 +272,7 @@ func TestExplainCountsLikeOnePathAnalysis(t *testing.T) {
 		}
 		return reg.Snapshot().Deterministic()
 	}
-	for _, v := range append([]struct {
-		name string
-		opts Options
-	}{{"prefixtraj", Options{Grouping: true, PrefixMode: PrefixTrajectory}}}, engineVariants...) {
+	for _, v := range engineVariants {
 		onePath := snapshot(func(ctx context.Context) error {
 			a, err := newAnalyzer(ctx, pg, v.opts)
 			if err != nil {

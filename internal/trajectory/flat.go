@@ -46,10 +46,8 @@ import (
 // Scratch-buffer ownership: all per-path transient state lives in a
 // *scratch obtained from the flatIndex pool at the top of
 // analyzePortSeqFlat and returned on exit. A scratch is owned by
-// exactly one analyzePortSeqFlat invocation; recursive prefix analyses
-// (PrefixTrajectory mode) take their own scratch from the pool, so the
-// buffers never nest. Every buffer is reset by the code that fills it,
-// so a scratch goes back to the pool as is.
+// exactly one analyzePortSeqFlat invocation. Every buffer is reset by
+// the code that fills it, so a scratch goes back to the pool as is.
 
 // flatInterferer is one interference-set entry in flat form: ordinals
 // and precomputed scalars only, no pointers into the model.
@@ -89,7 +87,7 @@ type flatPort struct {
 	vls      []int32   // per flow: dense VL ordinal
 	cUs      []float64 // per flow: CMaxUs at this port's rate
 	bagUs    []float64 // per flow: BAG in us
-	pref     []float64 // per flow: NC prefix bound at this port (PrefixNC)
+	pref     []float64 // per flow: NC prefix bound at this port
 	prefOK   []bool    // per flow: prefix bound present
 	serRatio []float64 // per flow: serialization ratio of its input link
 	grpOf    []int32   // per flow: local input-group index (prev-sorted)
@@ -213,13 +211,11 @@ func (a *analyzer) buildFlatPort(id afdx.PortID) (*flatPort, error) {
 		vls:      make([]int32, n),
 		cUs:      make([]float64, n),
 		bagUs:    make([]float64, n),
+		pref:     make([]float64, n),
+		prefOK:   make([]bool, n),
 		serRatio: make([]float64, n),
 		grpOf:    make([]int32, n),
 		minC:     math.Inf(1),
-	}
-	if a.opts.PrefixMode == PrefixNC {
-		fp.pref = make([]float64, n)
-		fp.prefOK = make([]bool, n)
 	}
 	// Local input groups, keyed by prev and ordered by prev ascending —
 	// within one port this is exactly the reference's group-key sort
@@ -264,10 +260,7 @@ func (a *analyzer) buildFlatPort(id afdx.PortID) (*flatPort, error) {
 			return nil, fmt.Errorf("trajectory: internal error: serialization ratio differs within input group of %s via %q: %g vs %g (VL %s)",
 				id, f.Prev, grpRatio[g], ratio, f.VL.ID)
 		}
-		if fp.pref != nil {
-			d, ok := a.ncPrefix[netcalc.FlowPortKey{VL: f.VL.ID, Port: id}]
-			fp.pref[j], fp.prefOK[j] = d, ok
-		}
+		fp.pref[j], fp.prefOK[j] = a.ncPrefix[netcalc.FlowPortKey{VL: f.VL.ID, Port: id}]
 		// Busy-period inputs and the transition-term max, in the
 		// reference's flow-order accumulation.
 		fp.sumC += c
@@ -286,11 +279,10 @@ func (a *analyzer) buildFlatPort(id afdx.PortID) (*flatPort, error) {
 // mathematics, same accumulation orders, dense state. A non-nil ex
 // receives the decomposition at the critical offset, read off the
 // scratch state the bound was computed from (see Explanation).
-func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink, ports []afdx.PortID, visiting map[netcalc.FlowPortKey]bool, ex *Explanation) (PathDetail, error) {
+func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink, ports []afdx.PortID, ex *Explanation) (PathDetail, error) {
 	if err := ctx.Err(); err != nil {
 		return PathDetail{}, fmt.Errorf("trajectory: analysis cancelled: %w", err)
 	}
-	topLevel := visiting == nil
 	fl := a.flat
 	sc := fl.pool.Get().(*scratch)
 	defer fl.pool.Put(sc)
@@ -311,12 +303,10 @@ func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink,
 		acc += vl.CMinUs(fp.rate) + fp.latency
 	}
 
-	if err := a.mergeInterferers(ctx, sc, visiting); err != nil {
+	if err := a.mergeInterferers(sc); err != nil {
 		return PathDetail{}, err
 	}
-	if topLevel {
-		a.m.interferers.Observe(int64(len(sc.inter)))
-	}
+	a.m.interferers.Observe(int64(len(sc.inter)))
 
 	// Constant terms: technological latencies and the transition
 	// ("counted twice") packets.
@@ -330,11 +320,9 @@ func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink,
 	if err != nil {
 		return PathDetail{}, err
 	}
-	if topLevel {
-		a.m.busyFixes.Inc()
-		a.m.busyIters.Add(int64(rounds))
-		a.m.busyRounds.Observe(int64(rounds))
-	}
+	a.m.busyFixes.Inc()
+	a.m.busyIters.Add(int64(rounds))
+	a.m.busyRounds.Observe(int64(rounds))
 
 	nSlots := 0
 	if a.opts.Grouping {
@@ -344,9 +332,7 @@ func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink,
 	if err := sc.mergeCandidates(ctx, busy); err != nil {
 		return PathDetail{}, err
 	}
-	if topLevel {
-		a.m.candidates.Add(int64(len(sc.cands)))
-	}
+	a.m.candidates.Add(int64(len(sc.cands)))
 
 	best, bestT := math.Inf(-1), 0.0
 	for i, t := range sc.cands {
@@ -389,10 +375,8 @@ func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink,
 //
 // A missing NC prefix bound is reported at the lowest (path position,
 // flow index), the order the reference scans in, not at the first VL
-// the merge meets. In PrefixTrajectory mode the recursive S_max bounds
-// are requested in VL-ID order; each is a pure function of its (VL,
-// port), so the order changes no value.
-func (a *analyzer) mergeInterferers(ctx context.Context, sc *scratch, visiting map[netcalc.FlowPortKey]bool) error {
+// the merge meets.
+func (a *analyzer) mergeInterferers(sc *scratch) error {
 	sc.inter = sc.inter[:0]
 	sc.cursor = grow(sc.cursor, len(sc.fps))
 	total := 0
@@ -403,7 +387,6 @@ func (a *analyzer) mergeInterferers(ctx context.Context, sc *scratch, visiting m
 	// Lowest (position, flow) lacking an NC prefix. A port's flows are
 	// visited in order, so only a lower position can displace a miss.
 	missPos, missJ := -1, 0
-	ncLookups := int64(0)
 	for n := 0; n < total; n++ {
 		pos, ord := -1, int32(0)
 		for p, fp := range sc.fps {
@@ -422,26 +405,15 @@ func (a *analyzer) mergeInterferers(ctx context.Context, sc *scratch, visiting m
 			}
 			continue
 		}
-		var sMaxJ float64
-		if a.opts.PrefixMode == PrefixNC {
-			if !fp.prefOK[j] && (missPos < 0 || pos < missPos) {
-				missPos, missJ = pos, j
-			}
-			sMaxJ = fp.pref[j]
-			ncLookups++
-		} else {
-			var err error
-			sMaxJ, err = a.sMax(ctx, a.flat.vls[ord], fp.id, visiting)
-			if err != nil {
-				return err
-			}
+		if !fp.prefOK[j] && (missPos < 0 || pos < missPos) {
+			missPos, missJ = pos, j
 		}
 		sc.inter = append(sc.inter, flatInterferer{
 			vl:       ord,
 			pos:      int32(pos),
 			grp:      fp.grpOf[j],
 			cUs:      fp.cUs[j],
-			aUs:      sMaxJ - sc.sMin[pos],
+			aUs:      fp.pref[j] - sc.sMin[pos],
 			bagUs:    fp.bagUs[j],
 			serRatio: fp.serRatio[j],
 		})
@@ -451,9 +423,8 @@ func (a *analyzer) mergeInterferers(ctx context.Context, sc *scratch, visiting m
 		fp := sc.fps[missPos]
 		return fmt.Errorf("trajectory: no NC prefix bound for VL %s at %s", a.flat.vls[fp.vls[missJ]].ID, fp.id)
 	}
-	if ncLookups > 0 {
-		a.m.ncHits.Add(ncLookups)
-	}
+	// One prefix look-up per interferer, counted in one atomic Add.
+	a.m.ncHits.Add(int64(len(sc.inter)))
 	return nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"maps"
 	"math/rand"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"afdx/internal/afdx"
@@ -28,7 +27,6 @@ var engineVariants = []struct {
 	{"grouped", Options{Grouping: true}},
 	{"ungrouped", Options{}},
 	{"shared", Options{Grouping: true, SharedTransition: true}},
-	{"deltafirst", Options{Grouping: true, DeltaAtFirstNode: true}},
 }
 
 // sameDetails fails unless the two results carry bit-identical path
@@ -85,17 +83,12 @@ func flatVsReference(t *testing.T, label string, pg *afdx.PortGraph, variants []
 }
 
 // TestFlatMatchesReferenceFigure2 pins the paper's sample configuration
-// across every option variant, including the recursive PrefixTrajectory
-// mode (cheap on five paths, too slow for the generated sweeps). The
-// slow-last-hop variant gives interferers a transmission time that
-// differs between the ports they share with a path, so the flat
-// interference set must keep the max over those ports, as the
-// reference does; no other sweep reaches that case.
+// across every option variant. The slow-last-hop variant gives
+// interferers a transmission time that differs between the ports they
+// share with a path, so the flat interference set must keep the max
+// over those ports, as the reference does; no other sweep reaches that
+// case.
 func TestFlatMatchesReferenceFigure2(t *testing.T) {
-	variants := append([]struct {
-		name string
-		opts Options
-	}{{"prefixtraj", Options{Grouping: true, PrefixMode: PrefixTrajectory}}}, engineVariants...)
 	for _, c := range []struct {
 		label string
 		net   *afdx.Network
@@ -104,7 +97,7 @@ func TestFlatMatchesReferenceFigure2(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flatVsReference(t, c.label, pg, variants)
+		flatVsReference(t, c.label, pg, engineVariants)
 	}
 }
 
@@ -252,48 +245,6 @@ func testConfiggenSeeds(t *testing.T, lo, hi int64) {
 // small enough to stay fast under the race detector.
 func TestFlatMatchesReferenceConfiggen(t *testing.T) {
 	testConfiggenSeeds(t, 1, 10)
-}
-
-// TestPrefixOffPathIsHardError pins the prefixPorts/sMax contract: an
-// S_max query for a (VL, port) pair where the VL never crosses the port
-// is an engine bug and must surface as an error, not be absorbed as a
-// zero prefix bound (which is indistinguishable from "port is the
-// flow's source hop" and silently optimistic).
-func TestPrefixOffPathIsHardError(t *testing.T) {
-	pg, err := afdx.BuildPortGraph(afdx.Figure2Config(), afdx.Strict)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := newAnalyzer(context.Background(), pg, Options{Grouping: true, PrefixMode: PrefixTrajectory})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vl := pg.VL(pg.Net.VLs[0].ID)
-	var offPath afdx.PortID
-	found := false
-	for id := range pg.Ports {
-		if _, on := a.prefixPorts(vl, id); !on {
-			offPath, found = id, true
-			break
-		}
-	}
-	if !found {
-		t.Fatalf("VL %s crosses every port of the sample configuration; cannot exercise the off-path case", vl.ID)
-	}
-	if seq, on := a.prefixPorts(vl, offPath); on || seq != nil {
-		t.Fatalf("prefixPorts(%s, %v) = (%v, %v), want (nil, false)", vl.ID, offPath, seq, on)
-	}
-	_, err = a.sMax(context.Background(), vl, offPath, nil)
-	if err == nil || !strings.Contains(err.Error(), "does not cross") {
-		t.Fatalf("sMax off-path: got %v, want a hard 'does not cross' error", err)
-	}
-	// The on-path source-hop case still yields a zero bound, not an
-	// error: the distinction is exactly what the hard error protects.
-	src := pg.PathPorts(afdx.PathID{VL: vl.ID, PathIdx: 0})[0]
-	d, err := a.sMax(context.Background(), vl, src, nil)
-	if err != nil || d != 0 {
-		t.Fatalf("sMax at source hop: got (%v, %v), want (0, nil)", d, err)
-	}
 }
 
 // TestCandidateOffsetsExactMultiples pins the enumerated step-point set

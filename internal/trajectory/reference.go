@@ -23,9 +23,9 @@ import (
 // candidate count — bit for bit across the golden corpus and generated
 // configurations at every worker count. Behavioural fixes that are
 // part of the engine's semantics (the candidateOffsets enumeration
-// window, the off-path prefix error) live in trajectory.go and are
-// shared by both implementations; everything that is purely a data
-// layout or scheduling choice differs.
+// window) live in trajectory.go and are shared by both
+// implementations; everything that is purely a data layout or
+// scheduling choice differs.
 
 // analyzeReference runs the full analysis through the reference
 // (pre-flattening) hot path. Test entry point only.
@@ -59,21 +59,15 @@ func analyzeReference(ctx context.Context, pg *afdx.PortGraph, opts Options) (*R
 // analyzePortSeqRef is the reference per-path loop: map/string-keyed
 // interference sets, per-candidate group partitions, per-call busy
 // periods.
-func (a *analyzer) analyzePortSeqRef(ctx context.Context, vl *afdx.VirtualLink, ports []afdx.PortID, visiting map[netcalc.FlowPortKey]bool) (PathDetail, error) {
+func (a *analyzer) analyzePortSeqRef(ctx context.Context, vl *afdx.VirtualLink, ports []afdx.PortID) (PathDetail, error) {
 	if err := ctx.Err(); err != nil {
 		return PathDetail{}, fmt.Errorf("trajectory: analysis cancelled: %w", err)
 	}
-	// Deterministic counters cover the top-level work set only
-	// (visiting == nil): recursive prefix analyses flow through the
-	// contended cache and may be duplicated under parallel schedules.
-	topLevel := visiting == nil
-	inter, err := a.interferenceSet(ctx, vl, ports, visiting)
+	inter, err := a.interferenceSet(vl, ports)
 	if err != nil {
 		return PathDetail{}, err
 	}
-	if topLevel {
-		a.m.interferers.Observe(int64(len(inter)))
-	}
+	a.m.interferers.Observe(int64(len(inter)))
 
 	// Constant terms: technological latencies and the transition
 	// ("counted twice") packets.
@@ -87,19 +81,15 @@ func (a *analyzer) analyzePortSeqRef(ctx context.Context, vl *afdx.VirtualLink, 
 	if err != nil {
 		return PathDetail{}, err
 	}
-	if topLevel {
-		a.m.busyFixes.Inc()
-		a.m.busyIters.Add(int64(rounds))
-		a.m.busyRounds.Observe(int64(rounds))
-	}
+	a.m.busyFixes.Inc()
+	a.m.busyIters.Add(int64(rounds))
+	a.m.busyRounds.Observe(int64(rounds))
 
 	cands, err := candidateOffsets(ctx, inter, busy)
 	if err != nil {
 		return PathDetail{}, err
 	}
-	if topLevel {
-		a.m.candidates.Add(int64(len(cands)))
-	}
+	a.m.candidates.Add(int64(len(cands)))
 	best, bestT := math.Inf(-1), 0.0
 	for i, t := range cands {
 		// Candidate sets grow with busy period / BAG ratios; poll for
@@ -126,7 +116,7 @@ func (a *analyzer) analyzePortSeqRef(ctx context.Context, vl *afdx.VirtualLink, 
 // interferenceSet builds the interferer list of a path: every VL sharing
 // at least one of its ports (including the analyzed VL itself), with the
 // first shared port, the input link there, and the window alignment A_ij.
-func (a *analyzer) interferenceSet(ctx context.Context, vl *afdx.VirtualLink, ports []afdx.PortID, visiting map[netcalc.FlowPortKey]bool) ([]interferer, error) {
+func (a *analyzer) interferenceSet(vl *afdx.VirtualLink, ports []afdx.PortID) ([]interferer, error) {
 	// Minimum arrival times of the analyzed flow at each of its ports
 	// (per-port rates: real configurations mix link speeds).
 	sMin := make(map[afdx.PortID]float64, len(ports))
@@ -153,13 +143,12 @@ func (a *analyzer) interferenceSet(ctx context.Context, vl *afdx.VirtualLink, po
 				}
 				continue
 			}
-			sMaxJ, err := a.sMax(ctx, f.VL, h, visiting)
-			if err != nil {
-				return nil, err
+			sMaxJ, ok := a.ncPrefix[netcalc.FlowPortKey{VL: f.VL.ID, Port: h}]
+			if !ok {
+				a.m.ncMiss.Inc()
+				return nil, fmt.Errorf("trajectory: no NC prefix bound for VL %s at %s", f.VL.ID, h)
 			}
-			if a.opts.PrefixMode == PrefixNC {
-				ncLookups++
-			}
+			ncLookups++
 			ratio := 1.0
 			if f.Prev != "" {
 				if in := a.pg.Ports[afdx.PortID{From: f.Prev, To: h.From}]; in != nil {

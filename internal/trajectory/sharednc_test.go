@@ -17,18 +17,15 @@ import (
 // bit for bit (PathDelays and Details) for every NC result a caller may
 // hand it: nil, default-option runs at Parallel 1 and 4 (shared as the
 // prefix bounds), and non-default runs (grouping off, staircase
-// envelopes, deconvolution), which must fall back to a private prefix
-// run. The NC port counter of the trajectory call alone tells which
-// source was used: zero ports when the prefix is shared (and always in
-// PrefixTrajectory mode, which reads no NC result), every port when the
+// envelopes), which must fall back to a private prefix run. The NC
+// port counter of the trajectory call alone tells which source was
+// used: zero ports when the prefix is shared, every port when the
 // engine ran its own.
 func TestAnalyzeWithNCMatchesAnalyze(t *testing.T) {
 	type variant = struct {
 		name string
 		opts Options
 	}
-	prefixTraj := variant{"prefixtraj", Options{Grouping: true, PrefixMode: PrefixTrajectory}}
-	withPrefixTraj := append([]variant{prefixTraj}, engineVariants...)
 	defaults := []variant{{"default", DefaultOptions()}}
 
 	type config struct {
@@ -37,8 +34,8 @@ func TestAnalyzeWithNCMatchesAnalyze(t *testing.T) {
 		variants []variant
 	}
 	cases := []config{
-		{"fig1", afdx.Figure1Config(), []variant{{"default", DefaultOptions()}, prefixTraj}},
-		{"fig2", afdx.Figure2Config(), withPrefixTraj},
+		{"fig1", afdx.Figure1Config(), defaults},
+		{"fig2", afdx.Figure2Config(), engineVariants},
 	}
 	files, err := filepath.Glob("../lint/testdata/*.json")
 	if err != nil || len(files) == 0 {
@@ -49,7 +46,7 @@ func TestAnalyzeWithNCMatchesAnalyze(t *testing.T) {
 		if err != nil {
 			continue // invalid-on-purpose corpus entries
 		}
-		cases = append(cases, config{filepath.Base(file), net, withPrefixTraj})
+		cases = append(cases, config{filepath.Base(file), net, engineVariants})
 	}
 	gen := func(seed int64, small bool, vls int) *afdx.Network {
 		spec := configgen.DefaultSpec(seed)
@@ -78,7 +75,6 @@ func TestAnalyzeWithNCMatchesAnalyze(t *testing.T) {
 		{"default/p4", netcalc.Options{Grouping: true, Parallel: 4}, true},
 		{"nogrouping", netcalc.Options{Parallel: 1}, false},
 		{"stairsteps4", netcalc.Options{Grouping: true, StairSteps: 4, Parallel: 1}, false},
-		{"deconvolution", netcalc.Options{Grouping: true, Deconvolution: true, Parallel: 1}, false},
 	}
 
 	ctx := context.Background()
@@ -117,7 +113,7 @@ func TestAnalyzeWithNCMatchesAnalyze(t *testing.T) {
 						t.Errorf("%s: result differs from AnalyzeCtx", label)
 					}
 					wantPorts := int64(len(pg.Ports))
-					if src.shared || opts.PrefixMode == PrefixTrajectory {
+					if src.shared {
 						wantPorts = 0
 					}
 					if n := reg.Snapshot().Counter("netcalc.ports_analyzed"); n != wantPorts {

@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"afdx/internal/afdx"
 	"afdx/internal/core/tol"
@@ -47,29 +46,11 @@ import (
 	"afdx/internal/parallel"
 )
 
-// PrefixMode selects how the latest arrival time Smax_j at a meeting port
-// is bounded.
-type PrefixMode int
-
-const (
-	// PrefixNC bounds Smax_j with the grouped Network Calculus prefix
-	// delay of flow j up to the meeting port (safe and fast; default).
-	PrefixNC PrefixMode = iota
-	// PrefixTrajectory bounds Smax_j recursively with the Trajectory
-	// approach applied to j's prefix sub-path (the refinement used by
-	// the paper's tool; slower, usually tighter).
-	PrefixTrajectory
-)
-
-// Options selects analysis variants.
+// Options selects analysis variants. The S_max prefix bounds always
+// come from the default-option Network Calculus analysis.
 type Options struct {
 	// Grouping enables the serialization refinement (paper Fig. 4).
 	Grouping bool
-	// DeltaAtFirstNode switches the transition ("counted twice") term
-	// from the receiving-node convention (default, matches the paper's
-	// description "the biggest packet of a VL meeting v1 in that node")
-	// to attributing it to the departing node. Ablation knob.
-	DeltaAtFirstNode bool
 	// SharedTransition restricts each transition term to the flows that
 	// cross BOTH ports of the transition: the busy-period-bridging
 	// packet leaves the previous port and is queued at the next one, so
@@ -78,8 +59,6 @@ type Options struct {
 	// approach ... where the bounds are worse than network calculus");
 	// it directly shrinks the small-frame pessimism of Figure 7.
 	SharedTransition bool
-	// PrefixMode selects the Smax bound (see PrefixMode).
-	PrefixMode PrefixMode
 	// Parallel bounds the analysis worker pool: paths are analysed
 	// concurrently by at most this many goroutines (<= 0 selects
 	// GOMAXPROCS, 1 is strictly sequential). Every worker count
@@ -91,7 +70,7 @@ type Options struct {
 }
 
 // DefaultOptions matches the paper's "Trajectory approach" column:
-// grouping on, receiving-node transition term, NC-bounded prefixes.
+// grouping on, receiving-node transition term.
 func DefaultOptions() Options { return Options{Grouping: true} }
 
 // PathDetail exposes the internals of one path analysis, for reports and
@@ -120,55 +99,19 @@ func (r *Result) PathDelay(id afdx.PathID) (float64, error) {
 	return d, nil
 }
 
-// prefixCache memoizes recursive prefix response times: the latest
-// departure of a VL from a given port (PrefixTrajectory mode). It is
-// safe for concurrent use by the per-path workers; a value may be
-// computed twice under contention (both computations are the same pure
-// function, so whichever lands is bit-identical), which keeps readers
-// from blocking on each other and cannot deadlock on cyclic
-// dependencies. Cycle detection is NOT the cache's job: recursion
-// tracks its own call chain in a per-goroutine visiting set (see sMax),
-// because a shared in-progress map would misread another worker's
-// ongoing computation as a cycle.
-type prefixCache struct {
-	mu  sync.RWMutex
-	val map[netcalc.FlowPortKey]float64
-}
-
-func (c *prefixCache) get(k netcalc.FlowPortKey) (float64, bool) {
-	c.mu.RLock()
-	v, ok := c.val[k]
-	c.mu.RUnlock()
-	return v, ok
-}
-
-func (c *prefixCache) put(k netcalc.FlowPortKey, v float64) {
-	c.mu.Lock()
-	c.val[k] = v
-	c.mu.Unlock()
-}
-
 // trMetrics is the engine's instrument bundle, resolved once per run
 // from the context registry; all fields may be nil (the obs
-// instruments no-op on nil receivers).
-//
-// The split between classes is exact: the top-level work set (one
-// analyzePortSeq per path) is fixed by the configuration, so its
-// counts are Deterministic. Recursive prefix work (PrefixTrajectory
-// mode only) goes through the contended trajPrefix cache, where a
-// value may be computed twice under parallel contention — those
-// counts are scheduling observations and are registered BestEffort.
+// instruments no-op on nil receivers). The work set (one analysis per
+// path) is fixed by the configuration, so every count is Deterministic.
 type trMetrics struct {
-	paths       *obs.Counter   // top-level paths analysed
-	busyFixes   *obs.Counter   // top-level busy-period fixpoints computed
+	paths       *obs.Counter   // paths analysed
+	busyFixes   *obs.Counter   // busy-period fixpoints computed
 	busyIters   *obs.Counter   // total fixpoint rounds across them
 	busyRounds  *obs.Histogram // rounds per fixpoint
 	candidates  *obs.Counter   // candidate emission offsets evaluated
 	interferers *obs.Histogram // interference-set size per path
-	ncHits      *obs.Counter   // NC prefix-table lookups served (PrefixNC)
+	ncHits      *obs.Counter   // NC prefix-table lookups served
 	ncMiss      *obs.Counter   // NC prefix-table lookups missing (errors)
-	recHits     *obs.Counter   // trajPrefix cache hits (PrefixTrajectory)
-	recMiss     *obs.Counter   // trajPrefix cache misses → recursive computation
 }
 
 func newTrMetrics(reg *obs.Registry) trMetrics {
@@ -189,28 +132,22 @@ func newTrMetrics(reg *obs.Registry) trMetrics {
 		interferers: reg.Histogram("trajectory.interference_set_size", obs.Deterministic,
 			"flows in the interference set per top-level path (incl. self)"),
 		ncHits: reg.Counter("trajectory.prefix_cache_hits", obs.Deterministic,
-			"S_max bounds served from the NC prefix table (PrefixNC mode)"),
+			"S_max bounds served from the NC prefix table"),
 		ncMiss: reg.Counter("trajectory.prefix_cache_misses", obs.Deterministic,
 			"S_max lookups missing from the NC prefix table (an engine error)"),
-		recHits: reg.Counter("trajectory.prefix_recursive_cache_hits", obs.BestEffort,
-			"S_max bounds served from the recursive prefix cache (PrefixTrajectory mode)"),
-		recMiss: reg.Counter("trajectory.prefix_recursive_cache_misses", obs.BestEffort,
-			"recursive S_max computations (duplicates possible under contention)"),
 	}
 }
 
 // analyzer carries the shared state of one Analyze run. After
-// newAnalyzer returns, everything except the prefix cache is read-only,
-// so the per-path workers of Analyze share one analyzer.
+// newAnalyzer returns it is read-only (bar the per-port busy-period
+// memos of the flat index), so the per-path workers of Analyze share
+// one analyzer.
 type analyzer struct {
 	pg   *afdx.PortGraph
 	opts Options
 	m    trMetrics
-	// ncPrefix holds the NC prefix delays when PrefixMode == PrefixNC.
+	// ncPrefix holds the NC prefix delays, the S_max bounds.
 	ncPrefix map[netcalc.FlowPortKey]float64
-	// trajPrefix caches recursive prefix response times
-	// (PrefixTrajectory mode).
-	trajPrefix prefixCache
 	// reference forces the pre-flattening hot path (reference.go) —
 	// the anchor the flattened engine is differentially tested
 	// against. Never set on production entry points.
@@ -234,11 +171,10 @@ func newAnalyzer(ctx context.Context, pg *afdx.PortGraph, opts Options) (*analyz
 // only).
 func newAnalyzerWith(ctx context.Context, pg *afdx.PortGraph, opts Options, nc *netcalc.Result, reference bool) (*analyzer, error) {
 	a := &analyzer{
-		pg:         pg,
-		opts:       opts,
-		m:          newTrMetrics(obs.RegistryFrom(ctx)),
-		trajPrefix: prefixCache{val: map[netcalc.FlowPortKey]float64{}},
-		reference:  reference,
+		pg:        pg,
+		opts:      opts,
+		m:         newTrMetrics(obs.RegistryFrom(ctx)),
+		reference: reference,
 	}
 	// Shared stability pre-flight (lint diagnostic AFDX001), consuming
 	// PortGraph.UtilizationReport exactly as the Network Calculus engine
@@ -259,17 +195,15 @@ func newAnalyzerWith(ctx context.Context, pg *afdx.PortGraph, opts Options, nc *
 				vl.ID, vl.Priority, pg.Net.VLs[0].ID, prio)
 		}
 	}
-	if opts.PrefixMode == PrefixNC {
-		if !isDefaultNC(nc) {
-			ncOpts := netcalc.DefaultOptions()
-			ncOpts.Parallel = opts.Parallel
-			var err error
-			if nc, err = netcalc.AnalyzeCtx(ctx, pg, ncOpts); err != nil {
-				return nil, fmt.Errorf("trajectory: computing NC prefix bounds: %w", err)
-			}
+	if !isDefaultNC(nc) {
+		ncOpts := netcalc.DefaultOptions()
+		ncOpts.Parallel = opts.Parallel
+		var err error
+		if nc, err = netcalc.AnalyzeCtx(ctx, pg, ncOpts); err != nil {
+			return nil, fmt.Errorf("trajectory: computing NC prefix bounds: %w", err)
 		}
-		a.ncPrefix = nc.PrefixDelays
 	}
+	a.ncPrefix = nc.PrefixDelays
 	if err := a.prepare(); err != nil {
 		return nil, err
 	}
@@ -277,7 +211,7 @@ func newAnalyzerWith(ctx context.Context, pg *afdx.PortGraph, opts Options, nc *
 }
 
 // isDefaultNC reports whether nc holds the prefix bounds the engine's
-// own PrefixNC run would compute: a result under netcalc.DefaultOptions.
+// own prefix run would compute: a result under netcalc.DefaultOptions.
 // The worker count is ignored — every Parallel value is bit-identical.
 func isDefaultNC(nc *netcalc.Result) bool {
 	if nc == nil {
@@ -311,15 +245,13 @@ func AnalyzeCtx(ctx context.Context, pg *afdx.PortGraph, opts Options) (*Result,
 }
 
 // AnalyzeWithNCCtx is AnalyzeCtx with the S_max prefix bounds taken
-// from a Network Calculus result the caller already holds. When
-// opts.PrefixMode is PrefixNC and nc was computed under
-// netcalc.DefaultOptions (any Parallel), nc.PrefixDelays are exactly
-// the bounds the engine's own prefix run would produce, so that run is
-// skipped and the result is bit-identical to AnalyzeCtx. Any other nc —
-// nil or a non-default option set — makes the engine run its own
-// prefix analysis, exactly as AnalyzeCtx does; PrefixTrajectory mode
-// bounds S_max recursively and ignores nc. nc must come from the same
-// PortGraph: its prefix bounds are read, not checked.
+// from a Network Calculus result the caller already holds. When nc was
+// computed under netcalc.DefaultOptions (any Parallel), nc.PrefixDelays
+// are exactly the bounds the engine's own prefix run would produce, so
+// that run is skipped and the result is bit-identical to AnalyzeCtx.
+// Any other nc — nil or a non-default option set — makes the engine
+// run its own prefix analysis, exactly as AnalyzeCtx does. nc must come
+// from the same PortGraph: its prefix bounds are read, not checked.
 func AnalyzeWithNCCtx(ctx context.Context, pg *afdx.PortGraph, opts Options, nc *netcalc.Result) (*Result, error) {
 	ctx, span := obs.StartSpan(ctx, "trajectory")
 	defer span.End()
@@ -363,9 +295,16 @@ type interferer struct {
 	serRatio float64
 }
 
-// analyzePath bounds the end-to-end delay of one (VL, destination) path.
-// ctx is checked inside the busy-period and candidate loops, so a
-// pathological configuration can be cancelled mid-port.
+// analyzePath bounds the end-to-end delay of one (VL, destination) path:
+// the latest complete transmission of a frame at the last port,
+// relative to its emission. ctx is checked inside the busy-period and
+// candidate loops, so a pathological configuration can be cancelled
+// mid-port.
+//
+// The work is dispatched to the flattened hot path (flat.go) unless the
+// analyzer was built as a reference anchor; both produce bit-identical
+// PathDetails (proven by the differential property tests in
+// flat_test.go), so the choice is invisible to callers.
 func (a *analyzer) analyzePath(ctx context.Context, pid afdx.PathID) (PathDetail, error) {
 	ports := a.pg.PathPorts(pid)
 	vl := a.pg.VL(pid.VL)
@@ -373,30 +312,17 @@ func (a *analyzer) analyzePath(ctx context.Context, pid afdx.PathID) (PathDetail
 		return PathDetail{}, fmt.Errorf("trajectory: unknown path %v", pid)
 	}
 	a.m.paths.Inc()
-	return a.analyzePortSeq(ctx, vl, ports, nil)
-}
-
-// analyzePortSeq bounds the latest complete transmission of a frame of vl
-// over the given (prefix of its) port sequence, relative to its emission.
-// visiting is the per-goroutine set of (VL, port) prefix computations on
-// the current recursion chain (PrefixTrajectory cycle detection); nil at
-// a recursion root.
-//
-// The work is dispatched to the flattened hot path (flat.go) unless the
-// analyzer was built as a reference anchor; both produce bit-identical
-// PathDetails (proven by the differential property tests in
-// flat_test.go), so the choice is invisible to callers.
-func (a *analyzer) analyzePortSeq(ctx context.Context, vl *afdx.VirtualLink, ports []afdx.PortID, visiting map[netcalc.FlowPortKey]bool) (PathDetail, error) {
 	if a.reference {
-		return a.analyzePortSeqRef(ctx, vl, ports, visiting)
+		return a.analyzePortSeqRef(ctx, vl, ports)
 	}
-	return a.analyzePortSeqFlat(ctx, vl, ports, visiting, nil)
+	return a.analyzePortSeqFlat(ctx, vl, ports, nil)
 }
 
 // transitionSum bounds the transition ("counted twice") packets of a
-// port sequence: one largest-frame term per transition, attributed per
-// Options (receiving node, departing node, or shared-flows refinement).
-// A non-nil terms receives each summand, in summation order.
+// port sequence: one largest-frame term per transition, at the
+// receiving node, or over the flows crossing both ports with the
+// SharedTransition refinement. A non-nil terms receives each summand,
+// in summation order.
 func (a *analyzer) transitionSum(ports []afdx.PortID, terms *[]TransitionTerm) float64 {
 	deltaSum := 0.0
 	add := func(at afdx.PortID, c float64) {
@@ -412,85 +338,12 @@ func (a *analyzer) transitionSum(ports []afdx.PortID, terms *[]TransitionTerm) f
 			add(ports[k+1], a.maxSharedFrameTime(ports[k], ports[k+1]))
 		}
 	} else {
-		from, to := 1, len(ports) // receiving-node convention: h_2 .. h_q
-		if a.opts.DeltaAtFirstNode {
-			from, to = 0, len(ports)-1 // departing-node convention: h_1 .. h_{q-1}
-		}
-		for k := from; k < to; k++ {
+		// Receiving-node convention: h_2 .. h_q.
+		for k := 1; k < len(ports); k++ {
 			add(ports[k], a.maxFrameTimeAt(ports[k]))
 		}
 	}
 	return deltaSum
-}
-
-// sMax bounds the latest arrival time of a frame of vl at the given port,
-// relative to its emission (0 at the flow's source port). In
-// PrefixTrajectory mode the recursive computation is memoized in the
-// shared prefix cache; visiting is this goroutine's recursion chain and
-// detects cyclic prefix dependencies without mistaking another worker's
-// in-flight computation for one.
-func (a *analyzer) sMax(ctx context.Context, vl *afdx.VirtualLink, port afdx.PortID, visiting map[netcalc.FlowPortKey]bool) (float64, error) {
-	key := netcalc.FlowPortKey{VL: vl.ID, Port: port}
-	if a.opts.PrefixMode == PrefixNC {
-		d, ok := a.ncPrefix[key]
-		if !ok {
-			a.m.ncMiss.Inc()
-			return 0, fmt.Errorf("trajectory: no NC prefix bound for VL %s at %s", vl.ID, port)
-		}
-		// Hits are batched by the callers (interferenceSet and
-		// mergeInterferers): one atomic Add per interference set, not
-		// one per lookup.
-		return d, nil
-	}
-	if d, ok := a.trajPrefix.get(key); ok {
-		a.m.recHits.Inc()
-		return d, nil
-	}
-	a.m.recMiss.Inc()
-	if visiting[key] {
-		return 0, fmt.Errorf("trajectory: cyclic prefix dependency at VL %s port %s", vl.ID, port)
-	}
-	prefix, onPath := a.prefixPorts(vl, port)
-	if !onPath {
-		// A flow is only ever queried at ports it crosses (it came out
-		// of that port's flow list); reaching this is an engine bug, and
-		// absorbing it as a zero prefix bound would silently turn the
-		// bug into an optimistic S_max.
-		return 0, fmt.Errorf("trajectory: internal error: VL %s does not cross port %s (S_max queried off-path)", vl.ID, port)
-	}
-	if len(prefix) == 0 {
-		a.trajPrefix.put(key, 0)
-		return 0, nil
-	}
-	if visiting == nil {
-		visiting = map[netcalc.FlowPortKey]bool{}
-	}
-	visiting[key] = true
-	det, err := a.analyzePortSeq(ctx, vl, prefix, visiting)
-	delete(visiting, key)
-	if err != nil {
-		return 0, err
-	}
-	a.trajPrefix.put(key, det.DelayUs)
-	return det.DelayUs, nil
-}
-
-// prefixPorts returns the ports a VL crosses strictly before the given
-// port (on whichever of its paths contains that port; tree routing makes
-// the prefix unique). The second result distinguishes "port is the VL's
-// source hop" (empty prefix, true) from "the VL never crosses this port
-// at all" (false) — the two used to collapse into the same nil return,
-// letting a caller bug read an off-path query as a zero prefix bound.
-func (a *analyzer) prefixPorts(vl *afdx.VirtualLink, port afdx.PortID) ([]afdx.PortID, bool) {
-	for pi := range vl.Paths {
-		seq := a.pg.PathPorts(afdx.PathID{VL: vl.ID, PathIdx: pi})
-		for k, h := range seq {
-			if h == port {
-				return seq[:k], true
-			}
-		}
-	}
-	return nil, false
 }
 
 // maxFrameTimeAt returns max_j C_j over the flows crossing a port.

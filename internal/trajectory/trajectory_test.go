@@ -187,65 +187,6 @@ func TestPathDetailFields(t *testing.T) {
 	}
 }
 
-func TestPrefixTrajectoryModeTightens(t *testing.T) {
-	pg := figure2Graph(t)
-	ncMode, err := Analyze(pg, Options{Grouping: true, PrefixMode: PrefixNC})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trMode, err := Analyze(pg, Options{Grouping: true, PrefixMode: PrefixTrajectory})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pid, d := range trMode.PathDelays {
-		if d > ncMode.PathDelays[pid]+1e-9 {
-			t.Errorf("path %v: PrefixTrajectory %g worse than PrefixNC %g",
-				pid, d, ncMode.PathDelays[pid])
-		}
-	}
-}
-
-func TestDeltaPlacementAblation(t *testing.T) {
-	pg := figure2Graph(t)
-	recv, err := Analyze(pg, Options{Grouping: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := Analyze(pg, Options{Grouping: true, DeltaAtFirstNode: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// On Figure 2 all frames are equal so both conventions agree exactly.
-	for pid, d := range recv.PathDelays {
-		if !almostEq(d, first.PathDelays[pid]) {
-			t.Errorf("path %v: conventions disagree on uniform frames: %g vs %g",
-				pid, d, first.PathDelays[pid])
-		}
-	}
-	// With a small v1 they must differ on v1's path (the source port's
-	// largest frame is v1's own 100B, the receiving ports' is 500B).
-	n := afdx.Figure2Config()
-	n.VLs[0].SMaxBytes = 100
-	n.VLs[0].SMinBytes = 100
-	pg2, err := afdx.BuildPortGraph(n, afdx.Strict)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recv2, err := Analyze(pg2, Options{Grouping: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first2, err := Analyze(pg2, Options{Grouping: true, DeltaAtFirstNode: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pid := afdx.PathID{VL: "v1", PathIdx: 0}
-	if recv2.PathDelays[pid] <= first2.PathDelays[pid] {
-		t.Errorf("receiving-node convention (%g) should exceed first-node (%g) for a small v1",
-			recv2.PathDelays[pid], first2.PathDelays[pid])
-	}
-}
-
 func TestBusyPeriodWithCompetingSourceFlows(t *testing.T) {
 	// Two VLs on the same source end system: the busy period of the
 	// shared source port covers both frames.
@@ -677,37 +618,33 @@ func TestBusyPeriodHighUtilizationConverges(t *testing.T) {
 
 func TestParallelMatchesSequential(t *testing.T) {
 	// The determinism contract: any worker count yields bit-identical
-	// bounds. Exercised here in both prefix modes (PrefixTrajectory
-	// stresses the concurrent prefix cache).
+	// bounds.
 	pg := figure2Graph(t)
-	for _, mode := range []PrefixMode{PrefixNC, PrefixTrajectory} {
-		opts := DefaultOptions()
-		opts.PrefixMode = mode
-		opts.Parallel = 1
-		seq, err := Analyze(pg, opts)
-		if err != nil {
-			t.Fatal(err)
+	opts := DefaultOptions()
+	opts.Parallel = 1
+	seq, err := Analyze(pg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Parallel = 8
+	par, err := Analyze(pg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seq.PathDelays) != len(par.PathDelays) {
+		t.Fatalf("path count %d vs %d", len(seq.PathDelays), len(par.PathDelays))
+	}
+	for pid, d := range seq.PathDelays {
+		if pd, ok := par.PathDelays[pid]; !ok || pd != d {
+			t.Errorf("path %v sequential %v parallel %v (must be bit-identical)", pid, d, pd)
 		}
-		opts.Parallel = 8
-		par, err := Analyze(pg, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(seq.PathDelays) != len(par.PathDelays) {
-			t.Fatalf("mode %v: path count %d vs %d", mode, len(seq.PathDelays), len(par.PathDelays))
-		}
-		for pid, d := range seq.PathDelays {
-			if pd, ok := par.PathDelays[pid]; !ok || pd != d {
-				t.Errorf("mode %v: path %v sequential %v parallel %v (must be bit-identical)", mode, pid, d, pd)
-			}
-		}
-		if len(seq.Details) != len(par.Details) {
-			t.Fatalf("mode %v: detail count differs", mode)
-		}
-		for pid, det := range seq.Details {
-			if par.Details[pid] != det {
-				t.Errorf("mode %v: path %v details differ: %+v vs %+v", mode, pid, det, par.Details[pid])
-			}
+	}
+	if len(seq.Details) != len(par.Details) {
+		t.Fatalf("detail count differs")
+	}
+	for pid, det := range seq.Details {
+		if par.Details[pid] != det {
+			t.Errorf("path %v details differ: %+v vs %+v", pid, det, par.Details[pid])
 		}
 	}
 }
