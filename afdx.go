@@ -82,6 +82,10 @@ func SortPortIDs(ids []PortID) { iafdx.SortPortIDs(ids) }
 // iteration order for per-path results gathered from a map.
 func SortPathIDs(ids []PathID) { iafdx.SortPathIDs(ids) }
 
+// ParsePathArg parses the command-line path form: vl/pathIdx with a
+// non-negative decimal index, or a bare vl meaning its path 0.
+func ParsePathArg(s string) (PathID, error) { return iafdx.ParsePathArg(s) }
+
 // Validation modes.
 const (
 	// Strict enforces the full ARINC 664 contract (power-of-two BAGs,

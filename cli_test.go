@@ -480,10 +480,11 @@ func TestCLIBoundsWhatIf(t *testing.T) {
 
 // TestCLIErrorPaths drives usage and input errors: each must exit with
 // its documented code, name its cause on stderr and write nothing to
-// stdout. Invalid numeric flags are rejected before any work; a
-// simulation horizon the simulator cannot represent fails the run
-// (exit 1). Each numeric row used to run on a default or degenerate
-// value and exit 0 or 1.
+// stdout. Invalid numeric flags and path arguments are rejected before
+// any work, and before the lint pre-flight; a simulation horizon the
+// simulator cannot represent fails the run (exit 1). Each numeric or
+// path row used to run on a default, degenerate or misparsed value and
+// exit 0 or 1.
 func TestCLIErrorPaths(t *testing.T) {
 	dir := buildCLIs(t)
 	clean := filepath.Join("internal", "lint", "testdata", "clean.json")
@@ -506,6 +507,22 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"afdx-sim", []string{"-config", clean, "-policing", "-policing-rate", "-1"}, 2, "-policing-rate"},
 		{"afdx-sim", []string{"-config", clean, "-jitter-us", "-5"}, 2, "-jitter-us"},
 		{"afdx-sim", []string{"-config", clean, "-jitter-us", "NaN"}, 2, "-jitter-us"},
+		{"afdx-sim", []string{"-config", clean, "-histogram", "v1/abc"}, 2, "bad -histogram value"},
+		{"afdx-sim", []string{"-config", clean, "-histogram", "v1/0x"}, 2, "bad -histogram value"},
+		{"afdx-sim", []string{"-config", clean, "-histogram", "v1/-1"}, 2, "bad -histogram value"},
+		{"afdx-sim", []string{"-config", clean, "-histogram", "/0"}, 2, "bad -histogram value"},
+		{"afdx-sim", []string{"-config", clean, "-histogram", "bogus"}, 2, "has no path bogus/0"},
+		{"afdx-serve", []string{"-selfcheck", "-config", clean, "-timeout", "-1s"}, 2, "-timeout must be non-negative"},
+		{"afdx-serve", []string{"-selfcheck", "-config", clean, "-drain-timeout", "-1s"}, 2, "-drain-timeout must be positive"},
+		{"afdx-serve", []string{"-selfcheck", "-config", clean, "-drain-timeout", "0"}, 2, "-drain-timeout must be positive"},
+		{"afdx-serve", []string{"-selfcheck", "-config", clean, "-max-sessions", "-1"}, 2, "-max-sessions must be non-negative"},
+		{"afdx-serve", []string{"-selfcheck", "-config", clean, "-max-body", "-1"}, 2, "-max-body must be non-negative"},
+		{"afdx-serve", []string{"-selfcheck", "-config", clean, "-trace-ring", "-1"}, 2, "-trace-ring must be non-negative"},
+		{"afdx-serve", []string{"-selfcheck", "-config", clean, "-idle-timeout", "-1s"}, 2, "-idle-timeout must be non-negative"},
+		{"afdx-serve", []string{"-selfcheck", "-config", clean, "-slow-threshold", "-1s"}, 2, "-slow-threshold must be non-negative"},
+		{"afdx-serve", []string{"-selfcheck", "-config", clean, "-sample-interval", "-1s"}, 2, "-sample-interval must be non-negative"},
+		{"afdx-serve", []string{"-selfcheck", "-config", clean, "-replay-steps", "-5"}, 2, "-replay-steps must be non-negative"},
+		{"afdx-conformance", []string{"-n", "1", "-budget", "-1s"}, 2, "-budget must be non-negative"},
 		{"afdx-gen", []string{"-vls", "-5"}, 2, "-vls"},
 		{"afdx-gen", []string{"-switches", "-1"}, 2, "-switches"},
 		{"afdx-gen", []string{"-es-per-switch", "-3"}, 2, "-es-per-switch"},
@@ -531,6 +548,11 @@ func TestCLIErrorPaths(t *testing.T) {
 		}
 		if !strings.Contains(stderr.String(), tc.msg) {
 			t.Errorf("%s: stderr misses %q:\n%s", label, tc.msg, stderr.String())
+		}
+		// A usage error is caught before the lint pre-flight runs, so no
+		// lint warning precedes its message.
+		if tc.code == 2 && strings.Contains(stderr.String(), ": lint: ") {
+			t.Errorf("%s: a usage error printed lint output first:\n%s", label, stderr.String())
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%s: want empty stdout, got:\n%.300s", label, stdout.String())

@@ -63,7 +63,6 @@ import (
 	"log"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 
 	"afdx"
@@ -117,8 +116,8 @@ func main() {
 	var explainPath afdx.PathID
 	var err error
 	if *explain != "" {
-		if explainPath, err = parseExplain(*explain); err != nil {
-			log.Print(err)
+		if explainPath, err = afdx.ParsePathArg(*explain); err != nil {
+			log.Printf("bad -explain value: %v", err)
 			os.Exit(exitUsage)
 		}
 	}
@@ -139,10 +138,8 @@ func main() {
 	if err != nil {
 		fail(exitUsage, err)
 	}
-	if *explain != "" {
-		if vl := net.VL(explainPath.VL); vl == nil || explainPath.PathIdx >= len(vl.Paths) {
-			fail(exitUsage, fmt.Errorf("bad -explain value %q: the configuration has no path %v", *explain, explainPath))
-		}
+	if *explain != "" && !net.HasPath(explainPath) {
+		fail(exitUsage, fmt.Errorf("bad -explain value %q: the configuration has no path %v", *explain, explainPath))
 	}
 	if !*noLint {
 		preflight(net, mode)
@@ -275,20 +272,6 @@ func (m *multiFlag) String() string { return strings.Join(*m, "; ") }
 func (m *multiFlag) Set(v string) error {
 	*m = append(*m, v)
 	return nil
-}
-
-// parseExplain parses an -explain value: vl/pathIdx with a non-negative
-// decimal index, or a bare vl meaning path 0.
-func parseExplain(s string) (afdx.PathID, error) {
-	vl, idx := s, "0"
-	if i := strings.LastIndex(s, "/"); i >= 0 {
-		vl, idx = s[:i], s[i+1:]
-	}
-	n, err := strconv.Atoi(idx)
-	if vl == "" || err != nil || n < 0 {
-		return afdx.PathID{}, fmt.Errorf("bad -explain value %q (want vl/pathIdx, e.g. v1/0)", s)
-	}
-	return afdx.PathID{VL: vl, PathIdx: n}, nil
 }
 
 // boundsTable renders the per-path bounds table; either result may be

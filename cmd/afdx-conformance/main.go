@@ -25,7 +25,7 @@
 //
 //	0  every checked configuration satisfied every invariant
 //	1  at least one invariant violation
-//	2  usage error
+//	2  usage error (including a non-positive -n or a negative -budget)
 package main
 
 import (
@@ -67,6 +67,10 @@ func main() {
 	flag.Parse()
 	if *n <= 0 {
 		log.Printf("-n must be positive, got %d", *n)
+		os.Exit(exitUsage)
+	}
+	if *budget < 0 {
+		log.Printf("-budget must be non-negative, got %v", *budget)
 		os.Exit(exitUsage)
 	}
 	if flag.NArg() > 0 {

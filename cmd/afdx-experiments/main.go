@@ -53,11 +53,20 @@ func main() {
 		}
 		sess.Exit(0)
 	}
+	exps := experiments.All()
+	if *exp != "all" {
+		e, ok := experiments.ByID(*exp)
+		if !ok {
+			log.Printf("unknown experiment %q (use -list)", *exp)
+			sess.Exit(2)
+		}
+		exps = []experiments.Experiment{e}
+	}
 	if !*noLint {
 		preflight(*seed)
 	}
 	cfg := experiments.Config{Seed: *seed, Parallel: *parallelN, Ctx: sess.Context()}
-	run := func(e experiments.Experiment) {
+	for _, e := range exps {
 		fmt.Printf("=== %s: %s ===\n\n", e.ID, e.Title)
 		if err := e.Run(os.Stdout, cfg); err != nil {
 			log.Printf("%s: %v", e.ID, err)
@@ -65,18 +74,6 @@ func main() {
 		}
 		fmt.Println()
 	}
-	if *exp == "all" {
-		for _, e := range experiments.All() {
-			run(e)
-		}
-		sess.Exit(0)
-	}
-	e, ok := experiments.ByID(*exp)
-	if !ok {
-		log.Printf("unknown experiment %q (use -list)", *exp)
-		sess.Exit(2)
-	}
-	run(e)
 	sess.Exit(0)
 }
 

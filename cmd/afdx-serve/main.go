@@ -32,7 +32,9 @@
 //
 // Exit codes: 0 success; 1 serve/selfcheck failure (any served bound
 // differing from its cold anchor); 2 usage error or unreadable/invalid
-// configuration.
+// configuration. A negative limit, timeout, period, -trace-ring or
+// -replay-steps, or a -drain-timeout that is not positive, is a usage
+// error reported before the daemon listens or the smoke runs.
 package main
 
 import (
@@ -91,6 +93,28 @@ func main() {
 	)
 	obsFlags := cliobs.Register(flag.CommandLine)
 	flag.Parse()
+	// A negative limit or period would silently mean "unbounded" or
+	// "off"; only 0 carries that meaning, where the flag documents it.
+	for _, c := range []struct {
+		name string
+		ok   bool
+		want string
+	}{
+		{"max-sessions", *maxSessions >= 0, "non-negative"},
+		{"max-body", *maxBody >= 0, "non-negative"},
+		{"timeout", *reqTimeout >= 0, "non-negative"},
+		{"idle-timeout", *idleTimeout >= 0, "non-negative"},
+		{"drain-timeout", *drainTimeout > 0, "positive"},
+		{"replay-steps", *replaySteps >= 0, "non-negative"},
+		{"trace-ring", *traceRing >= 0, "non-negative"},
+		{"slow-threshold", *slowThresh >= 0, "non-negative"},
+		{"sample-interval", *sampleIvl >= 0, "non-negative"},
+	} {
+		if !c.ok {
+			log.Printf("-%s must be %s, got %v", c.name, c.want, flag.Lookup(c.name).Value)
+			os.Exit(exitUsage)
+		}
+	}
 	var err error
 	if sess, err = obsFlags.Start(); err != nil {
 		fail(exitUsage, err)

@@ -11,7 +11,9 @@
 // The configuration is linted before the simulation starts; lint errors
 // abort the run (bypass with -no-lint). A negative or non-finite
 // -jitter-us, or a non-positive or non-finite -policing-rate, is a
-// usage error (exit 2).
+// usage error (exit 2). So is a -histogram value that is not
+// vl/pathIdx (a bare vl means path 0) or names a path the
+// configuration lacks; it is reported before the simulation runs.
 package main
 
 import (
@@ -21,7 +23,6 @@ import (
 	"math"
 	"os"
 	"sort"
-	"strings"
 
 	"afdx"
 	"afdx/internal/obs/cliobs"
@@ -70,7 +71,14 @@ func main() {
 		log.Printf("-policing-rate must be a finite positive number, got %v", *polRate)
 		os.Exit(2)
 	}
+	var histPath afdx.PathID
 	var err error
+	if *histogram != "" {
+		if histPath, err = afdx.ParsePathArg(*histogram); err != nil {
+			log.Printf("bad -histogram value: %v", err)
+			os.Exit(2)
+		}
+	}
 	if sess, err = obsFlags.Start(); err != nil {
 		log.Print(err)
 		os.Exit(2)
@@ -83,6 +91,10 @@ func main() {
 	net, err := afdx.LoadJSON(*config, mode)
 	if err != nil {
 		fatal(err)
+	}
+	if *histogram != "" && !net.HasPath(histPath) {
+		log.Printf("bad -histogram value %q: the configuration has no path %v", *histogram, histPath)
+		sess.Exit(2)
 	}
 	if !*noLint {
 		opts := afdx.DefaultLintOptions()
@@ -159,19 +171,11 @@ func main() {
 		res.FramesEmitted, res.FramesDropped, res.MaxDelayUs())
 
 	if *histogram != "" {
-		var vl string
-		idx := 0
-		if i := strings.LastIndex(*histogram, "/"); i > 0 {
-			vl = (*histogram)[:i]
-			fmt.Sscanf((*histogram)[i+1:], "%d", &idx)
-		} else {
-			vl = *histogram
-		}
-		delays := res.FrameDelays[afdx.PathID{VL: vl, PathIdx: idx}]
+		delays := res.FrameDelays[histPath]
 		if len(delays) == 0 {
-			fatal(fmt.Sprintf("no frames observed on path %s/%d", vl, idx))
+			fatal(fmt.Sprintf("no frames observed on path %v", histPath))
 		}
-		fmt.Printf("\ndelay distribution of %s/%d (%s):\n", vl, idx, stats.Summarize(delays))
+		fmt.Printf("\ndelay distribution of %v (%s):\n", histPath, stats.Summarize(delays))
 		fmt.Print(stats.RenderHistogram(stats.Histogram(delays, 12), 40))
 	}
 	sess.Exit(0)

@@ -182,6 +182,28 @@ type PathID struct {
 
 func (p PathID) String() string { return p.VL + "/" + strconv.Itoa(p.PathIdx) }
 
+// ParsePathArg parses the command-line path form, String's output: a
+// vl/pathIdx pair with a non-negative decimal index, or a bare vl
+// meaning its path 0. Whether the path exists is Network.HasPath's
+// question.
+func ParsePathArg(s string) (PathID, error) {
+	vl, idx := s, "0"
+	if i := strings.LastIndex(s, "/"); i >= 0 {
+		vl, idx = s[:i], s[i+1:]
+	}
+	n, err := strconv.Atoi(idx)
+	if vl == "" || err != nil || n < 0 {
+		return PathID{}, fmt.Errorf("%q is not a path (want vl/pathIdx, e.g. v1/0)", s)
+	}
+	return PathID{VL: vl, PathIdx: n}, nil
+}
+
+// HasPath reports whether the network has the path.
+func (n *Network) HasPath(id PathID) bool {
+	vl := n.VL(id.VL)
+	return vl != nil && id.PathIdx < len(vl.Paths)
+}
+
 // SortPathIDs orders path identifiers by (VL, PathIdx) — the canonical
 // iteration order whenever per-path results gathered from a map must be
 // accumulated or emitted deterministically (DET001/DET003).

@@ -15,7 +15,7 @@ import (
 // ctx.Err() / select on ctx.Done() so afdx-bounds and the conformance
 // budget can cancel them, and (b) literal iteration caps of 1e6 or more
 // are a bail in disguise and must be replaced by a derived capacity
-// bound (see trajectory.sourceBusyPeriod's remaining-capacity cap).
+// bound (see trajectory.busyFixpoint's remaining-capacity cap).
 func init() {
 	Register(&Analyzer{
 		ID:   CodeCtxLoop,

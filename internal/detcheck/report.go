@@ -115,105 +115,41 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return enc.Encode(&out)
 }
 
-// The SARIF 2.1.0 subset code scanners consume, mirroring
-// internal/lint's writer with physical line regions.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string       `json:"id"`
-	Name             string       `json:"name"`
-	ShortDescription sarifMessage `json:"shortDescription"`
-	FullDescription  sarifMessage `json:"fullDescription"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifMessage    `json:"message"`
-	Locations []sarifLocation `json:"locations,omitempty"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           *sarifRegion  `json:"region,omitempty"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn,omitempty"`
-}
-
 // WriteSARIF renders the report in SARIF 2.1.0: one run, one rule per
 // registered analyzer (plus DET000), one result per finding with its
 // physical source location.
 func (r *Report) WriteSARIF(w io.Writer) error {
-	driver := sarifDriver{Name: "afdx-vet", Rules: []sarifRule{{
+	rules := []diag.SARIFRule{{
 		ID:               CodeMeta,
 		Name:             "detcheck",
-		ShortDescription: sarifMessage{Text: "detcheck"},
-		FullDescription:  sarifMessage{Text: "malformed //detcheck: directives and packages that fail to load"},
-	}}}
+		ShortDescription: diag.SARIFMessage{Text: "detcheck"},
+		FullDescription:  diag.SARIFMessage{Text: "malformed //detcheck: directives and packages that fail to load"},
+	}}
 	for _, a := range Analyzers() {
-		driver.Rules = append(driver.Rules, sarifRule{
+		rules = append(rules, diag.SARIFRule{
 			ID:               a.ID,
 			Name:             a.Name,
-			ShortDescription: sarifMessage{Text: a.Name},
-			FullDescription:  sarifMessage{Text: a.Doc},
+			ShortDescription: diag.SARIFMessage{Text: a.Name},
+			FullDescription:  diag.SARIFMessage{Text: a.Doc},
 		})
 	}
-	run := sarifRun{Tool: sarifTool{Driver: driver}, Results: []sarifResult{}}
+	var results []diag.SARIFResult
 	for _, f := range r.Findings {
 		level := "error"
 		if f.Suppressed {
 			level = "note"
 		}
-		run.Results = append(run.Results, sarifResult{
+		results = append(results, diag.SARIFResult{
 			RuleID:  f.ID,
 			Level:   level,
-			Message: sarifMessage{Text: f.Message},
-			Locations: []sarifLocation{{PhysicalLocation: sarifPhysical{
-				ArtifactLocation: sarifArtifact{URI: f.File},
-				Region:           &sarifRegion{StartLine: f.Line, StartColumn: f.Col},
+			Message: diag.SARIFMessage{Text: f.Message},
+			Locations: []diag.SARIFLocation{{PhysicalLocation: &diag.SARIFPhysical{
+				ArtifactLocation: diag.SARIFArtifact{URI: f.File},
+				Region:           &diag.SARIFRegion{StartLine: f.Line, StartColumn: f.Col},
 			}}},
 		})
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs:    []sarifRun{run},
-	})
+	return diag.WriteSARIF(w, "afdx-vet", rules, results)
 }
 
 // ApplyFixes applies every mechanical fix among the active findings to

@@ -44,64 +44,6 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return enc.Encode(&out)
 }
 
-// SARIF 2.1.0 skeleton, the subset static-analysis viewers consume:
-// one run, one rule per registered analyzer, one result per diagnostic.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string            `json:"id"`
-	Name             string            `json:"name"`
-	ShortDescription sarifMessage      `json:"shortDescription"`
-	FullDescription  sarifMessage      `json:"fullDescription"`
-	Properties       map[string]string `json:"properties,omitempty"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifMessage    `json:"message"`
-	Locations []sarifLocation `json:"locations,omitempty"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation *sarifPhysical  `json:"physicalLocation,omitempty"`
-	LogicalLocations []sarifLogicalL `json:"logicalLocations,omitempty"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifLogicalL struct {
-	FullyQualifiedName string `json:"fullyQualifiedName"`
-}
-
 func sarifLevel(s diag.Severity) string {
 	switch s {
 	case diag.Error:
@@ -114,43 +56,38 @@ func sarifLevel(s diag.Severity) string {
 }
 
 // WriteSARIF renders the report in SARIF 2.1.0 so CI systems and code
-// scanners can ingest it. artifactURI names the configuration file the
-// report describes (empty is allowed: locations then carry only the
-// logical network coordinates).
+// scanners can ingest it: one rule per registered analyzer, one result
+// per diagnostic. artifactURI names the configuration file the report
+// describes (empty is allowed: locations then carry only the logical
+// network coordinates).
 func (r *Report) WriteSARIF(w io.Writer, artifactURI string) error {
-	driver := sarifDriver{Name: "afdx-lint"}
+	var rules []diag.SARIFRule
 	for _, a := range Analyzers() {
-		driver.Rules = append(driver.Rules, sarifRule{
+		rules = append(rules, diag.SARIFRule{
 			ID:               string(a.Code),
 			Name:             a.Name,
-			ShortDescription: sarifMessage{Text: a.Name},
-			FullDescription:  sarifMessage{Text: a.Doc},
+			ShortDescription: diag.SARIFMessage{Text: a.Name},
+			FullDescription:  diag.SARIFMessage{Text: a.Doc},
 		})
 	}
-	run := sarifRun{Tool: sarifTool{Driver: driver}, Results: []sarifResult{}}
+	var results []diag.SARIFResult
 	for _, d := range r.Diagnostics {
-		res := sarifResult{
+		res := diag.SARIFResult{
 			RuleID:  string(d.Code),
 			Level:   sarifLevel(d.Severity),
-			Message: sarifMessage{Text: d.Message},
+			Message: diag.SARIFMessage{Text: d.Message},
 		}
-		var loc sarifLocation
+		var loc diag.SARIFLocation
 		if artifactURI != "" {
-			loc.PhysicalLocation = &sarifPhysical{ArtifactLocation: sarifArtifact{URI: artifactURI}}
+			loc.PhysicalLocation = &diag.SARIFPhysical{ArtifactLocation: diag.SARIFArtifact{URI: artifactURI}}
 		}
 		if !d.Loc.IsZero() {
-			loc.LogicalLocations = []sarifLogicalL{{FullyQualifiedName: d.Loc.String()}}
+			loc.LogicalLocations = []diag.SARIFLogical{{FullyQualifiedName: d.Loc.String()}}
 		}
 		if loc.PhysicalLocation != nil || loc.LogicalLocations != nil {
-			res.Locations = []sarifLocation{loc}
+			res.Locations = []diag.SARIFLocation{loc}
 		}
-		run.Results = append(run.Results, res)
+		results = append(results, res)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs:    []sarifRun{run},
-	})
+	return diag.WriteSARIF(w, "afdx-lint", rules, results)
 }

@@ -26,7 +26,7 @@ import (
 // field set, the RequestTrace shape, and the provenance record layout.
 // It is stamped into provenance records so a retained bound can be
 // decoded years later against the right schema.
-const Version = "oplog/2"
+const Version = "oplog/3"
 
 // Sink resolves a log destination string to a writer:
 //

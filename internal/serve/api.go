@@ -127,10 +127,6 @@ type Provenance struct {
 	Engines string `json:"engines"`
 	// Analysis echoes the round's ?analysis= name ("WCNC" or "FIFO").
 	Analysis string `json:"analysis"`
-	// TrajectoryPath is the trajectory evaluation variant ("flat":
-	// the flattened hot path; the reference walker exists only for
-	// differential tests).
-	TrajectoryPath string `json:"trajectoryPath"`
 	// Workers is the session's engine worker count (0 = all CPUs).
 	// Bounds do not depend on it.
 	Workers int `json:"workers"`

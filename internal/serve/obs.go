@@ -211,10 +211,9 @@ func (s *Server) provenance(sess *incremental.Session, ds []incremental.Delta, c
 		return nil
 	}
 	return &Provenance{
-		ConfigFNV64:    oplog.FNV64(data),
-		Engines:        "netcalc+trajectory",
-		Analysis:       analysis,
-		TrajectoryPath: "flat",
+		ConfigFNV64: oplog.FNV64(data),
+		Engines:     "netcalc+trajectory",
+		Analysis:    analysis,
 		// The audit record carries the resolved worker count (<= 0 is
 		// the "all cores" sentinel, useless to an auditor).
 		Workers:    parallel.Workers(workers),

@@ -238,7 +238,11 @@ func TestProvenanceDigestSemantics(t *testing.T) {
 	if plain.Provenance != nil {
 		t.Error("provenance present without ?provenance=1")
 	}
-	if err := postJSON(ts.Client(), ts.URL+"/v1/sessions/"+base.Session+"/apply?provenance=1", body, &commit); err != nil {
+	var raw json.RawMessage
+	if err := postJSON(ts.Client(), ts.URL+"/v1/sessions/"+base.Session+"/apply?provenance=1", body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &commit); err != nil {
 		t.Fatal(err)
 	}
 	if peek.Provenance.ConfigFNV64 != commit.Provenance.ConfigFNV64 {
@@ -251,8 +255,19 @@ func TestProvenanceDigestSemantics(t *testing.T) {
 	if w := commit.Provenance.Workers; w != 1 {
 		t.Errorf("workers = %d, want the session's parallel=1", w)
 	}
-	if commit.Provenance.Engines != "netcalc+trajectory" || commit.Provenance.TrajectoryPath != "flat" {
-		t.Errorf("engine labels = %q/%q", commit.Provenance.Engines, commit.Provenance.TrajectoryPath)
+	if commit.Provenance.Engines != "netcalc+trajectory" {
+		t.Errorf("engines = %q", commit.Provenance.Engines)
+	}
+	// The record names no trajectory variant (one engine serves), and
+	// its schema tag says so.
+	var keys struct {
+		Provenance map[string]any `json:"provenance"`
+	}
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := keys.Provenance["trajectoryPath"]; ok || keys.Provenance["obsVersion"] != "oplog/3" {
+		t.Errorf("provenance record %v: want no trajectoryPath key and obsVersion oplog/3", keys.Provenance)
 	}
 }
 

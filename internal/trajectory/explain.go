@@ -88,24 +88,12 @@ func Explain(pg *afdx.PortGraph, pid afdx.PathID, opts Options) (*Explanation, e
 func ExplainCtx(ctx context.Context, pg *afdx.PortGraph, pid afdx.PathID, opts Options, nc *netcalc.Result) (*Explanation, error) {
 	ctx, span := obs.StartSpan(ctx, "trajectory")
 	defer span.End()
-	a, err := newAnalyzerWith(ctx, pg, opts, nc, false)
+	a, err := newAnalyzer(ctx, pg, opts, nc)
 	if err != nil {
 		return nil, err
 	}
-	return a.explainPath(ctx, pid)
-}
-
-// explainPath is analyzePath on the flat engine with the decomposition
-// filled in at the critical offset.
-func (a *analyzer) explainPath(ctx context.Context, pid afdx.PathID) (*Explanation, error) {
-	ports := a.pg.PathPorts(pid)
-	vl := a.pg.VL(pid.VL)
-	if len(ports) == 0 || vl == nil {
-		return nil, fmt.Errorf("trajectory: unknown path %v", pid)
-	}
-	a.m.paths.Inc()
 	ex := &Explanation{Path: pid}
-	if _, err := a.analyzePortSeqFlat(ctx, vl, ports, ex); err != nil {
+	if _, err := a.analyzePath(ctx, pid, ex); err != nil {
 		return nil, err
 	}
 	return ex, nil

@@ -112,11 +112,11 @@ func explainAll(t *testing.T, label string, pg *afdx.PortGraph, variants []struc
 			res, err := AnalyzeCtx(ctx, pg, opts)
 			runs, runErr = append(runs, res), err
 		}
-		a, err := newAnalyzerWith(ctx, pg, v.opts, nil, false)
+		a, err := newAnalyzer(ctx, pg, v.opts, nil)
 		if err == nil {
 			for _, pid := range pg.Net.AllPaths() {
-				var ex *Explanation
-				if ex, err = a.explainPath(ctx, pid); err != nil {
+				ex := &Explanation{Path: pid}
+				if _, err = a.analyzePath(ctx, pid, ex); err != nil {
 					break
 				}
 				for i, res := range runs {
@@ -274,11 +274,11 @@ func TestExplainCountsLikeOnePathAnalysis(t *testing.T) {
 	}
 	for _, v := range engineVariants {
 		onePath := snapshot(func(ctx context.Context) error {
-			a, err := newAnalyzer(ctx, pg, v.opts)
+			a, err := newAnalyzer(ctx, pg, v.opts, nil)
 			if err != nil {
 				return err
 			}
-			_, err = a.analyzePath(ctx, pid)
+			_, err = a.analyzePath(ctx, pid, nil)
 			return err
 		})
 		explained := snapshot(func(ctx context.Context) error {

@@ -13,10 +13,10 @@ import (
 )
 
 // This file is the flattened trajectory hot path. The reference engine
-// (reference.go) spends ~90% of its time hashing strings and rebuilding
-// maps inside the two per-candidate/per-path inner loops; this
-// implementation runs the same mathematics on dense, int-indexed state
-// built once per analyzer:
+// (reference_test.go) spends ~90% of its time hashing strings and
+// rebuilding maps inside the two per-candidate/per-path inner loops;
+// this implementation runs the same mathematics on dense, int-indexed
+// state built once per analyzer:
 //
 //   - VLs are addressed by their dense ordinal (afdx.PortGraph.VLOrdinal,
 //     ID-sorted, so ordinal order == ID order) instead of string map keys.
@@ -165,13 +165,9 @@ type flatIndex struct {
 	pool  sync.Pool // of *scratch
 }
 
-// prepare builds the flat hot-path index. newAnalyzerWith runs it once
-// the prefix bounds are known; it is skipped entirely on reference
-// analyzers.
+// prepare builds the flat hot-path index. newAnalyzer runs it once the
+// prefix bounds are known.
 func (a *analyzer) prepare() error {
-	if a.reference {
-		return nil
-	}
 	fl := &flatIndex{
 		vls:   a.pg.VLOrder(),
 		ports: make(map[afdx.PortID]*flatPort, len(a.pg.Ports)),
@@ -585,8 +581,9 @@ func (sc *scratch) mergeCandidates(ctx context.Context, busy float64) error {
 	for i := range sc.inter {
 		it := &sc.inter[i]
 		T := it.bagUs
-		// Same start index as candidateOffsets (see there for the
-		// k-domain tolerance rationale).
+		// Same start index as the reference candidateOffsets
+		// (reference_test.go; see there for the k-domain tolerance
+		// rationale).
 		k := math.Ceil(it.aUs/T - tol.At(it.aUs/T))
 		if k < 1 {
 			k = 1

@@ -14,7 +14,7 @@ import (
 )
 
 // Differential tests of the flat hot path (flat.go) against the
-// reference engine (reference.go). The contract is bit-identity: every
+// reference engine (reference_test.go). The contract is bit-identity: every
 // PathDetail — delay, busy period, critical offset, candidate and
 // interferer counts — must be exactly equal (==, no tolerance) at every
 // worker count.
@@ -180,11 +180,11 @@ search:
 
 	ctx := context.Background()
 	for _, v := range engineVariants {
-		ref, err := newAnalyzerWith(ctx, pg, v.opts, nil, true)
+		ref, err := newReference(ctx, pg, v.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat, err := newAnalyzerWith(ctx, pg, v.opts, nil, false)
+		flat, err := newAnalyzer(ctx, pg, v.opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,8 +198,8 @@ search:
 		}
 		failed := 0
 		for _, p := range pg.Net.AllPaths() {
-			rd, rerr := ref.analyzePath(ctx, p)
-			fd, ferr := flat.analyzePath(ctx, p)
+			rd, rerr := ref.analyzePathRef(ctx, p)
+			fd, ferr := flat.analyzePath(ctx, p, nil)
 			label := fmt.Sprintf("%s/%v", v.name, p)
 			switch {
 			case (rerr == nil) != (ferr == nil):

@@ -36,7 +36,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"afdx/internal/afdx"
 	"afdx/internal/core/tol"
@@ -148,33 +147,20 @@ type analyzer struct {
 	m    trMetrics
 	// ncPrefix holds the NC prefix delays, the S_max bounds.
 	ncPrefix map[netcalc.FlowPortKey]float64
-	// reference forces the pre-flattening hot path (reference.go) —
-	// the anchor the flattened engine is differentially tested
-	// against. Never set on production entry points.
-	reference bool
-	// flat is the dense per-run index the flattened hot path runs on
-	// (flat.go). Built by prepare after the prefix bounds are known;
-	// nil only on reference analyzers.
+	// flat is the dense per-run index the hot path runs on (flat.go),
+	// built by prepare once the prefix bounds are known.
 	flat *flatIndex
 }
 
 // newAnalyzer validates the configuration for trajectory analysis and
-// prepares the shared state (prefix bounds, flat hot-path index).
-func newAnalyzer(ctx context.Context, pg *afdx.PortGraph, opts Options) (*analyzer, error) {
-	return newAnalyzerWith(ctx, pg, opts, nil, false)
-}
-
-// newAnalyzerWith is newAnalyzer with the caller's NC result as the
-// prefix-bound source (see AnalyzeWithNCCtx; nil runs a private prefix
-// analysis) and an engine selector: reference analyzers skip the flat
-// index and run the pre-flattening hot path (differential tests
-// only).
-func newAnalyzerWith(ctx context.Context, pg *afdx.PortGraph, opts Options, nc *netcalc.Result, reference bool) (*analyzer, error) {
+// prepares the shared state: the prefix bounds, from the caller's NC
+// result (see AnalyzeWithNCCtx; nil runs a private prefix analysis),
+// and the flat hot-path index.
+func newAnalyzer(ctx context.Context, pg *afdx.PortGraph, opts Options, nc *netcalc.Result) (*analyzer, error) {
 	a := &analyzer{
-		pg:        pg,
-		opts:      opts,
-		m:         newTrMetrics(obs.RegistryFrom(ctx)),
-		reference: reference,
+		pg:   pg,
+		opts: opts,
+		m:    newTrMetrics(obs.RegistryFrom(ctx)),
 	}
 	// Shared stability pre-flight (lint diagnostic AFDX001), consuming
 	// PortGraph.UtilizationReport exactly as the Network Calculus engine
@@ -255,7 +241,7 @@ func AnalyzeCtx(ctx context.Context, pg *afdx.PortGraph, opts Options) (*Result,
 func AnalyzeWithNCCtx(ctx context.Context, pg *afdx.PortGraph, opts Options, nc *netcalc.Result) (*Result, error) {
 	ctx, span := obs.StartSpan(ctx, "trajectory")
 	defer span.End()
-	a, err := newAnalyzerWith(ctx, pg, opts, nc, false)
+	a, err := newAnalyzer(ctx, pg, opts, nc)
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +255,7 @@ func AnalyzeWithNCCtx(ctx context.Context, pg *afdx.PortGraph, opts Options, nc 
 	err = parallel.ForEachCtx(ctx, opts.Parallel, len(paths), func(i int) error {
 		_, psp := obs.StartSpan(ctx, "path:"+paths[i].String())
 		defer psp.End()
-		det, err := a.analyzePath(ctx, paths[i])
+		det, err := a.analyzePath(ctx, paths[i], nil)
 		dets[i] = det
 		return err
 	})
@@ -283,39 +269,20 @@ func AnalyzeWithNCCtx(ctx context.Context, pg *afdx.PortGraph, opts Options, nc 
 	return res, nil
 }
 
-// interferer is one flow of the interference set of a path.
-type interferer struct {
-	vl    *afdx.VirtualLink
-	first afdx.PortID // first port shared with the analyzed path
-	prev  string      // input node of the flow at that port ("" = source)
-	cUs   float64     // max transmission time over the shared ports
-	aUs   float64     // window alignment A_ij
-	// serRatio is input-link rate / first-port rate: the serialization
-	// cap of a group grows with the emission window scaled by it.
-	serRatio float64
-}
-
 // analyzePath bounds the end-to-end delay of one (VL, destination) path:
 // the latest complete transmission of a frame at the last port,
 // relative to its emission. ctx is checked inside the busy-period and
 // candidate loops, so a pathological configuration can be cancelled
-// mid-port.
-//
-// The work is dispatched to the flattened hot path (flat.go) unless the
-// analyzer was built as a reference anchor; both produce bit-identical
-// PathDetails (proven by the differential property tests in
-// flat_test.go), so the choice is invisible to callers.
-func (a *analyzer) analyzePath(ctx context.Context, pid afdx.PathID) (PathDetail, error) {
+// mid-port. A non-nil ex receives the bound's decomposition (see
+// analyzePortSeqFlat).
+func (a *analyzer) analyzePath(ctx context.Context, pid afdx.PathID, ex *Explanation) (PathDetail, error) {
 	ports := a.pg.PathPorts(pid)
 	vl := a.pg.VL(pid.VL)
 	if len(ports) == 0 || vl == nil {
 		return PathDetail{}, fmt.Errorf("trajectory: unknown path %v", pid)
 	}
 	a.m.paths.Inc()
-	if a.reference {
-		return a.analyzePortSeqRef(ctx, vl, ports)
-	}
-	return a.analyzePortSeqFlat(ctx, vl, ports, nil)
+	return a.analyzePortSeqFlat(ctx, vl, ports, ex)
 }
 
 // transitionSum bounds the transition ("counted twice") packets of a
@@ -346,23 +313,10 @@ func (a *analyzer) transitionSum(ports []afdx.PortID, terms *[]TransitionTerm) f
 	return deltaSum
 }
 
-// maxFrameTimeAt returns max_j C_j over the flows crossing a port.
-// With the flat index built, the max is precomputed (flow-order max
-// accumulation, so the value is the bitwise same float either way).
+// maxFrameTimeAt returns max_j C_j over the flows crossing a port,
+// precomputed by the flat index.
 func (a *analyzer) maxFrameTimeAt(id afdx.PortID) float64 {
-	if a.flat != nil {
-		if fp := a.flat.ports[id]; fp != nil {
-			return fp.maxC
-		}
-	}
-	p := a.pg.Ports[id]
-	m := 0.0
-	for _, f := range p.Flows {
-		if c := f.VL.CMaxUs(p.RateBitsPerUs); c > m {
-			m = c
-		}
-	}
-	return m
+	return a.flat.ports[id].maxC
 }
 
 // maxSharedFrameTime returns max_j C_j over the flows crossing both
@@ -384,11 +338,12 @@ func (a *analyzer) maxSharedFrameTime(prev, next afdx.PortID) float64 {
 }
 
 // busyFixpoint iterates a port workload function to its least fixpoint.
-// It is the shared core of the reference sourceBusyPeriod and the flat
-// engine's memoized busy periods: both hand it the same scalars
-// (sumC = w(0) envelope burst, minC = smallest frame, util = port
-// utilization, all accumulated in the port's flow order), so both
-// converge to bit-identical values in the same number of rounds.
+// It is the shared core of the flat engine's memoized busy periods and
+// the reference sourceBusyPeriod (reference_test.go): both hand it the
+// same scalars (sumC = w(0) envelope burst, minC = smallest frame,
+// util = port utilization, all accumulated in the port's flow order),
+// so both converge to bit-identical values in the same number of
+// rounds.
 //
 // The caller has already rejected util >= 1; under util < 1 the least
 // fixpoint sits below the remaining-capacity bound bMax = sumC/(1-util),
@@ -427,57 +382,4 @@ func frameCount(x, t float64) int {
 		x = 0
 	}
 	return 1 + int(math.Floor((x+tol.At(x))/t))
-}
-
-// candidateOffsets enumerates the emission offsets where the objective
-// can attain its maximum: t = 0 and every step point k*T_j - A_ij of an
-// interferer inside the busy period. A long busy period over a short
-// BAG yields thousands of step points per interferer, so the
-// enumeration polls ctx and can be cancelled mid-port. All comparisons
-// use the shared relative tolerance (tol): offsets scale with the busy
-// period, which exceeds 1e6 us on large-BAG configurations where an
-// absolute 1e-9 guard would fall below one ulp.
-func candidateOffsets(ctx context.Context, inter []interferer, busy float64) ([]float64, error) {
-	cands := []float64{0}
-	for _, it := range inter {
-		T := it.vl.BAGUs()
-		// Step points t = k*T - A_ij need t > 0, i.e. k > A_ij/T, and
-		// k >= 1 (N_j only jumps at whole windows). The tolerance is in
-		// the k domain — relative to the ratio being rounded — so an
-		// A_ij sitting a rounding error above an exact multiple of T
-		// still starts at that multiple (the t > tol.At(t) filter below
-		// then discards the t = 0 duplicate). The pre-fix code negated
-		// the ratio (ceil(-A_ij/T)), which collapsed to the k = 1 clamp
-		// for every positive A_ij — accidentally correct — but for
-		// A_ij <= -T it started at ceil(|A_ij|/T), silently skipping
-		// the first valid step points of early-arriving interferers and
-		// with them, potentially, the busy-period maximum.
-		start := math.Ceil(it.aUs/T - tol.At(it.aUs/T))
-		if start < 1 {
-			start = 1
-		}
-		for k, n := start, 0; ; k, n = k+1, n+1 {
-			if n&8191 == 8191 {
-				if err := ctx.Err(); err != nil {
-					return nil, fmt.Errorf("trajectory: candidate enumeration cancelled: %w", err)
-				}
-			}
-			t := k*T - it.aUs
-			if tol.Gt(t, busy) {
-				break
-			}
-			if t > tol.At(t) {
-				cands = append(cands, t)
-			}
-		}
-	}
-	sort.Float64s(cands)
-	// Deduplicate within tolerance.
-	out := cands[:0]
-	for _, t := range cands {
-		if len(out) == 0 || tol.Gt(t, out[len(out)-1]) {
-			out = append(out, t)
-		}
-	}
-	return out, nil
 }
