@@ -57,9 +57,4 @@ conformance:
 # Run every native fuzz target for ~10s (the smoke tier; longer runs
 # are a manual `go test -fuzz=... -fuzztime=10m` away).
 fuzz-smoke:
-	go test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s ./internal/afdx
-	go test -run '^$$' -fuzz '^FuzzConformanceConfig$$' -fuzztime 10s ./internal/conformance
-	go test -run '^$$' -fuzz '^FuzzParseDelta$$' -fuzztime 10s ./internal/incremental
-	go test -run '^$$' -fuzz '^FuzzServeWhatIf$$' -fuzztime 10s ./internal/serve
-	go test -run '^$$' -fuzz '^FuzzServeApply$$' -fuzztime 10s ./internal/serve
-	go test -run '^$$' -fuzz '^FuzzServeUpload$$' -fuzztime 10s ./internal/serve
+	./fuzz-smoke.sh 10s

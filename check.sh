@@ -35,10 +35,9 @@
 #  11. traced conformance    (same campaign with metrics + tracing on:
 #                             verdicts must be identical — observability
 #                             never participates in the computation)
-#  12. fuzz smoke            (each native fuzz target for 5 s:
-#                             FuzzReadJSON, FuzzConformanceConfig,
-#                             FuzzParseDelta, FuzzServeWhatIf,
-#                             FuzzServeApply, FuzzServeUpload)
+#  12. fuzz smoke            (fuzz-smoke.sh: every native fuzz target,
+#                             found from the func Fuzz* declarations in
+#                             the module's test files, for 5 s each)
 #
 # Usage: ./check.sh        (or: make check)
 set -eu
@@ -151,11 +150,6 @@ if ! grep -q '"violations": 0' "$obsdir/plain.json"; then
 fi
 
 echo "== fuzz smoke (5s per target)"
-go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 5s ./internal/afdx
-go test -run '^$' -fuzz '^FuzzConformanceConfig$' -fuzztime 5s ./internal/conformance
-go test -run '^$' -fuzz '^FuzzParseDelta$' -fuzztime 5s ./internal/incremental
-go test -run '^$' -fuzz '^FuzzServeWhatIf$' -fuzztime 5s ./internal/serve
-go test -run '^$' -fuzz '^FuzzServeApply$' -fuzztime 5s ./internal/serve
-go test -run '^$' -fuzz '^FuzzServeUpload$' -fuzztime 5s ./internal/serve
+./fuzz-smoke.sh 5s
 
 echo "check.sh: all gates passed"

@@ -496,6 +496,11 @@ func TestCLIErrorPaths(t *testing.T) {
 		msg  string
 	}{
 		{"afdx-bounds", nil, 2, "-config"},
+		{"afdx-bounds", []string{"-config", clean, "-parallel", "-5"}, 2, "-parallel must be non-negative"},
+		{"afdx-experiments", []string{"-exp", "fig3", "-parallel", "-5"}, 2, "-parallel must be non-negative"},
+		{"afdx-sim", []string{"-config", clean, "-parallel", "-5"}, 2, "-parallel must be non-negative"},
+		{"afdx-conformance", []string{"-n", "1", "-parallel", "-5"}, 2, "-parallel must be non-negative"},
+		{"afdx-serve", []string{"-selfcheck", "-config", clean, "-parallel", "-5"}, 2, "-parallel must be non-negative"},
 		{"afdx-experiments", []string{"-exp", "nope"}, 2, `unknown experiment "nope"`},
 		{"afdx-lint", []string{"-link-budget", "NaN", overbudget}, 2, "-link-budget"},
 		{"afdx-lint", []string{"-headroom", "NaN", clean}, 2, "-headroom"},

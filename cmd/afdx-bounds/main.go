@@ -113,6 +113,10 @@ func main() {
 		flag.Usage()
 		os.Exit(exitUsage)
 	}
+	if *parallelN < 0 {
+		log.Printf("-parallel must be non-negative, got %d", *parallelN)
+		os.Exit(exitUsage)
+	}
 	var explainPath afdx.PathID
 	var err error
 	if *explain != "" {

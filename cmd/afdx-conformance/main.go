@@ -73,6 +73,10 @@ func main() {
 		log.Printf("-budget must be non-negative, got %v", *budget)
 		os.Exit(exitUsage)
 	}
+	if *parallelN < 0 {
+		log.Printf("-parallel must be non-negative, got %d", *parallelN)
+		os.Exit(exitUsage)
+	}
 	if flag.NArg() > 0 {
 		log.Printf("unexpected arguments %v", flag.Args())
 		os.Exit(exitUsage)

@@ -41,6 +41,10 @@ func main() {
 	)
 	obsFlags := cliobs.Register(flag.CommandLine)
 	flag.Parse()
+	if *parallelN < 0 {
+		log.Printf("-parallel must be non-negative, got %d", *parallelN)
+		os.Exit(2)
+	}
 	var err error
 	if sess, err = obsFlags.Start(); err != nil {
 		log.Print(err)

@@ -93,13 +93,15 @@ func main() {
 	)
 	obsFlags := cliobs.Register(flag.CommandLine)
 	flag.Parse()
-	// A negative limit or period would silently mean "unbounded" or
-	// "off"; only 0 carries that meaning, where the flag documents it.
+	// A negative limit, period or worker count would silently mean
+	// "unbounded", "off" or "all CPUs"; only 0 carries that meaning,
+	// where the flag documents it.
 	for _, c := range []struct {
 		name string
 		ok   bool
 		want string
 	}{
+		{"parallel", *parallelN >= 0, "non-negative"},
 		{"max-sessions", *maxSessions >= 0, "non-negative"},
 		{"max-body", *maxBody >= 0, "non-negative"},
 		{"timeout", *reqTimeout >= 0, "non-negative"},

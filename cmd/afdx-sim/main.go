@@ -63,6 +63,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *parallelN < 0 {
+		log.Printf("-parallel must be non-negative, got %d", *parallelN)
+		os.Exit(2)
+	}
 	if !(*jitterUs >= 0) || math.IsInf(*jitterUs, 1) {
 		log.Printf("-jitter-us must be a finite non-negative number, got %v", *jitterUs)
 		os.Exit(2)

@@ -34,7 +34,7 @@ func portGraphDigest(pg *afdx.PortGraph) uint64 {
 		p := pg.Ports[id]
 		line("port %s rate %x latency %x", id, p.RateBitsPerUs, p.LatencyUs)
 		for _, f := range p.Flows {
-			line("  flow %s prev %q", f.VL.ID, f.Prev)
+			line("  flow %s prev %q", f.VL.ID, p.Groups[f.Group].Prev)
 		}
 	}
 	for _, pid := range pg.Net.AllPaths() {
@@ -47,10 +47,32 @@ func portGraphDigest(pg *afdx.PortGraph) uint64 {
 	return h.Sum64()
 }
 
+// portGroupDigest is an FNV-64a digest of how every flow enters its
+// port: each port's input groups (input node and link rate, in exact
+// hexadecimal form) and each flow's group, VL ordinal and index at the
+// port it crossed just before (-1 at its source port).
+func portGroupDigest(pg *afdx.PortGraph) uint64 {
+	h := fnv.New64a()
+	line := func(format string, args ...any) { fmt.Fprintf(h, format+"\n", args...) }
+	for _, id := range pg.Order {
+		p := pg.Ports[id]
+		line("port %s", id)
+		for g, in := range p.Groups {
+			line("  group %d prev %q rate %x", g, in.Prev, in.RateBitsPerUs)
+		}
+		for _, f := range p.Flows {
+			line("  flow %s group %d ord %d up %d", f.VL.ID, f.Group, f.Ord, f.Up)
+		}
+	}
+	return h.Sum64()
+}
+
 // TestPortGraphGoldenDigests pins BuildPortGraph's output on the
-// paper's samples, a two-level priority variant, two configgen draws,
-// and every lint corpus file (Relaxed mode, as the linter builds it).
-// A file whose graph does not build pins its error text instead.
+// paper's samples, a two-level priority variant, Figure 2 with a slow
+// last hop, two configgen draws, and every lint corpus file (Relaxed
+// mode, as the linter builds it), twice: the graph digest and the
+// input-group digest. A file whose graph does not build pins its error
+// text instead.
 func TestPortGraphGoldenDigests(t *testing.T) {
 	type input struct {
 		name string
@@ -59,6 +81,9 @@ func TestPortGraphGoldenDigests(t *testing.T) {
 	priority := afdx.Figure2Config()
 	priority.VLs[2].Priority = 1
 	priority.VLs[3].Priority = 1
+	// S3->e6 at 10 Mb/s: its groups still arrive at 100 Mb/s.
+	slowLastHop := afdx.Figure2Config()
+	slowLastHop.LinkRates = []afdx.LinkRate{{From: "S3", To: "e6", Mbps: 10}}
 	small := configgen.DefaultSpec(1)
 	small.NumVLs = 120
 	smallNet, err := configgen.Generate(small)
@@ -73,6 +98,7 @@ func TestPortGraphGoldenDigests(t *testing.T) {
 		{"figure1", afdx.Figure1Config()},
 		{"figure2", afdx.Figure2Config()},
 		{"priority", priority},
+		{"slowlasthop", slowLastHop},
 		{"seed1-120", smallNet},
 		{"seed1-industrial", industrial},
 	}
@@ -96,6 +122,7 @@ func TestPortGraphGoldenDigests(t *testing.T) {
 		"figure1":                   "0x8b4ac33c0e5bb375",
 		"figure2":                   "0x6a4c47f098ee026",
 		"priority":                  "0x6a4c47f098ee026",
+		"slowlasthop":               "0xaeb71f6739c048fe",
 		"seed1-120":                 "0xd1b152eb445aad43",
 		"seed1-industrial":          "0x259330ecc323d53b",
 		"corpus/bad_attach.json":    "error: afdx: [AFDX012] end system \"e1\" attached to both \"S1\" and \"S2\"",
@@ -116,18 +143,40 @@ func TestPortGraphGoldenDigests(t *testing.T) {
 		"corpus/routing_loop.json":  "error: afdx: cyclic port dependencies (3 of 9 ports ordered); the holistic analyses require a feed-forward configuration",
 		"corpus/unstable_port.json": "0x824a865760746c46",
 	}
+	// The input-group digests of the inputs whose graph builds.
+	wantGroups := map[string]string{
+		"figure1":                   "0x580f4719555d553a",
+		"figure2":                   "0x79357ea0bc13d45",
+		"priority":                  "0x79357ea0bc13d45",
+		"slowlasthop":               "0x79357ea0bc13d45",
+		"seed1-120":                 "0xddcc764460a71a21",
+		"seed1-industrial":          "0xa4bbe3b3dad5d22e",
+		"corpus/bad_bag.json":       "0x566a3a67fbda5f6d",
+		"corpus/bad_frame.json":     "0x566a3a67fbda5f6d",
+		"corpus/clean.json":         "0x566a3a67fbda5f6d",
+		"corpus/deadline.json":      "0x696f271f1bcf9d08",
+		"corpus/jitter.json":        "0xa0122658ef226ca",
+		"corpus/no_grouping.json":   "0xd1d7d26ea0ae7b2a",
+		"corpus/orphan.json":        "0x566a3a67fbda5f6d",
+		"corpus/overbudget.json":    "0xc71d7d38d3c1a2f",
+		"corpus/unstable_port.json": "0x55ca370e212e0ead",
+	}
 	if len(want) != len(inputs) {
 		t.Errorf("%d pinned entries for %d inputs", len(want), len(inputs))
 	}
 	for _, in := range inputs {
-		var got string
-		if pg, err := afdx.BuildPortGraph(in.net, afdx.Relaxed); err != nil {
-			got = "error: " + err.Error()
-		} else {
-			got = fmt.Sprintf("%#x", portGraphDigest(pg))
+		pg, err := afdx.BuildPortGraph(in.net, afdx.Relaxed)
+		if err != nil {
+			if got := "error: " + err.Error(); got != want[in.name] {
+				t.Errorf("%s: got %q, want the pinned %q", in.name, got, want[in.name])
+			}
+			continue
 		}
-		if got != want[in.name] {
+		if got := fmt.Sprintf("%#x", portGraphDigest(pg)); got != want[in.name] {
 			t.Errorf("%s: got %q, want the pinned %q", in.name, got, want[in.name])
+		}
+		if got := fmt.Sprintf("%#x", portGroupDigest(pg)); got != wantGroups[in.name] {
+			t.Errorf("%s groups: got %q, want the pinned %q", in.name, got, wantGroups[in.name])
 		}
 	}
 }

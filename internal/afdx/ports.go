@@ -3,9 +3,7 @@ package afdx
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
-	"sync"
 )
 
 // PortID identifies an output port by the directed link it transmits on:
@@ -17,13 +15,31 @@ type PortID struct {
 
 func (p PortID) String() string { return p.From + "->" + p.To }
 
-// PortFlow records one VL crossing a port, together with the node the VL
-// arrives from ("" when the port belongs to the VL's source end system).
-// A multicast VL crosses a shared port once even if several of its paths
+// PortFlow records one VL crossing a port and how it enters it. A
+// multicast VL crosses a shared port once even if several of its paths
 // use it (frames are replicated at branch points, downstream).
 type PortFlow struct {
-	VL   *VirtualLink
+	VL *VirtualLink
+	// Ord is the VL's index in PortGraph.VLOrder.
+	Ord int32
+	// Group indexes the port's Groups: the input link the VL arrives
+	// through.
+	Group int32
+	// Up is the VL's index in the Flows of the port it crossed just
+	// before, or -1 at its source port.
+	Up int32
+}
+
+// InputGroup is one input link of a port. The flows that arrive
+// through it are serialized on it: the paper's grouping technique
+// (section II-B) shapes them together at the link's rate.
+type InputGroup struct {
+	// Prev is the upstream node of the link, or "" for the flows the
+	// port's own end system emits.
 	Prev string
+	// RateBitsPerUs is the link's rate; the "" group carries the port's
+	// own rate.
+	RateBitsPerUs float64
 }
 
 // Port is one FIFO output port with the flows that compete on it.
@@ -35,10 +51,10 @@ type Port struct {
 	LatencyUs float64
 	// Flows lists the VLs multiplexed on the port, sorted by VL ID.
 	Flows []PortFlow
+	// Groups lists the port's input links, sorted by input node. Every
+	// group has at least one flow.
+	Groups []InputGroup
 }
-
-// IsSourcePort reports whether the port belongs to an end system.
-func (p *Port) IsSourcePort() bool { return p.Flows[0].Prev == "" }
 
 // FlowByVL returns the PortFlow for the given VL ID, or nil.
 func (p *Port) FlowByVL(id string) *PortFlow {
@@ -48,51 +64,6 @@ func (p *Port) FlowByVL(id string) *PortFlow {
 		}
 	}
 	return nil
-}
-
-// InputGroups partitions the port's flows by the input link they arrive
-// from (the paper's grouping/serialization technique). Flows emitted by
-// the local node (source end-system ports) each form their own group key
-// "" and are returned together under that key: at a source port every VL
-// is shaped independently by the end system, so serialization between
-// them is not exploitable and callers treat the "" group as ungrouped.
-func (p *Port) InputGroups() map[string][]PortFlow {
-	g := map[string][]PortFlow{}
-	for _, f := range p.Flows {
-		g[f.Prev] = append(g[f.Prev], f)
-	}
-	return g
-}
-
-// InputGroup is one serialization group of a port: the flows arriving
-// through the same input link, in the port's VL-ID order.
-type InputGroup struct {
-	// Prev is the upstream node of the shared input link ("" for the
-	// flows emitted by the local end system, which are not serialized
-	// against each other).
-	Prev  string
-	Flows []PortFlow
-}
-
-// InputGroupsSorted returns the port's input groups sorted by input
-// node. The analyses iterate the groups while accumulating
-// floating-point arrival curves, and Go randomises map iteration order,
-// so consuming InputGroups directly makes the accumulated bounds
-// differ in the last bits from run to run; this accessor is the ordered
-// form every float-summing caller must use (the determinism contract of
-// DESIGN.md, "Concurrency and determinism").
-func (p *Port) InputGroupsSorted() []InputGroup {
-	byPrev := p.InputGroups()
-	keys := make([]string, 0, len(byPrev))
-	for k := range byPrev {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]InputGroup, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, InputGroup{Prev: k, Flows: byPrev[k]})
-	}
-	return out
 }
 
 // PortGraph is the derived analysable view of a Network: its output
@@ -115,10 +86,8 @@ type PortGraph struct {
 	ranks [][]PortID
 
 	// vlOrder holds the network's VLs sorted by ID, the order the build
-	// visits them in. vlOrd memoizes VLOrdinal's inverse index.
-	vlOrder   []*VirtualLink
-	vlOrdOnce sync.Once
-	vlOrd     map[string]int
+	// visits them in.
+	vlOrder []*VirtualLink
 }
 
 // BuildPortGraph derives the port-level view of the network. It returns
@@ -131,7 +100,11 @@ type PortGraph struct {
 // never touches a PortID-keyed map. VLs are visited in ID order, which
 // leaves every port's flow list sorted and puts a VL's incidences at a
 // port back to back: comparing with the port's last flow is enough to
-// catch a VL crossing the port twice.
+// catch a VL crossing the port twice. The same order makes the loop
+// index the VL's ordinal, and leaves the VL the last flow of the port it
+// just left, which gives its upstream index. Input groups are keyed by
+// the number of the port they arrive from while the build runs, and
+// renumbered by input node at the end.
 func BuildPortGraph(n *Network, mode ValidationMode) (*PortGraph, error) {
 	if err := n.Validate(mode); err != nil {
 		return nil, err
@@ -161,9 +134,12 @@ func BuildPortGraph(n *Network, mode ValidationMode) (*PortGraph, error) {
 		ports []*Port
 		index = map[PortID]int32{} // dense port number, in creation order
 		succ  [][]int32            // succ[i]: the ports some VL crosses right after ports[i]
+		// feeds[i][g]: the port group g of ports[i] arrives from (-1 for
+		// the flows sourced there), in creation order.
+		feeds [][]int32
 		seqs  = make([]PortID, incidences)
 	)
-	for _, v := range vls {
+	for ord, v := range vls {
 		pg.vls[v.ID] = v
 		for pi, path := range v.Paths {
 			hops := len(path) - 1
@@ -173,10 +149,6 @@ func BuildPortGraph(n *Network, mode ValidationMode) (*PortGraph, error) {
 			for k := 0; k+1 < len(path); k++ {
 				id := PortID{From: path[k], To: path[k+1]}
 				seq = append(seq, id)
-				prev := ""
-				if k > 0 {
-					prev = path[k-1]
-				}
 				i, ok := index[id]
 				if !ok {
 					lat := n.Params.SwitchLatencyUs
@@ -191,15 +163,25 @@ func BuildPortGraph(n *Network, mode ValidationMode) (*PortGraph, error) {
 						LatencyUs:     lat,
 					})
 					succ = append(succ, nil)
+					feeds = append(feeds, nil)
 				}
 				port := ports[i]
 				if last := len(port.Flows) - 1; last >= 0 && port.Flows[last].VL == v {
-					if old := port.Flows[last].Prev; old != prev {
+					if old := feeds[i][port.Flows[last].Group]; old != from {
 						return nil, fmt.Errorf("afdx: VL %s enters port %s from both %q and %q",
-							v.ID, id, old, prev)
+							v.ID, id, inputLink(ports, port, old).Prev, inputLink(ports, port, from).Prev)
 					}
 				} else {
-					port.Flows = append(port.Flows, PortFlow{VL: v, Prev: prev})
+					g := slices.Index(feeds[i], from)
+					if g < 0 {
+						g = len(feeds[i])
+						feeds[i] = append(feeds[i], from)
+					}
+					up := int32(-1)
+					if from >= 0 {
+						up = int32(len(ports[from].Flows) - 1)
+					}
+					port.Flows = append(port.Flows, PortFlow{VL: v, Ord: int32(ord), Group: int32(g), Up: up})
 				}
 				if from >= 0 && !slices.Contains(succ[from], i) {
 					succ[from] = append(succ[from], i)
@@ -210,7 +192,21 @@ func BuildPortGraph(n *Network, mode ValidationMode) (*PortGraph, error) {
 		}
 	}
 	pg.Ports = make(map[PortID]*Port, len(ports))
-	for _, p := range ports {
+	var byNode []int32
+	for i, p := range ports {
+		// Renumber the groups, numbered so far in order of arrival, by
+		// input node.
+		byNode = append(byNode[:0], feeds[i]...)
+		slices.SortFunc(byNode, func(a, b int32) int {
+			return strings.Compare(inputLink(ports, p, a).Prev, inputLink(ports, p, b).Prev)
+		})
+		p.Groups = make([]InputGroup, len(byNode))
+		for g, u := range byNode {
+			p.Groups[g] = inputLink(ports, p, u)
+		}
+		for k, f := range p.Flows {
+			p.Flows[k].Group = int32(slices.Index(byNode, feeds[i][f.Group]))
+		}
 		pg.Ports[p.ID] = p
 	}
 	var err error
@@ -218,6 +214,16 @@ func BuildPortGraph(n *Network, mode ValidationMode) (*PortGraph, error) {
 		return nil, err
 	}
 	return pg, nil
+}
+
+// inputLink describes the input link of port p that the flows arriving
+// from port number u cross: ports[u]'s link, or p's own for u = -1 (the
+// flows sourced at p).
+func inputLink(ports []*Port, p *Port, u int32) InputGroup {
+	if u < 0 {
+		return InputGroup{RateBitsPerUs: p.RateBitsPerUs}
+	}
+	return InputGroup{Prev: ports[u].ID.From, RateBitsPerUs: ports[u].RateBitsPerUs}
 }
 
 // PathPorts returns the port sequence of one (VL, destination) path.
@@ -234,21 +240,6 @@ func (pg *PortGraph) VL(id string) *VirtualLink { return pg.vls[id] }
 // ordinal, and because the order is the ID sort every analysis already
 // iterates in, sorting by ordinal is sorting by VL ID.
 func (pg *PortGraph) VLOrder() []*VirtualLink { return pg.vlOrder }
-
-// VLOrdinal returns the dense index of the VL in VLOrder, or -1 when
-// the ID names no VL of the network.
-func (pg *PortGraph) VLOrdinal(id string) int {
-	pg.vlOrdOnce.Do(func() {
-		pg.vlOrd = make(map[string]int, len(pg.vlOrder))
-		for i, v := range pg.vlOrder {
-			pg.vlOrd[v.ID] = i
-		}
-	})
-	if i, ok := pg.vlOrd[id]; ok {
-		return i
-	}
-	return -1
-}
 
 // orderPorts computes a deterministic topological order of the port
 // dependency graph (port q feeds port p when some VL crosses q then p)

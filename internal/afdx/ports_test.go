@@ -1,7 +1,10 @@
 package afdx
 
 import (
+	"slices"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestBuildPortGraphFigure2(t *testing.T) {
@@ -21,55 +24,80 @@ func TestBuildPortGraphFigure2(t *testing.T) {
 	if got := len(s3e6.Flows); got != 4 {
 		t.Errorf("S3->e6 should carry 4 VLs, got %d", got)
 	}
-	groups := s3e6.InputGroups()
-	if len(groups) != 2 {
-		t.Fatalf("S3->e6 should have 2 input-link groups, got %d: %v", len(groups), groups)
+	if want := []InputGroup{{"S1", 100}, {"S2", 100}}; !slices.Equal(s3e6.Groups, want) {
+		t.Errorf("S3->e6 groups = %v, want %v", s3e6.Groups, want)
 	}
-	if got := len(groups["S1"]); got != 2 {
-		t.Errorf("group from S1 should hold v1,v2, got %d flows", got)
+	for k, want := range []int32{0, 0, 1, 1} { // v1, v2 via S1; v3, v4 via S2
+		if got := s3e6.Flows[k].Group; got != want {
+			t.Errorf("S3->e6 flow %s in group %d, want %d", s3e6.Flows[k].VL.ID, got, want)
+		}
 	}
-	if got := len(groups["S2"]); got != 2 {
-		t.Errorf("group from S2 should hold v3,v4, got %d flows", got)
-	}
-	if !pg.Ports[PortID{"e1", "S1"}].IsSourcePort() {
-		t.Error("e1->S1 should be a source port")
-	}
-	if s3e6.IsSourcePort() {
-		t.Error("S3->e6 is not a source port")
+	src := pg.Ports[PortID{"e1", "S1"}]
+	if len(src.Groups) != 1 || src.Groups[0] != (InputGroup{"", 100}) || src.Flows[0].Up != -1 {
+		t.Errorf("source port e1->S1: groups %v, flow %+v; want one \"\" group at the port's rate, Up -1", src.Groups, src.Flows[0])
 	}
 }
 
+// TestInputGroupsSorted checks every flow's input group, ordinal and
+// upstream index against its paths, on Figure 2 with its VL IDs
+// reversed so that S3->e6 meets its S2 group first, and with the S3->e6
+// link slowed so that its groups arrive faster than it transmits.
 func TestInputGroupsSorted(t *testing.T) {
-	pg, err := BuildPortGraph(Figure2Config(), Strict)
+	n := Figure2Config()
+	n.LinkRates = []LinkRate{{From: "S3", To: "e6", Mbps: 10}}
+	for i, j := 0, len(n.VLs)-1; i < j; i, j = i+1, j-1 {
+		n.VLs[i].ID, n.VLs[j].ID = n.VLs[j].ID, n.VLs[i].ID
+	}
+	pg, err := BuildPortGraph(n, Strict)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s3e6 := pg.Ports[PortID{"S3", "e6"}]
-	groups := s3e6.InputGroupsSorted()
-	if len(groups) != 2 {
-		t.Fatalf("S3->e6 should have 2 sorted input groups, got %d", len(groups))
+	if got := pg.Ports[PortID{"S3", "e6"}].Groups; !slices.Equal(got, []InputGroup{{"S1", 100}, {"S2", 100}}) {
+		t.Errorf("S3->e6 groups = %v, want S1 then S2 at 100 bits/us", got)
 	}
-	if groups[0].Prev != "S1" || groups[1].Prev != "S2" {
-		t.Fatalf("groups out of order: %q, %q", groups[0].Prev, groups[1].Prev)
-	}
-	// The flattened view must match the unsorted partition exactly.
-	byPrev := s3e6.InputGroups()
-	for _, g := range groups {
-		want := byPrev[g.Prev]
-		if len(g.Flows) != len(want) {
-			t.Fatalf("group %q has %d flows, want %d", g.Prev, len(g.Flows), len(want))
+	for id, p := range pg.Ports {
+		if !slices.IsSortedFunc(p.Groups, func(a, b InputGroup) int { return strings.Compare(a.Prev, b.Prev) }) {
+			t.Errorf("%s: groups not sorted by input node: %v", id, p.Groups)
 		}
-		for i := range want {
-			if g.Flows[i].VL.ID != want[i].VL.ID {
-				t.Errorf("group %q flow %d = %s, want %s (VL-ID order must be preserved)",
-					g.Prev, i, g.Flows[i].VL.ID, want[i].VL.ID)
+		members := make([]int, len(p.Groups))
+		for _, f := range p.Flows {
+			members[f.Group]++
+			if pg.VLOrder()[f.Ord] != f.VL {
+				t.Errorf("%s: %s has ordinal %d, which names %s", id, f.VL.ID, f.Ord, pg.VLOrder()[f.Ord].ID)
+			}
+			prev := ""
+			for _, path := range f.VL.Paths {
+				if k := slices.Index(path, id.From); k > 0 {
+					prev = path[k-1]
+				}
+			}
+			in := p.Groups[f.Group]
+			if in.Prev != prev {
+				t.Errorf("%s: %s arrives from %q but sits in group %q", id, f.VL.ID, prev, in.Prev)
+				continue
+			}
+			if prev == "" {
+				if f.Up != -1 || in.RateBitsPerUs != p.RateBitsPerUs {
+					t.Errorf("%s: sourced %s has Up %d, group rate %g; want -1 and the port's %g", id, f.VL.ID, f.Up, in.RateBitsPerUs, p.RateBitsPerUs)
+				}
+				continue
+			}
+			up := pg.Ports[PortID{prev, id.From}]
+			if up.Flows[f.Up].VL != f.VL || in.RateBitsPerUs != up.RateBitsPerUs {
+				t.Errorf("%s: %s has Up %d, group rate %g; want its index at %s and that port's %g", id, f.VL.ID, f.Up, in.RateBitsPerUs, up.ID, up.RateBitsPerUs)
 			}
 		}
+		if slices.Contains(members, 0) {
+			t.Errorf("%s: a group without flows: %v", id, members)
+		}
 	}
-	// Source ports have the single "" group.
-	src := pg.Ports[PortID{"e1", "S1"}].InputGroupsSorted()
-	if len(src) != 1 || src[0].Prev != "" {
-		t.Fatalf("source port groups = %+v, want one \"\" group", src)
+}
+
+// TestPortFlowSize keeps PortFlow, one per (VL, port) incidence, at
+// three words.
+func TestPortFlowSize(t *testing.T) {
+	if got := unsafe.Sizeof(PortFlow{}); got > 24 {
+		t.Errorf("PortFlow is %d bytes, want at most 24", got)
 	}
 }
 

@@ -243,7 +243,7 @@ func TestRegressTrajectoryBusyPeriod(t *testing.T) {
 
 	// Over the edge: at 40 Mb/s the busiest port's utilization is
 	// ~2.4 — both engines must reject the configuration immediately.
-	over := cloneNetwork(net)
+	over := net.Clone()
 	over.Params.LinkRateMbps = 40
 	opg, err := afdx.BuildPortGraph(over, afdx.Strict)
 	if err != nil {

@@ -527,16 +527,16 @@ func (o *Oracle) checkMetamorphic(ctx context.Context, net *afdx.Network, ncG *n
 	}
 
 	if v := pick(func(v *afdx.VirtualLink) bool { return v.BAGMs < afdx.MaxBAGMs }); v != nil {
-		mutant := cloneNetwork(net)
+		mutant := net.Clone()
 		mutant.VL(v.ID).BAGMs *= 2
 		if err := check(mutant, InvMonotoneBAG, fmt.Sprintf("doubling BAG of %s", v.ID)); err != nil {
 			return nil, err
 		}
 	}
 	if v := pick(func(v *afdx.VirtualLink) bool { return v.SMaxBytes > afdx.MinFrameBytes }); v != nil {
-		mutant := cloneNetwork(net)
+		mutant := net.Clone()
 		mv := mutant.VL(v.ID)
-		mv.SMaxBytes = maxInt(afdx.MinFrameBytes, mv.SMaxBytes/2)
+		mv.SMaxBytes = max(afdx.MinFrameBytes, mv.SMaxBytes/2)
 		if mv.SMinBytes > mv.SMaxBytes {
 			mv.SMinBytes = mv.SMaxBytes
 		}
@@ -545,11 +545,4 @@ func (o *Oracle) checkMetamorphic(ctx context.Context, net *afdx.Network, ncG *n
 		}
 	}
 	return vs, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

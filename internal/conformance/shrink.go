@@ -7,10 +7,6 @@ import (
 	"afdx/internal/obs"
 )
 
-// cloneNetwork deep-copies a network through the model's JSON-codec
-// clone (see afdx.Network.Clone).
-func cloneNetwork(n *afdx.Network) *afdx.Network { return n.Clone() }
-
 // Shrink minimises a violating configuration: starting from net — on
 // which the oracle reported a violation of invariant inv — it greedily
 // applies structure-removing transformations (drop VLs, collapse
@@ -70,7 +66,7 @@ func (o *Oracle) ShrinkCtx(ctx context.Context, net *afdx.Network, inv Invariant
 		return false
 	}
 
-	cur := cloneNetwork(net)
+	cur := net.Clone()
 	for progress := true; progress && evals < budget; {
 		progress = false
 		// Pass 1: drop whole VLs, largest index first so the survivors
@@ -78,7 +74,7 @@ func (o *Oracle) ShrinkCtx(ctx context.Context, net *afdx.Network, inv Invariant
 		// budget is spent — stillFails would reject the candidates
 		// unevaluated, so building them is pure waste.
 		for i := len(cur.VLs) - 1; i >= 0 && len(cur.VLs) > 1 && evals < budget; i-- {
-			cand := cloneNetwork(cur)
+			cand := cur.Clone()
 			cand.VLs = append(cand.VLs[:i], cand.VLs[i+1:]...)
 			pruneNodes(cand)
 			if stillFails(cand) {
@@ -92,7 +88,7 @@ func (o *Oracle) ShrinkCtx(ctx context.Context, net *afdx.Network, inv Invariant
 				continue
 			}
 			for keep := 0; keep < len(cur.VLs[i].Paths) && evals < budget; keep++ {
-				cand := cloneNetwork(cur)
+				cand := cur.Clone()
 				cand.VLs[i].Paths = [][]string{cand.VLs[i].Paths[keep]}
 				pruneNodes(cand)
 				if stillFails(cand) {
@@ -107,7 +103,7 @@ func (o *Oracle) ShrinkCtx(ctx context.Context, net *afdx.Network, inv Invariant
 			if cur.VLs[i].SMaxBytes <= afdx.MinFrameBytes || evals >= budget {
 				continue
 			}
-			cand := cloneNetwork(cur)
+			cand := cur.Clone()
 			cand.VLs[i].SMaxBytes = afdx.MinFrameBytes
 			cand.VLs[i].SMinBytes = afdx.MinFrameBytes
 			if stillFails(cand) {

@@ -62,10 +62,11 @@ func init() {
 	})
 	Register(&Analyzer{
 		Code: diag.CodeGrouping, Name: "grouping", NeedsPorts: true,
-		Doc: "Reports (as information) when no output port multiplexes two or more " +
-			"flows arriving through a shared input link: the grouping " +
-			"(serialization) refinement then has no precondition to exploit and " +
-			"cannot tighten any bound on this configuration.",
+		Doc: "Reports (as information) when no input group of any output port " +
+			"holds two or more flows, counting the flows an end system emits on " +
+			"its own port as one group: the grouping (serialization) refinement " +
+			"then has no precondition to exploit and cannot tighten any bound " +
+			"on this configuration.",
 		Run: runGrouping,
 	})
 	Register(&Analyzer{
@@ -145,12 +146,7 @@ func runStability(p *Pass) {
 	for id := range util {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].From != ids[j].From {
-			return ids[i].From < ids[j].From
-		}
-		return ids[i].To < ids[j].To
-	})
+	afdx.SortPortIDs(ids)
 	for _, id := range ids {
 		u := util[id]
 		if u > p.Opts.UtilizationHeadroom && u <= 1+StabilityTolerance {
@@ -171,12 +167,7 @@ func runLinkUtilization(p *Pass) {
 	for id := range loads {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].From != ids[j].From {
-			return ids[i].From < ids[j].From
-		}
-		return ids[i].To < ids[j].To
-	})
+	afdx.SortPortIDs(ids)
 	for _, id := range ids {
 		rate := p.Net.LinkRateBitsPerUs(id.From, id.To)
 		if rate <= 0 {
@@ -308,12 +299,14 @@ func kahnResidue(deg map[afdx.PortID]int, next map[afdx.PortID][]afdx.PortID) ma
 	return residue
 }
 
+// runGrouping fires when no input group holds two flows. Every group
+// holds at least one, so a port with more flows than groups has a group
+// of two, and the refinement has work there. Source-port groups count:
+// the trajectory engine serializes them too.
 func runGrouping(p *Pass) {
 	for _, port := range p.Graph.Ports {
-		for prev, group := range port.InputGroups() {
-			if prev != "" && len(group) > 1 {
-				return // the refinement has at least one port to work on
-			}
+		if len(port.Flows) > len(port.Groups) {
+			return
 		}
 	}
 	p.Reportf(diag.Info, diag.Location{},

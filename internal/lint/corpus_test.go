@@ -1,10 +1,12 @@
 package lint_test
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -13,6 +15,8 @@ import (
 	"afdx/internal/configgen"
 	"afdx/internal/diag"
 	"afdx/internal/lint"
+	"afdx/internal/netcalc"
+	"afdx/internal/trajectory"
 )
 
 // loadCorpus decodes one testdata configuration without validating it
@@ -173,6 +177,44 @@ func TestFigure2Clean(t *testing.T) {
 	}
 	if rep.ExitCode() != 0 {
 		t.Errorf("exit code = %d, want 0", rep.ExitCode())
+	}
+}
+
+// TestGroupingInfoMatchesBounds holds AFDX007 to its fix line: it
+// fires exactly when -no-grouping leaves every bound of both engines
+// unchanged. It checks the corpus file that fires it and one end
+// system sending two VLs through S1 to different end systems, whose
+// source-port group of two the trajectory engine serializes.
+func TestGroupingInfoMatchesBounds(t *testing.T) {
+	split := loadCorpus(t, "clean.json")
+	split.EndSystems = append(split.EndSystems, "e3")
+	split.VLs[1].Paths = [][]string{{"e1", "S1", "e3"}}
+	for _, tc := range []struct {
+		name string
+		net  *afdx.Network
+	}{
+		{"no_grouping.json", loadCorpus(t, "no_grouping.json")},
+		{"split", split},
+	} {
+		pg, err := afdx.BuildPortGraph(tc.net, afdx.Strict)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		ncOn, err1 := netcalc.Analyze(pg, netcalc.DefaultOptions())
+		ncOff, err2 := netcalc.Analyze(pg, netcalc.Options{})
+		trOn, err3 := trajectory.Analyze(pg, trajectory.DefaultOptions())
+		trOff, err4 := trajectory.Analyze(pg, trajectory.Options{})
+		if err := errors.Join(err1, err2, err3, err4); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		identical := reflect.DeepEqual(ncOn.PathDelays, ncOff.PathDelays) &&
+			reflect.DeepEqual(trOn.PathDelays, trOff.PathDelays)
+		rep := lint.Run(tc.net, lint.DefaultOptions())
+		fires := slices.Contains(rep.Codes(), diag.CodeGrouping)
+		if fires != identical {
+			t.Errorf("%s: AFDX007 fires = %v, but -no-grouping gives identical bounds = %v\n%s",
+				tc.name, fires, identical, renderText(t, rep))
+		}
 	}
 }
 

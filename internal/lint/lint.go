@@ -244,12 +244,7 @@ func UnstablePorts(pg *afdx.PortGraph) []diag.Diagnostic {
 	for id := range util {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].From != ids[j].From {
-			return ids[i].From < ids[j].From
-		}
-		return ids[i].To < ids[j].To
-	})
+	afdx.SortPortIDs(ids)
 	var ds []diag.Diagnostic
 	for _, id := range ids {
 		if u := util[id]; u > 1+StabilityTolerance {

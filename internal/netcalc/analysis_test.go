@@ -14,12 +14,9 @@ import (
 // a hard invariant error, not silently uncounted fallback work.
 func TestAnalyzePortRequiresPrecomputedBeta(t *testing.T) {
 	pg := figure2Graph(t)
-	rn, err := newRun(context.Background(), pg, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rn := newRun(context.Background(), pg, DefaultOptions())
 	rn.betas = map[betaKey]minplus.Curve{}
-	err = analyzePort(rn, 0)
+	err := analyzePort(rn, 0)
 	if err == nil {
 		t.Fatal("analyzePort with an empty service-curve cache unexpectedly succeeded")
 	}

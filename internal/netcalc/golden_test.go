@@ -76,9 +76,35 @@ func wcncDigest(r *Result) uint64 {
 	return h.Sum64()
 }
 
+// fastCore returns n with every third switch-to-switch link, in PortID
+// order, raised to 1000 Mb/s: the groups those links feed arrive faster
+// than the ports they enter transmit.
+func fastCore(n *afdx.Network) *afdx.Network {
+	isSwitch := map[string]bool{}
+	for _, s := range n.Switches {
+		isSwitch[s] = true
+	}
+	seen := map[afdx.PortID]bool{}
+	var core []afdx.PortID
+	for _, vl := range n.VLs {
+		for _, id := range vl.Links() {
+			if isSwitch[id.From] && isSwitch[id.To] && !seen[id] {
+				seen[id] = true
+				core = append(core, id)
+			}
+		}
+	}
+	afdx.SortPortIDs(core)
+	for i := 0; i < len(core); i += 3 {
+		n.LinkRates = append(n.LinkRates, afdx.LinkRate{From: core[i].From, To: core[i].To, Mbps: 1000})
+	}
+	return n
+}
+
 // goldenNetworks are the configurations the WCNC goldens cover: the
-// paper's two samples, a two-level priority variant of Figure 2, and
-// two configgen draws (120 VLs, and the full seed-1 industrial config).
+// paper's two samples, a two-level priority variant of Figure 2,
+// Figure 2 with a slow last hop, and three configgen draws (120 VLs,
+// the same with a faster core, and the full seed-1 industrial config).
 func goldenNetworks(t *testing.T) []struct {
 	name string
 	net  *afdx.Network
@@ -94,6 +120,10 @@ func goldenNetworks(t *testing.T) []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// S3->e6 at 10 Mb/s: its input groups arrive ten times faster than
+	// it transmits.
+	slowLastHop := afdx.Figure2Config()
+	slowLastHop.LinkRates = []afdx.LinkRate{{From: "S3", To: "e6", Mbps: 10}}
 	return []struct {
 		name string
 		net  *afdx.Network
@@ -101,7 +131,9 @@ func goldenNetworks(t *testing.T) []struct {
 		{"figure1", afdx.Figure1Config()},
 		{"figure2", afdx.Figure2Config()},
 		{"priority", priorityConfig()},
+		{"slowlasthop", slowLastHop},
 		{"seed1-120", smallNet},
+		{"seed1-120-fastcore", fastCore(smallNet.Clone())},
 		{"seed1-industrial", industrial},
 	}
 }
@@ -134,6 +166,15 @@ func TestWCNCGoldenDigests(t *testing.T) {
 		"seed1-industrial/default":    "0x708e77b158d85559",
 		"seed1-industrial/nogrouping": "0x6822465018e3e0a3",
 		"seed1-industrial/stair4":     "0xfea324ac2300cc55",
+
+		// Links of different rates: the group shaping runs at the
+		// input link's rate, not the port's.
+		"slowlasthop/default":           "0xc91e879c92160516",
+		"slowlasthop/nogrouping":        "0xf0b81d502c644689",
+		"slowlasthop/stair4":            "0x8083941c6b2172a3",
+		"seed1-120-fastcore/default":    "0x2559c62c3d60ea15",
+		"seed1-120-fastcore/nogrouping": "0xae0b25f29840a6c8",
+		"seed1-120-fastcore/stair4":     "0xa344057cb25a7a92",
 	}
 	for _, cfg := range goldenNetworks(t) {
 		pg, err := afdx.BuildPortGraph(cfg.net, afdx.Strict)

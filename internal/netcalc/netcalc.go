@@ -158,9 +158,6 @@ type ncRun struct {
 	ports []*afdx.Port // ports[i] is pg.Ports[pg.Order[i]]
 	pos   map[afdx.PortID]int32
 	base  []int32
-	// groups lists each port's incidences ordered by input node (Prev),
-	// then by VL ID: the port's input groups, back to back.
-	groups []int32
 	// up is the incidence that feeds each incidence: the same VL at the
 	// port it crosses just before (-1 at its source port). A VL enters
 	// a port from exactly one link, so there is exactly one.
@@ -182,10 +179,9 @@ type betaKey struct {
 }
 
 // newRun numbers the graph's incidences and links each one to its
-// upstream incidence. Flows of one input group are a subset, in the
-// same VL-ID order, of the flows of the port they arrive from, so one
-// merge walk per group finds every upstream incidence.
-func newRun(ctx context.Context, pg *afdx.PortGraph, opts Options) (*ncRun, error) {
+// upstream incidence: the VL's index at the port its group arrives
+// from, offset by that port's base.
+func newRun(ctx context.Context, pg *afdx.PortGraph, opts Options) *ncRun {
 	rn := &ncRun{
 		ctx:   ctx,
 		pg:    pg,
@@ -201,7 +197,6 @@ func newRun(ctx context.Context, pg *afdx.PortGraph, opts Options) (*ncRun, erro
 		rn.base[i+1] = rn.base[i] + int32(len(rn.ports[i].Flows))
 	}
 	n := rn.base[len(pg.Order)]
-	rn.groups = make([]int32, n)
 	rn.up = make([]int32, n)
 	rn.burst = make([]float64, n)
 	rn.prefix = make([]float64, n)
@@ -209,51 +204,16 @@ func newRun(ctx context.Context, pg *afdx.PortGraph, opts Options) (*ncRun, erro
 	rn.outBurst = make([]float64, n)
 	rn.portRes = make([]PortResult, len(pg.Order))
 	for i, port := range rn.ports {
-		lo, hi := rn.base[i], rn.base[i+1]
-		grp := rn.groups[lo:hi]
-		for k := range grp {
-			grp[k] = lo + int32(k)
-		}
-		flows := port.Flows
-		slices.SortStableFunc(grp, func(a, b int32) int { return strings.Compare(flows[a-lo].Prev, flows[b-lo].Prev) })
-		for g, end := 0, 0; g < len(grp); g = end {
-			end = groupEnd(flows, grp, lo, g)
-			prev := flows[grp[g]-lo].Prev
-			if prev == "" {
-				for _, j := range grp[g:end] {
-					rn.up[j] = -1
-				}
-				continue
-			}
-			from, ok := rn.pos[afdx.PortID{From: prev, To: port.ID.From}]
-			upFlows := []afdx.PortFlow(nil)
-			if ok {
-				upFlows = rn.ports[from].Flows
-			}
-			k := 0
-			for _, j := range grp[g:end] {
-				vl := flows[j-lo].VL
-				for k < len(upFlows) && upFlows[k].VL != vl {
-					k++
-				}
-				if k == len(upFlows) {
-					return nil, fmt.Errorf("netcalc: no propagated envelope for VL %s at port %s (port order broken)", vl.ID, port.ID)
-				}
-				rn.up[j] = rn.base[from] + int32(k)
+		for k, f := range port.Flows {
+			j := rn.base[i] + int32(k)
+			rn.up[j] = -1
+			if f.Up >= 0 {
+				from := rn.pos[afdx.PortID{From: port.Groups[f.Group].Prev, To: port.ID.From}]
+				rn.up[j] = rn.base[from] + f.Up
 			}
 		}
 	}
-	return rn, nil
-}
-
-// groupEnd returns the end of the input group that starts at grp[g]:
-// the first later position whose flow arrives from another node.
-func groupEnd(flows []afdx.PortFlow, grp []int32, lo int32, g int) int {
-	end := g + 1
-	for end < len(grp) && flows[grp[end]-lo].Prev == flows[grp[g]-lo].Prev {
-		end++
-	}
-	return end
+	return rn
 }
 
 // AnalyzeCtx is Analyze with observability: when ctx carries an
@@ -268,10 +228,7 @@ func AnalyzeCtx(ctx context.Context, pg *afdx.PortGraph, opts Options) (*Result,
 	if err := lint.CheckStability(pg); err != nil {
 		return nil, fmt.Errorf("netcalc: %w", err)
 	}
-	rn, err := newRun(ctx, pg, opts)
-	if err != nil {
-		return nil, err
-	}
+	rn := newRun(ctx, pg, opts)
 	// Precompute the service-curve cache over the distinct (rate,
 	// latency) pairs; afterwards it is read-only and parallel-safe.
 	rn.betas = make(map[betaKey]minplus.Curve)
@@ -426,38 +383,32 @@ func analyzePort(rn *ncRun, i int) error {
 	// per port: a per-flow atomic increment from every worker contends
 	// on one cache line for no observational gain.
 	envelopes := int64(0)
-	grp := rn.groups[lo:rn.base[i+1]]
-	for g, end := 0, 0; g < len(grp); g = end {
-		end = groupEnd(port.Flows, grp, lo, g)
-		prev := port.Flows[grp[g]-lo].Prev
-		group := grp[g:end]
+	for g, in := range port.Groups {
 		// Grouping applies within a priority level: a link serializes
 		// all frames, but the shaping below feeds per-level residual
 		// services, so split the group by level first (conservative:
 		// cross-level serialization is not exploited).
 		groupLevels = groupLevels[:0]
-		for _, j := range group {
-			vl := port.Flows[j-lo].VL
-			if !slices.Contains(groupLevels, vl.Priority) {
-				groupLevels = append(groupLevels, vl.Priority)
+		for _, f := range port.Flows {
+			if f.Group != int32(g) {
+				continue
 			}
-			rhoSum += vl.RhoBitsPerUs()
+			if !slices.Contains(groupLevels, f.VL.Priority) {
+				groupLevels = append(groupLevels, f.VL.Priority)
+			}
+			rhoSum += f.VL.RhoBitsPerUs()
 		}
 		slices.Sort(groupLevels)
-		inRate := port.RateBitsPerUs
-		if in := rn.pg.Ports[afdx.PortID{From: prev, To: id.From}]; in != nil {
-			inRate = in.RateBitsPerUs
-		}
 		for _, lvl := range groupLevels {
 			var members = minplus.Zero()
 			maxFrame := 0.0
 			count := 0
-			for _, j := range group {
-				vl := port.Flows[j-lo].VL
-				if vl.Priority != lvl {
+			for k, f := range port.Flows {
+				vl := f.VL
+				if f.Group != int32(g) || vl.Priority != lvl {
 					continue
 				}
-				env, err := rn.flowEnvelope(j, vl, id)
+				env, err := rn.flowEnvelope(lo+int32(k), vl, id)
 				if err != nil {
 					return err
 				}
@@ -469,12 +420,12 @@ func analyzePort(rn *ncRun, i int) error {
 				}
 			}
 			groupEnv := members
-			if rn.opts.Grouping && prev != "" && count > 1 {
+			if rn.opts.Grouping && in.Prev != "" && count > 1 {
 				// Serialization on the shared input link: the group
 				// cannot burst faster than the link transmits, one
 				// largest frame ahead (the paper's leaky-bucket shaping
 				// with "a rate equal to the rate of the source" link).
-				shaping := minplus.LeakyBucket(maxFrame, inRate)
+				shaping := minplus.LeakyBucket(maxFrame, in.RateBitsPerUs)
 				groupEnv = minplus.Min(members, shaping)
 			}
 			if l := slices.IndexFunc(levels, func(c levelCurve) bool { return c.lvl == lvl }); l >= 0 {

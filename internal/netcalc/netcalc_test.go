@@ -405,9 +405,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 func TestRepeatedRunsBitIdentical(t *testing.T) {
 	// Regression for the map-iteration nondeterminism: analyzePort used
-	// to iterate InputGroups() and the per-level split in map order, so
-	// float accumulation differed run to run. N repeated runs must now
-	// agree to the last bit.
+	// to iterate a map of input groups and the per-level split in map
+	// order, so float accumulation differed run to run. N repeated runs
+	// must now agree to the last bit.
 	pg, err := afdx.BuildPortGraph(priorityConfig(), afdx.Strict)
 	if err != nil {
 		t.Fatal(err)

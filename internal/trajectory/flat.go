@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"afdx/internal/afdx"
@@ -18,8 +17,9 @@ import (
 // this implementation runs the same mathematics on dense, int-indexed
 // state built once per analyzer:
 //
-//   - VLs are addressed by their dense ordinal (afdx.PortGraph.VLOrdinal,
-//     ID-sorted, so ordinal order == ID order) instead of string map keys.
+//   - VLs are addressed by their dense ordinal (afdx.PortFlow.Ord, an
+//     index into the ID-sorted VLOrder, so ordinal order == ID order)
+//     instead of string map keys.
 //   - Every port carries flat per-flow slices (transmission time, BAG,
 //     NC prefix bound, serialization ratio, input-group slot), so the
 //     interference-set and busy-period loops walk contiguous arrays.
@@ -92,8 +92,7 @@ type flatPort struct {
 	serRatio []float64 // per flow: serialization ratio of its input link
 	grpOf    []int32   // per flow: local input-group index (prev-sorted)
 
-	nGroups int32
-	grpPrev []string // per local group: its input node ("" = sourced here)
+	groups []afdx.InputGroup // the port's input groups, sorted by input node
 
 	// Busy-period fixpoint inputs, accumulated in flow order exactly as
 	// the reference sourceBusyPeriod does.
@@ -167,7 +166,7 @@ type flatIndex struct {
 
 // prepare builds the flat hot-path index. newAnalyzer runs it once the
 // prefix bounds are known.
-func (a *analyzer) prepare() error {
+func (a *analyzer) prepare() {
 	fl := &flatIndex{
 		vls:   a.pg.VLOrder(),
 		ports: make(map[afdx.PortID]*flatPort, len(a.pg.Ports)),
@@ -178,25 +177,16 @@ func (a *analyzer) prepare() error {
 	}
 	afdx.SortPortIDs(ids)
 	for _, id := range ids {
-		fp, err := a.buildFlatPort(id)
-		if err != nil {
-			return err
-		}
-		fl.ports[id] = fp
+		fl.ports[id] = a.buildFlatPort(id)
 	}
 	fl.pool.New = func() any { return &scratch{} }
 	a.flat = fl
-	return nil
 }
 
-// buildFlatPort flattens one port: per-flow scalar slices, the local
-// input-group partition (prev-sorted, mirroring the reference's group
-// key order within a port), and the busy-period fixpoint inputs. It
-// also asserts the serialization-ratio invariant: every member of an
-// input group shares the group's input link, so their ratios must be
-// identical — the reference used to overwrite its ratio accumulator
-// per member, silently relying on this.
-func (a *analyzer) buildFlatPort(id afdx.PortID) (*flatPort, error) {
+// buildFlatPort flattens one port: per-flow scalar slices, the input
+// groups of the port graph (prev-sorted, the reference's group key
+// order within a port), and the busy-period fixpoint inputs.
+func (a *analyzer) buildFlatPort(id afdx.PortID) *flatPort {
 	p := a.pg.Ports[id]
 	n := len(p.Flows)
 	fp := &flatPort{
@@ -211,51 +201,16 @@ func (a *analyzer) buildFlatPort(id afdx.PortID) (*flatPort, error) {
 		prefOK:   make([]bool, n),
 		serRatio: make([]float64, n),
 		grpOf:    make([]int32, n),
+		groups:   p.Groups,
 		minC:     math.Inf(1),
 	}
-	// Local input groups, keyed by prev and ordered by prev ascending —
-	// within one port this is exactly the reference's group-key sort
-	// (its primary key, the port string, is constant here).
-	prevIdx := map[string]int32{}
-	var prevs []string
-	for _, f := range p.Flows {
-		if _, ok := prevIdx[f.Prev]; !ok {
-			prevIdx[f.Prev] = 0
-			prevs = append(prevs, f.Prev)
-		}
-	}
-	sort.Strings(prevs)
-	for gi, prev := range prevs {
-		prevIdx[prev] = int32(gi)
-	}
-	fp.grpPrev = prevs
-	fp.nGroups = int32(len(prevs))
-	grpRatio := make([]float64, len(prevs))
-	grpSeen := make([]bool, len(prevs))
-
 	for j, f := range p.Flows {
-		ord := a.pg.VLOrdinal(f.VL.ID)
-		if ord < 0 {
-			return nil, fmt.Errorf("trajectory: internal error: VL %s of port %s missing from the VL index", f.VL.ID, id)
-		}
 		c := f.VL.CMaxUs(p.RateBitsPerUs)
-		fp.vls[j] = int32(ord)
+		fp.vls[j] = f.Ord
 		fp.cUs[j] = c
 		fp.bagUs[j] = f.VL.BAGUs()
-		fp.grpOf[j] = prevIdx[f.Prev]
-		ratio := 1.0
-		if f.Prev != "" {
-			if in := a.pg.Ports[afdx.PortID{From: f.Prev, To: id.From}]; in != nil {
-				ratio = in.RateBitsPerUs / p.RateBitsPerUs
-			}
-		}
-		fp.serRatio[j] = ratio
-		if g := fp.grpOf[j]; !grpSeen[g] {
-			grpSeen[g], grpRatio[g] = true, ratio
-		} else if grpRatio[g] != ratio {
-			return nil, fmt.Errorf("trajectory: internal error: serialization ratio differs within input group of %s via %q: %g vs %g (VL %s)",
-				id, f.Prev, grpRatio[g], ratio, f.VL.ID)
-		}
+		fp.grpOf[j] = f.Group
+		fp.serRatio[j] = p.Groups[f.Group].RateBitsPerUs / p.RateBitsPerUs
 		fp.pref[j], fp.prefOK[j] = a.ncPrefix[netcalc.FlowPortKey{VL: f.VL.ID, Port: id}]
 		// Busy-period inputs and the transition-term max, in the
 		// reference's flow-order accumulation.
@@ -268,7 +223,7 @@ func (a *analyzer) buildFlatPort(id afdx.PortID) (*flatPort, error) {
 			fp.maxC = c
 		}
 	}
-	return fp, nil
+	return fp
 }
 
 // analyzePortSeqFlat is the flat twin of analyzePortSeqRef. Same
@@ -447,7 +402,7 @@ func (sc *scratch) regroupInterferers(q int) int {
 	nSlots := 0
 	for _, pos := range sc.posOrder {
 		sc.slotBase[pos] = int32(nSlots)
-		nSlots += int(sc.fps[pos].nGroups)
+		nSlots += len(sc.fps[pos].groups)
 	}
 	sc.grpCount = grow(sc.grpCount, nSlots)
 	sc.grpStart = grow(sc.grpStart, nSlots)
@@ -456,9 +411,9 @@ func (sc *scratch) regroupInterferers(q int) int {
 	for _, pos := range sc.posOrder {
 		fp := sc.fps[pos]
 		base := sc.slotBase[pos]
-		for g := int32(0); g < fp.nGroups; g++ {
-			sc.grpCount[base+g] = 0
-			sc.grpPrevEmpty[base+g] = fp.grpPrev[g] == ""
+		for g, in := range fp.groups {
+			sc.grpCount[base+int32(g)] = 0
+			sc.grpPrevEmpty[base+int32(g)] = in.Prev == ""
 		}
 	}
 	for i := range sc.inter {
@@ -517,8 +472,7 @@ func (sc *scratch) serialized(g int) bool {
 // shared with the explanation. Every frame after a member's first
 // counts in full; the first frames of a serialized group are capped at
 // the largest member frame plus the input-link throughput over the
-// offset window (ratio identical across the group, asserted at build
-// time).
+// offset window (ratio identical across the group: one input link).
 func groupAt(members []flatInterferer, serialized bool, t float64) groupTerm {
 	full, firsts, maxC := 0.0, 0.0, 0.0
 	for i := range members {
@@ -546,7 +500,7 @@ func (sc *scratch) interferenceTerms(vls []*afdx.VirtualLink, grouping bool, nSl
 	var out []InterferenceGroup
 	add := func(members []flatInterferer, local int32, term groupTerm) {
 		fp := sc.fps[members[0].pos]
-		g := InterferenceGroup{Port: fp.id, InputLink: fp.grpPrev[local], groupTerm: term}
+		g := InterferenceGroup{Port: fp.id, InputLink: fp.groups[local].Prev, groupTerm: term}
 		for _, m := range members {
 			g.Members = append(g.Members, Member{VL: vls[m.vl].ID, Frames: frameCount(t+m.aUs, m.bagUs), CUs: m.cUs, AUs: m.aUs})
 		}

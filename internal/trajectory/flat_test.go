@@ -101,6 +101,19 @@ func TestFlatMatchesReferenceFigure2(t *testing.T) {
 	}
 }
 
+// TestFlatMatchesReferenceMixedRates sweeps a generated configuration
+// with a fast core, where some paths peak at a positive offset: there
+// the grouping cap reads the input link's rate, which the flat index
+// takes from the port graph's groups and the reference from the input
+// port.
+func TestFlatMatchesReferenceMixedRates(t *testing.T) {
+	pg, err := afdx.BuildPortGraph(fastCoreSeed(t, 3), afdx.Strict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flatVsReference(t, "seed3-120-fastcore", pg, engineVariants)
+}
+
 // TestFlatMatchesReferenceGoldenCorpus sweeps the lint golden corpus:
 // every configuration that loads and builds is analysed by both
 // engines; analysis failures (e.g. the unstable-port config) must fail
@@ -193,9 +206,7 @@ search:
 			delete(pref, k)
 		}
 		ref.ncPrefix, flat.ncPrefix = pref, pref
-		if err := flat.prepare(); err != nil {
-			t.Fatal(err)
-		}
+		flat.prepare()
 		failed := 0
 		for _, p := range pg.Net.AllPaths() {
 			rd, rerr := ref.analyzePathRef(ctx, p)

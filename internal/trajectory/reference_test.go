@@ -210,9 +210,10 @@ func (a *analyzer) interferenceSet(vl *afdx.VirtualLink, ports []afdx.PortID) ([
 				return nil, fmt.Errorf("trajectory: no NC prefix bound for VL %s at %s", f.VL.ID, h)
 			}
 			ncLookups++
+			prev := port.Groups[f.Group].Prev
 			ratio := 1.0
-			if f.Prev != "" {
-				if in := a.pg.Ports[afdx.PortID{From: f.Prev, To: h.From}]; in != nil {
+			if prev != "" {
+				if in := a.pg.Ports[afdx.PortID{From: prev, To: h.From}]; in != nil {
 					ratio = in.RateBitsPerUs / port.RateBitsPerUs
 				}
 			}
@@ -220,7 +221,7 @@ func (a *analyzer) interferenceSet(vl *afdx.VirtualLink, ports []afdx.PortID) ([
 			inter = append(inter, interferer{
 				vl:       f.VL,
 				first:    h,
-				prev:     f.Prev,
+				prev:     prev,
 				cUs:      c,
 				aUs:      sMaxJ - sMin[h],
 				serRatio: ratio,

@@ -190,9 +190,7 @@ func newAnalyzer(ctx context.Context, pg *afdx.PortGraph, opts Options, nc *netc
 		}
 	}
 	a.ncPrefix = nc.PrefixDelays
-	if err := a.prepare(); err != nil {
-		return nil, err
-	}
+	a.prepare()
 	return a, nil
 }
 
