@@ -163,6 +163,8 @@ type (
 	// envelopes, worker count).
 	NCOptions = netcalc.Options
 	// NCResult carries per-port and per-path Network Calculus bounds.
+	// Each port result also holds the bounds of the flows crossing it
+	// (delay, prefix and burst), in the port graph's Port.Flows order.
 	NCResult = netcalc.Result
 )
 

@@ -533,6 +533,7 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"afdx-gen", []string{"-es-per-switch", "-3"}, 2, "-es-per-switch"},
 		{"afdx-gen", []string{"-max-utilization", "-1"}, 2, "-max-utilization"},
 		{"afdx-gen", []string{"-max-utilization", "NaN"}, 2, "-max-utilization"},
+		{"afdx-gen", []string{"-max-utilization", "1.5"}, 2, "-max-utilization"},
 		{"afdx-exact", []string{"-config", clean, "-refine", "-3"}, 2, "-refine"},
 		{"afdx-exact", []string{"-config", clean, "-grid-us", "-1"}, 2, "-grid-us"},
 		{"afdx-exact", []string{"-config", clean, "-max-combos", "-1"}, 2, "-max-combos"},
@@ -595,9 +596,9 @@ func TestCLIBoundsMetricsAndTrace(t *testing.T) {
 	}
 	for _, name := range []string{
 		"netcalc.ports_analyzed",
-		"netcalc.service_curve_cache_hits",
+		"netcalc.flow_envelopes",
 		"trajectory.busy_period_iterations",
-		"trajectory.prefix_cache_hits",
+		"trajectory.candidate_offsets",
 	} {
 		if vals[name] <= 0 {
 			t.Errorf("counter %s = %d, want > 0 (snapshot: %s)", name, vals[name], raw)

@@ -8,7 +8,8 @@
 //	afdx-gen -seed 1 -vls 200 -switches 4 -es-per-switch 6 -out small.json
 //
 // A negative or non-finite -vls, -switches, -es-per-switch or
-// -max-utilization is a usage error (exit 2); 0 keeps the default.
+// -max-utilization, and a -max-utilization above 1, are usage errors
+// (exit 2, nothing written); 0 keeps the default.
 //
 // The shared observability flags (-cpuprofile, -memprofile, -trace,
 // -metrics, -tracefile, -spantree; see internal/obs/cliobs) are
@@ -45,7 +46,7 @@ func main() {
 		vls       = flag.Int("vls", 0, "override the number of VLs")
 		switches  = flag.Int("switches", 0, "override the number of switches")
 		esPerSw   = flag.Int("es-per-switch", 0, "override end systems per switch")
-		maxUtil   = flag.Float64("max-utilization", 0, "override the admission ceiling (0..1)")
+		maxUtil   = flag.Float64("max-utilization", 0, "override the admission ceiling, in (0, 1]")
 		quiet     = flag.Bool("quiet", false, "do not print the configuration statistics")
 		dot       = flag.Bool("dot", false, "emit Graphviz DOT topology instead of JSON")
 		redundant = flag.Bool("redundant", false, "mirror into the dual A/B network (ARINC 664 redundancy)")
@@ -60,6 +61,10 @@ func main() {
 			log.Printf("-%s must be a finite non-negative number, got %v", f.name, f.v)
 			os.Exit(2)
 		}
+	}
+	if *maxUtil > 1 {
+		log.Printf("-max-utilization must be at most 1, got %v", *maxUtil)
+		os.Exit(2)
 	}
 	var err error
 	if sess, err = obsFlags.Start(); err != nil {

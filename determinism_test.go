@@ -11,6 +11,7 @@ package afdx_test
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"afdx"
@@ -42,6 +43,9 @@ func sameNCResults(t *testing.T, label string, a, b *afdx.NCResult) {
 				t.Errorf("%s: port %v level %d: %v vs %v", label, id, lvl, d, pb.DelayByPriority[lvl])
 			}
 		}
+		if !slices.Equal(pa.Flows, pb.Flows) {
+			t.Errorf("%s: port %v flow bounds: %v vs %v", label, id, pa.Flows, pb.Flows)
+		}
 	}
 	if len(a.PathDelays) != len(b.PathDelays) {
 		t.Fatalf("%s: path count %d vs %d", label, len(a.PathDelays), len(b.PathDelays))
@@ -49,16 +53,6 @@ func sameNCResults(t *testing.T, label string, a, b *afdx.NCResult) {
 	for pid, d := range a.PathDelays {
 		if d != b.PathDelays[pid] {
 			t.Errorf("%s: path %v: %v vs %v", label, pid, d, b.PathDelays[pid])
-		}
-	}
-	for k, v := range a.PrefixDelays {
-		if v != b.PrefixDelays[k] {
-			t.Errorf("%s: prefix %v: %v vs %v", label, k, v, b.PrefixDelays[k])
-		}
-	}
-	for k, v := range a.Bursts {
-		if v != b.Bursts[k] {
-			t.Errorf("%s: burst %v: %v vs %v", label, k, v, b.Bursts[k])
 		}
 	}
 }

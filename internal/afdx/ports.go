@@ -56,14 +56,12 @@ type Port struct {
 	Groups []InputGroup
 }
 
-// FlowByVL returns the PortFlow for the given VL ID, or nil.
-func (p *Port) FlowByVL(id string) *PortFlow {
-	for i := range p.Flows {
-		if p.Flows[i].VL.ID == id {
-			return &p.Flows[i]
-		}
-	}
-	return nil
+// FlowIndex returns the index in Flows of the given VL ID, and whether
+// the VL crosses the port.
+func (p *Port) FlowIndex(id string) (int, bool) {
+	return slices.BinarySearchFunc(p.Flows, id, func(f PortFlow, id string) int {
+		return strings.Compare(f.VL.ID, id)
+	})
 }
 
 // PortGraph is the derived analysable view of a Network: its output
@@ -100,11 +98,13 @@ type PortGraph struct {
 // never touches a PortID-keyed map. VLs are visited in ID order, which
 // leaves every port's flow list sorted and puts a VL's incidences at a
 // port back to back: comparing with the port's last flow is enough to
-// catch a VL crossing the port twice. The same order makes the loop
-// index the VL's ordinal, and leaves the VL the last flow of the port it
-// just left, which gives its upstream index. Input groups are keyed by
-// the number of the port they arrive from while the build runs, and
-// renumbered by input node at the end.
+// record a multicast VL once at a port its paths share. Validation's
+// tree check (AFDX006) makes those paths reach the port through the
+// same link, so the first crossing's group holds for all of them. The
+// same order makes the loop index the VL's ordinal, and leaves the VL
+// the last flow of the port it just left, which gives its upstream
+// index. Input groups are keyed by the number of the port they arrive
+// from while the build runs, and renumbered by input node at the end.
 func BuildPortGraph(n *Network, mode ValidationMode) (*PortGraph, error) {
 	if err := n.Validate(mode); err != nil {
 		return nil, err
@@ -166,12 +166,7 @@ func BuildPortGraph(n *Network, mode ValidationMode) (*PortGraph, error) {
 					feeds = append(feeds, nil)
 				}
 				port := ports[i]
-				if last := len(port.Flows) - 1; last >= 0 && port.Flows[last].VL == v {
-					if old := feeds[i][port.Flows[last].Group]; old != from {
-						return nil, fmt.Errorf("afdx: VL %s enters port %s from both %q and %q",
-							v.ID, id, inputLink(ports, port, old).Prev, inputLink(ports, port, from).Prev)
-					}
-				} else {
+				if last := len(port.Flows) - 1; last < 0 || port.Flows[last].VL != v {
 					g := slices.Index(feeds[i], from)
 					if g < 0 {
 						g = len(feeds[i])

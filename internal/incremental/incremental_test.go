@@ -50,7 +50,7 @@ func coldResults(t testing.TB, net *afdx.Network, opts incremental.Options) (*ne
 }
 
 // mustIdentical asserts bitwise equality of the full engine outcomes —
-// path bounds, per-port results, burst and prefix maps, trajectory
+// path bounds, per-port results with their per-flow bounds, trajectory
 // details — between a session round and a cold recompute.
 func mustIdentical(t *testing.T, step string, nc *netcalc.Result, tr *trajectory.Result, coldNC *netcalc.Result, coldTr *trajectory.Result) {
 	t.Helper()
@@ -58,13 +58,7 @@ func mustIdentical(t *testing.T, step string, nc *netcalc.Result, tr *trajectory
 		t.Fatalf("%s: netcalc path delays diverge from cold recompute", step)
 	}
 	if !reflect.DeepEqual(nc.Ports, coldNC.Ports) {
-		t.Fatalf("%s: netcalc port results diverge from cold recompute", step)
-	}
-	if !reflect.DeepEqual(nc.Bursts, coldNC.Bursts) {
-		t.Fatalf("%s: netcalc bursts diverge from cold recompute", step)
-	}
-	if !reflect.DeepEqual(nc.PrefixDelays, coldNC.PrefixDelays) {
-		t.Fatalf("%s: netcalc prefix delays diverge from cold recompute", step)
+		t.Fatalf("%s: netcalc port results, per-flow bounds included, diverge from cold recompute", step)
 	}
 	if !reflect.DeepEqual(tr.PathDelays, coldTr.PathDelays) {
 		t.Fatalf("%s: trajectory path delays diverge from cold recompute", step)

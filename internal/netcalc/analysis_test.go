@@ -1,29 +1,11 @@
 package netcalc
 
 import (
-	"context"
 	"math"
-	"strings"
 	"testing"
 
 	"afdx/internal/afdx"
-	"afdx/internal/minplus"
 )
-
-// analyzePort outside an engine run (no precomputed service curves) is
-// a hard invariant error, not silently uncounted fallback work.
-func TestAnalyzePortRequiresPrecomputedBeta(t *testing.T) {
-	pg := figure2Graph(t)
-	rn := newRun(context.Background(), pg, DefaultOptions())
-	rn.betas = map[betaKey]minplus.Curve{}
-	err := analyzePort(rn, 0)
-	if err == nil {
-		t.Fatal("analyzePort with an empty service-curve cache unexpectedly succeeded")
-	}
-	if want := "not precomputed"; !strings.Contains(err.Error(), want) {
-		t.Errorf("error %q does not mention %q", err, want)
-	}
-}
 
 // On the hand-checkable configurations the paper's WCNC (grouped) is
 // never looser than the separated analysis (grouping and staircases
@@ -58,8 +40,9 @@ func TestTierOrderingOnSampleConfigs(t *testing.T) {
 	}
 }
 
-// Per-flow delay terms: present for every (VL, port) incidence, equal
-// to the priority-level bound, and path bounds are exactly their sums.
+// Per-flow delay terms: one per (VL, port) incidence, in Port.Flows
+// order, equal to the priority-level bound, and path bounds are exactly
+// their sums.
 func TestFlowDelaysPerTier(t *testing.T) {
 	pg := figure2Graph(t)
 	res, err := Analyze(pg, DefaultOptions())
@@ -67,13 +50,12 @@ func TestFlowDelaysPerTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range pg.Order {
-		port := pg.Ports[id]
-		for _, f := range port.Flows {
-			fd, ok := res.FlowDelays[FlowPortKey{f.VL.ID, id}]
-			if !ok {
-				t.Fatalf("missing FlowDelays entry for %s at %v", f.VL.ID, id)
-			}
-			if lvl := res.Ports[id].DelayByPriority[f.VL.Priority]; fd != lvl {
+		port, pr := pg.Ports[id], res.Ports[id]
+		if len(pr.Flows) != len(port.Flows) {
+			t.Fatalf("port %v: %d flow bounds for %d flows", id, len(pr.Flows), len(port.Flows))
+		}
+		for k, f := range port.Flows {
+			if fd, lvl := pr.Flows[k].DelayUs, pr.DelayByPriority[f.VL.Priority]; fd != lvl {
 				t.Errorf("flow %s at %v: %g != level bound %g", f.VL.ID, id, fd, lvl)
 			}
 		}
@@ -81,7 +63,8 @@ func TestFlowDelaysPerTier(t *testing.T) {
 	for _, pid := range pg.Net.AllPaths() {
 		sum := 0.0
 		for _, portID := range pg.PathPorts(pid) {
-			sum += res.FlowDelays[FlowPortKey{pid.VL, portID}]
+			k, _ := pg.Ports[portID].FlowIndex(pid.VL)
+			sum += res.Ports[portID].Flows[k].DelayUs
 		}
 		if sum != res.PathDelays[pid] {
 			t.Errorf("path %v: flow-delay sum %g != path bound %g", pid, sum, res.PathDelays[pid])

@@ -34,9 +34,10 @@ type PortTerm struct {
 
 // Explain projects one path's bound out of the result into its
 // per-port terms; no engine runs. pg must be the graph the result was
-// computed on. The terms read the engine's own per-incidence values, so
-// the port delays summed in path order equal the path bound, and so
-// does the last port's PrefixDelayUs + DelayUs.
+// computed on; a port whose flow count differs from the result's is an
+// error. The terms read the engine's own per-flow values, so the port
+// delays summed in path order equal the path bound, and so does the
+// last port's PrefixDelayUs + DelayUs.
 func (r *Result) Explain(pg *afdx.PortGraph, pid afdx.PathID) (*PathExplanation, error) {
 	d, ok := r.PathDelays[pid]
 	if !ok {
@@ -44,16 +45,21 @@ func (r *Result) Explain(pg *afdx.PortGraph, pid afdx.PathID) (*PathExplanation,
 	}
 	ex := &PathExplanation{Path: pid, DelayUs: d}
 	for _, portID := range pg.PathPorts(pid) {
-		port := pg.Ports[portID]
-		key := FlowPortKey{pid.VL, portID}
+		port, pr := pg.Ports[portID], r.Ports[portID]
+		if len(pr.Flows) != len(port.Flows) {
+			return nil, fmt.Errorf("netcalc: the result holds %d flows at port %s, the port graph %d (a result of another graph?)",
+				len(pr.Flows), portID, len(port.Flows))
+		}
+		k, _ := port.FlowIndex(pid.VL)
+		fb := pr.Flows[k]
 		ex.Ports = append(ex.Ports, PortTerm{
 			Port:          portID,
-			DelayUs:       r.FlowDelays[key],
+			DelayUs:       fb.DelayUs,
 			LatencyUs:     port.LatencyUs,
-			Utilization:   r.Ports[portID].Utilization,
+			Utilization:   pr.Utilization,
 			NumFlows:      len(port.Flows),
-			BurstBits:     r.Bursts[key],
-			PrefixDelayUs: r.PrefixDelays[key],
+			BurstBits:     fb.BurstBits,
+			PrefixDelayUs: fb.PrefixUs,
 		})
 	}
 	return ex, nil

@@ -12,12 +12,13 @@ import (
 	"afdx/internal/configgen"
 )
 
-// wcncDigest is an FNV-64a digest of every field of a WCNC result:
-// per-port bounds (each priority level included), path bounds and the
-// three per-incidence maps, with keys in sorted order and floats in
-// exact hexadecimal (%x) form, so any change to a float accumulation
-// order changes the digest.
-func wcncDigest(r *Result) uint64 {
+// wcncDigest is an FNV-64a digest of every field of a WCNC result on
+// the graph pg it was computed on: per-port bounds (each priority level
+// included), path bounds and the three per-flow bounds of every port,
+// each kind listed by (VL, port) in sorted order, with floats in exact
+// hexadecimal (%x) form, so any change to a float accumulation order
+// changes the digest.
+func wcncDigest(pg *afdx.PortGraph, r *Result) uint64 {
 	h := fnv.New64a()
 	line := func(format string, args ...any) { fmt.Fprintf(h, format+"\n", args...) }
 
@@ -48,29 +49,29 @@ func wcncDigest(r *Result) uint64 {
 		line("path %s %x", pid, r.PathDelays[pid])
 	}
 
+	// Every (VL, port) incidence, VL-major; ports is already sorted.
+	type incidence struct {
+		vl   string
+		port afdx.PortID
+		fb   FlowBound
+	}
+	var flows []incidence
+	for _, id := range ports {
+		for k, f := range pg.Ports[id].Flows {
+			flows = append(flows, incidence{f.VL.ID, id, r.Ports[id].Flows[k]})
+		}
+	}
+	slices.SortStableFunc(flows, func(a, b incidence) int { return strings.Compare(a.vl, b.vl) })
 	for _, m := range []struct {
 		name string
-		vals map[FlowPortKey]float64
+		val  func(FlowBound) float64
 	}{
-		{"flow", r.FlowDelays},
-		{"prefix", r.PrefixDelays},
-		{"burst", r.Bursts},
+		{"flow", func(fb FlowBound) float64 { return fb.DelayUs }},
+		{"prefix", func(fb FlowBound) float64 { return fb.PrefixUs }},
+		{"burst", func(fb FlowBound) float64 { return fb.BurstBits }},
 	} {
-		keys := make([]FlowPortKey, 0, len(m.vals))
-		for k := range m.vals {
-			keys = append(keys, k)
-		}
-		slices.SortFunc(keys, func(a, b FlowPortKey) int {
-			if c := strings.Compare(a.VL, b.VL); c != 0 {
-				return c
-			}
-			if c := strings.Compare(a.Port.From, b.Port.From); c != 0 {
-				return c
-			}
-			return strings.Compare(a.Port.To, b.Port.To)
-		})
-		for _, k := range keys {
-			line("%s %s %s %x", m.name, k.VL, k.Port, m.vals[k])
+		for _, f := range flows {
+			line("%s %s %s %x", m.name, f.vl, f.port, m.val(f.fb))
 		}
 	}
 	return h.Sum64()
@@ -190,7 +191,7 @@ func TestWCNCGoldenDigests(t *testing.T) {
 				if res, err := Analyze(pg, opts); err != nil {
 					got = "error: " + err.Error()
 				} else {
-					got = fmt.Sprintf("%#x", wcncDigest(res))
+					got = fmt.Sprintf("%#x", wcncDigest(pg, res))
 				}
 				if got != want[key] {
 					t.Errorf("%s (workers=%d): got %q, want the pinned %q", key, workers, got, want[key])

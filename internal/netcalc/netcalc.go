@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"afdx/internal/afdx"
 	"afdx/internal/lint"
@@ -72,12 +71,24 @@ type PortResult struct {
 	DelayByPriority map[int]float64
 	BacklogBits     float64
 	Utilization     float64
+	// Flows holds the bounds of the flows crossing the port: Flows[k]
+	// belongs to afdx.Port.Flows[k].
+	Flows []FlowBound
 }
 
-// FlowPortKey identifies a (VL, port) incidence.
-type FlowPortKey struct {
-	VL   string
-	Port afdx.PortID
+// FlowBound is one flow's bounds at one output port.
+type FlowBound struct {
+	// DelayUs is the delay bound the flow experiences at the port: its
+	// priority level's bound (DelayByPriority). Path bounds are the sums
+	// of these terms along the crossed ports.
+	DelayUs float64
+	// PrefixUs bounds the time between the frame's emission and its
+	// arrival at the port: the sum of the delay bounds of the ports
+	// crossed before it. The Trajectory approach uses it as S_max.
+	PrefixUs float64
+	// BurstBits is the flow's burst as it arrives at the port, after
+	// upstream jitter inflation.
+	BurstBits float64
 }
 
 // Result is the outcome of a WCNC analysis of a full configuration.
@@ -87,19 +98,6 @@ type Result struct {
 	// PathDelays maps every (VL, destination) path to its end-to-end
 	// delay upper bound in microseconds.
 	PathDelays map[afdx.PathID]float64
-	// FlowDelays maps every (VL, port) incidence to the delay bound the
-	// flow experiences at that port: its priority-level bound
-	// (DelayByPriority). Path bounds are the sums of these terms along
-	// the crossed ports.
-	FlowDelays map[FlowPortKey]float64
-	// PrefixDelays maps (VL, port) to an upper bound on the time between
-	// the frame's emission and its arrival at that port (the sum of the
-	// delay bounds of the ports crossed before it). Used as the S_max
-	// term by the Trajectory approach.
-	PrefixDelays map[FlowPortKey]float64
-	// Bursts maps (VL, port) to the flow's burst (bits) as it arrives at
-	// the port, after upstream jitter inflation.
-	Bursts map[FlowPortKey]float64
 }
 
 // Analyze runs the WCNC analysis over a feed-forward port graph.
@@ -120,8 +118,6 @@ func Analyze(pg *afdx.PortGraph, opts Options) (*Result, error) {
 type ncMetrics struct {
 	ports     *obs.Counter
 	envelopes *obs.Counter
-	betaHits  *obs.Counter
-	betaMiss  *obs.Counter
 	rankSize  *obs.Histogram
 }
 
@@ -134,10 +130,6 @@ func newNCMetrics(reg *obs.Registry) ncMetrics {
 			"output ports analysed (horizontal-deviation bounds computed)"),
 		envelopes: reg.Counter("netcalc.flow_envelopes", obs.Deterministic,
 			"per-flow arrival envelopes built at ports"),
-		betaHits: reg.Counter("netcalc.service_curve_cache_hits", obs.Deterministic,
-			"port service curves served from the (rate, latency) cache"),
-		betaMiss: reg.Counter("netcalc.service_curve_cache_misses", obs.Deterministic,
-			"distinct (rate, latency) service curves constructed"),
 		rankSize: reg.Histogram("netcalc.rank_size", obs.Deterministic,
 			"ports per dependency rank (the per-rank fan-out width)"),
 	}
@@ -147,13 +139,12 @@ func newNCMetrics(reg *obs.Registry) ncMetrics {
 // numbered densely: ports by their position in pg.Order, then flows by
 // their position in Port.Flows, so port i owns the incidence range
 // [base[i], base[i+1]). The rank loop reads and writes only the slices
-// below; the public Result maps are filled once, after it.
+// below, and each port's result keeps its range of flows.
 type ncRun struct {
-	ctx   context.Context
-	pg    *afdx.PortGraph
-	opts  Options
-	m     ncMetrics
-	betas map[betaKey]minplus.Curve
+	ctx  context.Context
+	pg   *afdx.PortGraph
+	opts Options
+	m    ncMetrics
 
 	ports []*afdx.Port // ports[i] is pg.Ports[pg.Order[i]]
 	pos   map[afdx.PortID]int32
@@ -162,20 +153,11 @@ type ncRun struct {
 	// port it crosses just before (-1 at its source port). A VL enters
 	// a port from exactly one link, so there is exactly one.
 	up []int32
-	// Per incidence: the flow's burst and accumulated delay bound on
-	// arrival at the port, its delay bound at the port, and its burst on
+	// Per incidence: the flow's bounds at the port, and its burst on
 	// leaving it.
-	burst, prefix, delay, outBurst []float64
-	portRes                        []PortResult
-}
-
-// betaKey identifies a rate-latency service curve. Ports share curves
-// aggressively (an AFDX network has a handful of link speeds), so the
-// cache is precomputed sequentially and read-only afterwards —
-// parallel-safe, and hit counts are exact work counts.
-type betaKey struct {
-	rate    float64
-	latency float64
+	flows    []FlowBound
+	outBurst []float64
+	portRes  []PortResult
 }
 
 // newRun numbers the graph's incidences and links each one to its
@@ -198,9 +180,7 @@ func newRun(ctx context.Context, pg *afdx.PortGraph, opts Options) *ncRun {
 	}
 	n := rn.base[len(pg.Order)]
 	rn.up = make([]int32, n)
-	rn.burst = make([]float64, n)
-	rn.prefix = make([]float64, n)
-	rn.delay = make([]float64, n)
+	rn.flows = make([]FlowBound, n)
 	rn.outBurst = make([]float64, n)
 	rn.portRes = make([]PortResult, len(pg.Order))
 	for i, port := range rn.ports {
@@ -217,11 +197,10 @@ func newRun(ctx context.Context, pg *afdx.PortGraph, opts Options) *ncRun {
 }
 
 // AnalyzeCtx is Analyze with observability: when ctx carries an
-// obs.Registry the engine counts ports, envelopes, service-curve cache
-// traffic and rank sizes; when it carries an obs.Tracer the run is
-// wrapped in a "netcalc" span with one "port:<id>" span per port.
-// Observation never influences the computation: results are
-// bit-identical with or without it.
+// obs.Registry the engine counts ports, envelopes and rank sizes; when
+// it carries an obs.Tracer the run is wrapped in a "netcalc" span with
+// one "port:<id>" span per port. Observation never influences the
+// computation: results are bit-identical with or without it.
 func AnalyzeCtx(ctx context.Context, pg *afdx.PortGraph, opts Options) (*Result, error) {
 	ctx, span := obs.StartSpan(ctx, "netcalc")
 	defer span.End()
@@ -229,16 +208,6 @@ func AnalyzeCtx(ctx context.Context, pg *afdx.PortGraph, opts Options) (*Result,
 		return nil, fmt.Errorf("netcalc: %w", err)
 	}
 	rn := newRun(ctx, pg, opts)
-	// Precompute the service-curve cache over the distinct (rate,
-	// latency) pairs; afterwards it is read-only and parallel-safe.
-	rn.betas = make(map[betaKey]minplus.Curve)
-	for _, port := range rn.ports {
-		k := betaKey{port.RateBitsPerUs, port.LatencyUs}
-		if _, ok := rn.betas[k]; !ok {
-			rn.betas[k] = minplus.RateLatency(port.RateBitsPerUs, port.LatencyUs)
-			rn.m.betaMiss.Inc()
-		}
-	}
 	if rn.m.rankSize != nil {
 		for _, rank := range pg.Ranks() {
 			rn.m.rankSize.Observe(int64(len(rank)))
@@ -271,36 +240,24 @@ func AnalyzeCtx(ctx context.Context, pg *afdx.PortGraph, opts Options) (*Result,
 // accumulated from 0 in path order, so this is the same float sum as
 // adding the path's per-port terms one by one.
 func (rn *ncRun) result() *Result {
-	n, paths := len(rn.up), 0
+	paths := 0
 	for _, vl := range rn.pg.Net.VLs {
 		paths += len(vl.Paths)
 	}
 	res := &Result{
-		Opts:         rn.opts,
-		Ports:        make(map[afdx.PortID]PortResult, len(rn.ports)),
-		PathDelays:   make(map[afdx.PathID]float64, paths),
-		FlowDelays:   make(map[FlowPortKey]float64, n),
-		PrefixDelays: make(map[FlowPortKey]float64, n),
-		Bursts:       make(map[FlowPortKey]float64, n),
+		Opts:       rn.opts,
+		Ports:      make(map[afdx.PortID]PortResult, len(rn.ports)),
+		PathDelays: make(map[afdx.PathID]float64, paths),
 	}
 	for i, port := range rn.ports {
 		res.Ports[port.ID] = rn.portRes[i]
-		for k, f := range port.Flows {
-			j := rn.base[i] + int32(k)
-			key := FlowPortKey{f.VL.ID, port.ID}
-			res.FlowDelays[key] = rn.delay[j]
-			res.PrefixDelays[key] = rn.prefix[j]
-			res.Bursts[key] = rn.burst[j]
-		}
 	}
 	for _, vl := range rn.pg.Net.VLs {
 		for pi, path := range vl.Paths {
 			i := rn.pos[afdx.PortID{From: path[len(path)-2], To: path[len(path)-1]}]
-			k, _ := slices.BinarySearchFunc(rn.ports[i].Flows, vl.ID, func(f afdx.PortFlow, id string) int {
-				return strings.Compare(f.VL.ID, id)
-			})
-			j := rn.base[i] + int32(k)
-			res.PathDelays[afdx.PathID{VL: vl.ID, PathIdx: pi}] = rn.prefix[j] + rn.delay[j]
+			k, _ := rn.ports[i].FlowIndex(vl.ID)
+			fb := rn.flows[rn.base[i]+int32(k)]
+			res.PathDelays[afdx.PathID{VL: vl.ID, PathIdx: pi}] = fb.PrefixUs + fb.DelayUs
 		}
 	}
 	return res
@@ -310,7 +267,7 @@ func (rn *ncRun) result() *Result {
 // jitter-inflated leaky bucket, or (with StairSteps > 0) the exact
 // jitter-shifted staircase curve.
 func (rn *ncRun) flowEnvelope(j int32, vl *afdx.VirtualLink, port afdx.PortID) (minplus.Curve, error) {
-	lb := minplus.LeakyBucket(rn.burst[j], vl.RhoBitsPerUs())
+	lb := minplus.LeakyBucket(rn.flows[j].BurstBits, vl.RhoBitsPerUs())
 	if rn.opts.StairSteps <= 0 {
 		return lb, nil
 	}
@@ -319,7 +276,7 @@ func (rn *ncRun) flowEnvelope(j int32, vl *afdx.VirtualLink, port afdx.PortID) (
 	// [t + minTransit, t + prefixDelay], so in the worst case the
 	// window of length x holds the frames of a window of length
 	// x + prefixDelay at the source.
-	stair, err := minplus.StaircaseWithJitter(vl.SMaxBits(), vl.BAGUs(), rn.prefix[j], rn.opts.StairSteps)
+	stair, err := minplus.StaircaseWithJitter(vl.SMaxBits(), vl.BAGUs(), rn.flows[j].PrefixUs, rn.opts.StairSteps)
 	if err != nil {
 		return minplus.Curve{}, fmt.Errorf("netcalc: staircase envelope for VL %s at %s: %w", vl.ID, port, err)
 	}
@@ -345,29 +302,20 @@ func analyzePort(rn *ncRun, i int) error {
 	_, span := obs.StartSpan(rn.ctx, "port:"+id.String())
 	defer span.End()
 	rn.m.ports.Inc()
-	beta, ok := rn.betas[betaKey{port.RateBitsPerUs, port.LatencyUs}]
-	if !ok {
-		// The engine precomputes every port's service curve before the
-		// rank fan-out; a miss means analyzePort ran outside an engine
-		// run, which would silently skip the beta-cache accounting. Hard
-		// invariant error rather than untested fallback code.
-		return fmt.Errorf("netcalc: port %s: service curve (rate %g, latency %g) not precomputed (analyzePort called outside an engine run)",
-			id, port.RateBitsPerUs, port.LatencyUs)
-	}
-	rn.m.betaHits.Inc()
+	beta := minplus.RateLatency(port.RateBitsPerUs, port.LatencyUs)
 
 	// Arrival state: the feeding incidence's departure burst and its
 	// prefix plus its delay; at the source end system every VL is
 	// freshly shaped to (s_max, s_max/BAG).
-	lo := rn.base[i]
+	lo, hi := rn.base[i], rn.base[i+1]
+	flows := rn.flows[lo:hi:hi]
 	for k, f := range port.Flows {
-		j := lo + int32(k)
-		if u := rn.up[j]; u >= 0 {
-			rn.burst[j] = rn.outBurst[u]
-			rn.prefix[j] = rn.prefix[u] + rn.delay[u]
+		if u := rn.up[lo+int32(k)]; u >= 0 {
+			flows[k].BurstBits = rn.outBurst[u]
+			flows[k].PrefixUs = rn.flows[u].PrefixUs + rn.flows[u].DelayUs
 		} else {
-			rn.burst[j] = f.VL.SMaxBits()
-			rn.prefix[j] = 0
+			flows[k].BurstBits = f.VL.SMaxBits()
+			flows[k].PrefixUs = 0
 		}
 	}
 
@@ -487,6 +435,7 @@ func analyzePort(rn *ncRun, i int) error {
 		DelayByPriority: delayByPrio,
 		BacklogBits:     minplus.VerticalDeviation(total, beta),
 		Utilization:     rhoSum / port.RateBitsPerUs,
+		Flows:           flows,
 	}
 
 	// Each flow's delay term is its priority level's bound at this port,
@@ -495,10 +444,9 @@ func analyzePort(rn *ncRun, i int) error {
 	// ports downstream: the output traffic is bounded by alpha(t+delay),
 	// so the burst grows by rho*delay.
 	for k, f := range port.Flows {
-		j := lo + int32(k)
 		l := slices.IndexFunc(levels, func(c levelCurve) bool { return c.lvl == f.VL.Priority })
-		rn.delay[j] = levels[l].delay
-		rn.outBurst[j] = rn.burst[j] + f.VL.RhoBitsPerUs()*rn.delay[j]
+		flows[k].DelayUs = levels[l].delay
+		rn.outBurst[lo+int32(k)] = flows[k].BurstBits + f.VL.RhoBitsPerUs()*flows[k].DelayUs
 	}
 	return nil
 }

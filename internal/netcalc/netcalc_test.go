@@ -3,6 +3,7 @@ package netcalc
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -128,16 +129,16 @@ func TestPrefixDelaysAndBursts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// v1 arrives at S1->S3 after the 56 us source-port bound.
-	k := FlowPortKey{"v1", afdx.PortID{From: "S1", To: "S3"}}
-	if got := res.PrefixDelays[k]; !almostEq(got, 56) {
+	// v1 is the first flow of both ports. It arrives at S1->S3 after
+	// the 56 us source-port bound.
+	at := res.Ports[afdx.PortID{From: "S1", To: "S3"}].Flows[0]
+	if got := at.PrefixUs; !almostEq(got, 56) {
 		t.Errorf("prefix delay of v1 at S1->S3 = %g, want 56", got)
 	}
-	if got := res.Bursts[k]; !almostEq(got, 4056) {
+	if got := at.BurstBits; !almostEq(got, 4056) {
 		t.Errorf("burst of v1 at S1->S3 = %g, want 4056", got)
 	}
-	k2 := FlowPortKey{"v1", afdx.PortID{From: "S3", To: "e6"}}
-	if got := res.PrefixDelays[k2]; !almostEq(got, 56+97.12) {
+	if got := res.Ports[afdx.PortID{From: "S3", To: "e6"}].Flows[0].PrefixUs; !almostEq(got, 56+97.12) {
 		t.Errorf("prefix delay of v1 at S3->e6 = %g, want 153.12", got)
 	}
 }
@@ -332,6 +333,26 @@ func TestExplainUnknownPathNC(t *testing.T) {
 	}
 }
 
+// An explanation of Figure 2's v2/0 read off the result of Figure 2
+// without v1 must fail at S1->S3, where the graph lists v1 and v2 and
+// the result holds one flow, instead of reading past its flow bounds.
+func TestExplainResultOfAnotherGraphNC(t *testing.T) {
+	net := afdx.Figure2Config()
+	net.VLs = net.VLs[1:]
+	other, err := afdx.BuildPortGraph(net, afdx.Strict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Analyze(other, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = res.Explain(figure2Graph(t), afdx.PathID{VL: "v2", PathIdx: 0})
+	if want := "netcalc: the result holds 1 flows at port S1->S3, the port graph 2 (a result of another graph?)"; err == nil || err.Error() != want {
+		t.Errorf("got %v, want %q", err, want)
+	}
+}
+
 // comparePortResults requires two results to be bit-identical: same
 // ports, same per-priority delays, same propagated envelopes.
 func comparePortResults(t *testing.T, label string, a, b *Result) {
@@ -355,20 +376,13 @@ func comparePortResults(t *testing.T, label string, a, b *Result) {
 				t.Errorf("%s: port %v level %d: %v vs %v", label, id, lvl, d, pb.DelayByPriority[lvl])
 			}
 		}
+		if !slices.Equal(pa.Flows, pb.Flows) {
+			t.Errorf("%s: port %v flow bounds: %v vs %v", label, id, pa.Flows, pb.Flows)
+		}
 	}
 	for pid, d := range a.PathDelays {
 		if b.PathDelays[pid] != d {
 			t.Errorf("%s: path %v: %v vs %v (must be bit-identical)", label, pid, d, b.PathDelays[pid])
-		}
-	}
-	for k, v := range a.Bursts {
-		if b.Bursts[k] != v {
-			t.Errorf("%s: burst %v: %v vs %v", label, k, v, b.Bursts[k])
-		}
-	}
-	for k, v := range a.PrefixDelays {
-		if b.PrefixDelays[k] != v {
-			t.Errorf("%s: prefix %v: %v vs %v", label, k, v, b.PrefixDelays[k])
 		}
 	}
 }

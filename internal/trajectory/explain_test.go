@@ -288,8 +288,16 @@ func TestExplainCountsLikeOnePathAnalysis(t *testing.T) {
 		if !reflect.DeepEqual(explained, onePath) {
 			t.Errorf("%s: explanation snapshot differs from a one-path analysis:\nexplain:  %+v\none path: %+v", v.name, explained, onePath)
 		}
-		if v.name == "grouped" && onePath.Counter("trajectory.prefix_cache_hits") != 4 {
-			t.Errorf("%s: one-path analysis made %d prefix look-ups, want 4", v.name, onePath.Counter("trajectory.prefix_cache_hits"))
+		if v.name == "grouped" {
+			met := int64(0)
+			for _, h := range onePath.Histograms {
+				if h.Name == "trajectory.interference_set_size" {
+					met = h.Sum
+				}
+			}
+			if met != 4 {
+				t.Errorf("%s: one-path analysis met %d interferers, want 4", v.name, met)
+			}
 		}
 	}
 

@@ -8,7 +8,6 @@ import (
 
 	"afdx/internal/afdx"
 	"afdx/internal/core/tol"
-	"afdx/internal/netcalc"
 )
 
 // This file is the flattened trajectory hot path. The reference engine
@@ -88,7 +87,6 @@ type flatPort struct {
 	cUs      []float64 // per flow: CMaxUs at this port's rate
 	bagUs    []float64 // per flow: BAG in us
 	pref     []float64 // per flow: NC prefix bound at this port
-	prefOK   []bool    // per flow: prefix bound present
 	serRatio []float64 // per flow: serialization ratio of its input link
 	grpOf    []int32   // per flow: local input-group index (prev-sorted)
 
@@ -165,8 +163,10 @@ type flatIndex struct {
 }
 
 // prepare builds the flat hot-path index. newAnalyzer runs it once the
-// prefix bounds are known.
-func (a *analyzer) prepare() {
+// prefix bounds are known. It fails, naming the first port in PortID
+// order, when the NC result's flow bounds do not line up with the port
+// graph's flows: a result of another graph.
+func (a *analyzer) prepare() error {
 	fl := &flatIndex{
 		vls:   a.pg.VLOrder(),
 		ports: make(map[afdx.PortID]*flatPort, len(a.pg.Ports)),
@@ -177,10 +177,14 @@ func (a *analyzer) prepare() {
 	}
 	afdx.SortPortIDs(ids)
 	for _, id := range ids {
+		if got, want := len(a.nc.Ports[id].Flows), len(a.pg.Ports[id].Flows); got != want {
+			return fmt.Errorf("trajectory: the NC result holds %d flow bounds at port %s, the port graph %d flows (a result of another graph?)", got, id, want)
+		}
 		fl.ports[id] = a.buildFlatPort(id)
 	}
 	fl.pool.New = func() any { return &scratch{} }
 	a.flat = fl
+	return nil
 }
 
 // buildFlatPort flattens one port: per-flow scalar slices, the input
@@ -188,6 +192,7 @@ func (a *analyzer) prepare() {
 // order within a port), and the busy-period fixpoint inputs.
 func (a *analyzer) buildFlatPort(id afdx.PortID) *flatPort {
 	p := a.pg.Ports[id]
+	bounds := a.nc.Ports[id].Flows
 	n := len(p.Flows)
 	fp := &flatPort{
 		id:       id,
@@ -198,7 +203,6 @@ func (a *analyzer) buildFlatPort(id afdx.PortID) *flatPort {
 		cUs:      make([]float64, n),
 		bagUs:    make([]float64, n),
 		pref:     make([]float64, n),
-		prefOK:   make([]bool, n),
 		serRatio: make([]float64, n),
 		grpOf:    make([]int32, n),
 		groups:   p.Groups,
@@ -211,7 +215,7 @@ func (a *analyzer) buildFlatPort(id afdx.PortID) *flatPort {
 		fp.bagUs[j] = f.VL.BAGUs()
 		fp.grpOf[j] = f.Group
 		fp.serRatio[j] = p.Groups[f.Group].RateBitsPerUs / p.RateBitsPerUs
-		fp.pref[j], fp.prefOK[j] = a.ncPrefix[netcalc.FlowPortKey{VL: f.VL.ID, Port: id}]
+		fp.pref[j] = bounds[j].PrefixUs
 		// Busy-period inputs and the transition-term max, in the
 		// reference's flow-order accumulation.
 		fp.sumC += c
@@ -254,9 +258,7 @@ func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink,
 		acc += vl.CMinUs(fp.rate) + fp.latency
 	}
 
-	if err := a.mergeInterferers(sc); err != nil {
-		return PathDetail{}, err
-	}
+	sc.mergeInterferers()
 	a.m.interferers.Observe(int64(len(sc.inter)))
 
 	// Constant terms: technological latencies and the transition
@@ -323,11 +325,7 @@ func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink,
 // and its later occurrences only raise cUs to the max over the shared
 // ports. One flow incidence is consumed per round, which bounds the
 // loop by the path's incidence count.
-//
-// A missing NC prefix bound is reported at the lowest (path position,
-// flow index), the order the reference scans in, not at the first VL
-// the merge meets.
-func (a *analyzer) mergeInterferers(sc *scratch) error {
+func (sc *scratch) mergeInterferers() {
 	sc.inter = sc.inter[:0]
 	sc.cursor = grow(sc.cursor, len(sc.fps))
 	total := 0
@@ -335,9 +333,6 @@ func (a *analyzer) mergeInterferers(sc *scratch) error {
 		sc.cursor[pos] = 0
 		total += len(fp.vls)
 	}
-	// Lowest (position, flow) lacking an NC prefix. A port's flows are
-	// visited in order, so only a lower position can displace a miss.
-	missPos, missJ := -1, 0
 	for n := 0; n < total; n++ {
 		pos, ord := -1, int32(0)
 		for p, fp := range sc.fps {
@@ -356,9 +351,6 @@ func (a *analyzer) mergeInterferers(sc *scratch) error {
 			}
 			continue
 		}
-		if !fp.prefOK[j] && (missPos < 0 || pos < missPos) {
-			missPos, missJ = pos, j
-		}
 		sc.inter = append(sc.inter, flatInterferer{
 			vl:       ord,
 			pos:      int32(pos),
@@ -369,14 +361,6 @@ func (a *analyzer) mergeInterferers(sc *scratch) error {
 			serRatio: fp.serRatio[j],
 		})
 	}
-	if missPos >= 0 {
-		a.m.ncMiss.Inc()
-		fp := sc.fps[missPos]
-		return fmt.Errorf("trajectory: no NC prefix bound for VL %s at %s", a.flat.vls[fp.vls[missJ]].ID, fp.id)
-	}
-	// One prefix look-up per interferer, counted in one atomic Add.
-	a.m.ncHits.Add(int64(len(sc.inter)))
-	return nil
 }
 
 // regroupInterferers instantiates the serialization-group partition for

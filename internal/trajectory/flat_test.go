@@ -3,14 +3,12 @@ package trajectory
 import (
 	"context"
 	"fmt"
-	"maps"
 	"math/rand"
 	"path/filepath"
 	"testing"
 
 	"afdx/internal/afdx"
 	"afdx/internal/configgen"
-	"afdx/internal/netcalc"
 )
 
 // Differential tests of the flat hot path (flat.go) against the
@@ -133,103 +131,6 @@ func TestFlatMatchesReferenceGoldenCorpus(t *testing.T) {
 			continue
 		}
 		flatVsReference(t, filepath.Base(file), pg, engineVariants)
-	}
-}
-
-// TestFlatMissingPrefixReportedLikeReference removes NC prefix bounds
-// so that the interference merge, which visits flows in VL-ID order,
-// meets a missing bound with a lower VL ID before the one the
-// reference's (path position, flow) scan reports. Both engines must
-// fail every path with the same error text.
-func TestFlatMissingPrefixReportedLikeReference(t *testing.T) {
-	spec := configgen.DefaultSpec(1)
-	spec.NumVLs = 60
-	net, err := configgen.Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg, err := afdx.BuildPortGraph(net, afdx.Strict)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First occurrences along a path, in the reference's scan order.
-	firsts := func(pid afdx.PathID) []netcalc.FlowPortKey {
-		seen := map[string]bool{}
-		var out []netcalc.FlowPortKey
-		for _, h := range pg.PathPorts(pid) {
-			for _, f := range pg.Ports[h].Flows {
-				if !seen[f.VL.ID] {
-					seen[f.VL.ID] = true
-					out = append(out, netcalc.FlowPortKey{VL: f.VL.ID, Port: h})
-				}
-			}
-		}
-		return out
-	}
-	// Find a path where an earlier-port first occurrence has a higher
-	// VL ID than a later-port one; drop both, plus the path's last first
-	// occurrence, and expect the earliest to be reported.
-	var pid afdx.PathID
-	var drop []netcalc.FlowPortKey
-search:
-	for _, p := range pg.Net.AllPaths() {
-		fs := firsts(p)
-		for i := range fs {
-			for k := i + 1; k < len(fs); k++ {
-				if fs[k].Port != fs[i].Port && fs[k].VL < fs[i].VL {
-					pid, drop = p, []netcalc.FlowPortKey{fs[i], fs[k]}
-					if last := fs[len(fs)-1]; last != fs[k] {
-						drop = append(drop, last)
-					}
-					break search
-				}
-			}
-		}
-	}
-	if drop == nil {
-		t.Fatal("no path orders its first occurrences against VL-ID order")
-	}
-	want := fmt.Sprintf("trajectory: no NC prefix bound for VL %s at %s", drop[0].VL, drop[0].Port)
-
-	ctx := context.Background()
-	for _, v := range engineVariants {
-		ref, err := newReference(ctx, pg, v.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		flat, err := newAnalyzer(ctx, pg, v.opts, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pref := maps.Clone(ref.ncPrefix)
-		for _, k := range drop {
-			delete(pref, k)
-		}
-		ref.ncPrefix, flat.ncPrefix = pref, pref
-		flat.prepare()
-		failed := 0
-		for _, p := range pg.Net.AllPaths() {
-			rd, rerr := ref.analyzePathRef(ctx, p)
-			fd, ferr := flat.analyzePath(ctx, p, nil)
-			label := fmt.Sprintf("%s/%v", v.name, p)
-			switch {
-			case (rerr == nil) != (ferr == nil):
-				t.Fatalf("%s: reference err %v vs flat err %v", label, rerr, ferr)
-			case rerr != nil:
-				failed++
-				if rerr.Error() != ferr.Error() {
-					t.Errorf("%s: error text differs:\n  reference: %v\n  flat:      %v", label, rerr, ferr)
-				}
-			case rd != fd:
-				t.Errorf("%s: reference %+v vs flat %+v", label, rd, fd)
-			}
-			if p == pid && (ferr == nil || ferr.Error() != want) {
-				t.Errorf("%s: flat err %v, want %q", label, ferr, want)
-			}
-		}
-		if failed == 0 {
-			t.Fatalf("%s: no path failed with %d prefix bounds removed", v.name, len(drop))
-		}
 	}
 }
 

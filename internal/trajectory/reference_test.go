@@ -8,7 +8,6 @@ import (
 
 	"afdx/internal/afdx"
 	"afdx/internal/core/tol"
-	"afdx/internal/netcalc"
 	"afdx/internal/parallel"
 )
 
@@ -89,10 +88,7 @@ func (a *analyzer) analyzePortSeqRef(ctx context.Context, vl *afdx.VirtualLink, 
 	if err := ctx.Err(); err != nil {
 		return PathDetail{}, fmt.Errorf("trajectory: analysis cancelled: %w", err)
 	}
-	inter, err := a.interferenceSet(vl, ports)
-	if err != nil {
-		return PathDetail{}, err
-	}
+	inter := a.interferenceSet(vl, ports)
 	a.m.interferers.Observe(int64(len(inter)))
 
 	// Constant terms: technological latencies and the transition
@@ -177,7 +173,7 @@ type interferer struct {
 // interferenceSet builds the interferer list of a path: every VL sharing
 // at least one of its ports (including the analyzed VL itself), with the
 // first shared port, the input link there, and the window alignment A_ij.
-func (a *analyzer) interferenceSet(vl *afdx.VirtualLink, ports []afdx.PortID) ([]interferer, error) {
+func (a *analyzer) interferenceSet(vl *afdx.VirtualLink, ports []afdx.PortID) []interferer {
 	// Minimum arrival times of the analyzed flow at each of its ports
 	// (per-port rates: real configurations mix link speeds).
 	sMin := make(map[afdx.PortID]float64, len(ports))
@@ -188,13 +184,9 @@ func (a *analyzer) interferenceSet(vl *afdx.VirtualLink, ports []afdx.PortID) ([
 	}
 	var inter []interferer
 	idx := map[string]int{}
-	// NC prefix-table hits are counted locally and flushed in one Add:
-	// a per-lookup atomic increment from every worker contends on one
-	// cache line and alone blows the instrumentation overhead budget.
-	ncLookups := int64(0)
 	for _, h := range ports {
 		port := a.pg.Ports[h]
-		for _, f := range port.Flows {
+		for k, f := range port.Flows {
 			c := f.VL.CMaxUs(port.RateBitsPerUs)
 			if i, ok := idx[f.VL.ID]; ok {
 				// Conservative with heterogeneous rates: charge the
@@ -204,12 +196,7 @@ func (a *analyzer) interferenceSet(vl *afdx.VirtualLink, ports []afdx.PortID) ([
 				}
 				continue
 			}
-			sMaxJ, ok := a.ncPrefix[netcalc.FlowPortKey{VL: f.VL.ID, Port: h}]
-			if !ok {
-				a.m.ncMiss.Inc()
-				return nil, fmt.Errorf("trajectory: no NC prefix bound for VL %s at %s", f.VL.ID, h)
-			}
-			ncLookups++
+			sMaxJ := a.nc.Ports[h].Flows[k].PrefixUs
 			prev := port.Groups[f.Group].Prev
 			ratio := 1.0
 			if prev != "" {
@@ -228,11 +215,8 @@ func (a *analyzer) interferenceSet(vl *afdx.VirtualLink, ports []afdx.PortID) ([
 			})
 		}
 	}
-	if ncLookups > 0 {
-		a.m.ncHits.Add(ncLookups)
-	}
 	sort.Slice(inter, func(i, j int) bool { return inter[i].vl.ID < inter[j].vl.ID })
-	return inter, nil
+	return inter
 }
 
 // interferenceAt evaluates the interference term at offset t, applying

@@ -124,3 +124,30 @@ func TestAnalyzeWithNCMatchesAnalyze(t *testing.T) {
 		}
 	}
 }
+
+// TestNCResultOfAnotherGraphRejected hands the engine a default-option
+// NC result of another graph: Figure 2 without its last VL, v5, which
+// alone crosses e5->S3 and S3->e7. Analysis and explanation must fail
+// on the first port, in PortID order, whose flows the result does not
+// cover, instead of indexing past its flow bounds.
+func TestNCResultOfAnotherGraphRejected(t *testing.T) {
+	pg := figure2Graph(t)
+	net := afdx.Figure2Config()
+	net.VLs = net.VLs[:len(net.VLs)-1]
+	other, err := afdx.BuildPortGraph(net, afdx.Strict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc, err := netcalc.Analyze(other, netcalc.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "trajectory: the NC result holds 0 flow bounds at port S3->e7, the port graph 1 flows (a result of another graph?)"
+	ctx := context.Background()
+	if _, err := AnalyzeWithNCCtx(ctx, pg, DefaultOptions(), nc); err == nil || err.Error() != want {
+		t.Errorf("AnalyzeWithNCCtx: got %v, want %q", err, want)
+	}
+	if _, err := ExplainCtx(ctx, pg, afdx.PathID{VL: "v1"}, DefaultOptions(), nc); err == nil || err.Error() != want {
+		t.Errorf("ExplainCtx: got %v, want %q", err, want)
+	}
+}

@@ -109,8 +109,6 @@ type trMetrics struct {
 	busyRounds  *obs.Histogram // rounds per fixpoint
 	candidates  *obs.Counter   // candidate emission offsets evaluated
 	interferers *obs.Histogram // interference-set size per path
-	ncHits      *obs.Counter   // NC prefix-table lookups served
-	ncMiss      *obs.Counter   // NC prefix-table lookups missing (errors)
 }
 
 func newTrMetrics(reg *obs.Registry) trMetrics {
@@ -130,10 +128,6 @@ func newTrMetrics(reg *obs.Registry) trMetrics {
 			"emission offsets evaluated for top-level paths"),
 		interferers: reg.Histogram("trajectory.interference_set_size", obs.Deterministic,
 			"flows in the interference set per top-level path (incl. self)"),
-		ncHits: reg.Counter("trajectory.prefix_cache_hits", obs.Deterministic,
-			"S_max bounds served from the NC prefix table"),
-		ncMiss: reg.Counter("trajectory.prefix_cache_misses", obs.Deterministic,
-			"S_max lookups missing from the NC prefix table (an engine error)"),
 	}
 }
 
@@ -145,8 +139,9 @@ type analyzer struct {
 	pg   *afdx.PortGraph
 	opts Options
 	m    trMetrics
-	// ncPrefix holds the NC prefix delays, the S_max bounds.
-	ncPrefix map[netcalc.FlowPortKey]float64
+	// nc is the default-option NC result whose prefix bounds are the
+	// S_max terms: nc.Ports[id].Flows[k].PrefixUs for pg.Ports[id].Flows[k].
+	nc *netcalc.Result
 	// flat is the dense per-run index the hot path runs on (flat.go),
 	// built by prepare once the prefix bounds are known.
 	flat *flatIndex
@@ -189,8 +184,10 @@ func newAnalyzer(ctx context.Context, pg *afdx.PortGraph, opts Options, nc *netc
 			return nil, fmt.Errorf("trajectory: computing NC prefix bounds: %w", err)
 		}
 	}
-	a.ncPrefix = nc.PrefixDelays
-	a.prepare()
+	a.nc = nc
+	if err := a.prepare(); err != nil {
+		return nil, err
+	}
 	return a, nil
 }
 
@@ -218,7 +215,7 @@ func Analyze(pg *afdx.PortGraph, opts Options) (*Result, error) {
 
 // AnalyzeCtx is Analyze with observability: when ctx carries an
 // obs.Registry the engine counts paths, busy-period fixpoint rounds,
-// candidate offsets and prefix-cache traffic; when it carries an
+// candidate offsets and interference-set sizes; when it carries an
 // obs.Tracer the run is wrapped in a "trajectory" span (the nested NC
 // prefix analysis appears as its "netcalc" child) with one
 // "path:<vl>/<idx>" span per analyzed path. Observation never
@@ -230,12 +227,14 @@ func AnalyzeCtx(ctx context.Context, pg *afdx.PortGraph, opts Options) (*Result,
 
 // AnalyzeWithNCCtx is AnalyzeCtx with the S_max prefix bounds taken
 // from a Network Calculus result the caller already holds. When nc was
-// computed under netcalc.DefaultOptions (any Parallel), nc.PrefixDelays
-// are exactly the bounds the engine's own prefix run would produce, so
-// that run is skipped and the result is bit-identical to AnalyzeCtx.
-// Any other nc — nil or a non-default option set — makes the engine
-// run its own prefix analysis, exactly as AnalyzeCtx does. nc must come
-// from the same PortGraph: its prefix bounds are read, not checked.
+// computed under netcalc.DefaultOptions (any Parallel), its per-flow
+// PrefixUs are exactly the bounds the engine's own prefix run would
+// produce, so that run is skipped and the result is bit-identical to
+// AnalyzeCtx. Any other nc — nil or a non-default option set — makes
+// the engine run its own prefix analysis, exactly as AnalyzeCtx does.
+// nc must come from the same PortGraph: a port whose flow count differs
+// from the graph's is an error, but the prefix bounds themselves are
+// read, not checked.
 func AnalyzeWithNCCtx(ctx context.Context, pg *afdx.PortGraph, opts Options, nc *netcalc.Result) (*Result, error) {
 	ctx, span := obs.StartSpan(ctx, "trajectory")
 	defer span.End()
@@ -325,7 +324,7 @@ func (a *analyzer) maxSharedFrameTime(prev, next afdx.PortID) float64 {
 	p, q := a.pg.Ports[prev], a.pg.Ports[next]
 	m := 0.0
 	for _, f := range p.Flows {
-		if q.FlowByVL(f.VL.ID) == nil {
+		if _, ok := q.FlowIndex(f.VL.ID); !ok {
 			continue
 		}
 		if c := f.VL.CMaxUs(p.RateBitsPerUs); c > m {
