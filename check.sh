@@ -10,6 +10,10 @@
 #                             fails the gate)
 #   5. go test ./...         (tier-1: the full test suite)
 #   6. go test -race ./...   (the suite again under the race detector)
+#  6a. kernel benchmark      (BenchmarkAnalyzeIndustrial, one iteration:
+#                             the trajectory kernel on the industrial
+#                             configuration builds, runs and bounds
+#                             every one of its 5,004 paths)
 #  6b. benchmark module      (go vet + go test in cmd/afdx-bench, its own
 #                             module, which ./... does not reach)
 #   7. afdx-conformance      (short cross-engine differential campaign,
@@ -75,6 +79,12 @@ go test ./...
 
 echo "== go test -race ./..."
 go test -race ./...
+
+echo "== trajectory kernel benchmark (one iteration)"
+# BenchmarkAnalyzeIndustrial is the way to time the trajectory kernel
+# alone (README, Scalability). One iteration keeps it compiling and
+# running, so the harness cannot rot between measurements.
+go test -run '^$' -bench BenchmarkAnalyzeIndustrial -benchtime 1x ./internal/trajectory
 
 echo "== benchmark module (cmd/afdx-bench: go vet + go test)"
 # cmd/afdx-bench is a separate Go module (it replaces afdx with the
