@@ -28,9 +28,16 @@ const EpsRel = 1e-9
 // At returns the absolute tolerance at the given scale:
 // EpsRel * max(1, |scale|). Below magnitude one the tolerance floors at
 // EpsRel itself, preserving the historical absolute guard for
-// microsecond-scale values.
+// microsecond-scale values. It avoids math.Max, an assembly routine on
+// amd64 that the compiler cannot inline, so the engines' hot loops pay
+// no call for it; the result equals EpsRel*math.Max(1, math.Abs(scale))
+// bit for bit, NaN and infinities included (TestAtMatchesMaxForm).
 func At(scale float64) float64 {
-	return EpsRel * math.Max(1, math.Abs(scale))
+	a := math.Abs(scale)
+	if !(a <= 1) {
+		return EpsRel * a
+	}
+	return EpsRel
 }
 
 // Leq reports a <= b up to the tolerance at b's scale.

@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
+	"strings"
 	"sync"
 
 	"afdx/internal/afdx"
@@ -22,13 +25,18 @@ import (
 //   - Every port carries flat per-flow slices (transmission time, BAG,
 //     NC prefix bound, serialization ratio, input-group slot), so the
 //     interference-set and busy-period loops walk contiguous arrays.
+//   - The interference set is built in one pass over the crossed
+//     ports' flow lists: a bitmap over VL ordinals marks the VLs seen,
+//     and a per-ordinal slot keeps the entry made at each VL's first
+//     shared port. Walking the bitmap's set bits emits the set in the
+//     reference's VL-ID order with no dedup table and no sort.
 //   - The serialization-group partition is precomputed per port and
-//     instantiated once per path (a counting sort of the interferer
-//     list), instead of rebuilt and re-sorted for every candidate
-//     offset.
-//   - The interference set is a q-way merge of the crossed ports' flow
-//     lists, each already ascending in VL ordinal, so it comes out in
-//     the reference's VL-ID order with no dedup table and no sort.
+//     instantiated once per path: with grouping, the bitmap walk places
+//     each entry straight into its group slot (a counting sort on the
+//     slot counts taken during the build), instead of rebuilding and
+//     re-sorting the groups for every candidate offset.
+//   - Each port carries its rank among the sorted port strings, so the
+//     per-path group order compares integers, not strings.
 //   - Source-port busy periods are memoized per port — they are a pure
 //     function of the port, recomputed per path by the reference.
 //   - Candidate offsets are merged from the per-interferer ascending
@@ -39,24 +47,23 @@ import (
 // differential tests in flat_test.go: every float is accumulated in the
 // exact order and association of the reference code, the group
 // iteration order reproduces the reference's (port.String(), prev) key
-// sort, and group members keep the VL-sorted member order. Do not
-// "simplify" an accumulation here without checking the reference twin.
+// sort through the port rank, and group members keep the VL-sorted
+// member order. Do not "simplify" an accumulation here without checking
+// the reference twin.
 //
 // Scratch-buffer ownership: all per-path transient state lives in a
 // *scratch obtained from the flatIndex pool at the top of
 // analyzePortSeqFlat and returned on exit. A scratch is owned by
 // exactly one analyzePortSeqFlat invocation. Every buffer is reset by
-// the code that fills it, so a scratch goes back to the pool as is.
+// the code that fills it, and the VL bitmap is cleared by the walk that
+// reads it, so a scratch goes back to the pool as is.
 
 // flatInterferer is one interference-set entry in flat form: ordinals
 // and precomputed scalars only, no pointers into the model.
 type flatInterferer struct {
-	vl  int32 // dense VL ordinal (ID-sorted)
-	pos int32 // index of the first shared port within the path sequence
-	// grp is the entry's serialization-group slot: local to the port
-	// while the set is being built, rebased to the path-global slot
-	// space by regroupInterferers.
-	grp      int32
+	vl       int32   // dense VL ordinal (ID-sorted)
+	pos      int32   // index of the first shared port within the path sequence
+	grp      int32   // input-group index at that port (its flatPort.groups)
 	cUs      float64 // max transmission time over the shared ports
 	aUs      float64 // window alignment A_ij
 	bagUs    float64 // BAG of the interfering VL
@@ -78,7 +85,7 @@ type busyMemo struct {
 // matching afdx.Port.Flows).
 type flatPort struct {
 	id      afdx.PortID
-	str     string // id.String(), the reference's group-sort key
+	rank    int32 // index among the sorted id.String() values, the reference's group-sort key
 	rate    float64
 	latency float64
 	maxC    float64 // largest frame transmission time at this port
@@ -136,14 +143,19 @@ type candStream struct {
 // scratch is the per-invocation buffer set of the flat hot path. See
 // the ownership rules in the file comment.
 type scratch struct {
-	inter   []flatInterferer
-	regroup []flatInterferer // inter re-ordered group-major (counting sort)
-	fps     []*flatPort      // the path's ports, resolved once
-	sMin    []float64        // min arrival time of the analyzed VL per path port
-	cursor  []int            // per path port: next flow of the interference merge
+	// inter is the path's interference set: group-major with grouping
+	// (slot order, VL-ID order within a slot), VL-ID order without.
+	inter []flatInterferer
+	fps   []*flatPort // the path's ports, resolved once
+	sMin  []float64   // min arrival time of the analyzed VL per path port
+	// The interference-set build: a bitmap over VL ordinals marking the
+	// VLs seen on the path (all zero between builds), and per ordinal
+	// the entry made at the VL's first shared port.
+	seen  []uint64
+	first []flatInterferer
 	// Serialization-group instantiation for the current path: path
-	// positions sorted by port string, per-position slot bases, and
-	// per-slot member ranges of regroup.
+	// positions sorted by port rank, per-position slot bases, and
+	// per-slot member ranges of inter.
 	posOrder     []int32
 	slotBase     []int32
 	grpCount     []int32
@@ -176,11 +188,27 @@ func (a *analyzer) prepare() error {
 		ids = append(ids, id)
 	}
 	afdx.SortPortIDs(ids)
+	type keyed struct {
+		str string
+		fp  *flatPort
+	}
+	byStr := make([]keyed, 0, len(ids))
 	for _, id := range ids {
 		if got, want := len(a.nc.Ports[id].Flows), len(a.pg.Ports[id].Flows); got != want {
 			return fmt.Errorf("trajectory: the NC result holds %d flow bounds at port %s, the port graph %d flows (a result of another graph?)", got, id, want)
 		}
-		fl.ports[id] = a.buildFlatPort(id)
+		fp := a.buildFlatPort(id)
+		fl.ports[id] = fp
+		byStr = append(byStr, keyed{id.String(), fp})
+	}
+	// Rank the ports by their strings; equal strings share a rank, so
+	// the per-path sort orders them exactly as a string compare would.
+	slices.SortFunc(byStr, func(x, y keyed) int { return strings.Compare(x.str, y.str) })
+	for i, k := range byStr {
+		k.fp.rank = int32(i)
+		if i > 0 && k.str == byStr[i-1].str {
+			k.fp.rank = byStr[i-1].fp.rank
+		}
 	}
 	fl.pool.New = func() any { return &scratch{} }
 	a.flat = fl
@@ -196,7 +224,6 @@ func (a *analyzer) buildFlatPort(id afdx.PortID) *flatPort {
 	n := len(p.Flows)
 	fp := &flatPort{
 		id:       id,
-		str:      id.String(),
 		rate:     p.RateBitsPerUs,
 		latency:  p.LatencyUs,
 		vls:      make([]int32, n),
@@ -244,7 +271,6 @@ func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink,
 
 	// Resolve the path's ports and the analyzed flow's min arrival
 	// times (the reference's sMin map, now a dense slice).
-	q := len(ports)
 	sc.fps = sc.fps[:0]
 	sc.sMin = sc.sMin[:0]
 	acc := 0.0
@@ -258,7 +284,7 @@ func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink,
 		acc += vl.CMinUs(fp.rate) + fp.latency
 	}
 
-	sc.mergeInterferers()
+	nSlots := sc.buildInterferers(len(fl.vls), a.opts.Grouping)
 	a.m.interferers.Observe(int64(len(sc.inter)))
 
 	// Constant terms: technological latencies and the transition
@@ -276,11 +302,6 @@ func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink,
 	a.m.busyFixes.Inc()
 	a.m.busyIters.Add(int64(rounds))
 	a.m.busyRounds.Observe(int64(rounds))
-
-	nSlots := 0
-	if a.opts.Grouping {
-		nSlots = sc.regroupInterferers(q)
-	}
 
 	if err := sc.mergeCandidates(ctx, busy); err != nil {
 		return PathDetail{}, err
@@ -316,69 +337,91 @@ func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink,
 	}, nil
 }
 
-// mergeInterferers fills sc.inter with the path's interference set by a
-// q-way merge of the crossed ports' flow lists. Each list ascends in VL
-// ordinal (Port.Flows and VLOrder are both ID-sorted), so the merge
-// emits the set in the reference's VL-ID order with no dedup table and
-// no sort. Ties pop the lowest path position first, so a VL's entry is
-// made at its first shared port — the reference's first occurrence —
-// and its later occurrences only raise cUs to the max over the shared
-// ports. One flow incidence is consumed per round, which bounds the
-// loop by the path's incidence count.
-func (sc *scratch) mergeInterferers() {
-	sc.inter = sc.inter[:0]
-	sc.cursor = grow(sc.cursor, len(sc.fps))
-	total := 0
+// buildInterferers fills sc.inter with the path's interference set and
+// returns its group-slot count (0 without grouping). Ports are walked in
+// path order and each port's flows in Port.Flows order: the first
+// occurrence of a VL sets its bit in sc.seen and makes its entry in
+// sc.first at that port — the reference's first occurrence — and later
+// occurrences only raise cUs to the max over the shared ports. Walking
+// the bitmap's set bits in ascending ordinal then emits the set in
+// VL-ID order, clearing each word as it is read: with grouping straight
+// into group-major order (a counting sort on the slot counts taken
+// during the walk), without grouping as is.
+func (sc *scratch) buildInterferers(nVLs int, grouping bool) int {
+	nSlots := 0
+	if grouping {
+		nSlots = sc.groupSlots()
+	}
+	sc.seen = grow(sc.seen, (nVLs+63)/64)
+	sc.first = grow(sc.first, nVLs)
+	n := 0
 	for pos, fp := range sc.fps {
-		sc.cursor[pos] = 0
-		total += len(fp.vls)
-	}
-	for n := 0; n < total; n++ {
-		pos, ord := -1, int32(0)
-		for p, fp := range sc.fps {
-			if j := sc.cursor[p]; j < len(fp.vls) && (pos < 0 || fp.vls[j] < ord) {
-				pos, ord = p, fp.vls[j]
+		for j, ord := range fp.vls {
+			w, bit := ord>>6, uint64(1)<<(ord&63)
+			if sc.seen[w]&bit != 0 {
+				// Conservative with heterogeneous rates: charge the flow's
+				// largest transmission time over the shared ports.
+				if c := fp.cUs[j]; c > sc.first[ord].cUs {
+					sc.first[ord].cUs = c
+				}
+				continue
+			}
+			sc.seen[w] |= bit
+			n++
+			sc.first[ord] = flatInterferer{
+				vl:       ord,
+				pos:      int32(pos),
+				grp:      fp.grpOf[j],
+				cUs:      fp.cUs[j],
+				aUs:      fp.pref[j] - sc.sMin[pos],
+				bagUs:    fp.bagUs[j],
+				serRatio: fp.serRatio[j],
+			}
+			if grouping {
+				sc.grpCount[sc.slotBase[pos]+fp.grpOf[j]]++
 			}
 		}
-		fp := sc.fps[pos]
-		j := sc.cursor[pos]
-		sc.cursor[pos]++
-		if last := len(sc.inter) - 1; last >= 0 && sc.inter[last].vl == ord {
-			// Conservative with heterogeneous rates: charge the flow's
-			// largest transmission time over the shared ports.
-			if c := fp.cUs[j]; c > sc.inter[last].cUs {
-				sc.inter[last].cUs = c
-			}
-			continue
-		}
-		sc.inter = append(sc.inter, flatInterferer{
-			vl:       ord,
-			pos:      int32(pos),
-			grp:      fp.grpOf[j],
-			cUs:      fp.cUs[j],
-			aUs:      fp.pref[j] - sc.sMin[pos],
-			bagUs:    fp.bagUs[j],
-			serRatio: fp.serRatio[j],
-		})
 	}
+	off := int32(0)
+	for g := 0; g < nSlots; g++ {
+		sc.grpStart[g] = off
+		sc.grpNext[g] = off
+		off += sc.grpCount[g]
+	}
+	sc.inter = grow(sc.inter, n)
+	k := 0
+	for w, word := range sc.seen {
+		sc.seen[w] = 0
+		for ; word != 0; word &= word - 1 {
+			it := &sc.first[w<<6+bits.TrailingZeros64(word)]
+			if grouping {
+				s := sc.slotBase[it.pos] + it.grp
+				sc.inter[sc.grpNext[s]] = *it
+				sc.grpNext[s]++
+			} else {
+				sc.inter[k] = *it
+				k++
+			}
+		}
+	}
+	return nSlots
 }
 
-// regroupInterferers instantiates the serialization-group partition for
-// the current path: it rebases each interferer's local group index into
-// a path-global slot space ordered by (port string, prev) — the
-// reference's sorted group-key order — and counting-sorts the
-// interferer list group-major into sc.regroup, preserving the VL-sorted
-// member order within each slot. Returns the number of slots.
-func (sc *scratch) regroupInterferers(q int) int {
-	// Path positions in port-string order. Positions are unique ports
-	// (feed-forward paths never revisit one), so the order is total;
-	// insertion sort keeps the tiny sort allocation-free.
+// groupSlots instantiates the serialization-group partition of the
+// current path: each path position's slot base in port-rank order —
+// the reference's sorted (port string, prev) group-key order, as each
+// port's groups are prev-sorted — with every slot count zeroed. Returns
+// the number of slots.
+func (sc *scratch) groupSlots() int {
+	// Positions are unique ports (feed-forward paths never revisit one);
+	// insertion sort keeps the tiny sort allocation-free and stable.
+	q := len(sc.fps)
 	sc.posOrder = sc.posOrder[:0]
 	for i := 0; i < q; i++ {
 		sc.posOrder = append(sc.posOrder, int32(i))
 	}
 	for i := 1; i < q; i++ {
-		for j := i; j > 0 && sc.fps[sc.posOrder[j]].str < sc.fps[sc.posOrder[j-1]].str; j-- {
+		for j := i; j > 0 && sc.fps[sc.posOrder[j]].rank < sc.fps[sc.posOrder[j-1]].rank; j-- {
 			sc.posOrder[j], sc.posOrder[j-1] = sc.posOrder[j-1], sc.posOrder[j]
 		}
 	}
@@ -392,34 +435,12 @@ func (sc *scratch) regroupInterferers(q int) int {
 	sc.grpStart = grow(sc.grpStart, nSlots)
 	sc.grpNext = grow(sc.grpNext, nSlots)
 	sc.grpPrevEmpty = grow(sc.grpPrevEmpty, nSlots)
-	for _, pos := range sc.posOrder {
-		fp := sc.fps[pos]
+	for pos, fp := range sc.fps {
 		base := sc.slotBase[pos]
 		for g, in := range fp.groups {
 			sc.grpCount[base+int32(g)] = 0
 			sc.grpPrevEmpty[base+int32(g)] = in.Prev == ""
 		}
-	}
-	for i := range sc.inter {
-		it := &sc.inter[i]
-		it.grp += sc.slotBase[it.pos] // rebase local -> global slot
-		sc.grpCount[it.grp]++
-	}
-	off := int32(0)
-	for g := 0; g < nSlots; g++ {
-		sc.grpStart[g] = off
-		sc.grpNext[g] = off
-		off += sc.grpCount[g]
-	}
-	if cap(sc.regroup) < len(sc.inter) {
-		sc.regroup = make([]flatInterferer, len(sc.inter))
-	} else {
-		sc.regroup = sc.regroup[:len(sc.inter)]
-	}
-	for i := range sc.inter {
-		it := sc.inter[i]
-		sc.regroup[sc.grpNext[it.grp]] = it
-		sc.grpNext[it.grp]++
 	}
 	return nSlots
 }
@@ -439,7 +460,7 @@ func (sc *scratch) interferenceAt(grouping bool, nSlots int, t float64) float64 
 	sum := 0.0
 	for g := 0; g < nSlots; g++ {
 		if cnt := sc.grpCount[g]; cnt > 0 { // the reference's map has no entry for empty groups
-			sum += groupAt(sc.regroup[sc.grpStart[g]:sc.grpStart[g]+cnt], sc.serialized(g), t).Us
+			sum += groupAt(sc.inter[sc.grpStart[g]:sc.grpStart[g]+cnt], sc.serialized(g), t).Us
 		}
 	}
 	return sum
@@ -482,9 +503,9 @@ func groupAt(members []flatInterferer, serialized bool, t float64) groupTerm {
 // group per slot with grouping, one per interferer (N·C) without.
 func (sc *scratch) interferenceTerms(vls []*afdx.VirtualLink, grouping bool, nSlots int, t float64) []InterferenceGroup {
 	var out []InterferenceGroup
-	add := func(members []flatInterferer, local int32, term groupTerm) {
+	add := func(members []flatInterferer, term groupTerm) {
 		fp := sc.fps[members[0].pos]
-		g := InterferenceGroup{Port: fp.id, InputLink: fp.groups[local].Prev, groupTerm: term}
+		g := InterferenceGroup{Port: fp.id, InputLink: fp.groups[members[0].grp].Prev, groupTerm: term}
 		for _, m := range members {
 			g.Members = append(g.Members, Member{VL: vls[m.vl].ID, Frames: frameCount(t+m.aUs, m.bagUs), CUs: m.cUs, AUs: m.aUs})
 		}
@@ -493,14 +514,14 @@ func (sc *scratch) interferenceTerms(vls []*afdx.VirtualLink, grouping bool, nSl
 	if !grouping {
 		for i, it := range sc.inter {
 			full := float64(frameCount(t+it.aUs, it.bagUs)) * it.cUs
-			add(sc.inter[i:i+1], it.grp, groupTerm{FullUs: full, Us: full})
+			add(sc.inter[i:i+1], groupTerm{FullUs: full, Us: full})
 		}
 		return out
 	}
 	for g := 0; g < nSlots; g++ {
 		if cnt := sc.grpCount[g]; cnt > 0 {
-			members := sc.regroup[sc.grpStart[g] : sc.grpStart[g]+cnt]
-			add(members, members[0].grp-sc.slotBase[members[0].pos], groupAt(members, sc.serialized(g), t))
+			members := sc.inter[sc.grpStart[g] : sc.grpStart[g]+cnt]
+			add(members, groupAt(members, sc.serialized(g), t))
 		}
 	}
 	return out
@@ -512,7 +533,9 @@ func (sc *scratch) interferenceTerms(vls []*afdx.VirtualLink, grouping bool, nSl
 // stream, so a binary min-heap merges them in sorted order and the
 // dedup runs inline — the same multiset the reference enumerates,
 // in the same order its sort.Float64s produces, hence the identical
-// deduplicated list.
+// deduplicated list. The heap pops by t and the dedup reads only that
+// sorted sequence, so the list does not depend on the order of sc.inter:
+// the group-major set gives the candidates the VL-ordered one would.
 func (sc *scratch) mergeCandidates(ctx context.Context, busy float64) error {
 	sc.cands = append(sc.cands[:0], 0)
 	h := sc.heap[:0]
