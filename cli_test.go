@@ -481,10 +481,9 @@ func TestCLIBoundsWhatIf(t *testing.T) {
 // TestCLIErrorPaths drives usage and input errors: each must exit with
 // its documented code, name its cause on stderr and write nothing to
 // stdout. Invalid numeric flags and path arguments are rejected before
-// any work, and before the lint pre-flight; a simulation horizon the
-// simulator cannot represent fails the run (exit 1). Each numeric or
-// path row used to run on a default, degenerate or misparsed value and
-// exit 0 or 1.
+// any work, and before the lint pre-flight, including a simulation
+// horizon the simulator cannot represent. Each numeric or path row used
+// to run on a default, degenerate or misparsed value and exit 0 or 1.
 func TestCLIErrorPaths(t *testing.T) {
 	dir := buildCLIs(t)
 	clean := filepath.Join("internal", "lint", "testdata", "clean.json")
@@ -506,8 +505,11 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"afdx-lint", []string{"-headroom", "NaN", clean}, 2, "-headroom"},
 		{"afdx-lint", []string{"-headroom", "0", clean}, 2, "-headroom"},
 		{"afdx-lint", []string{"-link-budget", "1.5", clean}, 2, "-link-budget"},
-		{"afdx-sim", []string{"-config", clean, "-duration-ms", "NaN"}, 1, "DurationUs"},
-		{"afdx-sim", []string{"-config", clean, "-duration-ms", "1e300"}, 1, "DurationUs"},
+		{"afdx-sim", []string{"-config", clean, "-duration-ms", "NaN"}, 2, "bad -duration-ms"},
+		{"afdx-sim", []string{"-config", clean, "-duration-ms", "1e300"}, 2, "bad -duration-ms"},
+		{"afdx-sim", []string{"-config", clean, "-duration-ms", "Inf"}, 2, "bad -duration-ms"},
+		{"afdx-sim", []string{"-config", clean, "-duration-ms", "0"}, 2, "bad -duration-ms"},
+		{"afdx-sim", []string{"-config", clean, "-duration-ms", "-5"}, 2, "bad -duration-ms"},
 		{"afdx-sim", []string{"-config", clean, "-policing", "-policing-rate", "NaN"}, 2, "-policing-rate"},
 		{"afdx-sim", []string{"-config", clean, "-policing", "-policing-rate", "-1"}, 2, "-policing-rate"},
 		{"afdx-sim", []string{"-config", clean, "-jitter-us", "-5"}, 2, "-jitter-us"},

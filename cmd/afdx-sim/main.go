@@ -10,10 +10,13 @@
 //
 // The configuration is linted before the simulation starts; lint errors
 // abort the run (bypass with -no-lint). A negative or non-finite
-// -jitter-us, or a non-positive or non-finite -policing-rate, is a
-// usage error (exit 2). So is a -histogram value that is not
-// vl/pathIdx (a bare vl means path 0) or names a path the
-// configuration lacks; it is reported before the simulation runs.
+// -jitter-us, a non-positive or non-finite -policing-rate, or a
+// -duration-ms the simulator cannot run (zero, negative, NaN, or a
+// horizon beyond int64 nanoseconds such as Inf or 1e300) is a usage
+// error (exit 2), reported before the configuration is read. So is a
+// -histogram value that is not vl/pathIdx (a bare vl means path 0) or
+// names a path the configuration lacks; it is reported before the
+// simulation runs.
 package main
 
 import (
@@ -75,6 +78,22 @@ func main() {
 		log.Printf("-policing-rate must be a finite positive number, got %v", *polRate)
 		os.Exit(2)
 	}
+	cfg := afdx.DefaultSimConfig(*seed)
+	cfg.DurationUs = *durationMs * 1000
+	cfg.RandomSizes = *randomSz
+	cfg.Policing = *policing
+	cfg.PolicingRateFactor = *polRate
+	cfg.RecordFrames = *histogram != ""
+	if *jitterUs > 0 {
+		cfg.Model = afdx.PeriodicJitterSources
+		cfg.JitterUs = *jitterUs
+	}
+	// The checks above are stricter than the simulator's for the jitter
+	// and policer values, so what Check still rejects is the horizon.
+	if err := cfg.Check(); err != nil {
+		log.Printf("bad -duration-ms %v: %v", *durationMs, err)
+		os.Exit(2)
+	}
 	var histPath afdx.PathID
 	var err error
 	if *histogram != "" {
@@ -112,16 +131,6 @@ func main() {
 	pg, err := afdx.BuildPortGraph(net, mode)
 	if err != nil {
 		fatal(err)
-	}
-	cfg := afdx.DefaultSimConfig(*seed)
-	cfg.DurationUs = *durationMs * 1000
-	cfg.RandomSizes = *randomSz
-	cfg.Policing = *policing
-	cfg.PolicingRateFactor = *polRate
-	cfg.RecordFrames = *histogram != ""
-	if *jitterUs > 0 {
-		cfg.Model = afdx.PeriodicJitterSources
-		cfg.JitterUs = *jitterUs
 	}
 	res, err := afdx.SimulateCtx(ctx, pg, cfg)
 	if err != nil {

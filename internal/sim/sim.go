@@ -199,7 +199,7 @@ func Run(pg *afdx.PortGraph, cfg Config) (*Result, error) {
 func RunCtx(ctx context.Context, pg *afdx.PortGraph, cfg Config) (*Result, error) {
 	_, span := obs.StartSpan(ctx, "sim")
 	defer span.End()
-	if err := cfg.check(); err != nil {
+	if err := cfg.Check(); err != nil {
 		return nil, err
 	}
 	s := &simulator{
@@ -448,12 +448,13 @@ func (s *simulator) police(ev event) bool {
 	return tb.conform(ev.timeNs, ev.fr.bits)
 }
 
-// check rejects the numeric settings the simulator cannot honour: a
+// Check rejects the numeric settings the simulator cannot honour: a
 // horizon that is not positive or not representable in int64
 // nanoseconds, and negative or non-finite jitter and policer settings.
 // Every comparison with NaN is false, so each test is written to fail
-// on NaN.
-func (cfg Config) check() error {
+// on NaN. RunCtx calls it first; a caller can call it before any other
+// work to reject bad settings early.
+func (cfg Config) Check() error {
 	if !(cfg.DurationUs > 0) {
 		return fmt.Errorf("sim: DurationUs must be positive, got %g us", cfg.DurationUs)
 	}
