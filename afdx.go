@@ -426,7 +426,7 @@ type (
 	// ObsSnapshot is a sorted, immutable capture of a registry.
 	ObsSnapshot = obs.Snapshot
 	// ObsTracer records hierarchical spans (campaign → config →
-	// engine → path/port) for Chrome-trace export or text trees.
+	// engine) for Chrome-trace export or text trees.
 	ObsTracer = obs.Tracer
 )
 

@@ -38,7 +38,10 @@
 #                             oracle campaign slice)
 #  11. traced conformance    (same campaign with metrics + tracing on:
 #                             verdicts must be identical — observability
-#                             never participates in the computation)
+#                             never participates in the computation —
+#                             and the trace holds one span per engine
+#                             run: no per-path or per-port span, and no
+#                             simulator span under an exact search)
 #  12. fuzz smoke            (fuzz-smoke.sh: every native fuzz target,
 #                             found from the func Fuzz* declarations in
 #                             the module's test files, for 5 s each)
@@ -142,7 +145,9 @@ go run ./cmd/afdx-conformance -n 10 -seed 13 -served -quiet
 echo "== traced conformance (observability non-interference)"
 # Run the same 50-config campaign plain and with the full observability
 # stack attached; after stripping the wall-time fields the JSON reports
-# must be byte-identical and report zero violations.
+# must be byte-identical and report zero violations. The trace must
+# grow with the campaign's configurations, never with the size of the
+# networks analysed: a path:, port: or exact/sim span fails the gate.
 obsdir=$(mktemp -d)
 trap 'rm -rf "$obsdir" "$servedir"' EXIT
 go run ./cmd/afdx-conformance -n 50 -seed 7 -json -quiet > "$obsdir/plain.json"
@@ -156,6 +161,10 @@ if ! diff -u "$obsdir/plain.stable.json" "$obsdir/traced.stable.json"; then
 fi
 if ! grep -q '"violations": 0' "$obsdir/plain.json"; then
 	echo "check.sh: traced-conformance smoke campaign found violations" >&2
+	exit 1
+fi
+if grep -qE '"name": "(path|port):|"path": "[^"]*/exact/sim"' "$obsdir/trace.json"; then
+	echo "check.sh: the traced campaign recorded per-path, per-port or per-evaluation spans" >&2
 	exit 1
 fi
 

@@ -225,6 +225,22 @@ func TestCLILintExitCodes(t *testing.T) {
 	if code := cmd.ProcessState.ExitCode(); code != 1 {
 		t.Errorf("bounds -no-lint on an unstable config: exit %d (engine failure), want 1\n%s", code, out)
 	}
+	// afdx-sim gates on lint errors like afdx-bounds and, like it,
+	// reports each lint warning on stderr and runs.
+	cmd = exec.Command(filepath.Join(dir, "afdx-sim"), "-config", unstable, "-duration-ms", "8")
+	out, _ = cmd.CombinedOutput()
+	if code := cmd.ProcessState.ExitCode(); code != 3 || !strings.Contains(string(out), "AFDX001") {
+		t.Errorf("sim on an unstable config: exit %d, want 3 with AFDX001\n%s", code, out)
+	}
+	cmd = exec.Command(filepath.Join(dir, "afdx-sim"), "-config", "internal/lint/testdata/overbudget.json", "-duration-ms", "8")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Errorf("sim on an over-budget config: %v, want exit 0\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "afdx-sim: lint: AFDX013 warning [link=S1->e0]") {
+		t.Errorf("sim dropped the AFDX013 lint warning; stderr:\n%s", stderr.String())
+	}
 	// A BAG overflowing to +Inf us is invalid in every mode, so -relaxed
 	// rejects the file like a non-positive BAG (exit 2) instead of
 	// handing it to a trajectory engine that never terminates on it.

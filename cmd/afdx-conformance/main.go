@@ -18,8 +18,8 @@
 // when violations are found. The shared observability flags
 // (-metrics, -tracefile, -spantree, -cpuprofile, -memprofile, -trace;
 // see internal/obs/cliobs) trace the campaign as a span tree
-// (campaign → config:<i> → engine → path/port) and collect every
-// engine's counters.
+// (campaign → config:<i> → engine) and collect every engine's
+// counters.
 //
 // Exit codes, for scripted callers:
 //

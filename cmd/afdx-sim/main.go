@@ -9,14 +9,15 @@
 //	afdx-sim -config net.json -policing -policing-rate 0.5
 //
 // The configuration is linted before the simulation starts; lint errors
-// abort the run (bypass with -no-lint). A negative or non-finite
-// -jitter-us, a non-positive or non-finite -policing-rate, or a
-// -duration-ms the simulator cannot run (zero, negative, NaN, or a
-// horizon beyond int64 nanoseconds such as Inf or 1e300) is a usage
-// error (exit 2), reported before the configuration is read. So is a
-// -histogram value that is not vl/pathIdx (a bare vl means path 0) or
-// names a path the configuration lacks; it is reported before the
-// simulation runs.
+// abort the run with exit code 3 (bypass with -no-lint), and each
+// warning goes to stderr as "afdx-sim: lint: <diagnostic>". A negative
+// or non-finite -jitter-us, a non-positive or non-finite
+// -policing-rate, or a -duration-ms the simulator cannot run (zero,
+// negative, NaN, or a horizon beyond int64 nanoseconds such as Inf or
+// 1e300) is a usage error (exit 2), reported before the configuration
+// is read. So is a -histogram value that is not vl/pathIdx (a bare vl
+// means path 0) or names a path the configuration lacks; it is
+// reported before the simulation runs.
 package main
 
 import (
@@ -122,7 +123,13 @@ func main() {
 	if !*noLint {
 		opts := afdx.DefaultLintOptions()
 		opts.Mode = mode
-		if rep := afdx.Lint(net, opts); rep.HasErrors() {
+		rep := afdx.Lint(net, opts)
+		for _, d := range rep.Diagnostics {
+			if d.Severity == afdx.SeverityWarning {
+				fmt.Fprintf(os.Stderr, "afdx-sim: lint: %s\n", d)
+			}
+		}
+		if rep.HasErrors() {
 			fmt.Fprintln(os.Stderr, "afdx-sim: infeasible configuration (use -no-lint to bypass):")
 			rep.WriteText(os.Stderr)
 			sess.Exit(3)

@@ -81,10 +81,10 @@ func Search(pg *afdx.PortGraph, opts Options) (*Result, error) {
 	return SearchCtx(context.Background(), pg, opts)
 }
 
-// SearchCtx is Search with observability: the run is wrapped in an
-// "exact" span (each simulator evaluation appears as a "sim" child),
-// and the evaluation count lands in the context registry. The search
-// is fully deterministic, so both are too.
+// SearchCtx is Search with observability: the run is one "exact" span,
+// and the evaluation count and the simulator's counters land in the
+// context registry; evaluations are counted, not traced. The search
+// is fully deterministic, so the counts are too.
 func SearchCtx(ctx context.Context, pg *afdx.PortGraph, opts Options) (*Result, error) {
 	ctx, span := obs.StartSpan(ctx, "exact")
 	defer span.End()
@@ -129,7 +129,9 @@ func SearchCtx(ctx context.Context, pg *afdx.PortGraph, opts Options) (*Result, 
 	}
 
 	s := &searcher{
-		ctx:  ctx,
+		// Simulator runs count into the registry but open no spans; the
+		// grid loop below polls ctx for cancellation.
+		ctx:  obs.WithRegistry(context.Background(), obs.RegistryFrom(ctx)),
 		pg:   pg,
 		opts: opts,
 		res: &Result{

@@ -1,11 +1,14 @@
 package exact
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"afdx/internal/afdx"
 	"afdx/internal/netcalc"
+	"afdx/internal/obs"
 	"afdx/internal/trajectory"
 )
 
@@ -32,6 +35,33 @@ func TestSearchSingleFlowIsTight(t *testing.T) {
 	d := res.Delays[afdx.PathID{VL: "v5", PathIdx: 0}]
 	if math.Abs(d-112) > 1e-6 {
 		t.Errorf("exact worst case for v5 = %g, want 112", d)
+	}
+}
+
+// TestSearchTracesOneSpan pins a traced search to one span however many
+// simulator runs it makes: the evaluations are counted in the
+// registry, not traced.
+func TestSearchTracesOneSpan(t *testing.T) {
+	pg := figure2Graph(t)
+	opts := DefaultOptions()
+	opts.GridUs = 2000
+	opts.Refine = 1
+	reg := obs.NewRegistry()
+	tr := obs.NewTracer()
+	ctx := obs.WithTracer(obs.WithRegistry(context.Background(), reg), tr)
+	res, err := SearchCtx(ctx, pg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tr.Shape(), []string{"exact"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("span shape = %v, want %v", got, want)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counter("exact.evaluations"); got <= 0 || got != int64(res.Evaluations) {
+		t.Errorf("exact.evaluations = %d, want Result.Evaluations = %d > 0", got, res.Evaluations)
+	}
+	if got := snap.Counter("sim.events_processed"); got <= 0 {
+		t.Errorf("sim.events_processed = %d, want > 0", got)
 	}
 }
 

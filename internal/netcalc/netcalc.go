@@ -141,7 +141,6 @@ func newNCMetrics(reg *obs.Registry) ncMetrics {
 // [base[i], base[i+1]). The rank loop reads and writes only the slices
 // below, and each port's result keeps its range of flows.
 type ncRun struct {
-	ctx  context.Context
 	pg   *afdx.PortGraph
 	opts Options
 	m    ncMetrics
@@ -165,7 +164,6 @@ type ncRun struct {
 // from, offset by that port's base.
 func newRun(ctx context.Context, pg *afdx.PortGraph, opts Options) *ncRun {
 	rn := &ncRun{
-		ctx:   ctx,
 		pg:    pg,
 		opts:  opts,
 		m:     newNCMetrics(obs.RegistryFrom(ctx)),
@@ -198,8 +196,8 @@ func newRun(ctx context.Context, pg *afdx.PortGraph, opts Options) *ncRun {
 
 // AnalyzeCtx is Analyze with observability: when ctx carries an
 // obs.Registry the engine counts ports, envelopes and rank sizes; when
-// it carries an obs.Tracer the run is wrapped in a "netcalc" span with
-// one "port:<id>" span per port. Observation never influences the
+// it carries an obs.Tracer the run is one "netcalc" span (ports are
+// counted, not traced). Observation never influences the
 // computation: results are bit-identical with or without it.
 func AnalyzeCtx(ctx context.Context, pg *afdx.PortGraph, opts Options) (*Result, error) {
 	ctx, span := obs.StartSpan(ctx, "netcalc")
@@ -299,8 +297,6 @@ type levelCurve struct {
 func analyzePort(rn *ncRun, i int) error {
 	port := rn.ports[i]
 	id := port.ID
-	_, span := obs.StartSpan(rn.ctx, "port:"+id.String())
-	defer span.End()
 	rn.m.ports.Inc()
 	beta := minplus.RateLatency(port.RateBitsPerUs, port.LatencyUs)
 

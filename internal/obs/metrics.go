@@ -1,8 +1,8 @@
 // Package obs is the zero-dependency observability layer: lock-cheap
 // engine metrics (atomic counters and power-of-two histograms gathered
 // in a Registry and snapshotted deterministically) and hierarchical
-// span tracing (campaign → config → engine → path/port) emitted as a
-// Chrome-trace-viewer JSON event log or a human text tree.
+// span tracing (campaign → config → engine, one span per engine run)
+// emitted as a Chrome-trace-viewer JSON event log or a human text tree.
 //
 // Observation is strictly read-only with respect to the analysis: no
 // engine decision may depend on a metric or span, so instrumented and

@@ -11,7 +11,7 @@ import (
 )
 
 // Tracer records hierarchical spans. Spans carry their full label path
-// (e.g. "campaign/config:3/trajectory/path:v0001/0"), so the multiset
+// (e.g. "campaign/config:3/trajectory/netcalc"), so the multiset
 // of completed paths — the span *set*, see Shape — depends only on the
 // work performed, not on scheduling: sequential and parallel runs over
 // the same inputs produce the same set. Timestamps and lane (thread)
@@ -46,7 +46,7 @@ type Span struct {
 
 // SpanRecord is one completed span. Path is the full label path;
 // CatPath is the same path with instance suffixes stripped
-// ("campaign/config/trajectory/path") — the aggregation key for the
+// ("campaign/config/trajectory/netcalc") — the aggregation key for the
 // human tree.
 type SpanRecord struct {
 	Path    string `json:"path"`
@@ -58,7 +58,7 @@ type SpanRecord struct {
 }
 
 // category strips the instance suffix from a span name:
-// "port:S1->e001" → "port".
+// "config:3" → "config".
 func category(name string) string {
 	if i := strings.IndexByte(name, ':'); i >= 0 {
 		return name[:i]
@@ -206,8 +206,8 @@ type treeNode struct {
 
 // WriteTree prints a human summary of the trace: one line per span
 // category path, with counts and total/max duration, indented by
-// depth. Instances ("path:v0001/0", "port:S1->e003") are aggregated
-// under their category so large traces stay readable.
+// depth. Instances ("config:3", "config:4") are aggregated under their
+// category so long campaigns stay readable.
 func (t *Tracer) WriteTree(w io.Writer) error {
 	nodes := map[string]*treeNode{}
 	for _, r := range t.Records() {

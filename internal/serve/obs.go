@@ -7,7 +7,7 @@ import (
 	"strings"
 	"time"
 
-	"afdx/internal/incremental"
+	"afdx/internal/afdx"
 	"afdx/internal/obs"
 	"afdx/internal/obs/oplog"
 	"afdx/internal/parallel"
@@ -193,19 +193,9 @@ func wantsPrometheus(r *http.Request) bool {
 
 // provenance assembles the audit record of one analysis round. The
 // digest covers the exact configuration the bounds describe: the
-// session's committed state, plus — for a peek — the non-committed
-// batch applied to a scratch clone, mirroring VerifyCold's
-// reconstruction.
-func (s *Server) provenance(sess *incremental.Session, ds []incremental.Delta, commit bool, workers int, analysis string) *Provenance {
-	net := sess.Network()
-	if !commit && len(ds) > 0 {
-		// The batch already passed the session's re-validation, so
-		// applying it to the clone cannot fail; a failure here would
-		// only leave the committed-state digest, never a wrong one.
-		if err := incremental.Apply(net, ds...); err != nil {
-			return nil
-		}
-	}
+// network the round analysed, which for a peek is the candidate the
+// batch was applied to and otherwise the session's committed state.
+func (s *Server) provenance(net *afdx.Network, workers int, analysis string) *Provenance {
 	data, err := json.Marshal(net)
 	if err != nil {
 		return nil

@@ -355,13 +355,13 @@ func (s *Server) analysisTask(commit bool, cmds []string, ds []incremental.Delta
 			st.seq++
 			if commit && len(ds) > 0 {
 				st.applied += len(ds)
-				st.vls = len(sess.PortGraph().Net.VLs)
+				st.vls = len(cmp.Net.VLs)
 				st.paths = len(resp.Paths)
 			}
 			workers = st.parallel
 		})
 		if prov {
-			resp.Provenance = s.provenance(sess, ds, commit, workers, analysis)
+			resp.Provenance = s.provenance(cmp.Net, workers, analysis)
 		}
 		s.mgr.metrics.rounds.Inc()
 		if commit {

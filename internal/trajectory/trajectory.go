@@ -216,11 +216,10 @@ func Analyze(pg *afdx.PortGraph, opts Options) (*Result, error) {
 // AnalyzeCtx is Analyze with observability: when ctx carries an
 // obs.Registry the engine counts paths, busy-period fixpoint rounds,
 // candidate offsets and interference-set sizes; when it carries an
-// obs.Tracer the run is wrapped in a "trajectory" span (the nested NC
-// prefix analysis appears as its "netcalc" child) with one
-// "path:<vl>/<idx>" span per analyzed path. Observation never
-// influences the computation: results are bit-identical with or
-// without it.
+// obs.Tracer the run is one "trajectory" span (the nested NC prefix
+// analysis appears as its "netcalc" child; paths are counted, not
+// traced). Observation never influences the computation: results are
+// bit-identical with or without it.
 func AnalyzeCtx(ctx context.Context, pg *afdx.PortGraph, opts Options) (*Result, error) {
 	return AnalyzeWithNCCtx(ctx, pg, opts, nil)
 }
@@ -250,8 +249,6 @@ func AnalyzeWithNCCtx(ctx context.Context, pg *afdx.PortGraph, opts Options, nc 
 	paths := pg.Net.AllPaths()
 	dets := make([]PathDetail, len(paths))
 	err = parallel.ForEachCtx(ctx, opts.Parallel, len(paths), func(i int) error {
-		_, psp := obs.StartSpan(ctx, "path:"+paths[i].String())
-		defer psp.End()
 		det, err := a.analyzePath(ctx, paths[i], nil)
 		dets[i] = det
 		return err
