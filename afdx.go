@@ -12,7 +12,8 @@
 //   - the Trajectory approach (busy-period response-time analysis),
 //     with the same refinement;
 //   - the combined analysis that keeps the tighter bound per VL path —
-//     the paper's primary contribution;
+//     the paper's primary contribution — whose one entry point for the
+//     certified bound is Certify;
 //   - a discrete-event simulator producing achievable delays;
 //   - a generator of synthetic industrial-scale configurations matching
 //     the published statistics of the (proprietary) Airbus network;
@@ -26,7 +27,7 @@
 //
 //	net := afdx.Figure2Config()              // the paper's sample network
 //	pg, err := afdx.BuildPortGraph(net, afdx.Strict)
-//	cmp, err := afdx.Compare(pg)             // both analyses, per path
+//	cmp, err := afdx.Compare(pg)             // certified bounds, per path
 //	s := cmp.Summary()                       // Table I statistics
 //
 // The internal packages hold the implementations; this package is the
@@ -240,20 +241,25 @@ type (
 	ComparisonSummary = core.Summary
 )
 
-// Compare runs both analyses with paper defaults and assembles the
-// per-path comparison; Comparison.Summary yields Table I, ByBAG Figure 5
-// and BySmax Figure 6.
+// Certify runs the certified analysis: WCNC and the grouped
+// trajectory under their paper defaults at the given worker count
+// (<= 0 selects all CPUs; bounds are identical either way), sharing one
+// WCNC run, with observability threaded through the context (see
+// WithObservation). Its BestUs column is the certified bound that
+// afdx-bounds prints, afdx-serve serves and the conformance oracle
+// checks witnesses against.
+func Certify(ctx context.Context, pg *PortGraph, workers int) (*Comparison, error) {
+	return core.Certify(ctx, pg, workers)
+}
+
+// Compare is Certify on all CPUs without observability;
+// Comparison.Summary yields Table I, ByBAG Figure 5 and BySmax
+// Figure 6.
 func Compare(pg *PortGraph) (*Comparison, error) { return core.Compare(pg) }
 
 // CompareWith runs both analyses with explicit options.
 func CompareWith(pg *PortGraph, nc NCOptions, tr TrajectoryOptions) (*Comparison, error) {
 	return core.CompareWith(pg, nc, tr)
-}
-
-// CompareCtx is Compare with observability threaded through the
-// context (see WithObservation).
-func CompareCtx(ctx context.Context, pg *PortGraph) (*Comparison, error) {
-	return core.CompareCtx(ctx, pg)
 }
 
 // CompareWithCtx is CompareWith with observability threaded through
@@ -265,19 +271,19 @@ func CompareWithCtx(ctx context.Context, pg *PortGraph, nc NCOptions, tr Traject
 // What-if re-analysis: sessions that apply deltas and analyse cold.
 type (
 	// IncrementalSession is a stateful what-if loop: apply deltas,
-	// re-analyse the resulting configuration from scratch, with one
-	// WCNC run shared by both engines.
+	// re-analyse the resulting configuration from scratch, by default
+	// with Certify.
 	IncrementalSession = incremental.Session
-	// IncrementalOptions binds a session's validation mode and engine
-	// option sets.
+	// IncrementalOptions binds a session's validation mode and the
+	// analysis every round runs (nil: Certify on all CPUs).
 	IncrementalOptions = incremental.Options
 	// Delta is one configuration mutation (BAG, s_max, priority,
 	// reroute, VL added or removed).
 	Delta = incremental.Delta
 )
 
-// DefaultIncrementalOptions analyses with both engines' paper defaults
-// under Strict validation.
+// DefaultIncrementalOptions certifies every round under Strict
+// validation.
 func DefaultIncrementalOptions() IncrementalOptions { return incremental.DefaultOptions() }
 
 // NewIncrementalSession opens a what-if session over a private clone of
@@ -295,8 +301,8 @@ func ParseDelta(s string) (Delta, error) { return incremental.ParseDelta(s) }
 // re-analyses; the batch is committed only when its analysis succeeds,
 // so a rejected batch or a failed analysis leaves the session
 // unchanged. The comparison, engine results included, is bit-identical
-// to a cold CompareWithCtx of the mutated configuration, at every
-// Parallel value.
+// to a cold run of the session's analysis on the mutated configuration
+// (by default Certify), at every worker count.
 func AnalyzeIncremental(ctx context.Context, s *IncrementalSession, deltas ...Delta) (*Comparison, error) {
 	return s.WhatIf(ctx, deltas...)
 }

@@ -28,6 +28,13 @@
 #   9. flat hot-path smoke   (a third campaign on yet another seed,
 #                             cross-checking the flattened trajectory
 #                             hot path against the oracle's invariants)
+#                             Each summary line of gates 7-9 also counts
+#                             the paths whose largest witness exceeds
+#                             the certified Best (core.Certify): 795,
+#                             146 and 126 today. The count is printed
+#                             and fails nothing: Best is unsound until
+#                             the grouped trajectory is fixed, and then
+#                             it becomes a hard invariant at zero.
 #  10. served conformance    (afdx-serve -selfcheck: a seeded 20-delta
 #                             script replayed through a live daemon over
 #                             HTTP with the full observability stack on

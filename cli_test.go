@@ -9,12 +9,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"syscall"
@@ -167,14 +169,43 @@ func TestCLIExperimentsAblationGolden(t *testing.T) {
 	}
 }
 
+// TestCLIExact drives afdx-exact: beside the WCNC bound it prints the
+// certified Best and its ratio to the achievable delay, and it lists
+// paths in (VL, path index) order. On the lint corpus's clean
+// configuration the search reaches 380.32 us on v2/0, which is certified
+// at 258.88 us: a witness above Best.
 func TestCLIExact(t *testing.T) {
 	dir := buildCLIs(t)
 	cfg := sampleConfig(t)
 	out := runCLI(t, dir, "afdx-exact", "-config", cfg, "-grid-us", "1000", "-refine", "4")
-	for _, frag := range []string{"achievable (us)", "WCNC bound (us)", "evaluations"} {
+	for _, frag := range []string{"achievable (us)", "WCNC bound (us)", "WCNC/achievable", "Best (us)", "Best/achievable", "evaluations"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("exact output missing %q:\n%s", frag, out)
 		}
+	}
+
+	clean := runCLI(t, dir, "afdx-exact", "-config", filepath.Join("internal", "lint", "testdata", "clean.json"))
+	if !regexp.MustCompile(`\| v2/0 +\| 380\.32 +\| 380\.32 +\| 1\.000 +\| 258\.88 +\| 0\.681 +\|`).MatchString(clean) {
+		t.Errorf("clean.json v2/0 row should read achievable 380.32, WCNC 380.32, Best 258.88:\n%s", clean)
+	}
+
+	// One VL multicast to eleven end systems: path v1/10 sorts after
+	// v1/2, as in afdx-bounds and afdx-sim.
+	fan := &afdx.Network{Name: "fanout", Params: afdx.DefaultParams(), EndSystems: []string{"e0"}, Switches: []string{"S1"}}
+	vl := &afdx.VirtualLink{ID: "v1", Source: "e0", BAGMs: 4, SMaxBytes: 500, SMinBytes: 500}
+	for i := 1; i <= 11; i++ {
+		es := fmt.Sprintf("e%d", i)
+		fan.EndSystems = append(fan.EndSystems, es)
+		vl.Paths = append(vl.Paths, []string{"e0", "S1", es})
+	}
+	fan.VLs = []*afdx.VirtualLink{vl}
+	fanCfg := filepath.Join(t.TempDir(), "fanout.json")
+	if err := fan.SaveJSON(fanCfg); err != nil {
+		t.Fatal(err)
+	}
+	fanOut := runCLI(t, dir, "afdx-exact", "-config", fanCfg)
+	if i2, i10 := strings.Index(fanOut, "| v1/2 "), strings.Index(fanOut, "| v1/10 "); i2 < 0 || i10 < 0 || i2 > i10 {
+		t.Errorf("want v1/2 listed before v1/10:\n%s", fanOut)
 	}
 }
 
@@ -494,16 +525,59 @@ func TestCLIBoundsWhatIf(t *testing.T) {
 	}
 }
 
+// TestCLIBoundsBestIsCertified holds afdx-bounds' default Best column
+// to afdx.Certify's BestUs, path by path, on the Figure 2 sample, the
+// lint corpus's clean configuration and the seed-1 industrial
+// configuration, at one and two workers.
+func TestCLIBoundsBestIsCertified(t *testing.T) {
+	dir := buildCLIs(t)
+	industrial := filepath.Join(t.TempDir(), "industrial1.json")
+	runCLI(t, dir, "afdx-gen", "-quiet", "-seed", "1", "-out", industrial)
+	for _, cfg := range []string{sampleConfig(t), filepath.Join("internal", "lint", "testdata", "clean.json"), industrial} {
+		net, err := afdx.LoadJSON(cfg, afdx.Strict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg, err := afdx.BuildPortGraph(net, afdx.Strict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmp, err := afdx.Certify(context.Background(), pg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths := net.AllPaths()
+		afdx.SortPathIDs(paths)
+		for _, workers := range []string{"1", "2"} {
+			out := runCLIStdout(t, dir, "afdx-bounds", "-config", cfg, "-csv", "-parallel", workers)
+			lines := strings.Split(strings.TrimSpace(out), "\n")
+			if lines[0] != "path,WCNC (us),Trajectory (us),Best (us),benefit" || len(lines) != len(paths)+1 {
+				t.Fatalf("%s -parallel %s: want the comparison header and %d rows:\n%.300s", cfg, workers, len(paths), out)
+			}
+			for i, pid := range paths {
+				cols := strings.Split(lines[i+1], ",")
+				if want := fmt.Sprintf("%.2f", cmp.PerPath[pid].BestUs); cols[0] != pid.String() || cols[3] != want {
+					t.Errorf("%s -parallel %s: row %q, want path %v with Best %s", cfg, workers, lines[i+1], pid, want)
+				}
+			}
+		}
+	}
+}
+
 // TestCLIErrorPaths drives usage and input errors: each must exit with
 // its documented code, name its cause on stderr and write nothing to
 // stdout. Invalid numeric flags and path arguments are rejected before
 // any work, and before the lint pre-flight, including a simulation
 // horizon the simulator cannot represent. Each numeric or path row used
 // to run on a default, degenerate or misparsed value and exit 0 or 1.
+// afdx-bounds -method trajectory -backlog used to print no backlog
+// table and exit 0, and an unknown -method on an infeasible
+// configuration used to exit 3 from the lint gate.
 func TestCLIErrorPaths(t *testing.T) {
 	dir := buildCLIs(t)
 	clean := filepath.Join("internal", "lint", "testdata", "clean.json")
 	overbudget := filepath.Join("internal", "lint", "testdata", "overbudget.json")
+	unstable := filepath.Join("internal", "lint", "testdata", "unstable_port.json")
 	cases := []struct {
 		tool string
 		args []string
@@ -512,6 +586,8 @@ func TestCLIErrorPaths(t *testing.T) {
 	}{
 		{"afdx-bounds", nil, 2, "-config"},
 		{"afdx-bounds", []string{"-config", clean, "-parallel", "-5"}, 2, "-parallel must be non-negative"},
+		{"afdx-bounds", []string{"-config", clean, "-method", "trajectory", "-backlog"}, 2, "-backlog"},
+		{"afdx-bounds", []string{"-config", unstable, "-method", "bogus"}, 2, `unknown method "bogus"`},
 		{"afdx-experiments", []string{"-exp", "fig3", "-parallel", "-5"}, 2, "-parallel must be non-negative"},
 		{"afdx-sim", []string{"-config", clean, "-parallel", "-5"}, 2, "-parallel must be non-negative"},
 		{"afdx-conformance", []string{"-n", "1", "-parallel", "-5"}, 2, "-parallel must be non-negative"},

@@ -1,7 +1,8 @@
 // Command afdx-bounds computes worst-case end-to-end delay bounds for
 // every Virtual Link path of an AFDX configuration, using the Network
-// Calculus analysis, the Trajectory approach, or both (keeping the best
-// bound per path, the paper's combined method).
+// Calculus analysis, the Trajectory approach, or both. By default it
+// prints the certified comparison (afdx.Certify): both bounds and the
+// Best of the two per path, the paper's combined method.
 //
 // Usage:
 //
@@ -12,10 +13,13 @@
 //	afdx-bounds -config net.json -explain v1/0   # one path's decomposition
 //
 // The separated bound of a plain Total Flow Analysis is -no-grouping.
-// -explain takes vl/pathIdx (a bare vl means path 0); a malformed value
-// or a path the configuration lacks is a usage error, reported before
-// any analysis runs. It prints one decomposition per method that ran,
-// each read off the run that computed the table's bound.
+// -backlog reads the network calculus run, so it does not combine with
+// -method trajectory; that and an unknown -method are usage errors,
+// reported before the configuration is read. -explain takes
+// vl/pathIdx (a bare vl means path 0); a malformed value or a path the
+// configuration lacks is a usage error, reported before any analysis
+// runs. It prints one decomposition per method that ran, each read off
+// the run that computed the table's bound.
 //
 // What-if mode re-analyses the configuration under deltas: after the
 // base table, each -delta (or each line of the -whatif file; '-' reads
@@ -117,6 +121,16 @@ func main() {
 		log.Printf("-parallel must be non-negative, got %d", *parallelN)
 		os.Exit(exitUsage)
 	}
+	switch *method {
+	case "both", "nc", "trajectory":
+	default:
+		log.Printf("unknown method %q (want nc, trajectory or both)", *method)
+		os.Exit(exitUsage)
+	}
+	if *backlog && *method == "trajectory" {
+		log.Print("-backlog prints the network calculus run's backlogs: it needs -method nc or both, not trajectory")
+		os.Exit(exitUsage)
+	}
 	var explainPath afdx.PathID
 	var err error
 	if *explain != "" {
@@ -159,35 +173,45 @@ func main() {
 	trOpts.Grouping = !*noGrouping
 	ncOpts.Parallel = *parallelN
 	trOpts.Parallel = *parallelN
+	// Both methods run as one comparison, whose WCNC pass also supplies
+	// the trajectory engine's prefix bounds: the certified analysis, or
+	// with -no-grouping both engines' separated bounds. What-if rounds
+	// run the same analysis.
+	analysis := func(ctx context.Context, pg *afdx.PortGraph) (*afdx.Comparison, error) {
+		return afdx.Certify(ctx, pg, *parallelN)
+	}
+	if *noGrouping {
+		analysis = func(ctx context.Context, pg *afdx.PortGraph) (*afdx.Comparison, error) {
+			return afdx.CompareWithCtx(ctx, pg, ncOpts, trOpts)
+		}
+	}
 
-	// One run feeds the table, -backlog and -explain. Both methods are
-	// one comparison, whose WCNC pass also supplies the trajectory
-	// engine's prefix bounds.
+	// One run feeds the table, -backlog and -explain.
 	var (
-		ncRes *afdx.NCResult
-		trRes *afdx.TrajectoryResult
+		headers []string
+		rows    [][]string
+		ncRes   *afdx.NCResult
+		trRes   *afdx.TrajectoryResult
 	)
 	switch *method {
 	case "both":
-		cmp, err := afdx.CompareWithCtx(ctx, pg, ncOpts, trOpts)
-		if err != nil {
+		var cmp *afdx.Comparison
+		if cmp, err = analysis(ctx, pg); err != nil {
 			fail(exitAnalysis, err)
 		}
 		ncRes, trRes = cmp.NC, cmp.Trajectory
+		headers, rows = comparisonTable(cmp, *jitter)
 	case "nc":
 		if ncRes, err = afdx.AnalyzeNCCtx(ctx, pg, ncOpts); err != nil {
 			fail(exitAnalysis, err)
 		}
+		headers, rows, err = engineTable(pg, "WCNC (us)", ncRes.PathDelays, *jitter)
 	case "trajectory":
 		if trRes, err = afdx.AnalyzeTrajectoryCtx(ctx, pg, trOpts); err != nil {
 			fail(exitAnalysis, err)
 		}
-	default:
-		log.Printf("unknown method %q (want nc, trajectory or both)", *method)
-		sess.Exit(exitUsage)
+		headers, rows, err = engineTable(pg, "Trajectory (us)", trRes.PathDelays, *jitter)
 	}
-
-	headers, rows, err := boundsTable(pg, ncRes, trRes, *jitter)
 	if err != nil {
 		fail(exitAnalysis, err)
 	}
@@ -200,17 +224,18 @@ func main() {
 	}
 
 	if len(deltas) > 0 {
-		runWhatIf(ctx, net, mode, ncOpts, trOpts, deltas, *jitter, emit)
+		runWhatIf(ctx, net, afdx.IncrementalOptions{Mode: mode, Analysis: analysis}, deltas, *jitter, emit)
 	}
 
 	if *explain != "" {
 		// One block per method that ran; the trajectory explanation
-		// reuses the run's WCNC result for its prefix bounds.
+		// reuses the run's options and its WCNC result for its prefix
+		// bounds.
 		if ncRes != nil {
 			printExplanation(ncRes.Explain(pg, explainPath))
 		}
 		if trRes != nil {
-			printExplanation(afdx.ExplainTrajectoryCtx(ctx, pg, explainPath, trOpts, ncRes))
+			printExplanation(afdx.ExplainTrajectoryCtx(ctx, pg, explainPath, trRes.Opts, ncRes))
 		}
 	}
 
@@ -230,7 +255,7 @@ func main() {
 		}
 	}
 
-	if *backlog && ncRes != nil {
+	if *backlog {
 		fmt.Println()
 		fmt.Println("Per-port backlog bounds (switch buffer dimensioning):")
 		ids := make([]afdx.PortID, 0, len(ncRes.Ports))
@@ -278,19 +303,34 @@ func (m *multiFlag) Set(v string) error {
 	return nil
 }
 
-// boundsTable renders the per-path bounds table; either result may be
-// nil (single-method runs), dropping its columns.
-func boundsTable(pg *afdx.PortGraph, nc *afdx.NCResult, tr *afdx.TrajectoryResult, jitter bool) ([]string, [][]string, error) {
-	headers := []string{"path"}
-	if nc != nil {
-		headers = append(headers, "WCNC (us)")
+// comparisonTable renders a two-engine run from its PathComparison:
+// both bounds, Best, the trajectory's benefit and, with -jitter, Best
+// above the idle-network floor.
+func comparisonTable(cmp *afdx.Comparison, jitter bool) ([]string, [][]string) {
+	headers := []string{"path", "WCNC (us)", "Trajectory (us)", "Best (us)", "benefit"}
+	if jitter {
+		headers = append(headers, "jitter (us)")
 	}
-	if tr != nil {
-		headers = append(headers, "Trajectory (us)")
+	paths := cmp.Net.AllPaths()
+	afdx.SortPathIDs(paths)
+	rows := make([][]string, 0, len(paths))
+	for _, pid := range paths {
+		pc := cmp.PerPath[pid]
+		row := []string{pid.String(), report.Us(pc.NCUs), report.Us(pc.TrajectoryUs),
+			report.Us(pc.BestUs), report.Pct(pc.BenefitPct)}
+		if jitter {
+			row = append(row, report.Us(pc.JitterUs))
+		}
+		rows = append(rows, row)
 	}
-	if nc != nil && tr != nil {
-		headers = append(headers, "Best (us)", "benefit")
-	}
+	return headers, rows
+}
+
+// engineTable renders a single-engine run (-method nc or trajectory):
+// its bound column and, with -jitter, the bound above the idle-network
+// floor.
+func engineTable(pg *afdx.PortGraph, column string, delays map[afdx.PathID]float64, jitter bool) ([]string, [][]string, error) {
+	headers := []string{"path", column}
 	if jitter {
 		headers = append(headers, "jitter (us)")
 	}
@@ -298,28 +338,13 @@ func boundsTable(pg *afdx.PortGraph, nc *afdx.NCResult, tr *afdx.TrajectoryResul
 	afdx.SortPathIDs(paths)
 	rows := make([][]string, 0, len(paths))
 	for _, pid := range paths {
-		row := []string{pid.String()}
-		best := 0.0
-		if nc != nil {
-			best = nc.PathDelays[pid]
-			row = append(row, report.Us(best))
-		}
-		if tr != nil {
-			if d := tr.PathDelays[pid]; best == 0 || d < best {
-				best = d
-			}
-			row = append(row, report.Us(tr.PathDelays[pid]))
-		}
-		if nc != nil && tr != nil {
-			dn, dt := nc.PathDelays[pid], tr.PathDelays[pid]
-			row = append(row, report.Us(best), report.Pct((dn-dt)/dn*100))
-		}
+		row := []string{pid.String(), report.Us(delays[pid])}
 		if jitter {
 			floor, err := pg.MinPathDelayUs(pid)
 			if err != nil {
 				return nil, nil, err
 			}
-			row = append(row, report.Us(best-floor))
+			row = append(row, report.Us(delays[pid]-floor))
 		}
 		rows = append(rows, row)
 	}
@@ -362,10 +387,10 @@ func readDeltas(cmds []string, file string) ([]afdx.Delta, error) {
 }
 
 // runWhatIf drives the what-if loop: each delta is applied on top of
-// the previous configuration, with the bounds table reprinted after
+// the previous configuration, with the comparison table reprinted after
 // every delta.
-func runWhatIf(ctx context.Context, net *afdx.Network, mode afdx.ValidationMode, ncOpts afdx.NCOptions, trOpts afdx.TrajectoryOptions, deltas []afdx.Delta, jitter bool, emit func(w io.Writer, headers []string, rows [][]string) error) {
-	ws, err := afdx.NewIncrementalSession(net, afdx.IncrementalOptions{Mode: mode, NC: ncOpts, Trajectory: trOpts})
+func runWhatIf(ctx context.Context, net *afdx.Network, opts afdx.IncrementalOptions, deltas []afdx.Delta, jitter bool, emit func(w io.Writer, headers []string, rows [][]string) error) {
+	ws, err := afdx.NewIncrementalSession(net, opts)
 	if err != nil {
 		fail(exitAnalysis, err)
 	}
@@ -380,10 +405,7 @@ func runWhatIf(ctx context.Context, net *afdx.Network, mode afdx.ValidationMode,
 			fail(code, fmt.Errorf("what-if %q: %w", d, err))
 		}
 		fmt.Printf("\nwhat-if: %s\n", d)
-		headers, rows, err := boundsTable(ws.PortGraph(), res.NC, res.Trajectory, jitter)
-		if err != nil {
-			fail(exitAnalysis, err)
-		}
+		headers, rows := comparisonTable(res, jitter)
 		if err := emit(os.Stdout, headers, rows); err != nil {
 			fail(exitAnalysis, err)
 		}

@@ -4,7 +4,9 @@
 // combined = per-path minimum, grouping never loosens, contract
 // tightening never loosens, parallel runs bit-identical to
 // sequential), and shrinks every violation to a minimal reproducing
-// configuration.
+// configuration. The summary line also counts the paths whose largest
+// witness (simulated or searched) exceeds the certified Best of
+// afdx.Certify; the count is reported, never a violation.
 //
 // Usage:
 //
@@ -140,8 +142,9 @@ func main() {
 		}
 	}
 	if !*quiet || !*jsonOut {
-		fmt.Fprintf(human, "checked %d/%d configuration(s) (%d skipped by budget) in %.1fs (%.1f configs/s): %d violation(s) on %d configuration(s)\n",
-			rep.Checked, rep.N, rep.Skipped, time.Since(start).Seconds(), rep.ConfigsPerSec, rep.NumViolations, rep.Violating)
+		fmt.Fprintf(human, "checked %d/%d configuration(s) (%d skipped by budget) in %.1fs (%.1f configs/s): %d violation(s) on %d configuration(s); witnesses above Best on %d path(s) of %d configuration(s)\n",
+			rep.Checked, rep.N, rep.Skipped, time.Since(start).Seconds(), rep.ConfigsPerSec, rep.NumViolations, rep.Violating,
+			rep.AboveBestPaths, rep.AboveBestConfigs)
 		if invs := rep.FailingInvariants(); len(invs) > 0 {
 			fmt.Fprintf(human, "violated invariants: %v\n", invs)
 		}

@@ -1,8 +1,8 @@
 // Command afdx-serve is the analysis-as-a-service daemon: it holds
 // what-if sessions behind a stdlib HTTP/JSON API, so a design-space
 // exploration loop uploads a configuration once and then sends only
-// deltas; each delta batch is analysed cold on the session's
-// configuration, with one WCNC run shared by both engines.
+// deltas; each delta batch is certified cold on the session's
+// configuration (afdx.Certify: one WCNC run shared by both engines).
 //
 //	afdx-serve -addr 127.0.0.1:8723
 //
@@ -26,7 +26,7 @@
 //
 // -selfcheck runs the served-conformance smoke instead of serving: it
 // starts the daemon on a loopback port, replays a seeded delta script
-// through HTTP, re-derives every answer from cold engine runs at
+// through HTTP, re-derives every answer from cold Certify runs at
 // worker counts 1 and N, writes a JSON report to stdout, and exits
 // non-zero on any mismatch. check.sh uses this as the serving smoke.
 //

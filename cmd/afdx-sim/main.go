@@ -5,7 +5,7 @@
 // Usage:
 //
 //	afdx-sim -config net.json -duration-ms 1280 -seed 3
-//	afdx-sim -config net.json -compare          # also print both bounds
+//	afdx-sim -config net.json -compare          # also print both certified bounds
 //	afdx-sim -config net.json -policing -policing-rate 0.5
 //
 // The configuration is linted before the simulation starts; lint errors
@@ -26,7 +26,6 @@ import (
 	"log"
 	"math"
 	"os"
-	"sort"
 
 	"afdx"
 	"afdx/internal/obs/cliobs"
@@ -146,23 +145,13 @@ func main() {
 
 	var cmp *afdx.Comparison
 	if *compare {
-		ncOpts := afdx.DefaultNCOptions()
-		trOpts := afdx.DefaultTrajectoryOptions()
-		ncOpts.Parallel = *parallelN
-		trOpts.Parallel = *parallelN
-		cmp, err = afdx.CompareWithCtx(ctx, pg, ncOpts, trOpts)
-		if err != nil {
+		if cmp, err = afdx.Certify(ctx, pg, *parallelN); err != nil {
 			fatal(err)
 		}
 	}
 
 	paths := net.AllPaths()
-	sort.Slice(paths, func(i, j int) bool {
-		if paths[i].VL != paths[j].VL {
-			return paths[i].VL < paths[j].VL
-		}
-		return paths[i].PathIdx < paths[j].PathIdx
-	})
+	afdx.SortPathIDs(paths)
 	headers := []string{"path", "frames", "min (us)", "mean (us)", "max (us)"}
 	if cmp != nil {
 		headers = append(headers, "WCNC (us)", "Trajectory (us)")

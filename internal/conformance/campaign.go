@@ -55,6 +55,10 @@ type ConfigVerdict struct {
 	VLs        int         `json:"vls"`
 	Paths      int         `json:"paths"`
 	Violations []Violation `json:"violations,omitempty"`
+	// AboveBest counts the paths whose largest witness exceeds the
+	// certified bound (core.Certify's Best): the certified bound is
+	// unsound there. Counted, not a violation.
+	AboveBest int `json:"aboveBest,omitempty"`
 	// GenError records a generator or engine rejection (counted
 	// separately from invariant violations — an input the engines
 	// refuse is the linter's business, not a conformance bug).
@@ -69,15 +73,20 @@ type ConfigVerdict struct {
 
 // Report is the outcome of a campaign.
 type Report struct {
-	N             int             `json:"n"`
-	Seed          int64           `json:"seed"`
-	Checked       int             `json:"checked"`
-	Skipped       int             `json:"skipped"`
-	Violating     int             `json:"violatingConfigs"`
-	NumViolations int             `json:"violations"`
-	ElapsedSec    float64         `json:"elapsedSec"`
-	ConfigsPerSec float64         `json:"configsPerSec"`
-	Verdicts      []ConfigVerdict `json:"verdicts"`
+	N             int   `json:"n"`
+	Seed          int64 `json:"seed"`
+	Checked       int   `json:"checked"`
+	Skipped       int   `json:"skipped"`
+	Violating     int   `json:"violatingConfigs"`
+	NumViolations int   `json:"violations"`
+	// AboveBestPaths sums ConfigVerdict.AboveBest over the campaign;
+	// AboveBestConfigs counts the configurations with at least one such
+	// path. Neither makes the campaign unclean.
+	AboveBestPaths   int             `json:"aboveBestPaths"`
+	AboveBestConfigs int             `json:"aboveBestConfigs"`
+	ElapsedSec       float64         `json:"elapsedSec"`
+	ConfigsPerSec    float64         `json:"configsPerSec"`
+	Verdicts         []ConfigVerdict `json:"verdicts"`
 }
 
 // Clean reports whether the campaign found no violation (generator
@@ -180,12 +189,12 @@ func RunCtx(ctx context.Context, opts Options) (*Report, error) {
 		}
 		st := net.ComputeStats()
 		v.VLs, v.Paths = st.NumVLs, st.NumPaths
-		vs, err := oracle.CheckCtx(cctx, net)
+		vs, above, err := oracle.check(cctx, net)
 		if err != nil {
 			v.GenError = err.Error()
 			return nil
 		}
-		v.Violations = vs
+		v.Violations, v.AboveBest = vs, above
 		if len(vs) > 0 && opts.CorpusDir != "" {
 			v.ShrunkFile, v.ShrunkVLs = shrinkToCorpus(cctx, oracle, net, vs, opts)
 		}
@@ -210,6 +219,10 @@ func RunCtx(ctx context.Context, opts Options) (*Report, error) {
 		if len(v.Violations) > 0 {
 			rep.Violating++
 			rep.NumViolations += len(v.Violations)
+		}
+		if v.AboveBest > 0 {
+			rep.AboveBestConfigs++
+			rep.AboveBestPaths += v.AboveBest
 		}
 	}
 	// Counters are flushed once, on the calling goroutine, after the

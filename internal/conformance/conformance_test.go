@@ -27,6 +27,36 @@ func TestCampaignClean(t *testing.T) {
 	}
 }
 
+// TestCampaignCountsWitnessesAboveBest pins the count of paths whose
+// largest witness exceeds the certified bound on the 30-configuration
+// seed-5 campaign (check.sh's second gate): the grouped trajectory
+// makes Best unsound there. The count is reported and leaves the
+// campaign clean; making Best sound turns it into a hard zero.
+func TestCampaignCountsWitnessesAboveBest(t *testing.T) {
+	rep, err := Run(Options{N: 30, Seed: 5, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() {
+		t.Fatalf("real engines violated the lattice: %v", rep.FailingInvariants())
+	}
+	paths, configs := 0, 0
+	for _, v := range rep.Verdicts {
+		if v.AboveBest > 0 {
+			paths += v.AboveBest
+			configs++
+		}
+	}
+	if rep.AboveBestPaths != 146 || rep.AboveBestConfigs != 22 {
+		t.Errorf("witnesses above Best on %d path(s) of %d configuration(s), want 146 of 22",
+			rep.AboveBestPaths, rep.AboveBestConfigs)
+	}
+	if paths != rep.AboveBestPaths || configs != rep.AboveBestConfigs {
+		t.Errorf("report totals %d/%d, verdicts sum to %d/%d",
+			rep.AboveBestPaths, rep.AboveBestConfigs, paths, configs)
+	}
+}
+
 // TestCampaignParallelDeterminism: the report's verdicts are identical
 // for every worker count (timing fields live outside the verdicts).
 func TestCampaignParallelDeterminism(t *testing.T) {

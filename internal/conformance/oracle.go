@@ -19,7 +19,10 @@
 // trajectory method"), so the repository's soundness convention
 // sandwiches the simulator against Network Calculus and the ungrouped
 // Trajectory bound. The grouped variant is still exercised by the
-// grouping-monotonicity and combined-minimum invariants.
+// grouping-monotonicity and combined-minimum invariants, and the
+// behavioural tier counts, without failing, the paths whose largest
+// witness exceeds the certified bound (core.Certify's Best): each such
+// path proves that bound unsound there.
 //
 // On a violation the shrinker (shrink.go) minimises the configuration
 // to a smallest reproducing network, which lands in the replay corpus
@@ -59,9 +62,10 @@ const (
 	// InvExactVsBounds: the exact search's achievable delays stay below
 	// min(WCNC, ungrouped Trajectory).
 	InvExactVsBounds Invariant = "exact-vs-bounds"
-	// InvCombinedMin: the combined analysis equals the per-path minimum
-	// of the two grouped bounds, and its per-engine columns are
-	// bit-identical to the oracle's own engine runs.
+	// InvCombinedMin: the certified comparison (core.Certify) equals
+	// the per-path minimum of the two grouped bounds, and its
+	// per-engine columns are bit-identical to the oracle's own engine
+	// runs.
 	InvCombinedMin Invariant = "combined-min"
 	// InvGroupingTightens: enabling the grouping (serialization)
 	// refinement never loosens a bound, in either engine.
@@ -196,9 +200,18 @@ func (o *Oracle) Check(net *afdx.Network) ([]Violation, error) {
 // tracer, so a traced campaign shows the full lattice of runs nested
 // under each configuration's span.
 func (o *Oracle) CheckCtx(ctx context.Context, net *afdx.Network) ([]Violation, error) {
+	vs, _, err := o.check(ctx, net)
+	return vs, err
+}
+
+// check is CheckCtx plus the number of paths whose largest witness
+// exceeds the certified bound (see aboveBest). The count needs the
+// certified comparison and the behavioural tier, so it is 0 when the
+// oracle runs a subset of the tiers (the shrinker's inner loop).
+func (o *Oracle) check(ctx context.Context, net *afdx.Network) ([]Violation, int, error) {
 	pg, err := afdx.BuildPortGraph(net, afdx.Strict)
 	if err != nil {
-		return nil, fmt.Errorf("conformance: %w", err)
+		return nil, 0, fmt.Errorf("conformance: %w", err)
 	}
 	var vs []Violation
 
@@ -232,22 +245,22 @@ func (o *Oracle) CheckCtx(ctx context.Context, net *afdx.Network) ([]Violation, 
 	var trG, trU *trajectory.Result
 	if doGrouping || doCombined || doDeterminism || doBehaviour || doMeta {
 		if ncG, err = o.Engines.NC(ctx, pg, netcalc.Options{Grouping: true, Parallel: 1}); err != nil {
-			return nil, fmt.Errorf("conformance: netcalc (grouped): %w", err)
+			return nil, 0, fmt.Errorf("conformance: netcalc (grouped): %w", err)
 		}
 	}
 	if doGrouping {
 		if ncU, err = o.Engines.NC(ctx, pg, netcalc.Options{Grouping: false, Parallel: 1}); err != nil {
-			return nil, fmt.Errorf("conformance: netcalc (ungrouped): %w", err)
+			return nil, 0, fmt.Errorf("conformance: netcalc (ungrouped): %w", err)
 		}
 	}
 	if doGrouping || doCombined || doDeterminism {
 		if trG, err = o.Engines.Trajectory(ctx, pg, trajectory.Options{Grouping: true, Parallel: 1}, ncG); err != nil {
-			return nil, fmt.Errorf("conformance: trajectory (grouped): %w", err)
+			return nil, 0, fmt.Errorf("conformance: trajectory (grouped): %w", err)
 		}
 	}
 	if doGrouping || doBehaviour || doMeta {
 		if trU, err = o.Engines.Trajectory(ctx, pg, trajectory.Options{Grouping: false, Parallel: 1}, ncG); err != nil {
-			return nil, fmt.Errorf("conformance: trajectory (ungrouped): %w", err)
+			return nil, 0, fmt.Errorf("conformance: trajectory (ungrouped): %w", err)
 		}
 	}
 
@@ -265,20 +278,18 @@ func (o *Oracle) CheckCtx(ctx context.Context, net *afdx.Network) ([]Violation, 
 		}
 	}
 
-	// The combined analysis is exactly min(WCNC, Trajectory) per path,
-	// computed over the same engine results the oracle holds. core
-	// re-runs the real engines, so this also cross-checks the oracle's
-	// (possibly fault-injected) engine runs against the library's cold
-	// ones.
+	// The certified comparison is exactly min(WCNC, Trajectory) per
+	// path, computed over the same engine results the oracle holds.
+	// core.Certify re-runs the real engines, so this also cross-checks
+	// the oracle's (possibly fault-injected) engine runs against the
+	// library's cold ones.
+	var cert *core.Comparison
 	if doCombined {
-		cmp, err := core.CompareWithCtx(ctx, pg,
-			netcalc.Options{Grouping: true, Parallel: 1},
-			trajectory.Options{Grouping: true, Parallel: 1})
-		if err != nil {
-			return nil, fmt.Errorf("conformance: combined analysis: %w", err)
+		if cert, err = core.Certify(ctx, pg, 1); err != nil {
+			return nil, 0, fmt.Errorf("conformance: combined analysis: %w", err)
 		}
 		for _, pid := range paths {
-			pc := cmp.PerPath[pid]
+			pc := cert.PerPath[pid]
 			if want := math.Min(pc.NCUs, pc.TrajectoryUs); pc.BestUs != want {
 				vs = append(vs, Violation{InvCombinedMin, pid, pc.BestUs, want, "combined best != min(nc, trajectory)"})
 			}
@@ -298,16 +309,23 @@ func (o *Oracle) CheckCtx(ctx context.Context, net *afdx.Network) ([]Violation, 
 	}
 
 	// Behavioural tier: simulation (pinned and randomized offsets) and,
-	// on small configurations, the exact offset search.
+	// on small configurations, the exact offset search. Its witnesses
+	// are also held against the certified bound, when the combined tier
+	// computed it.
+	above := 0
 	if doBehaviour {
-		vs = append(vs, o.checkBehaviour(ctx, pg, ncG, trU)...)
+		bvs, witness := o.checkBehaviour(ctx, pg, ncG, trU)
+		vs = append(vs, bvs...)
+		if cert != nil {
+			above = aboveBest(cert, witness)
+		}
 	}
 
 	// Metamorphic tier: tightening a contract never loosens any bound.
 	if doMeta {
 		mvs, err := o.checkMetamorphic(ctx, net, ncG, trU)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		vs = append(vs, mvs...)
 	}
@@ -319,7 +337,7 @@ func (o *Oracle) CheckCtx(ctx context.Context, net *afdx.Network) ([]Violation, 
 	if doServed {
 		svs, err := o.checkServed(ctx, net)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		vs = append(vs, svs...)
 	}
@@ -333,7 +351,21 @@ func (o *Oracle) CheckCtx(ctx context.Context, net *afdx.Network) ([]Violation, 
 		}
 		return vs[i].Detail < vs[j].Detail
 	})
-	return vs, nil
+	return vs, above, nil
+}
+
+// aboveBest counts the paths whose largest witness exceeds the
+// certified bound, compared with tol.Leq like the hard tiers. Each such
+// path proves the certified bound unsound there; the count is
+// reported, not a violation, until that bound is made sound.
+func aboveBest(cert *core.Comparison, witness map[afdx.PathID]float64) int {
+	n := 0
+	for _, pid := range sortedPathKeys(witness) {
+		if !leq(witness[pid], cert.PerPath[pid].BestUs) {
+			n++
+		}
+	}
+	return n
 }
 
 // checkDeterminism asserts parallel parity and run-to-run repeatability
@@ -394,9 +426,12 @@ func diffPathDelays(inv Invariant, engine string, a, b map[afdx.PathID]float64) 
 }
 
 // checkBehaviour runs the simulator (and on small configurations the
-// exact search) and asserts the observed ≤ achievable ≤ bound chain.
-func (o *Oracle) checkBehaviour(ctx context.Context, pg *afdx.PortGraph, ncG *netcalc.Result, trU *trajectory.Result) []Violation {
+// exact search) and asserts the observed ≤ achievable ≤ bound chain. It
+// also returns each path's largest witness over the runs that
+// completed: both simulations and the exact search.
+func (o *Oracle) checkBehaviour(ctx context.Context, pg *afdx.PortGraph, ncG *netcalc.Result, trU *trajectory.Result) ([]Violation, map[afdx.PathID]float64) {
 	var vs []Violation
+	witness := map[afdx.PathID]float64{}
 	maxBag := 0.0
 	for _, v := range pg.Net.VLs {
 		if v.BAGUs() > maxBag {
@@ -411,6 +446,7 @@ func (o *Oracle) checkBehaviour(ctx context.Context, pg *afdx.PortGraph, ncG *ne
 	checkSim := func(r *sim.Result, label string) {
 		for _, pid := range sortedPathKeys(r.Paths) {
 			st := r.Paths[pid]
+			witness[pid] = math.Max(witness[pid], st.MaxDelayUs)
 			if !leq(st.MaxDelayUs, ncG.PathDelays[pid]) {
 				vs = append(vs, Violation{InvSimVsNC, pid, st.MaxDelayUs, ncG.PathDelays[pid], label})
 			}
@@ -432,7 +468,7 @@ func (o *Oracle) checkBehaviour(ctx context.Context, pg *afdx.PortGraph, ncG *ne
 	})
 	if err != nil {
 		vs = append(vs, Violation{InvSimVsNC, afdx.PathID{}, 0, 0, "pinned simulation failed: " + err.Error()})
-		return vs
+		return vs, witness
 	}
 	checkSim(pinnedRes, "pinned offsets (all zero)")
 
@@ -442,13 +478,13 @@ func (o *Oracle) checkBehaviour(ctx context.Context, pg *afdx.PortGraph, ncG *ne
 	})
 	if err != nil {
 		vs = append(vs, Violation{InvSimVsNC, afdx.PathID{}, 0, 0, "randomized simulation failed: " + err.Error()})
-		return vs
+		return vs, witness
 	}
 	checkSim(randRes, fmt.Sprintf("random offsets (seed %d)", o.SimSeed))
 
 	// Exact tier, gated on the exponential cost.
 	if o.MaxExactVLs <= 0 || len(pg.Net.VLs) > o.MaxExactVLs {
-		return vs
+		return vs, witness
 	}
 	div := o.ExactGridDiv
 	if div <= 0 {
@@ -466,10 +502,12 @@ func (o *Oracle) checkBehaviour(ctx context.Context, pg *afdx.PortGraph, ncG *ne
 	})
 	if err != nil {
 		// The grid overflowing MaxCombos is a budget miss, not a bug.
-		return vs
+		return vs, witness
 	}
 	for _, pid := range sortedPathKeys(ex.Delays) {
-		if d := ex.Delays[pid]; !leq(d, bound(pid)) {
+		d := ex.Delays[pid]
+		witness[pid] = math.Max(witness[pid], d)
+		if !leq(d, bound(pid)) {
 			vs = append(vs, Violation{InvExactVsBounds, pid, d, bound(pid), "exact search beat the analytic bounds"})
 		}
 	}
@@ -478,7 +516,7 @@ func (o *Oracle) checkBehaviour(ctx context.Context, pg *afdx.PortGraph, ncG *ne
 			vs = append(vs, Violation{InvSimVsExact, pid, st.MaxDelayUs, ex.Delays[pid], "pinned simulation beat the exact search"})
 		}
 	}
-	return vs
+	return vs, witness
 }
 
 // checkMetamorphic re-analyses two contract-tightened mutants of the

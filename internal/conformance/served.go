@@ -18,7 +18,7 @@ import (
 // replays like every other oracle finding.
 //
 // The session round and each cold anchor (serve.Script.VerifyCold) are
-// both core.CompareWithCtx calls, one WCNC run shared by both engines;
+// both core.Certify calls, one WCNC run shared by both engines;
 // this tier adds the session manager, the HTTP surface, and the JSON
 // float64 round-trip on top, and the equality stays exact.
 func (o *Oracle) checkServed(ctx context.Context, net *afdx.Network) ([]Violation, error) {

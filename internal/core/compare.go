@@ -3,6 +3,7 @@
 // end-to-end delay bounds over every Virtual Link path of an AFDX
 // configuration, and the combined analysis that keeps, per path, the
 // tighter of the two bounds (never worse than either method alone).
+// Certify is the one entry point for the certified bound.
 //
 // The aggregate views mirror the paper's evaluation: the Table I
 // summary statistics, the per-BAG mean benefit of Figure 5, and the
@@ -51,15 +52,22 @@ type Comparison struct {
 	Trajectory *trajectory.Result
 }
 
-// Compare runs both analyses with their paper-default options.
-func Compare(pg *afdx.PortGraph) (*Comparison, error) {
-	return CompareWith(pg, netcalc.DefaultOptions(), trajectory.DefaultOptions())
+// Certify runs the certified analysis: WCNC and the grouped trajectory
+// under their paper-default options at the given worker count (<= 0
+// selects GOMAXPROCS; every count is bit-identical), with one WCNC run
+// that also supplies the trajectory engine's S_max prefix bounds. Its
+// BestUs is the certified bound: the one afdx-bounds prints, afdx-serve
+// serves and the conformance oracle holds witnesses against. This is
+// the only place the certified option pair is written down.
+func Certify(ctx context.Context, pg *afdx.PortGraph, workers int) (*Comparison, error) {
+	ncOpts, trOpts := netcalc.DefaultOptions(), trajectory.DefaultOptions()
+	ncOpts.Parallel, trOpts.Parallel = workers, workers
+	return CompareWithCtx(ctx, pg, ncOpts, trOpts)
 }
 
-// CompareCtx is Compare with observability threaded through the
-// context (see the engines' AnalyzeCtx).
-func CompareCtx(ctx context.Context, pg *afdx.PortGraph) (*Comparison, error) {
-	return CompareWithCtx(ctx, pg, netcalc.DefaultOptions(), trajectory.DefaultOptions())
+// Compare is Certify on all CPUs, without observability.
+func Compare(pg *afdx.PortGraph) (*Comparison, error) {
+	return Certify(context.Background(), pg, 0)
 }
 
 // CompareWith runs both analyses with explicit options and assembles the

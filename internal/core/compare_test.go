@@ -1,15 +1,11 @@
 package core
 
 import (
-	"context"
 	"math"
-	"slices"
 	"testing"
 
 	"afdx/internal/afdx"
-	"afdx/internal/configgen"
 	"afdx/internal/netcalc"
-	"afdx/internal/obs"
 	"afdx/internal/trajectory"
 )
 
@@ -155,77 +151,6 @@ func TestBySmaxGrouping(t *testing.T) {
 	}
 	if rows[1].NCWinsPct != 0 {
 		t.Errorf("NC should lose on the 500B paths: %+v", rows[1])
-	}
-}
-
-// A default comparison runs WCNC once: the trajectory engine takes its
-// S_max prefix bounds from the comparison's own WCNC result, so the NC
-// port counter sees every port exactly once.
-func TestCompareRunsWCNCOnce(t *testing.T) {
-	spec := configgen.DefaultSpec(1)
-	spec.NumVLs = 60
-	net, err := configgen.Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []*afdx.Network{afdx.Figure2Config(), net} {
-		pg, err := afdx.BuildPortGraph(n, afdx.Strict)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := obs.NewRegistry()
-		if _, err := CompareWithCtx(obs.WithRegistry(context.Background(), reg), pg,
-			netcalc.DefaultOptions(), trajectory.DefaultOptions()); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := reg.Snapshot().Counter("netcalc.ports_analyzed"), int64(len(pg.Ports)); got != want {
-			t.Errorf("%s: netcalc.ports_analyzed = %d, want %d (one WCNC run)", n.Name, got, want)
-		}
-	}
-}
-
-// TestEngineMetricCatalog pins the instruments a default comparison
-// registers, by name and class: the counters and histograms DESIGN.md
-// §9.1 lists for the engines and their worker pool. The benchmark
-// ledger (cmd/afdx-bench) reads netcalc.ports_analyzed,
-// netcalc.flow_envelopes, trajectory.candidate_offsets,
-// trajectory.busy_period_iterations and parallel.tasks, so renaming or
-// deleting one of those must fail here first.
-func TestEngineMetricCatalog(t *testing.T) {
-	pg, err := afdx.BuildPortGraph(afdx.Figure2Config(), afdx.Strict)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	if _, err := CompareWithCtx(obs.WithRegistry(context.Background(), reg), pg,
-		netcalc.DefaultOptions(), trajectory.DefaultOptions()); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	var got []string
-	for _, c := range snap.Counters {
-		got = append(got, c.Name+" "+c.Class)
-	}
-	for _, h := range snap.Histograms {
-		got = append(got, h.Name+" "+h.Class+" histogram")
-	}
-	slices.Sort(got)
-	want := []string{
-		"netcalc.flow_envelopes deterministic",
-		"netcalc.ports_analyzed deterministic",
-		"netcalc.rank_size deterministic histogram",
-		"parallel.batches deterministic",
-		"parallel.pool_occupancy best-effort histogram",
-		"parallel.tasks deterministic",
-		"trajectory.busy_period_iterations deterministic",
-		"trajectory.busy_period_rounds deterministic histogram",
-		"trajectory.busy_periods deterministic",
-		"trajectory.candidate_offsets deterministic",
-		"trajectory.interference_set_size deterministic histogram",
-		"trajectory.paths_analyzed deterministic",
-	}
-	if !slices.Equal(got, want) {
-		t.Errorf("engine metric catalog:\n got %q\nwant %q", got, want)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"afdx/internal/afdx"
+	"afdx/internal/core"
 	"afdx/internal/exact"
 	"afdx/internal/netcalc"
 	"afdx/internal/report"
@@ -114,18 +115,14 @@ type PessimismRow struct {
 }
 
 // Pessimism runs the exact offset search on the Figure 2 configuration
-// and relates the achievable worst cases to both analytic bounds — the
-// ECRTS 2006 companion methodology.
+// and relates the achievable worst cases to both analytic bounds of the
+// certified comparison — the ECRTS 2006 companion methodology.
 func Pessimism() ([]PessimismRow, error) {
 	pg, err := afdx.BuildPortGraph(afdx.Figure2Config(), afdx.Strict)
 	if err != nil {
 		return nil, err
 	}
-	nc, err := netcalc.Analyze(pg, netcalc.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	tr, err := trajectory.Analyze(pg, trajectory.DefaultOptions())
+	cmp, err := core.Compare(pg)
 	if err != nil {
 		return nil, err
 	}
@@ -138,14 +135,14 @@ func Pessimism() ([]PessimismRow, error) {
 	}
 	var rows []PessimismRow
 	for _, pid := range pg.Net.AllPaths() {
-		a := found.Delays[pid]
+		a, pc := found.Delays[pid], cmp.PerPath[pid]
 		rows = append(rows, PessimismRow{
 			Path:         pid,
 			AchievableUs: a,
-			NCUs:         nc.PathDelays[pid],
-			TrajUs:       tr.PathDelays[pid],
-			NCRatio:      nc.PathDelays[pid] / a,
-			TrajRatio:    tr.PathDelays[pid] / a,
+			NCUs:         pc.NCUs,
+			TrajUs:       pc.TrajectoryUs,
+			NCRatio:      pc.NCUs / a,
+			TrajRatio:    pc.TrajectoryUs / a,
 		})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Path.String() < rows[j].Path.String() })

@@ -60,8 +60,7 @@ func buildIndustrial(cfg Config) (*IndustrialResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: industrial port graph: %w", err)
 	}
-	ncOpts, trOpts := cfg.engineOptions()
-	cmp, err := core.CompareWithCtx(cfg.context(), pg, ncOpts, trOpts)
+	cmp, err := core.Certify(cfg.context(), pg, cfg.Parallel)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: industrial comparison: %w", err)
 	}

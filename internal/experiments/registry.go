@@ -6,9 +6,7 @@ import (
 	"io"
 	"sort"
 
-	"afdx/internal/netcalc"
 	"afdx/internal/report"
-	"afdx/internal/trajectory"
 )
 
 // Config parameterises one experiment run.
@@ -34,14 +32,6 @@ func (cfg Config) context() context.Context {
 		return cfg.Ctx
 	}
 	return context.Background()
-}
-
-// engineOptions returns the paper-default engine options with the
-// run's worker-pool bound applied.
-func (cfg Config) engineOptions() (netcalc.Options, trajectory.Options) {
-	ncOpts, trOpts := netcalc.DefaultOptions(), trajectory.DefaultOptions()
-	ncOpts.Parallel, trOpts.Parallel = cfg.Parallel, cfg.Parallel
-	return ncOpts, trOpts
 }
 
 // Experiment is one regenerable table or figure of the paper.

@@ -8,10 +8,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"afdx/internal/afdx"
-	"afdx/internal/netcalc"
+	"afdx/internal/core"
 	"afdx/internal/trajectory"
 )
 
@@ -21,8 +22,9 @@ var V1Path = afdx.PathID{VL: "v1", PathIdx: 0}
 // SampleBounds computes the Network Calculus and Trajectory end-to-end
 // bounds of VL v1 on the paper's Figure 2 sample configuration, with
 // v1's contract overridden to the given s_max (bytes) and BAG (ms) —
-// the primitive behind Figures 7, 8 and 9. Validation is relaxed, as the
-// paper sweeps values outside the ARINC 664 sets.
+// the primitive behind Figures 7, 8 and 9, read off one certified
+// comparison (one WCNC run). Validation is relaxed, as the paper sweeps
+// values outside the ARINC 664 sets.
 func SampleBounds(smaxBytes int, bagMs float64) (ncUs, trajUs float64, err error) {
 	n := afdx.Figure2Config()
 	n.VLs[0].SMaxBytes = smaxBytes
@@ -32,15 +34,12 @@ func SampleBounds(smaxBytes int, bagMs float64) (ncUs, trajUs float64, err error
 	if err != nil {
 		return 0, 0, err
 	}
-	nc, err := netcalc.Analyze(pg, netcalc.DefaultOptions())
+	cmp, err := core.Compare(pg)
 	if err != nil {
 		return 0, 0, err
 	}
-	tr, err := trajectory.Analyze(pg, trajectory.DefaultOptions())
-	if err != nil {
-		return 0, 0, err
-	}
-	return nc.PathDelays[V1Path], tr.PathDelays[V1Path], nil
+	pc := cmp.PerPath[V1Path]
+	return pc.NCUs, pc.TrajectoryUs, nil
 }
 
 // SweepPoint is one point of the Figure 7 or Figure 8 series.
@@ -107,25 +106,23 @@ func Surface() ([]SurfaceCell, error) {
 // on the untouched Figure 2 configuration without grouping (the
 // impossible simultaneous-arrival scenario of Figure 3) and with
 // grouping (the serialized scenario of Figure 4), plus the Network
-// Calculus reference.
+// Calculus reference. The certified comparison's WCNC run supplies the
+// ungrouped run's prefix bounds too, so WCNC runs once.
 func ScenarioBounds() (ungroupedUs, groupedUs, ncUs float64, err error) {
 	pg, err := afdx.BuildPortGraph(afdx.Figure2Config(), afdx.Strict)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	ung, err := trajectory.Analyze(pg, trajectory.Options{Grouping: false})
+	cmp, err := core.Compare(pg)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	grp, err := trajectory.Analyze(pg, trajectory.Options{Grouping: true})
+	ung, err := trajectory.AnalyzeWithNCCtx(context.Background(), pg, trajectory.Options{Grouping: false}, cmp.NC)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	nc, err := netcalc.Analyze(pg, netcalc.DefaultOptions())
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return ung.PathDelays[V1Path], grp.PathDelays[V1Path], nc.PathDelays[V1Path], nil
+	pc := cmp.PerPath[V1Path]
+	return ung.PathDelays[V1Path], pc.TrajectoryUs, pc.NCUs, nil
 }
 
 // CrossoverSmax locates the s_max value (to the given step, in bytes) at

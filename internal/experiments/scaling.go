@@ -24,7 +24,6 @@ type ScalingRow struct {
 // the topology constant (the paper's 8 switches): how the engines and
 // the trajectory-benefit statistics behave as the network fills up.
 func Scaling(cfg Config, sizes []int) ([]ScalingRow, error) {
-	ncOpts, trOpts := cfg.engineOptions()
 	var rows []ScalingRow
 	for _, n := range sizes {
 		spec := configgen.DefaultSpec(cfg.Seed)
@@ -38,7 +37,7 @@ func Scaling(cfg Config, sizes []int) ([]ScalingRow, error) {
 			return nil, err
 		}
 		start := time.Now()
-		cmp, err := core.CompareWithCtx(cfg.context(), pg, ncOpts, trOpts)
+		cmp, err := core.Certify(cfg.context(), pg, cfg.Parallel)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scaling %d VLs: %w", n, err)
 		}

@@ -1,11 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"afdx/internal/afdx"
-	"afdx/internal/netcalc"
+	"afdx/internal/core"
 	"afdx/internal/report"
 	"afdx/internal/sim"
 	"afdx/internal/stats"
@@ -26,21 +27,20 @@ type SimCheckResult struct {
 
 // SimCheck simulates the Figure 2 configuration under many random offset
 // assignments and checks that no observed delay exceeds the sound
-// analytic bounds (Network Calculus and ungrouped Trajectory).
+// analytic bounds (Network Calculus and ungrouped Trajectory). The
+// certified comparison's WCNC run supplies every trajectory run's
+// prefix bounds, so WCNC runs once.
 func SimCheck(seeds int) (*SimCheckResult, error) {
 	pg, err := afdx.BuildPortGraph(afdx.Figure2Config(), afdx.Strict)
 	if err != nil {
 		return nil, err
 	}
-	nc, err := netcalc.Analyze(pg, netcalc.DefaultOptions())
+	cmp, err := core.Compare(pg)
 	if err != nil {
 		return nil, err
 	}
-	trU, err := trajectory.Analyze(pg, trajectory.Options{Grouping: false})
-	if err != nil {
-		return nil, err
-	}
-	trG, err := trajectory.Analyze(pg, trajectory.DefaultOptions())
+	nc, trG := cmp.NC, cmp.Trajectory
+	trU, err := trajectory.AnalyzeWithNCCtx(context.Background(), pg, trajectory.Options{Grouping: false}, nc)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 
 	"afdx/internal/afdx"
 	"afdx/internal/configgen"
+	"afdx/internal/core"
 	"afdx/internal/incremental"
 	"afdx/internal/netcalc"
 	"afdx/internal/trajectory"
@@ -28,15 +29,17 @@ func testNet(t testing.TB, seed int64, vls int) *afdx.Network {
 	return net
 }
 
-func coldResults(t testing.TB, net *afdx.Network, opts incremental.Options) (*netcalc.Result, *trajectory.Result) {
+// coldResults runs both engines cold and sequentially under their
+// paper defaults, the trajectory engine computing its own prefix.
+func coldResults(t testing.TB, net *afdx.Network) (*netcalc.Result, *trajectory.Result) {
 	t.Helper()
-	pg, err := afdx.BuildPortGraph(net, opts.Mode)
+	pg, err := afdx.BuildPortGraph(net, afdx.Strict)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ncOpts := opts.NC
+	ncOpts := netcalc.DefaultOptions()
 	ncOpts.Parallel = 1
-	trOpts := opts.Trajectory
+	trOpts := trajectory.DefaultOptions()
 	trOpts.Parallel = 1
 	nc, err := netcalc.Analyze(pg, ncOpts)
 	if err != nil {
@@ -122,25 +125,27 @@ func randomDelta(rng *rand.Rand, cur *afdx.Network, stash *[]*afdx.VirtualLink) 
 	return nil
 }
 
+// certifyAt is the session analysis that certifies at a fixed worker
+// count.
+func certifyAt(workers int) func(context.Context, *afdx.PortGraph) (*core.Comparison, error) {
+	return func(ctx context.Context, pg *afdx.PortGraph) (*core.Comparison, error) {
+		return core.Certify(ctx, pg, workers)
+	}
+}
+
 // TestDeltaSequenceBitIdentity is the what-if layer's core property
 // test: a 20-step random delta sequence over a generated configuration,
-// where after every step the session's results — at Parallel 1 and at
-// Parallel 4, with the trajectory prefix bounds taken from the round's
+// where after every step the session's results — certified at 1 and at
+// 4 workers, with the trajectory prefix bounds taken from the round's
 // own WCNC run — are bitwise identical to cold engine runs on the
 // mutated configuration, whose trajectory run computes its own prefix.
 func TestDeltaSequenceBitIdentity(t *testing.T) {
 	net := testNet(t, 42, 15)
-	opts := incremental.DefaultOptions()
-	opts.NC.Parallel = 1
-	opts.Trajectory.Parallel = 1
-	sessSeq, err := incremental.NewSession(net, opts)
+	sessSeq, err := incremental.NewSession(net, incremental.Options{Mode: afdx.Strict, Analysis: certifyAt(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	optsPar := opts
-	optsPar.NC.Parallel = 4
-	optsPar.Trajectory.Parallel = 4
-	sessPar, err := incremental.NewSession(net, optsPar)
+	sessPar, err := incremental.NewSession(net, incremental.Options{Mode: afdx.Strict, Analysis: certifyAt(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +166,7 @@ func TestDeltaSequenceBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d (%s) parallel: %v", step, d, err)
 		}
-		coldNC, coldTr := coldResults(t, sessSeq.Network(), opts)
+		coldNC, coldTr := coldResults(t, sessSeq.Network())
 		label := d.String()
 		mustIdentical(t, "seq after "+label, resSeq.NC, resSeq.Trajectory, coldNC, coldTr)
 		mustIdentical(t, "par after "+label, resPar.NC, resPar.Trajectory, coldNC, coldTr)

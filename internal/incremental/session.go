@@ -7,8 +7,6 @@ import (
 
 	"afdx/internal/afdx"
 	"afdx/internal/core"
-	"afdx/internal/netcalc"
-	"afdx/internal/trajectory"
 )
 
 // ErrClosed is returned by every Session method after Close.
@@ -26,30 +24,23 @@ func (e *BadDeltaError) Error() string { return e.Err.Error() }
 func (e *BadDeltaError) Unwrap() error { return e.Err }
 
 // Options configures a what-if Session: the validation mode used when a
-// delta batch is re-validated, and the engine option sets every
-// analysis round runs under.
+// delta batch is re-validated, and the analysis every round runs.
 type Options struct {
-	Mode       afdx.ValidationMode
-	NC         netcalc.Options
-	Trajectory trajectory.Options
+	Mode afdx.ValidationMode
+	// Analysis analyses one round's port graph. Nil selects
+	// core.Certify on all CPUs: the certified comparison, with one WCNC
+	// run shared by both engines.
+	Analysis func(ctx context.Context, pg *afdx.PortGraph) (*core.Comparison, error)
 }
 
-// DefaultOptions analyses with both engines' paper defaults under
-// Strict validation.
-func DefaultOptions() Options {
-	return Options{
-		Mode:       afdx.Strict,
-		NC:         netcalc.DefaultOptions(),
-		Trajectory: trajectory.DefaultOptions(),
-	}
-}
+// DefaultOptions certifies every round under Strict validation.
+func DefaultOptions() Options { return Options{Mode: afdx.Strict} }
 
 // Session is the stateful what-if loop: it owns a private clone of a
 // configuration and its port graph, re-validates and swaps them under
 // Apply'd deltas, and analyses them cold on every round. Sessions are
-// not safe for concurrent use; Options.NC.Parallel /
-// Options.Trajectory.Parallel still fan each individual analysis out,
-// and results do not depend on those values.
+// not safe for concurrent use; the analysis may still fan each round
+// out over its own workers.
 type Session struct {
 	opts   Options
 	net    *afdx.Network
@@ -65,7 +56,15 @@ func NewSession(net *afdx.Network, opts Options) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("incremental: %w", err)
 	}
+	if opts.Analysis == nil {
+		opts.Analysis = certify
+	}
 	return &Session{opts: opts, net: clone, pg: pg}, nil
+}
+
+// certify is the default round analysis: core.Certify on all CPUs.
+func certify(ctx context.Context, pg *afdx.PortGraph) (*core.Comparison, error) {
+	return core.Certify(ctx, pg, 0)
 }
 
 // Network returns a clone of the session's current configuration (with
@@ -77,11 +76,6 @@ func (s *Session) Network() *afdx.Network {
 	}
 	return s.net.Clone()
 }
-
-// PortGraph returns the port-level view of the session's current
-// configuration (e.g. for rendering per-path floors alongside an
-// analysis round). Callers must treat it as read-only.
-func (s *Session) PortGraph() *afdx.PortGraph { return s.pg }
 
 // Apply mutates the session's configuration by the given deltas, in
 // order, as one atomic batch: the batch is applied to a scratch clone
@@ -129,17 +123,16 @@ func Apply(n *afdx.Network, deltas ...Delta) error {
 	return nil
 }
 
-// Analyze runs one round on the current configuration: a cold
-// core.CompareWithCtx, whose WCNC run also supplies the trajectory
-// engine's S_max prefix bounds when the session's NC options are the
-// defaults, so a round runs WCNC once. The Comparison carries both
-// engine results. An analysis error (e.g. cancellation) leaves the
-// session unchanged and usable.
+// Analyze runs one round on the current configuration: a cold run of
+// the session's analysis (by default core.Certify, one WCNC run shared
+// by both engines). The Comparison carries both engine results. An
+// analysis error (e.g. cancellation) leaves the session unchanged and
+// usable.
 func (s *Session) Analyze(ctx context.Context) (*core.Comparison, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	return core.CompareWithCtx(ctx, s.pg, s.opts.NC, s.opts.Trajectory)
+	return s.opts.Analysis(ctx, s.pg)
 }
 
 // WhatIf is Peek plus the commit: one what-if step. The delta batch is
@@ -153,7 +146,7 @@ func (s *Session) WhatIf(ctx context.Context, deltas ...Delta) (*core.Comparison
 	if err != nil {
 		return nil, err
 	}
-	cmp, err := core.CompareWithCtx(ctx, pg, s.opts.NC, s.opts.Trajectory)
+	cmp, err := s.opts.Analysis(ctx, pg)
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +163,7 @@ func (s *Session) Peek(ctx context.Context, deltas ...Delta) (*core.Comparison, 
 	if err != nil {
 		return nil, err
 	}
-	return core.CompareWithCtx(ctx, pg, s.opts.NC, s.opts.Trajectory)
+	return s.opts.Analysis(ctx, pg)
 }
 
 // Close releases the session's configuration so a long-lived owner

@@ -127,8 +127,9 @@ type Provenance struct {
 	Engines string `json:"engines"`
 	// Analysis echoes the round's ?analysis= name ("WCNC" or "FIFO").
 	Analysis string `json:"analysis"`
-	// Workers is the session's engine worker count (0 = all CPUs).
-	// Bounds do not depend on it.
+	// Workers is the session's resolved engine worker count: a session
+	// opened for all CPUs records how many that was, never 0. Bounds do
+	// not depend on it.
 	Workers int `json:"workers"`
 	// ObsVersion is the observability-layer schema tag (oplog.Version).
 	ObsVersion string `json:"obsVersion"`

@@ -10,10 +10,9 @@ import (
 	"time"
 
 	"afdx/internal/afdx"
+	"afdx/internal/core"
 	"afdx/internal/incremental"
-	"afdx/internal/netcalc"
 	"afdx/internal/obs"
-	"afdx/internal/trajectory"
 )
 
 // manager is the bounded session pool. Each session owns one executor
@@ -102,25 +101,20 @@ func newManager(opts Options, reg *obs.Registry) *manager {
 	return m
 }
 
-// sessionOptions is the engine option set every served session runs
-// under: both engines' paper defaults (grouping on) at the requested
-// worker count — the exact options the cold-anchor replay uses, so a
-// served answer and its anchor differ only by the session and the wire
-// in between.
-func sessionOptions(mode afdx.ValidationMode, parallel int) incremental.Options {
-	nc := netcalc.DefaultOptions()
-	nc.Parallel = parallel
-	tr := trajectory.DefaultOptions()
-	tr.Parallel = parallel
-	return incremental.Options{Mode: mode, NC: nc, Trajectory: tr}
-}
-
 // create validates the configuration into a new pooled session and
-// starts its executor. The pool bound is enforced here: a full pool
-// first tries to evict its least-recently-used idle session, and
+// starts its executor. Every round of the session is core.Certify at
+// the session's worker count, the analysis the cold-anchor replay
+// runs, so a served answer and its anchor differ only by the session
+// and the wire in between. The pool bound is enforced here: a full
+// pool first tries to evict its least-recently-used idle session, and
 // refuses the upload only when every session has requests in flight.
 func (m *manager) create(net *afdx.Network, parallel int) (*managed, error) {
-	sess, err := incremental.NewSession(net, sessionOptions(m.opts.Mode, parallel))
+	sess, err := incremental.NewSession(net, incremental.Options{
+		Mode: m.opts.Mode,
+		Analysis: func(ctx context.Context, pg *afdx.PortGraph) (*core.Comparison, error) {
+			return core.Certify(ctx, pg, parallel)
+		},
+	})
 	if err != nil {
 		return nil, errf(CodeInvalidConfig, "%v", err)
 	}

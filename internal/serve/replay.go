@@ -13,8 +13,6 @@ import (
 	"afdx/internal/afdx"
 	"afdx/internal/core"
 	"afdx/internal/incremental"
-	"afdx/internal/netcalc"
-	"afdx/internal/trajectory"
 )
 
 // This file is the served-conformance harness: record one session's
@@ -202,7 +200,7 @@ func (m Mismatch) String() string {
 // VerifyCold replays a recorded script through cold anchors: for every
 // recorded response it reconstructs the session's configuration at that
 // round (committed deltas accumulate, peeked deltas apply to a scratch
-// clone), runs both engines cold at the given worker count, and
+// clone), runs core.Certify cold at the given worker count, and
 // compares every path bound with exact `==`. An empty slice means the
 // server was bit-faithful; any tolerance here would hide a session or
 // codec bug, so there is none.
@@ -240,20 +238,16 @@ func (sc *Script) VerifyCold(ctx context.Context, mode afdx.ValidationMode, para
 	return out, nil
 }
 
-// diffCold compares one recorded response against a cold run on the
-// reconstructed configuration. Every round anchors against the same
-// default-options cold run, whatever ?analysis= name it echoes: the
+// diffCold compares one recorded response against a cold core.Certify
+// run on the reconstructed configuration. Every round anchors against
+// the same certified run, whatever ?analysis= name it echoes: the
 // engine computes one bound for WCNC and FIFO.
 func diffCold(ctx context.Context, resp *AnalysisResponse, net *afdx.Network, mode afdx.ValidationMode, parallel int) ([]Mismatch, error) {
 	pg, err := afdx.BuildPortGraph(net, mode)
 	if err != nil {
 		return nil, err
 	}
-	ncOpts := netcalc.DefaultOptions()
-	ncOpts.Parallel = parallel
-	trOpts := trajectory.DefaultOptions()
-	trOpts.Parallel = parallel
-	cmp, err := core.CompareWithCtx(ctx, pg, ncOpts, trOpts)
+	cmp, err := core.Certify(ctx, pg, parallel)
 	if err != nil {
 		return nil, err
 	}
