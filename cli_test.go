@@ -588,6 +588,8 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"afdx-bounds", []string{"-config", clean, "-parallel", "-5"}, 2, "-parallel must be non-negative"},
 		{"afdx-bounds", []string{"-config", clean, "-method", "trajectory", "-backlog"}, 2, "-backlog"},
 		{"afdx-bounds", []string{"-config", unstable, "-method", "bogus"}, 2, `unknown method "bogus"`},
+		{"afdx-bounds", []string{"-config", clean, "-method", "nc", "-delta", "bag v2 8"}, 2, "need -method both"},
+		{"afdx-bounds", []string{"-config", unstable, "-method", "trajectory", "-whatif", "-"}, 2, "need -method both"},
 		{"afdx-experiments", []string{"-exp", "fig3", "-parallel", "-5"}, 2, "-parallel must be non-negative"},
 		{"afdx-sim", []string{"-config", clean, "-parallel", "-5"}, 2, "-parallel must be non-negative"},
 		{"afdx-conformance", []string{"-n", "1", "-parallel", "-5"}, 2, "-parallel must be non-negative"},

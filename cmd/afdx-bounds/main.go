@@ -30,6 +30,10 @@
 //	afdx-bounds -config net.json -delta 'bag v3 16' -delta 'drop v7'
 //	afdx-bounds -config net.json -whatif scenario.txt
 //
+// Every what-if round runs the certified two-engine comparison, so
+// -delta and -whatif need -method both; with nc or trajectory they are
+// a usage error, reported before the configuration is read.
+//
 // Delta commands: 'bag <vl> <ms>', 'smax <vl> <bytes>',
 // 'priority <vl> <level>', 'drop <vl>', 'reroute <vl> <node,node,...>
 // [<path> ...]', 'add <vl json>'. Deltas compose: each applies on top
@@ -97,7 +101,7 @@ func main() {
 	log.SetPrefix("afdx-bounds: ")
 	var (
 		config     = flag.String("config", "", "network configuration JSON (required)")
-		method     = flag.String("method", "both", "nc | trajectory | both")
+		method     = flag.String("method", "both", "nc | trajectory | both (-delta and -whatif need both)")
 		noGrouping = flag.Bool("no-grouping", false, "disable the grouping (serialization) technique")
 		parallelN  = flag.Int("parallel", 0, "analysis worker count (0 = all CPUs, 1 = sequential; bounds are identical either way)")
 		relaxed    = flag.Bool("relaxed", false, "relax ARINC 664 contract validation")
@@ -107,10 +111,10 @@ func main() {
 		jitter     = flag.Bool("jitter", false, "also print per-path jitter (bound minus idle-network floor)")
 		esJitter   = flag.Bool("es-jitter", false, "also print the ARINC 664 end-system output jitter report")
 		explain    = flag.String("explain", "", "print one path's bound decomposition for each method run (e.g. v1/0)")
-		whatif     = flag.String("whatif", "", "file of what-if delta commands, one per line ('-' = stdin; blank lines and # comments skipped)")
+		whatif     = flag.String("whatif", "", "file of what-if delta commands, one per line ('-' = stdin; blank lines and # comments skipped); needs -method both")
 	)
 	var deltaCmds multiFlag
-	flag.Var(&deltaCmds, "delta", "what-if delta command (repeatable; e.g. 'bag v1 16', 'drop v5'): applied in order after the base analysis")
+	flag.Var(&deltaCmds, "delta", "what-if delta command (repeatable; e.g. 'bag v1 16', 'drop v5'): applied in order after the base analysis; needs -method both")
 	obsFlags := cliobs.Register(flag.CommandLine)
 	flag.Parse()
 	if *config == "" {
@@ -129,6 +133,10 @@ func main() {
 	}
 	if *backlog && *method == "trajectory" {
 		log.Print("-backlog prints the network calculus run's backlogs: it needs -method nc or both, not trajectory")
+		os.Exit(exitUsage)
+	}
+	if *method != "both" && (len(deltaCmds) > 0 || *whatif != "") {
+		log.Printf("-delta and -whatif rounds print the two-engine comparison: they need -method both, not %s", *method)
 		os.Exit(exitUsage)
 	}
 	var explainPath afdx.PathID

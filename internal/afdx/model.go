@@ -219,7 +219,11 @@ func SortPathIDs(ids []PathID) {
 // AllPaths enumerates every (VL, path) pair of the network, in
 // deterministic order.
 func (n *Network) AllPaths() []PathID {
-	var ps []PathID
+	count := 0
+	for _, v := range n.VLs {
+		count += len(v.Paths)
+	}
+	ps := make([]PathID, 0, count)
 	for _, v := range n.VLs {
 		for i := range v.Paths {
 			ps = append(ps, PathID{VL: v.ID, PathIdx: i})

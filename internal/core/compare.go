@@ -98,8 +98,9 @@ func CompareWithCtx(ctx context.Context, pg *afdx.PortGraph, ncOpts netcalc.Opti
 // engine results (CompareWithCtx = two engine runs + Combine) and
 // records both results on it.
 func Combine(pg *afdx.PortGraph, nc *netcalc.Result, tr *trajectory.Result) (*Comparison, error) {
-	c := &Comparison{Net: pg.Net, PerPath: map[afdx.PathID]PathComparison{}, NC: nc, Trajectory: tr}
-	for _, pid := range pg.Net.AllPaths() {
+	paths := pg.Net.AllPaths()
+	c := &Comparison{Net: pg.Net, PerPath: make(map[afdx.PathID]PathComparison, len(paths)), NC: nc, Trajectory: tr}
+	for _, pid := range paths {
 		dn, ok1 := nc.PathDelays[pid]
 		dt, ok2 := tr.PathDelays[pid]
 		if !ok1 || !ok2 {

@@ -205,15 +205,6 @@ func (c Curve) IsConvex() bool {
 	return true
 }
 
-// breakpointXs returns the abscissae of all piece boundaries.
-func (c Curve) breakpointXs() []float64 {
-	xs := make([]float64, len(c.segs))
-	for i, s := range c.segs {
-		xs[i] = s.X
-	}
-	return xs
-}
-
 // breakpointYs returns the candidate ordinates where the pseudo-inverse of
 // the curve changes slope: for every piece boundary both the left limit and
 // the right value (they differ at jumps).

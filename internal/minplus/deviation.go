@@ -85,7 +85,7 @@ func VerticalDeviation(alpha, beta Curve) float64 {
 	if ra > rb+Eps {
 		return math.Inf(1)
 	}
-	xs := mergeXs(alpha.breakpointXs(), beta.breakpointXs())
+	xs := mergeXs(alpha, beta)
 	v := 0.0
 	for _, x := range xs {
 		if d := alpha.Eval(x) - beta.Eval(x); d > v {

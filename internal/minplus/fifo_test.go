@@ -130,6 +130,15 @@ func FIFOResidual(beta, alpha Curve, theta float64) (Curve, error) {
 	return c, nil
 }
 
+// breakpointXs returns the abscissae of all piece boundaries.
+func (c Curve) breakpointXs() []float64 {
+	xs := make([]float64, len(c.segs))
+	for i, s := range c.segs {
+		xs[i] = s.X
+	}
+	return xs
+}
+
 // randomFlowEnvelope draws the analysed flow's envelope alpha_i the way
 // the engine builds one: a jitter-inflated leaky bucket, or its minimum
 // with the exact jittered staircase (Options.StairSteps).

@@ -8,7 +8,7 @@ import (
 
 // Add returns the pointwise sum of two curves.
 func Add(a, b Curve) Curve {
-	xs := mergeXs(a.breakpointXs(), b.breakpointXs())
+	xs := mergeXs(a, b)
 	segs := make([]Segment, 0, len(xs))
 	for _, x := range xs {
 		segs = append(segs, Segment{
@@ -25,7 +25,7 @@ func Add(a, b Curve) Curve {
 // Min returns the pointwise minimum of two curves. The result of taking
 // the minimum of two non-decreasing curves is non-decreasing.
 func Min(a, b Curve) Curve {
-	xs := mergeXs(a.breakpointXs(), b.breakpointXs())
+	xs := mergeXs(a, b)
 	// Within each interval both inputs are linear; they cross at most once.
 	// Collect interval starts plus interior crossing points.
 	var cuts []float64
@@ -83,7 +83,7 @@ func SubPos(f, g Curve) (Curve, error) {
 	if !g.IsConcave() {
 		return Curve{}, fmt.Errorf("minplus: SubPos requires a concave subtrahend")
 	}
-	xs := mergeXs(f.breakpointXs(), g.breakpointXs())
+	xs := mergeXs(f, g)
 	// Locate the zero crossing: the last interval where f-g goes from
 	// <=0 to >0 contains at most one root.
 	type pt struct{ x, d, slope float64 }
@@ -143,10 +143,28 @@ func (c Curve) slopeAt(t float64) float64 {
 	return c.segs[i].Slope
 }
 
-func mergeXs(a, b []float64) []float64 {
-	xs := append(append([]float64{}, a...), b...)
-	sort.Float64s(xs)
-	return dedupeFloats(xs)
+// mergeXs returns the breakpoint abscissae of both curves in
+// increasing order, each one within Eps of the one kept before it
+// dropped. Each curve's abscissae strictly increase, so one merge pass
+// gives the order a sort of the two lists would; on a tie a's value
+// comes first, as in a stable sort.
+func mergeXs(a, b Curve) []float64 {
+	xs := make([]float64, 0, len(a.segs)+len(b.segs))
+	i, j := 0, 0
+	for i < len(a.segs) || j < len(b.segs) {
+		var x float64
+		if j == len(b.segs) || i < len(a.segs) && a.segs[i].X <= b.segs[j].X {
+			x = a.segs[i].X
+			i++
+		} else {
+			x = b.segs[j].X
+			j++
+		}
+		if len(xs) == 0 || x > xs[len(xs)-1]+Eps {
+			xs = append(xs, x)
+		}
+	}
+	return xs
 }
 
 func dedupeFloats(xs []float64) []float64 {

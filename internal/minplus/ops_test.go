@@ -3,6 +3,8 @@ package minplus
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -126,5 +128,35 @@ func TestQuickSubPosIsResidual(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(11))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMergeXsMatchesSortedUnion pins mergeXs to the sort it replaced:
+// both curves' abscissae concatenated, sorted, and each one within Eps
+// of the one kept before it dropped. Breakpoints sit on a coarse grid,
+// some moved by less than Eps, so the two curves tie and nearly tie.
+func TestMergeXsMatchesSortedUnion(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	curve := func() Curve {
+		segs := []Segment{{X: 0, Y: 0, Slope: 1}}
+		x := 0.0
+		for n := r.Intn(8); n > 0; n-- {
+			x += float64(1 + r.Intn(3))
+			at := x
+			if r.Intn(3) == 0 {
+				at += Eps * r.Float64()
+			}
+			segs = append(segs, Segment{X: at, Y: at, Slope: float64(len(segs) + 1)})
+		}
+		return Curve{segs: segs}
+	}
+	for i := 0; i < 2000; i++ {
+		a, b := curve(), curve()
+		want := append(a.breakpointXs(), b.breakpointXs()...)
+		sort.Float64s(want)
+		want = dedupeFloats(want)
+		if got := mergeXs(a, b); !slices.Equal(got, want) {
+			t.Fatalf("mergeXs(%v, %v) = %v, want %v", a, b, got, want)
+		}
 	}
 }

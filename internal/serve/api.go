@@ -80,10 +80,11 @@ type DeltaRequest struct {
 }
 
 // PathBound is one path's served bounds — the same five figures an
-// afdx-bounds run prints, as raw float64s. encoding/json renders
-// float64 in the shortest form that parses back to the identical bit
-// pattern, so a decoded PathBound compares `==` against the engines'
-// in-process values; the served-conformance tier relies on this.
+// afdx-bounds run prints, as raw float64s. The answer writer renders
+// each float64 as encoding/json does, in the shortest form that parses
+// back to the identical bit pattern, so a decoded PathBound compares
+// `==` against the engines' in-process values; the served-conformance
+// tier relies on this.
 type PathBound struct {
 	Path         string  `json:"path"`
 	NCUs         float64 `json:"ncUs"`
@@ -229,6 +230,9 @@ func newStrictDecoder(r io.Reader) *json.Decoder {
 	return dec
 }
 
+// writeJSON writes the small payloads (errors, session lists, health,
+// metrics, traces) through encoding/json. Analysis rounds, the large
+// ones, go through writeAnswer.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

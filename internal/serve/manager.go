@@ -178,7 +178,7 @@ func (m *manager) run(ms *managed) {
 // bounded by the request timeout. A timed-out request abandons the
 // response only — work already queued still executes in order, and its
 // outcome is streamed on the session's event feed.
-func (m *manager) submit(ctx context.Context, id string, fn func(ctx context.Context, sess *incremental.Session, ms *managed) (any, error)) (any, error) {
+func (m *manager) submit(ctx context.Context, id string, fn func(ctx context.Context, sess *incremental.Session, ms *managed) (*AnalysisResponse, error)) (*AnalysisResponse, error) {
 	m.mu.Lock()
 	if m.draining {
 		m.mu.Unlock()
@@ -209,7 +209,7 @@ func (m *manager) submit(ctx context.Context, id string, fn func(ctx context.Con
 	ctx = obs.WithRegistry(ctx, m.reg)
 
 	type result struct {
-		out any
+		out *AnalysisResponse
 		err error
 	}
 	reply := make(chan result, 1) // buffered: the executor never blocks on an abandoned request

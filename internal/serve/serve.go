@@ -10,9 +10,10 @@
 // Determinism contract for served answers: every bound a session
 // returns is exactly `==` the bound a cold afdx-bounds run computes on
 // the same configuration — the same guarantee the session pins,
-// carried over the wire by encoding/json's shortest-round-trip float64
-// form and enforced end to end by the served-conformance tier
-// (replay.go and internal/conformance's served-parity invariant).
+// carried over the wire by the shortest-round-trip float64 form (the
+// answer writer's, byte for byte encoding/json's) and enforced end to
+// end by the served-conformance tier (replay.go and
+// internal/conformance's served-parity invariant).
 //
 // Because incremental.Session is single-writer, each session is owned
 // by one executor goroutine and requests are serialized in arrival
@@ -274,7 +275,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, out)
+	writeAnswer(w, http.StatusCreated, out)
 }
 
 // handleDeltas serves /whatif (peek) and /apply (commit): parse the
@@ -301,7 +302,7 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request, commit boo
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeAnswer(w, http.StatusOK, out)
 }
 
 // decodeJSONBody strictly decodes one JSON value.
@@ -319,8 +320,8 @@ func decodeJSONBody(r *http.Request, v any) error {
 // response. It runs on the session's executor goroutine, so the
 // Session calls are serialized by construction. With prov set the
 // response carries the round's provenance record.
-func (s *Server) analysisTask(commit bool, cmds []string, ds []incremental.Delta, prov bool, analysis string) func(ctx context.Context, sess *incremental.Session, ms *managed) (any, error) {
-	return func(ctx context.Context, sess *incremental.Session, ms *managed) (any, error) {
+func (s *Server) analysisTask(commit bool, cmds []string, ds []incremental.Delta, prov bool, analysis string) func(ctx context.Context, sess *incremental.Session, ms *managed) (*AnalysisResponse, error) {
+	return func(ctx context.Context, sess *incremental.Session, ms *managed) (*AnalysisResponse, error) {
 		var cmp *core.Comparison
 		var err error
 		switch {
@@ -342,7 +343,7 @@ func (s *Server) analysisTask(commit bool, cmds []string, ds []incremental.Delta
 				return nil, errf(CodeAnalysis, "%v", err)
 			}
 		}
-		resp := AnalysisResponse{
+		resp := &AnalysisResponse{
 			Session:   ms.id,
 			Committed: commit || len(ds) == 0,
 			Deltas:    cmds,
@@ -371,7 +372,7 @@ func (s *Server) analysisTask(commit bool, cmds []string, ds []incremental.Delta
 			}
 		}
 		ms.hub.publish("analysis", func() any {
-			return AnalysisEvent{AnalysisResponse: resp, Counters: countersMap(s.reg)}
+			return AnalysisEvent{AnalysisResponse: *resp, Counters: countersMap(s.reg)}
 		})
 		return resp, nil
 	}

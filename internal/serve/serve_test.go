@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -64,31 +66,81 @@ func testOptions() Options {
 }
 
 // TestServedConformanceSeeded is the served-conformance tier's core
-// case: a seeded 20-step script served over HTTP, then every answer
-// re-derived from cold engine runs — no server, no session — requiring
-// exact == at worker counts 1 and N.
+// case: a seeded 20-step script served over HTTP on a 120-VL
+// configuration, with and without per-bound provenance, then every
+// answer re-derived from cold engine runs — no server, no session —
+// requiring exact == at worker counts 1 and N. Every 2xx body on the
+// wire must also be encoding/json's indented encoding of the value it
+// decodes to (wireCheck), byte for byte.
 func TestServedConformanceSeeded(t *testing.T) {
 	_, ts := newTestServer(t, testOptions())
-	net := testNet(t, 7, 24)
-	script, err := SeededScript(net, 13, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(script.Steps) < 10 {
-		t.Fatalf("seeded script too short: %d steps", len(script.Steps))
-	}
-	if _, err := script.RunHTTP(ts.Client(), ts.URL, 0); err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{1, parityWorkers} {
-		mm, err := script.VerifyCold(context.Background(), afdx.Strict, par)
+	wc := &wireCheck{t: t, base: ts.Client().Transport, analyses: map[string]int{}}
+	client := &http.Client{Transport: wc}
+	net := testNet(t, 7, 120)
+	for _, prov := range []bool{false, true} {
+		script, err := SeededScript(net, 13, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range mm {
-			t.Errorf("parallel %d: %s", par, m)
+		if len(script.Steps) < 10 {
+			t.Fatalf("seeded script too short: %d steps", len(script.Steps))
+		}
+		script.Provenance = prov
+		if _, err := script.RunHTTP(client, ts.URL, 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, parityWorkers} {
+			mm, err := script.VerifyCold(context.Background(), afdx.Strict, par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range mm {
+				t.Errorf("provenance %v, parallel %d: %s", prov, par, m)
+			}
 		}
 	}
+	// Each script is an upload plus its steps; both ?analysis= names
+	// occur among them.
+	if wc.answers < 2*(1+10) || wc.analyses["WCNC"] == 0 || wc.analyses["FIFO"] == 0 {
+		t.Fatalf("wire check saw %d answers, analyses %v", wc.answers, wc.analyses)
+	}
+}
+
+// wireCheck is a RoundTripper that holds every 2xx answer to a POST
+// (an upload, /whatif or /apply) to encoding/json: the body must be
+// the indented encoding of the AnalysisResponse it decodes to.
+type wireCheck struct {
+	t        *testing.T
+	base     http.RoundTripper
+	answers  int
+	analyses map[string]int
+}
+
+func (wc *wireCheck) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := wc.base.RoundTrip(req)
+	if err != nil || req.Method != http.MethodPost || resp.StatusCode/100 != 2 {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	var ar AnalysisResponse
+	if err := json.Unmarshal(body, &ar); err != nil {
+		wc.t.Errorf("%s: 2xx body is not an AnalysisResponse: %v", req.URL, err)
+		return resp, nil
+	}
+	if !bytes.Equal(body, indentedJSON(wc.t, &ar)) {
+		wc.t.Errorf("%s: body is not encoding/json's encoding of its own value", req.URL)
+	}
+	if (ar.Provenance != nil) != (req.URL.Query().Get("provenance") == "1") {
+		wc.t.Errorf("%s: provenance %v", req.URL, ar.Provenance)
+	}
+	wc.answers++
+	wc.analyses[ar.Analysis]++
+	return resp, nil
 }
 
 // TestSeededScriptDeterministic pins that the replay script is a pure

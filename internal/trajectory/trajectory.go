@@ -241,12 +241,12 @@ func AnalyzeWithNCCtx(ctx context.Context, pg *afdx.PortGraph, opts Options, nc 
 	if err != nil {
 		return nil, err
 	}
+	paths := pg.Net.AllPaths()
 	res := &Result{
 		Opts:       opts,
-		PathDelays: map[afdx.PathID]float64{},
-		Details:    map[afdx.PathID]PathDetail{},
+		PathDelays: make(map[afdx.PathID]float64, len(paths)),
+		Details:    make(map[afdx.PathID]PathDetail, len(paths)),
 	}
-	paths := pg.Net.AllPaths()
 	dets := make([]PathDetail, len(paths))
 	err = parallel.ForEachCtx(ctx, opts.Parallel, len(paths), func(i int) error {
 		det, err := a.analyzePath(ctx, paths[i], nil)
