@@ -198,3 +198,23 @@ func TestNetworkAllPathsDeterministic(t *testing.T) {
 		t.Error("PathID.String should not be empty")
 	}
 }
+
+// TestParsePathArg round-trips PathID.String and rejects what is not a
+// vl/pathIdx pair with a non-negative decimal index. A bare vl means its
+// path 0 by design, so "v1" parses.
+func TestParsePathArg(t *testing.T) {
+	for _, pid := range []PathID{{VL: "v12", PathIdx: 3}, {VL: "v1", PathIdx: 0}, {VL: "a/b", PathIdx: 7}} {
+		got, err := ParsePathArg(pid.String())
+		if err != nil || got != pid {
+			t.Errorf("ParsePathArg(%q) = %+v, %v; want %+v", pid.String(), got, err, pid)
+		}
+	}
+	if got, err := ParsePathArg("v1"); err != nil || got != (PathID{VL: "v1"}) {
+		t.Errorf("ParsePathArg(\"v1\") = %+v, %v; want v1/0", got, err)
+	}
+	for _, bad := range []string{"", "/3", "v1/", "v1/x", "v1/0x", "v1/-1", "/0"} {
+		if got, err := ParsePathArg(bad); err == nil {
+			t.Errorf("ParsePathArg(%q) = %+v, want an error", bad, got)
+		}
+	}
+}

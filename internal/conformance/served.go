@@ -53,9 +53,11 @@ func (o *Oracle) checkServed(ctx context.Context, net *afdx.Network) ([]Violatio
 			return nil, fmt.Errorf("conformance: served cold anchor (parallel %d): %w", par, err)
 		}
 		for _, m := range mm {
-			pid, perr := serve.ParsePathID(m.Path)
-			if perr != nil {
-				pid = afdx.PathID{}
+			// The "(path count)" mismatch names no path: it keeps the
+			// zero PathID.
+			var pid afdx.PathID
+			if m.Path != "(path count)" {
+				pid, _ = afdx.ParsePathArg(m.Path)
 			}
 			vs = append(vs, Violation{InvServedParity, pid, m.Got, m.Want,
 				fmt.Sprintf("served %s != cold anchor at parallel %d (round %d)", m.Field, par, m.Seq)})

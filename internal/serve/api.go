@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"slices"
-	"strconv"
 	"strings"
 
 	"afdx/internal/afdx"
@@ -264,19 +263,6 @@ func pathBounds(cmp *core.Comparison) []PathBound {
 		}
 	}
 	return out
-}
-
-// ParsePathID parses the wire path form "vl/idx" (PathID.String).
-func ParsePathID(s string) (afdx.PathID, error) {
-	i := strings.LastIndex(s, "/")
-	if i <= 0 || i == len(s)-1 {
-		return afdx.PathID{}, fmt.Errorf("serve: bad path id %q (want vl/index)", s)
-	}
-	idx, err := strconv.Atoi(s[i+1:])
-	if err != nil {
-		return afdx.PathID{}, fmt.Errorf("serve: bad path id %q: %v", s, err)
-	}
-	return afdx.PathID{VL: s[:i], PathIdx: idx}, nil
 }
 
 // parseDeltas parses a delta request's commands, mapping failures to

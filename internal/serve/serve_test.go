@@ -424,19 +424,3 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, out any) {
 		t.Fatalf("GET %s: %v", path, err)
 	}
 }
-
-// TestParsePathID round-trips the wire path form.
-func TestParsePathID(t *testing.T) {
-	pid, err := ParsePathID("v12/3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pid != (afdx.PathID{VL: "v12", PathIdx: 3}) {
-		t.Fatalf("ParsePathID = %+v", pid)
-	}
-	for _, bad := range []string{"", "v1", "/3", "v1/", "v1/x"} {
-		if _, err := ParsePathID(bad); err == nil {
-			t.Errorf("ParsePathID(%q): no error", bad)
-		}
-	}
-}

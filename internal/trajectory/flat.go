@@ -13,11 +13,10 @@ import (
 	"afdx/internal/core/tol"
 )
 
-// This file is the flattened trajectory hot path. The reference engine
-// (reference_test.go) spends ~90% of its time hashing strings and
-// rebuilding maps inside the two per-candidate/per-path inner loops;
-// this implementation runs the same mathematics on dense, int-indexed
-// state built once per analyzer:
+// This file is the trajectory hot path. It runs the mathematics of
+// DESIGN §5.2 on dense, int-indexed state built once per analyzer,
+// instead of hashing strings and rebuilding maps inside the
+// per-candidate and per-path inner loops:
 //
 //   - VLs are addressed by their dense ordinal (afdx.PortFlow.Ord, an
 //     index into the ID-sorted VLOrder, so ordinal order == ID order)
@@ -28,8 +27,8 @@ import (
 //   - The interference set is built in one pass over the crossed
 //     ports' flow lists: a bitmap over VL ordinals marks the VLs seen,
 //     and a per-ordinal slot keeps the entry made at each VL's first
-//     shared port. Walking the bitmap's set bits emits the set in the
-//     reference's VL-ID order with no dedup table and no sort.
+//     shared port. Walking the bitmap's set bits emits the set in
+//     VL-ID order with no dedup table and no sort.
 //   - The serialization-group partition is precomputed per port and
 //     instantiated once per path: with grouping, the bitmap walk places
 //     each entry straight into its group slot (a counting sort on the
@@ -37,19 +36,20 @@ import (
 //     re-sorting the groups for every candidate offset.
 //   - Each port carries its rank among the sorted port strings, so the
 //     per-path group order compares integers, not strings.
-//   - Source-port busy periods are memoized per port — they are a pure
-//     function of the port, recomputed per path by the reference.
+//   - Source-port busy periods are memoized per port: they are a pure
+//     function of the port.
 //   - Candidate offsets are merged from the per-interferer ascending
 //     step-point streams with a small binary heap, replacing
 //     append-then-sort.Float64s.
 //
-// Bit-identity with the reference is a hard contract, enforced by the
-// differential tests in flat_test.go: every float is accumulated in the
-// exact order and association of the reference code, the group
-// iteration order reproduces the reference's (port.String(), prev) key
-// sort through the port rank, and group members keep the VL-sorted
-// member order. Do not "simplify" an accumulation here without checking
-// the reference twin.
+// Path digests pin every bound and detail bit for bit: golden_test.go,
+// golden_full_test.go, and one digest per corpus and option set in the
+// sweeps of oracle_test.go. So every float keeps its accumulation order
+// and association: groups are summed in (port.String(), input node)
+// key order through the port rank, and group members in VL-ID order.
+// The sweeps' evaluator of the objective checks the mathematics only
+// up to tol.At, and a reordered sum passes it: do not "simplify" an
+// accumulation here without the digests.
 //
 // Scratch-buffer ownership: all per-path transient state lives in a
 // *scratch obtained from the flatIndex pool at the top of
@@ -85,7 +85,7 @@ type busyMemo struct {
 // matching afdx.Port.Flows).
 type flatPort struct {
 	id      afdx.PortID
-	rank    int32 // index among the sorted id.String() values, the reference's group-sort key
+	rank    int32 // index among the sorted id.String() values: the group-sort key
 	rate    float64
 	latency float64
 	maxC    float64 // largest frame transmission time at this port
@@ -99,8 +99,7 @@ type flatPort struct {
 
 	groups []afdx.InputGroup // the port's input groups, sorted by input node
 
-	// Busy-period fixpoint inputs, accumulated in flow order exactly as
-	// the reference sourceBusyPeriod does.
+	// Busy-period fixpoint inputs, accumulated in flow order.
 	sumC, minC, util float64
 	busy             busyMemo
 }
@@ -108,12 +107,20 @@ type flatPort struct {
 // busyPeriod returns the port's memoized busy-period bound and the
 // fixpoint round count the computation took (re-reported for every
 // path sourced at the port, so the deterministic busy-period counters
-// match the reference's per-path recomputation exactly).
+// count one fixpoint per path).
+//
+// The bound is the least fixpoint of the port's workload function
+// w(b) = Σ_j N_j(b)·C_j. A port at utilization 1 or more has none and
+// fails at once. Below 1 the least fixpoint sits under the
+// remaining-capacity bound bMax = sumC/(1-util), and every non-final
+// round queues at least one more whole frame, so rounds are capped by
+// (bMax - w(0)) / minC.
 func (fp *flatPort) busyPeriod(ctx context.Context) (float64, int, error) {
 	fp.busy.once.Do(func() {
+		m := &fp.busy
 		//detcheck:allow DET004: dimensionless utilization guard, scale-free by construction
 		if fp.util >= 1-1e-12 {
-			fp.busy.err = fmt.Errorf("trajectory: busy period of port %s does not converge (port utilization %.9g >= 1)", fp.id, fp.util)
+			m.err = fmt.Errorf("trajectory: busy period of port %s does not converge (port utilization %.9g >= 1)", fp.id, fp.util)
 			return
 		}
 		work := func(b float64) float64 {
@@ -123,7 +130,27 @@ func (fp *flatPort) busyPeriod(ctx context.Context) (float64, int, error) {
 			}
 			return w
 		}
-		fp.busy.busy, fp.busy.rounds, fp.busy.err = busyFixpoint(ctx, fp.id, work, fp.sumC, fp.minC, fp.util)
+		b := work(0)
+		bMax := fp.sumC / (1 - fp.util)
+		maxIter := int((bMax-b)/fp.minC) + 2
+		for iter := 0; iter < maxIter; iter++ {
+			// High-utilization ports take thousands of rounds to
+			// converge; poll for cancellation at a stride that keeps the
+			// check free.
+			if iter&1023 == 1023 {
+				if err := ctx.Err(); err != nil {
+					m.rounds, m.err = iter, fmt.Errorf("trajectory: busy-period fixpoint of port %s cancelled: %w", fp.id, err)
+					return
+				}
+			}
+			nb := work(b)
+			if nb <= b+tol.At(b) {
+				m.busy, m.rounds = nb, iter+1
+				return
+			}
+			b = nb
+		}
+		m.rounds, m.err = maxIter, fmt.Errorf("trajectory: busy period of port %s exceeded its capacity bound %.3f us (numerical non-convergence)", fp.id, bMax)
 	})
 	return fp.busy.busy, fp.busy.rounds, fp.busy.err
 }
@@ -216,8 +243,8 @@ func (a *analyzer) prepare() error {
 }
 
 // buildFlatPort flattens one port: per-flow scalar slices, the input
-// groups of the port graph (prev-sorted, the reference's group key
-// order within a port), and the busy-period fixpoint inputs.
+// groups of the port graph (prev-sorted: the group-key order within a
+// port), and the busy-period fixpoint inputs.
 func (a *analyzer) buildFlatPort(id afdx.PortID) *flatPort {
 	p := a.pg.Ports[id]
 	bounds := a.nc.Ports[id].Flows
@@ -243,8 +270,8 @@ func (a *analyzer) buildFlatPort(id afdx.PortID) *flatPort {
 		fp.grpOf[j] = f.Group
 		fp.serRatio[j] = p.Groups[f.Group].RateBitsPerUs / p.RateBitsPerUs
 		fp.pref[j] = bounds[j].PrefixUs
-		// Busy-period inputs and the transition-term max, in the
-		// reference's flow-order accumulation.
+		// Busy-period inputs and the transition-term max, accumulated
+		// in flow order.
 		fp.sumC += c
 		if c < fp.minC {
 			fp.minC = c
@@ -257,10 +284,10 @@ func (a *analyzer) buildFlatPort(id afdx.PortID) *flatPort {
 	return fp
 }
 
-// analyzePortSeqFlat is the flat twin of analyzePortSeqRef. Same
-// mathematics, same accumulation orders, dense state. A non-nil ex
-// receives the decomposition at the critical offset, read off the
-// scratch state the bound was computed from (see Explanation).
+// analyzePortSeqFlat bounds one path: the maximum over the candidate
+// offsets t of interference(t) + transition terms + latencies − t. A
+// non-nil ex receives the decomposition at the critical offset, read
+// off the scratch state the bound was computed from (see Explanation).
 func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink, ports []afdx.PortID, ex *Explanation) (PathDetail, error) {
 	if err := ctx.Err(); err != nil {
 		return PathDetail{}, fmt.Errorf("trajectory: analysis cancelled: %w", err)
@@ -270,7 +297,7 @@ func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink,
 	defer fl.pool.Put(sc)
 
 	// Resolve the path's ports and the analyzed flow's min arrival
-	// times (the reference's sMin map, now a dense slice).
+	// time at each of them.
 	sc.fps = sc.fps[:0]
 	sc.sMin = sc.sMin[:0]
 	acc := 0.0
@@ -341,12 +368,12 @@ func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink,
 // returns its group-slot count (0 without grouping). Ports are walked in
 // path order and each port's flows in Port.Flows order: the first
 // occurrence of a VL sets its bit in sc.seen and makes its entry in
-// sc.first at that port — the reference's first occurrence — and later
-// occurrences only raise cUs to the max over the shared ports. Walking
-// the bitmap's set bits in ascending ordinal then emits the set in
-// VL-ID order, clearing each word as it is read: with grouping straight
-// into group-major order (a counting sort on the slot counts taken
-// during the walk), without grouping as is.
+// sc.first at that port, and later occurrences only raise cUs to the
+// max over the shared ports. Walking the bitmap's set bits in ascending
+// ordinal then emits the set in VL-ID order, clearing each word as it
+// is read: with grouping straight into group-major order (a counting
+// sort on the slot counts taken during the walk), without grouping as
+// is.
 func (sc *scratch) buildInterferers(nVLs int, grouping bool) int {
 	nSlots := 0
 	if grouping {
@@ -409,8 +436,8 @@ func (sc *scratch) buildInterferers(nVLs int, grouping bool) int {
 
 // groupSlots instantiates the serialization-group partition of the
 // current path: each path position's slot base in port-rank order —
-// the reference's sorted (port string, prev) group-key order, as each
-// port's groups are prev-sorted — with every slot count zeroed. Returns
+// the sorted (port string, input node) group-key order, as each port's
+// groups are prev-sorted — with every slot count zeroed. Returns
 // the number of slots.
 func (sc *scratch) groupSlots() int {
 	// Positions are unique ports (feed-forward paths never revisit one);
@@ -445,9 +472,9 @@ func (sc *scratch) groupSlots() int {
 	return nSlots
 }
 
-// interferenceAt is the flat twin of the reference interferenceAt /
-// groupContribution pair: same per-member arithmetic in the same group
-// and member order, over the precomputed partition.
+// interferenceAt is the interference term at offset t: with grouping,
+// groupAt's summand of every non-empty slot in slot order; without,
+// N·C of every interferer in VL-ID order.
 func (sc *scratch) interferenceAt(grouping bool, nSlots int, t float64) float64 {
 	if !grouping {
 		sum := 0.0
@@ -459,7 +486,7 @@ func (sc *scratch) interferenceAt(grouping bool, nSlots int, t float64) float64 
 	}
 	sum := 0.0
 	for g := 0; g < nSlots; g++ {
-		if cnt := sc.grpCount[g]; cnt > 0 { // the reference's map has no entry for empty groups
+		if cnt := sc.grpCount[g]; cnt > 0 { // no interferer first meets the path through this group
 			sum += groupAt(sc.inter[sc.grpStart[g]:sc.grpStart[g]+cnt], sc.serialized(g), t).Us
 		}
 	}
@@ -531,28 +558,33 @@ func (sc *scratch) interferenceTerms(vls []*afdx.VirtualLink, grouping bool, nSl
 // candidate offsets: t = 0 plus every step point k*T_j - A_ij inside
 // the busy period. Each interferer contributes an already-ascending
 // stream, so a binary min-heap merges them in sorted order and the
-// dedup runs inline — the same multiset the reference enumerates,
-// in the same order its sort.Float64s produces, hence the identical
-// deduplicated list. The heap pops by t and the dedup reads only that
-// sorted sequence, so the list does not depend on the order of sc.inter:
-// the group-major set gives the candidates the VL-ordered one would.
+// dedup runs inline: the list appending every step point, sorting and
+// deduplicating would give (TestMergeCandidatesMatchesSort). The heap
+// pops by t and the dedup reads only that sorted sequence, so the list
+// does not depend on the order of sc.inter: the group-major set gives
+// the candidates the VL-ordered one would.
 func (sc *scratch) mergeCandidates(ctx context.Context, busy float64) error {
 	sc.cands = append(sc.cands[:0], 0)
 	h := sc.heap[:0]
 	for i := range sc.inter {
 		it := &sc.inter[i]
 		T := it.bagUs
-		// Same start index as the reference candidateOffsets
-		// (reference_test.go; see there for the k-domain tolerance
-		// rationale).
+		// Step points t = k*T - A_ij need t > 0, i.e. k > A_ij/T, and
+		// k >= 1 (N_j only jumps at whole windows). The tolerance is in
+		// the k domain, relative to the ratio being rounded, so an A_ij
+		// a rounding error above an exact multiple of T still starts at
+		// that multiple; the loop below then steps past its t = 0.
+		// Negating the ratio (ceil(-A_ij/T)) would start every
+		// A_ij <= -T stream late and skip its first step points
+		// (TestCandidateOffsetsExactMultiples).
 		k := math.Ceil(it.aUs/T - tol.At(it.aUs/T))
 		if k < 1 {
 			k = 1
 		}
 		t := k*T - it.aUs
-		// Advance past the below-zero prefix the reference's
-		// `t > tol.At(t)` filter drops; t grows by T per step while the
-		// tolerance grows by EpsRel*T at most, so once past it stays past.
+		// Advance past the steps at or below zero (those failing
+		// t > tol.At(t)); t grows by T per step while the tolerance
+		// grows by EpsRel*T at most, so once past it stays past.
 		for !(t > tol.At(t)) {
 			k++
 			t = k*T - it.aUs

@@ -13,11 +13,11 @@ import (
 // TestTrajectoryGoldenDigestsFull pins every path bound and detail of
 // the full-size industrial configurations (configgen.DefaultSpec seeds
 // 1 to 8, the certify-cold family) under the three option sets the
-// differential sweeps use. The reference engine shares frameCount,
-// busyFixpoint and tol with the flat engine, so a change in those
-// helpers moves both engines alike and the sweeps cannot see it; only
-// digests recorded before such a change can. Compiled out under the race
-// detector and skipped in -short mode: it runs 24 full analyses.
+// sweeps use. The sweeps' evaluator (oracle_test.go) checks each bound
+// only within tol.At, so a change of a few ulps, such as a reordered
+// sum, passes it; only digests recorded before such a change can see
+// it. Compiled out under the race detector and skipped in -short mode:
+// it runs 24 full analyses.
 func TestTrajectoryGoldenDigestsFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size golden digests skipped in -short mode")

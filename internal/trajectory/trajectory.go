@@ -299,18 +299,13 @@ func (a *analyzer) transitionSum(ports []afdx.PortID, terms *[]TransitionTerm) f
 			add(ports[k+1], a.maxSharedFrameTime(ports[k], ports[k+1]))
 		}
 	} else {
-		// Receiving-node convention: h_2 .. h_q.
+		// Receiving-node convention: h_2 .. h_q, each the largest frame
+		// crossing the port (precomputed by the flat index).
 		for k := 1; k < len(ports); k++ {
-			add(ports[k], a.maxFrameTimeAt(ports[k]))
+			add(ports[k], a.flat.ports[ports[k]].maxC)
 		}
 	}
 	return deltaSum
-}
-
-// maxFrameTimeAt returns max_j C_j over the flows crossing a port,
-// precomputed by the flat index.
-func (a *analyzer) maxFrameTimeAt(id afdx.PortID) float64 {
-	return a.flat.ports[id].maxC
 }
 
 // maxSharedFrameTime returns max_j C_j over the flows crossing both
@@ -329,39 +324,6 @@ func (a *analyzer) maxSharedFrameTime(prev, next afdx.PortID) float64 {
 		}
 	}
 	return m
-}
-
-// busyFixpoint iterates a port workload function to its least fixpoint.
-// It is the shared core of the flat engine's memoized busy periods and
-// the reference sourceBusyPeriod (reference_test.go): both hand it the
-// same scalars (sumC = w(0) envelope burst, minC = smallest frame,
-// util = port utilization, all accumulated in the port's flow order),
-// so both converge to bit-identical values in the same number of
-// rounds.
-//
-// The caller has already rejected util >= 1; under util < 1 the least
-// fixpoint sits below the remaining-capacity bound bMax = sumC/(1-util),
-// and every non-final round queues at least one more whole frame, so
-// rounds are capped by (bMax - w(0)) / minC.
-func busyFixpoint(ctx context.Context, src afdx.PortID, work func(float64) float64, sumC, minC, util float64) (float64, int, error) {
-	b := work(0)
-	bMax := sumC / (1 - util)
-	maxIter := int((bMax-b)/minC) + 2
-	for iter := 0; iter < maxIter; iter++ {
-		// High-utilization ports take thousands of rounds to converge;
-		// poll for cancellation at a stride that keeps the check free.
-		if iter&1023 == 1023 {
-			if err := ctx.Err(); err != nil {
-				return 0, iter, fmt.Errorf("trajectory: busy-period fixpoint of port %s cancelled: %w", src, err)
-			}
-		}
-		nb := work(b)
-		if nb <= b+tol.At(b) {
-			return nb, iter + 1, nil
-		}
-		b = nb
-	}
-	return 0, maxIter, fmt.Errorf("trajectory: busy period of port %s exceeded its capacity bound %.3f us (numerical non-convergence)", src, bMax)
 }
 
 // frameCount is N(x) = 1 + floor(max(0,x) / T): the maximum number of
