@@ -13,11 +13,14 @@
 #  6a. benchmarks           (BenchmarkAnalyzeIndustrial, one iteration:
 #                             the trajectory kernel on the industrial
 #                             configuration builds, runs and bounds
-#                             every one of its 5,004 paths; then
-#                             BenchmarkServedRound, one iteration per
-#                             stage of a served what-if round on the
-#                             same configuration, with each stage's
-#                             allocations)
+#                             every one of its 5,004 paths, with its
+#                             allocations; then BenchmarkServedRound,
+#                             one iteration per stage of a served
+#                             what-if round on the same configuration
+#                             (candidate, wcnc, trajectory, certify,
+#                             answer, handler, and watched: a round
+#                             with one SSE subscriber), with each
+#                             stage's allocations)
 #  6b. benchmark module      (go vet + go test in cmd/afdx-bench, its own
 #                             module, which ./... does not reach)
 #   7. afdx-conformance      (short cross-engine differential campaign,
@@ -102,8 +105,9 @@ go test -run '^$' -bench BenchmarkAnalyzeIndustrial -benchtime 1x ./internal/tra
 
 echo "== served-round benchmark (one iteration per stage)"
 # BenchmarkServedRound splits a served /whatif round into candidate,
-# certify, answer and handler, each with its B/op (README,
-# Scalability). One iteration keeps it compiling and running.
+# wcnc, trajectory, certify, answer, handler and watched, each with its
+# B/op (README, Scalability). One iteration keeps it compiling and
+# running.
 go test -run '^$' -bench BenchmarkServedRound -benchtime 1x ./internal/serve
 
 echo "== benchmark module (cmd/afdx-bench: go vet + go test)"

@@ -73,12 +73,16 @@ type PortGraph struct {
 	// Order is a topological order of the ports: if any VL crosses port
 	// q immediately before port p, then q precedes p in Order.
 	Order []PortID
-	paths map[PathID][]PortID
-	// vls indexes the network's VLs by ID. Network.VL is a linear scan
-	// (the Network is a mutable configuration object); the engines sit
-	// in per-path loops and need the O(1) lookup the frozen graph can
-	// afford.
-	vls map[string]*VirtualLink
+	// The path table: paths lists every path in Network.AllPaths order,
+	// and path t crosses seqs[seqStart[t]:seqStart[t+1]].
+	paths    []PathID
+	seqStart []int32
+	seqs     []PortID
+	// vls indexes the network's VLs by ID, each with the position of its
+	// path 0 in the path table. Network.VL is a linear scan (the Network
+	// is a mutable configuration object); the engines sit in per-path
+	// loops and need the O(1) lookup the frozen graph can afford.
+	vls map[string]vlEntry
 	// ranks is the dependency-rank grouping of the ports (Ranks),
 	// derived together with Order.
 	ranks [][]PortID
@@ -88,6 +92,14 @@ type PortGraph struct {
 	vlOrder []*VirtualLink
 }
 
+// vlEntry is one VL of the graph's VL-ID index: the VL, and where its
+// paths sit in the path table.
+type vlEntry struct {
+	vl        *VirtualLink
+	firstPath int32 // table position of the VL's path 0
+	numPaths  int32
+}
+
 // BuildPortGraph derives the port-level view of the network. It returns
 // an error when the configuration is invalid or when the port dependency
 // graph is cyclic (holistic analyses require feed-forward networks, as do
@@ -95,37 +107,50 @@ type PortGraph struct {
 //
 // The build numbers the ports densely as it creates them and keeps the
 // port-to-port edges as integer lists, so ordering and ranking the ports
-// never touches a PortID-keyed map. VLs are visited in ID order, which
-// leaves every port's flow list sorted and puts a VL's incidences at a
-// port back to back: comparing with the port's last flow is enough to
-// record a multicast VL once at a port its paths share. Validation's
-// tree check (AFDX006) makes those paths reach the port through the
-// same link, so the first crossing's group holds for all of them. The
-// same order makes the loop index the VL's ordinal, and leaves the VL
-// the last flow of the port it just left, which gives its upstream
-// index. Input groups are keyed by the number of the port they arrive
-// from while the build runs, and renumbered by input node at the end.
+// never touches a PortID-keyed map. It walks the paths twice. The first
+// walk creates the ports, fills the path table and counts each port's
+// distinct VLs, so every port's flow list is carved from one slab at
+// its exact size. The second walk fills the flow lists. VLs are visited
+// in ID order, which leaves every port's flow list sorted and puts a
+// VL's incidences at a port back to back: comparing with the port's
+// last flow is enough to record a multicast VL once at a port its paths
+// share. Validation's tree check (AFDX006) makes those paths reach the
+// port through the same link, so the first crossing's group holds for
+// all of them. The same order makes the loop index the VL's ordinal,
+// and leaves the VL the last flow of the port it just left, which gives
+// its upstream index. Input groups are keyed by the number of the port
+// they arrive from while the build runs, and renumbered by input node
+// at the end.
 func BuildPortGraph(n *Network, mode ValidationMode) (*PortGraph, error) {
 	if err := n.Validate(mode); err != nil {
 		return nil, err
 	}
-	// Validation guarantees every path has at least three nodes, so a
-	// path of k nodes crosses exactly k-1 ports.
-	incidences, npaths := 0, 0
+	// The path table, in AllPaths order. Validation guarantees every
+	// path has at least three nodes, so a path of k nodes crosses
+	// exactly k-1 ports.
+	pg := &PortGraph{
+		Net: n,
+		vls: make(map[string]vlEntry, len(n.VLs)),
+	}
+	npaths := 0
 	for _, v := range n.VLs {
+		pg.vls[v.ID] = vlEntry{vl: v, firstPath: int32(npaths), numPaths: int32(len(v.Paths))}
 		npaths += len(v.Paths)
-		for _, path := range v.Paths {
-			incidences += len(path) - 1
+	}
+	pg.paths = make([]PathID, 0, npaths)
+	pg.seqStart = make([]int32, 1, npaths+1)
+	for _, v := range n.VLs {
+		for pi, path := range v.Paths {
+			pg.paths = append(pg.paths, PathID{VL: v.ID, PathIdx: pi})
+			pg.seqStart = append(pg.seqStart, pg.seqStart[len(pg.seqStart)-1]+int32(len(path)-1))
 		}
 	}
+	incidences := pg.seqStart[npaths]
+	pg.seqs = make([]PortID, incidences)
+
 	vls := slices.Clone(n.VLs)
 	slices.SortFunc(vls, func(a, b *VirtualLink) int { return strings.Compare(a.ID, b.ID) })
-	pg := &PortGraph{
-		Net:     n,
-		paths:   make(map[PathID][]PortID, npaths),
-		vls:     make(map[string]*VirtualLink, len(vls)),
-		vlOrder: vls,
-	}
+	pg.vlOrder = vls
 	endSystems := make(map[string]bool, len(n.EndSystems))
 	for _, e := range n.EndSystems {
 		endSystems[e] = true
@@ -133,22 +158,16 @@ func BuildPortGraph(n *Network, mode ValidationMode) (*PortGraph, error) {
 	var (
 		ports []*Port
 		index = map[PortID]int32{} // dense port number, in creation order
-		succ  [][]int32            // succ[i]: the ports some VL crosses right after ports[i]
-		// feeds[i][g]: the port group g of ports[i] arrives from (-1 for
-		// the flows sourced there), in creation order.
-		feeds [][]int32
-		seqs  = make([]PortID, incidences)
+		// nflows[i] counts the distinct VLs crossing ports[i]; lastOrd[i]
+		// is the ordinal of the last one counted.
+		nflows, lastOrd []int32
 	)
 	for ord, v := range vls {
-		pg.vls[v.ID] = v
+		first := pg.vls[v.ID].firstPath
 		for pi, path := range v.Paths {
-			hops := len(path) - 1
-			seq := seqs[:0:hops]
-			seqs = seqs[hops:]
-			from := int32(-1)
+			at := pg.seqStart[first+int32(pi)]
 			for k := 0; k+1 < len(path); k++ {
 				id := PortID{From: path[k], To: path[k+1]}
-				seq = append(seq, id)
 				i, ok := index[id]
 				if !ok {
 					lat := n.Params.SwitchLatencyUs
@@ -162,15 +181,48 @@ func BuildPortGraph(n *Network, mode ValidationMode) (*PortGraph, error) {
 						RateBitsPerUs: n.LinkRateBitsPerUs(path[k], path[k+1]),
 						LatencyUs:     lat,
 					})
-					succ = append(succ, nil)
-					feeds = append(feeds, nil)
+					nflows = append(nflows, 0)
+					lastOrd = append(lastOrd, -1)
 				}
+				pg.seqs[at+int32(k)] = id
+				if lastOrd[i] != int32(ord) {
+					lastOrd[i] = int32(ord)
+					nflows[i]++
+				}
+			}
+		}
+	}
+	total := int32(0)
+	for _, c := range nflows {
+		total += c
+	}
+	slab := make([]PortFlow, total)
+	for i, p := range ports {
+		p.Flows, slab = slab[:0:nflows[i]], slab[nflows[i]:]
+	}
+	var (
+		succ = make([][]int32, len(ports)) // succ[i]: the ports some VL crosses right after ports[i]
+		// feeds[i][g]: the port group g of ports[i] arrives from (-1 for
+		// the flows sourced there), in creation order.
+		feeds = make([][]int32, len(ports))
+	)
+	for ord, v := range vls {
+		first := pg.vls[v.ID].firstPath
+		for pi := range v.Paths {
+			from := int32(-1)
+			t := first + int32(pi)
+			for _, id := range pg.seqs[pg.seqStart[t]:pg.seqStart[t+1]] {
+				i := index[id]
 				port := ports[i]
 				if last := len(port.Flows) - 1; last < 0 || port.Flows[last].VL != v {
 					g := slices.Index(feeds[i], from)
 					if g < 0 {
+						// A new input link, so a new edge from -> i.
 						g = len(feeds[i])
 						feeds[i] = append(feeds[i], from)
+						if from >= 0 {
+							succ[from] = append(succ[from], i)
+						}
 					}
 					up := int32(-1)
 					if from >= 0 {
@@ -178,15 +230,16 @@ func BuildPortGraph(n *Network, mode ValidationMode) (*PortGraph, error) {
 					}
 					port.Flows = append(port.Flows, PortFlow{VL: v, Ord: int32(ord), Group: int32(g), Up: up})
 				}
-				if from >= 0 && !slices.Contains(succ[from], i) {
-					succ[from] = append(succ[from], i)
-				}
 				from = i
 			}
-			pg.paths[PathID{VL: v.ID, PathIdx: pi}] = seq
 		}
 	}
 	pg.Ports = make(map[PortID]*Port, len(ports))
+	ngroups := 0
+	for _, f := range feeds {
+		ngroups += len(f)
+	}
+	groups := make([]InputGroup, ngroups)
 	var byNode []int32
 	for i, p := range ports {
 		// Renumber the groups, numbered so far in order of arrival, by
@@ -195,7 +248,7 @@ func BuildPortGraph(n *Network, mode ValidationMode) (*PortGraph, error) {
 		slices.SortFunc(byNode, func(a, b int32) int {
 			return strings.Compare(inputLink(ports, p, a).Prev, inputLink(ports, p, b).Prev)
 		})
-		p.Groups = make([]InputGroup, len(byNode))
+		p.Groups, groups = groups[:len(byNode):len(byNode)], groups[len(byNode):]
 		for g, u := range byNode {
 			p.Groups[g] = inputLink(ports, p, u)
 		}
@@ -221,13 +274,27 @@ func inputLink(ports []*Port, p *Port, u int32) InputGroup {
 	return InputGroup{Prev: ports[u].ID.From, RateBitsPerUs: ports[u].RateBitsPerUs}
 }
 
-// PathPorts returns the port sequence of one (VL, destination) path.
-func (pg *PortGraph) PathPorts(id PathID) []PortID { return pg.paths[id] }
+// PathPorts returns the port sequence of one (VL, destination) path,
+// or nil for a path the graph does not hold.
+func (pg *PortGraph) PathPorts(id PathID) []PortID {
+	e, ok := pg.vls[id.VL]
+	if !ok || id.PathIdx < 0 || id.PathIdx >= int(e.numPaths) {
+		return nil
+	}
+	t := e.firstPath + int32(id.PathIdx)
+	lo, hi := pg.seqStart[t], pg.seqStart[t+1]
+	return pg.seqs[lo:hi:hi]
+}
+
+// Paths returns every path of the graph in Network.AllPaths order, as
+// it was when the graph was built. The slice is shared: callers must
+// not modify it.
+func (pg *PortGraph) Paths() []PathID { return pg.paths }
 
 // VL returns the virtual link with the given ID, or nil. Unlike
 // Network.VL this is a constant-time lookup against the index frozen
 // at graph-build time.
-func (pg *PortGraph) VL(id string) *VirtualLink { return pg.vls[id] }
+func (pg *PortGraph) VL(id string) *VirtualLink { return pg.vls[id].vl }
 
 // VLOrder returns the network's VLs sorted by ID. The slice index is
 // the VL's dense ordinal: engines that replace string-keyed map lookups
@@ -327,7 +394,7 @@ func SortPortIDs(ids []PortID) { sortPortIDs(ids) }
 // the interference set of the Trajectory approach.
 func (pg *PortGraph) FlowsSharingPath(id PathID) map[string]PortID {
 	shared := map[string]PortID{}
-	for _, pid := range pg.paths[id] {
+	for _, pid := range pg.PathPorts(id) {
 		for _, f := range pg.Ports[pid].Flows {
 			if _, ok := shared[f.VL.ID]; !ok {
 				shared[f.VL.ID] = pid
@@ -343,8 +410,8 @@ func (pg *PortGraph) FlowsSharingPath(id PathID) map[string]PortID {
 // frame crossing an entirely idle network. Worst-case bounds minus this
 // floor give the certification jitter figure.
 func (pg *PortGraph) MinPathDelayUs(id PathID) (float64, error) {
-	seq, ok := pg.paths[id]
-	if !ok {
+	seq := pg.PathPorts(id)
+	if seq == nil {
 		return 0, fmt.Errorf("afdx: unknown path %v", id)
 	}
 	vl := pg.VL(id.VL)

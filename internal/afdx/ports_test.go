@@ -1,6 +1,8 @@
 package afdx
 
 import (
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -158,6 +160,75 @@ func TestPathPortsSequence(t *testing.T) {
 		if seq[i] != want[i] {
 			t.Fatalf("port sequence %v, want %v", seq, want)
 		}
+	}
+}
+
+// TestPathTableEdges pins the path table's misses to what a map keyed
+// by PathID gave: an unknown VL, a negative index and the index one past
+// a VL's last path hold no port sequence and no floor. One past the last
+// path of a multicast VL is the next VL's first slot in the table.
+func TestPathTableEdges(t *testing.T) {
+	for _, net := range []*Network{Figure1Config(), Figure2Config()} {
+		pg, err := BuildPortGraph(net, Strict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		misses := []PathID{{VL: "nosuch", PathIdx: 0}, {VL: "", PathIdx: 0}}
+		for _, vl := range net.VLs {
+			misses = append(misses, PathID{VL: vl.ID, PathIdx: -1}, PathID{VL: vl.ID, PathIdx: len(vl.Paths)})
+		}
+		for _, pid := range misses {
+			if seq := pg.PathPorts(pid); seq != nil {
+				t.Errorf("%s: PathPorts(%v) = %v, want nil", net.Name, pid, seq)
+			}
+			if d, err := pg.MinPathDelayUs(pid); err == nil {
+				t.Errorf("%s: MinPathDelayUs(%v) = %g, want an error", net.Name, pid, d)
+			}
+		}
+	}
+}
+
+// TestPathsMatchAllPaths holds PortGraph.Paths to Network.AllPaths on
+// Figure 2 and on every lint-corpus configuration that builds (Relaxed,
+// as the linter builds them), and every listed path to a port sequence
+// that starts at its VL's source.
+func TestPathsMatchAllPaths(t *testing.T) {
+	nets := []*Network{Figure2Config()}
+	files, err := filepath.Glob(filepath.Join("..", "lint", "testdata", "*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("lint corpus not found: %v", err)
+	}
+	for _, file := range files {
+		f, err := os.Open(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := DecodeJSON(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		net.Name = filepath.Base(file)
+		nets = append(nets, net)
+	}
+	built := 0
+	for _, net := range nets {
+		pg, err := BuildPortGraph(net, Relaxed)
+		if err != nil {
+			continue
+		}
+		built++
+		if got, want := pg.Paths(), net.AllPaths(); !slices.Equal(got, want) {
+			t.Errorf("%s: Paths() = %v, want AllPaths() %v", net.Name, got, want)
+		}
+		for _, pid := range pg.Paths() {
+			if seq := pg.PathPorts(pid); len(seq) == 0 || seq[0].From != pg.VL(pid.VL).Source {
+				t.Errorf("%s: path %v crosses %v", net.Name, pid, seq)
+			}
+		}
+	}
+	if built < 2 {
+		t.Fatalf("only %d configurations built", built)
 	}
 }
 

@@ -98,7 +98,7 @@ func CompareWithCtx(ctx context.Context, pg *afdx.PortGraph, ncOpts netcalc.Opti
 // engine results (CompareWithCtx = two engine runs + Combine) and
 // records both results on it.
 func Combine(pg *afdx.PortGraph, nc *netcalc.Result, tr *trajectory.Result) (*Comparison, error) {
-	paths := pg.Net.AllPaths()
+	paths := pg.Paths()
 	c := &Comparison{Net: pg.Net, PerPath: make(map[afdx.PathID]PathComparison, len(paths)), NC: nc, Trajectory: tr}
 	for _, pid := range paths {
 		dn, ok1 := nc.PathDelays[pid]

@@ -261,14 +261,12 @@ func (rn *ncRun) result() *Result {
 	return res
 }
 
-// flowEnvelope returns the arrival envelope of incidence j: the
-// jitter-inflated leaky bucket, or (with StairSteps > 0) the exact
-// jitter-shifted staircase curve.
+// flowEnvelope returns the arrival envelope of incidence j under
+// StairSteps > 0: the exact jitter-shifted staircase curve, capped by
+// the jitter-inflated leaky bucket. Leaky-bucket envelopes alone are
+// summed in closed form by analyzePort.
 func (rn *ncRun) flowEnvelope(j int32, vl *afdx.VirtualLink, port afdx.PortID) (minplus.Curve, error) {
 	lb := minplus.LeakyBucket(rn.flows[j].BurstBits, vl.RhoBitsPerUs())
-	if rn.opts.StairSteps <= 0 {
-		return lb, nil
-	}
 	// The staircase jitter is the accumulated upstream delay bound: a
 	// frame emitted at t arrives at this port within
 	// [t + minTransit, t + prefixDelay], so in the worst case the
@@ -327,6 +325,7 @@ func analyzePort(rn *ncRun, i int) error {
 	// per port: a per-flow atomic increment from every worker contends
 	// on one cache line for no observational gain.
 	envelopes := int64(0)
+	stairs := rn.opts.StairSteps > 0
 	for g, in := range port.Groups {
 		// Grouping applies within a priority level: a link serializes
 		// all frames, but the shaping below feeds per-level residual
@@ -344,7 +343,11 @@ func analyzePort(rn *ncRun, i int) error {
 		}
 		slices.Sort(groupLevels)
 		for _, lvl := range groupLevels {
-			var members = minplus.Zero()
+			var members minplus.Curve
+			if stairs {
+				members = minplus.Zero()
+			}
+			burst, rate := 0.0, 0.0
 			maxFrame := 0.0
 			count := 0
 			for k, f := range port.Flows {
@@ -352,16 +355,29 @@ func analyzePort(rn *ncRun, i int) error {
 				if f.Group != int32(g) || vl.Priority != lvl {
 					continue
 				}
-				env, err := rn.flowEnvelope(lo+int32(k), vl, id)
-				if err != nil {
-					return err
-				}
 				envelopes++
 				count++
-				members = minplus.Add(members, env)
 				if s := vl.SMaxBits(); s > maxFrame {
 					maxFrame = s
 				}
+				j := lo + int32(k)
+				if !stairs {
+					// Leaky buckets sum to a leaky bucket: burst and
+					// rate add up in member order from 0, exactly the
+					// floats minplus.Add computes on one-segment
+					// curves (DESIGN §5.1).
+					burst += rn.flows[j].BurstBits
+					rate += vl.RhoBitsPerUs()
+					continue
+				}
+				env, err := rn.flowEnvelope(j, vl, id)
+				if err != nil {
+					return err
+				}
+				members = minplus.Add(members, env)
+			}
+			if !stairs {
+				members = minplus.LeakyBucket(burst, rate)
 			}
 			groupEnv := members
 			if rn.opts.Grouping && in.Prev != "" && count > 1 {

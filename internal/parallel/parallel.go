@@ -84,10 +84,11 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error
 	}
 	var (
 		next     atomic.Int64
-		firstErr atomic.Int64
+		firstErr atomic.Int64 // the lowest failing index so far, n while none
 		active   atomic.Int64
-		errs     = make([]error, n)
 		wg       sync.WaitGroup
+		mu       sync.Mutex
+		err      error // the error of index firstErr, under mu
 	)
 	firstErr.Store(int64(n))
 	wg.Add(workers)
@@ -101,26 +102,20 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error
 				}
 				tasks.Inc()
 				occupancy.Observe(active.Add(1))
-				if err := fn(int(i)); err != nil {
-					errs[i] = err
-					// Lower the first-failure watermark (CAS loop: another
-					// worker may have failed at a smaller index meanwhile).
-					for {
-						cur := firstErr.Load()
-						if i >= cur || firstErr.CompareAndSwap(cur, i) {
-							break
-						}
+				if e := fn(int(i)); e != nil {
+					// Keep the error only if no lower index failed first
+					// (another worker may have, meanwhile).
+					mu.Lock()
+					if i < firstErr.Load() {
+						firstErr.Store(i)
+						err = e
 					}
+					mu.Unlock()
 				}
 				active.Add(-1)
 			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }

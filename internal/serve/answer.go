@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 )
 
@@ -29,37 +31,79 @@ const answerBufBytes = 32 << 10
 // with encoding/json's, so a field added to one of them fails it until
 // it is written here too.
 func writeAnswer(w http.ResponseWriter, status int, resp *AnalysisResponse) {
-	for _, p := range resp.Paths {
-		for _, f := range [...]float64{p.NCUs, p.TrajectoryUs, p.BestUs, p.MinUs, p.JitterUs} {
-			if math.IsInf(f, 0) || math.IsNaN(f) {
-				writeError(w, errf(CodeAnalysis, "path %s: non-finite bound %v", p.Path, f))
-				return
-			}
-		}
+	if p, f, bad := nonFinite(resp); bad {
+		writeError(w, errf(CodeAnalysis, "path %s: non-finite bound %v", p, f))
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	a := answerWriter{w: w, buf: make([]byte, 0, answerBufBytes)}
-	a.raw("{\n  \"session\": ")
+	a := answerWriter{w: w, buf: make([]byte, 0, answerBufBytes), indent: true}
+	a.round(resp, nil)
+	a.raw("\n")
+	a.flush()
+}
+
+// eventData writes an analysis round's SSE payload: exactly the bytes
+// json.Marshal writes for AnalysisEvent{*resp, counters}, one line, in
+// chunks of at most answerBufBytes. A round with a non-finite bound has
+// no payload (nil): json.Marshal refuses it too.
+func eventData(resp *AnalysisResponse, counters map[string]int64) [][]byte {
+	if _, _, bad := nonFinite(resp); bad {
+		return nil
+	}
+	var c chunks
+	a := answerWriter{w: &c, buf: make([]byte, 0, answerBufBytes)}
+	a.round(resp, counters)
+	a.flush()
+	return c
+}
+
+// chunks keeps a copy of every write: the answerWriter reuses its
+// buffer after each one.
+type chunks [][]byte
+
+func (c *chunks) Write(b []byte) (int, error) {
+	*c = append(*c, bytes.Clone(b))
+	return len(b), nil
+}
+
+// nonFinite returns the first path with a NaN or infinite bound, and
+// that bound.
+func nonFinite(resp *AnalysisResponse) (string, float64, bool) {
+	for _, p := range resp.Paths {
+		for _, f := range [...]float64{p.NCUs, p.TrajectoryUs, p.BestUs, p.MinUs, p.JitterUs} {
+			if math.IsInf(f, 0) || math.IsNaN(f) {
+				return p.Path, f, true
+			}
+		}
+	}
+	return "", 0, false
+}
+
+// round writes resp as one JSON object, and counters, when it has a
+// key, as a last "counters" member (AnalysisEvent's). Map keys are
+// written sorted, as encoding/json sorts them.
+func (a *answerWriter) round(resp *AnalysisResponse, counters map[string]int64) {
+	a.lit("{\n  \"session\": ")
 	a.str(resp.Session)
-	a.raw(",\n  \"seq\": ")
-	a.int(resp.Seq)
-	a.raw(",\n  \"committed\": ")
+	a.lit(",\n  \"seq\": ")
+	a.int(int64(resp.Seq))
+	a.lit(",\n  \"committed\": ")
 	a.raw(strconv.FormatBool(resp.Committed))
 	if len(resp.Deltas) > 0 {
-		a.raw(",\n  \"deltas\": [")
+		a.lit(",\n  \"deltas\": [")
 		for i, d := range resp.Deltas {
 			if i > 0 {
 				a.raw(",")
 			}
-			a.raw("\n    ")
+			a.lit("\n    ")
 			a.str(d)
 		}
-		a.raw("\n  ]")
+		a.lit("\n  ]")
 	}
-	a.raw(",\n  \"analysis\": ")
+	a.lit(",\n  \"analysis\": ")
 	a.str(resp.Analysis)
-	a.raw(",\n  \"paths\": ")
+	a.lit(",\n  \"paths\": ")
 	switch {
 	case resp.Paths == nil:
 		a.raw("null")
@@ -72,37 +116,54 @@ func writeAnswer(w http.ResponseWriter, status int, resp *AnalysisResponse) {
 			if i > 0 {
 				a.raw(",")
 			}
-			a.raw("\n    {\n      \"path\": ")
+			a.lit("\n    {\n      \"path\": ")
 			a.str(p.Path)
-			a.raw(",\n      \"ncUs\": ")
+			a.lit(",\n      \"ncUs\": ")
 			a.float(p.NCUs)
-			a.raw(",\n      \"trajectoryUs\": ")
+			a.lit(",\n      \"trajectoryUs\": ")
 			a.float(p.TrajectoryUs)
-			a.raw(",\n      \"bestUs\": ")
+			a.lit(",\n      \"bestUs\": ")
 			a.float(p.BestUs)
-			a.raw(",\n      \"minUs\": ")
+			a.lit(",\n      \"minUs\": ")
 			a.float(p.MinUs)
-			a.raw(",\n      \"jitterUs\": ")
+			a.lit(",\n      \"jitterUs\": ")
 			a.float(p.JitterUs)
-			a.raw("\n    }")
+			a.lit("\n    }")
 		}
-		a.raw("\n  ]")
+		a.lit("\n  ]")
 	}
 	if pv := resp.Provenance; pv != nil {
-		a.raw(",\n  \"provenance\": {\n    \"configFnv64\": ")
+		a.lit(",\n  \"provenance\": {\n    \"configFnv64\": ")
 		a.str(pv.ConfigFNV64)
-		a.raw(",\n    \"engines\": ")
+		a.lit(",\n    \"engines\": ")
 		a.str(pv.Engines)
-		a.raw(",\n    \"analysis\": ")
+		a.lit(",\n    \"analysis\": ")
 		a.str(pv.Analysis)
-		a.raw(",\n    \"workers\": ")
-		a.int(pv.Workers)
-		a.raw(",\n    \"obsVersion\": ")
+		a.lit(",\n    \"workers\": ")
+		a.int(int64(pv.Workers))
+		a.lit(",\n    \"obsVersion\": ")
 		a.str(pv.ObsVersion)
-		a.raw("\n  }")
+		a.lit("\n  }")
 	}
-	a.raw("\n}\n")
-	a.flush()
+	if len(counters) > 0 {
+		names := make([]string, 0, len(counters))
+		for name := range counters {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		a.lit(",\n  \"counters\": {")
+		for i, name := range names {
+			if i > 0 {
+				a.raw(",")
+			}
+			a.lit("\n    ")
+			a.str(name)
+			a.lit(": ")
+			a.int(counters[name])
+		}
+		a.lit("\n  }")
+	}
+	a.lit("\n}")
 }
 
 // answerWriter appends JSON tokens to a fixed-capacity buffer and hands
@@ -112,6 +173,9 @@ type answerWriter struct {
 	w   io.Writer
 	buf []byte
 	err error
+	// indent selects encoding/json's indented form (the Encoder with
+	// SetIndent("", "  ")); false selects its compact form (Marshal).
+	indent bool
 }
 
 // numberBytes bounds one number's text: a float64 in encoding/json's
@@ -138,6 +202,24 @@ func (a *answerWriter) raw(s string) {
 	}
 }
 
+// lit appends a structural token, written in the indented form. The
+// compact form drops its spaces and line breaks: no token has a space
+// inside a quoted key.
+func (a *answerWriter) lit(s string) {
+	if a.indent {
+		a.raw(s)
+		return
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c != ' ' && c != '\n' {
+			if len(a.buf) == cap(a.buf) {
+				a.flush()
+			}
+			a.buf = append(a.buf, c)
+		}
+	}
+}
+
 // str appends s as a JSON string. Printable ASCII other than the
 // characters encoding/json escapes is copied as is; any other string
 // is json.Marshal's (HTML-escaped, as the Encoder escapes it).
@@ -154,11 +236,11 @@ func (a *answerWriter) str(s string) {
 	a.raw(`"`)
 }
 
-func (a *answerWriter) int(v int) {
+func (a *answerWriter) int(v int64) {
 	if len(a.buf)+numberBytes > cap(a.buf) {
 		a.flush()
 	}
-	a.buf = strconv.AppendInt(a.buf, int64(v), 10)
+	a.buf = strconv.AppendInt(a.buf, v, 10)
 }
 
 // float appends a finite f as encoding/json writes a float64: the

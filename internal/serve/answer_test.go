@@ -106,10 +106,63 @@ func fill(t *testing.T, v reflect.Value, n *int) {
 // string escape, and an answer long enough to flush the buffer many
 // times. The first case fills every exported field through reflection.
 func TestAnswerMatchesEncodingJSON(t *testing.T) {
+	for _, tc := range answerFixtures(t) {
+		checkAnswerBytes(t, tc.name, &tc.resp)
+	}
+}
+
+// TestEventMatchesEncodingJSON pins the SSE analysis payload to
+// json.Marshal of AnalysisEvent byte for byte, on every fixture of
+// TestAnswerMatchesEncodingJSON and with nil, empty, one-key and
+// multi-key counter maps (keys that sort differently from their
+// insertion, and one that needs escaping): one line, in chunks no
+// larger than the writer's buffer.
+func TestEventMatchesEncodingJSON(t *testing.T) {
+	counters := []map[string]int64{
+		nil,
+		{},
+		{"serve.rounds": 3},
+		{"trajectory.paths_analyzed": 5004, "netcalc.flow_envelopes": 8324, "a<b>&c": -1, "parallel.tasks": 0, "Z": math.MaxInt64},
+	}
+	for _, tc := range answerFixtures(t) {
+		for _, cs := range counters {
+			want, err := json.Marshal(AnalysisEvent{AnalysisResponse: tc.resp, Counters: cs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunks := eventData(&tc.resp, cs)
+			for _, c := range chunks {
+				if len(c) > answerBufBytes {
+					t.Errorf("%s, %d counters: a chunk of %d bytes, over the %d-byte buffer", tc.name, len(cs), len(c), answerBufBytes)
+				}
+			}
+			if got := bytes.Join(chunks, nil); !bytes.Equal(got, want) {
+				i := 0
+				for i < len(got) && i < len(want) && got[i] == want[i] {
+					i++
+				}
+				t.Fatalf("%s, %d counters: bytes differ from json.Marshal's at offset %d:\ngot  %.120q\nwant %.120q", tc.name, len(cs), i, got[i:], want[i:])
+			}
+		}
+	}
+	// A round encoding/json cannot write has no payload at all.
+	bad := AnalysisResponse{Paths: []PathBound{{Path: "v1/0", BestUs: math.Inf(1)}}}
+	if chunks := eventData(&bad, nil); chunks != nil {
+		t.Errorf("non-finite bound: payload %q, want none", bytes.Join(chunks, nil))
+	}
+}
+
+type answerFixture struct {
+	name string
+	resp AnalysisResponse
+}
+
+// answerFixtures are the answers the writer is held to encoding/json
+// on. The first fills every exported field through reflection.
+func answerFixtures(t *testing.T) []answerFixture {
 	var full AnalysisResponse
 	n := 0
 	fill(t, reflect.ValueOf(&full).Elem(), &n)
-	checkAnswerBytes(t, "every field", &full)
 
 	bound := func(path string, f ...float64) PathBound {
 		return PathBound{Path: path, NCUs: f[0], TrajectoryUs: f[1], BestUs: f[2], MinUs: f[3], JitterUs: f[4]}
@@ -121,10 +174,8 @@ func TestAnswerMatchesEncodingJSON(t *testing.T) {
 		x := float64(i)*1.000000001 + 1/3.0
 		many = append(many, bound(fmt.Sprintf("v%04d/%d", i/3, i%3), x, x/7, x/11, 1e-7*x, -x))
 	}
-	cases := []struct {
-		name string
-		resp AnalysisResponse
-	}{
+	return []answerFixture{
+		{"every field", full},
 		{"zero value", AnalysisResponse{}},
 		{"empty lists", AnalysisResponse{Session: "s1", Deltas: []string{}, Paths: []PathBound{}}},
 		{"nil paths with deltas", AnalysisResponse{Session: "s1", Seq: 3, Deltas: []string{"bag v1 16"}, Analysis: "WCNC"}},
@@ -144,9 +195,6 @@ func TestAnswerMatchesEncodingJSON(t *testing.T) {
 			Provenance: &Provenance{ConfigFNV64: "&", Engines: "\u2028", Analysis: "\xc3", Workers: 0, ObsVersion: "\x7f"},
 		}},
 		{"longer than the buffer", AnalysisResponse{Session: long, Deltas: []string{long, long + "<"}, Analysis: long, Paths: many, Provenance: prov}},
-	}
-	for _, tc := range cases {
-		checkAnswerBytes(t, tc.name, &tc.resp)
 	}
 }
 

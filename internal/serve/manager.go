@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -169,7 +170,10 @@ func (m *manager) run(ms *managed) {
 		fn()
 	}
 	ms.sess.Close()
-	ms.hub.publish("closed", func() any { return map[string]string{"session": ms.id} })
+	ms.hub.publish("closed", func() [][]byte {
+		data, _ := json.Marshal(map[string]string{"session": ms.id}) // a string map always marshals
+		return [][]byte{data}
+	})
 	ms.hub.close()
 	close(ms.done)
 }

@@ -371,9 +371,7 @@ func (s *Server) analysisTask(commit bool, cmds []string, ds []incremental.Delta
 				s.log.Info("delta applied", "session", ms.id, "seq", resp.Seq, "cmd", cmd)
 			}
 		}
-		ms.hub.publish("analysis", func() any {
-			return AnalysisEvent{AnalysisResponse: *resp, Counters: countersMap(s.reg)}
-		})
+		ms.hub.publish("analysis", func() [][]byte { return eventData(resp, countersMap(s.reg)) })
 		return resp, nil
 	}
 }
@@ -431,7 +429,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errf(CodeUnknownSession, "unknown session %q", id))
 		return
 	}
-	serveSSE(w, r, h, event{id: 0, name: "session", data: hello}, s.opts.KeepAlive)
+	serveSSE(w, r, h, event{id: 0, name: "session", data: [][]byte{hello}}, s.opts.KeepAlive)
 }
 
 // handleMetrics serves the metric snapshot: JSON by default, the

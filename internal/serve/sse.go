@@ -1,8 +1,8 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -10,16 +10,26 @@ import (
 
 // event is one Server-Sent-Events frame: `id: <seq>` + `event: <name>`
 // + one `data:` line of JSON, blank-line terminated (the payloads are
-// single-line json.Marshal output, so no data-line splitting is
-// needed).
+// single-line compact JSON, so no data-line splitting is needed). The
+// line is held in chunks, as the answer writer filled them.
 type event struct {
 	id   int64
 	name string
-	data []byte
+	data [][]byte
 }
 
-func (e event) writeTo(w http.ResponseWriter) error {
-	_, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.id, e.name, e.data)
+// writeTo writes the frame, its data chunk by chunk: every subscriber
+// writes the event's own chunks, and none copies them.
+func (e event) writeTo(w io.Writer) error {
+	if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: ", e.id, e.name); err != nil {
+		return err
+	}
+	for _, c := range e.data {
+		if _, err := w.Write(c); err != nil {
+			return err
+		}
+	}
+	_, err := io.WriteString(w, "\n\n")
 	return err
 }
 
@@ -68,16 +78,15 @@ func (h *hub) subscribe() (<-chan event, func()) {
 }
 
 // publish delivers one event to every subscriber without blocking.
-// The payload is built and marshalled only when the hub has a
-// subscriber, but the event id advances on every call, so ids keep
-// counting rounds: a subscriber that joins after k silent rounds sees
-// id k+1 first. No-op after close.
-func (h *hub) publish(name string, payload func() any) {
-	var data []byte
+// The payload is written only when the hub has a subscriber, but the
+// event id advances on every call, so ids keep counting rounds: a
+// subscriber that joins after k silent rounds sees id k+1 first. A nil
+// payload (a round encoding/json could not write either) drops the
+// round's event, never sends it empty. No-op after close.
+func (h *hub) publish(name string, payload func() [][]byte) {
+	var data [][]byte
 	if h.listening() {
-		// The payloads are plain data and always marshal; were one to
-		// fail, the round's event would be dropped, never sent empty.
-		data, _ = json.Marshal(payload())
+		data = payload()
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()

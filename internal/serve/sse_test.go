@@ -1,6 +1,10 @@
 package serve
 
-import "testing"
+import (
+	"bytes"
+	"strconv"
+	"testing"
+)
 
 // TestHubBuildsPayloadOnlyForSubscribers pins the lazy event payload:
 // rounds nobody listens to build nothing, yet still number their
@@ -8,9 +12,9 @@ import "testing"
 func TestHubBuildsPayloadOnlyForSubscribers(t *testing.T) {
 	h := newHub(nil)
 	built := 0
-	payload := func() any {
+	payload := func() [][]byte {
 		built++
-		return map[string]int{"round": built}
+		return [][]byte{[]byte(`{"round":`), []byte(strconv.Itoa(built) + "}")}
 	}
 	const k = 3
 	for i := 0; i < k; i++ {
@@ -26,7 +30,7 @@ func TestHubBuildsPayloadOnlyForSubscribers(t *testing.T) {
 		t.Fatalf("%d payloads built for one subscribed round, want 1", built)
 	}
 	e := <-ch
-	if e.id != k+1 || e.name != "analysis" || string(e.data) != `{"round":1}` {
-		t.Errorf("first event = id %d %q %s, want id %d \"analysis\" {\"round\":1}", e.id, e.name, e.data, k+1)
+	if data := bytes.Join(e.data, nil); e.id != k+1 || e.name != "analysis" || string(data) != `{"round":1}` {
+		t.Errorf("first event = id %d %q %s, want id %d \"analysis\" {\"round\":1}", e.id, e.name, data, k+1)
 	}
 }

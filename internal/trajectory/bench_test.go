@@ -14,6 +14,8 @@ import (
 // WCNC prefix bounds are computed once before the timer, and each
 // iteration is one default-option analysis on one worker, so the
 // figure is the per-path hot loop and not the prefix run or the pool.
+// It reports the run's allocations: the scratch buffers and the
+// per-path result maps.
 func BenchmarkAnalyzeIndustrial(b *testing.B) {
 	net, err := configgen.Generate(configgen.DefaultSpec(1))
 	if err != nil {
@@ -30,6 +32,7 @@ func BenchmarkAnalyzeIndustrial(b *testing.B) {
 	}
 	opts := DefaultOptions()
 	opts.Parallel = 1
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := AnalyzeWithNCCtx(ctx, pg, opts, nc)

@@ -395,15 +395,16 @@ func (sc *scratch) buildInterferers(nVLs int, grouping bool) int {
 			}
 			sc.seen[w] |= bit
 			n++
-			sc.first[ord] = flatInterferer{
-				vl:       ord,
-				pos:      int32(pos),
-				grp:      fp.grpOf[j],
-				cUs:      fp.cUs[j],
-				aUs:      fp.pref[j] - sc.sMin[pos],
-				bagUs:    fp.bagUs[j],
-				serRatio: fp.serRatio[j],
-			}
+			// Field by field: a composite-literal copy of the entry
+			// stalls on store forwarding in this loop.
+			e := &sc.first[ord]
+			e.vl = ord
+			e.pos = int32(pos)
+			e.grp = fp.grpOf[j]
+			e.cUs = fp.cUs[j]
+			e.aUs = fp.pref[j] - sc.sMin[pos]
+			e.bagUs = fp.bagUs[j]
+			e.serRatio = fp.serRatio[j]
 			if grouping {
 				sc.grpCount[sc.slotBase[pos]+fp.grpOf[j]]++
 			}
@@ -415,7 +416,12 @@ func (sc *scratch) buildInterferers(nVLs int, grouping bool) int {
 		sc.grpNext[g] = off
 		off += sc.grpCount[g]
 	}
-	sc.inter = grow(sc.inter, n)
+	// The set never exceeds the VL count: sized to it once, inter is
+	// never reallocated path by path.
+	if cap(sc.inter) < nVLs {
+		sc.inter = make([]flatInterferer, nVLs)
+	}
+	sc.inter = sc.inter[:n]
 	k := 0
 	for w, word := range sc.seen {
 		sc.seen[w] = 0

@@ -241,7 +241,7 @@ func AnalyzeWithNCCtx(ctx context.Context, pg *afdx.PortGraph, opts Options, nc 
 	if err != nil {
 		return nil, err
 	}
-	paths := pg.Net.AllPaths()
+	paths := pg.Paths()
 	res := &Result{
 		Opts:       opts,
 		PathDelays: make(map[afdx.PathID]float64, len(paths)),
